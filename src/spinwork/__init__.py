@@ -20,7 +20,6 @@ from .spectral_core import (
     DensityMatrix,
     SpectralDecomposition,
     eigendecompose,
-    eigendecompose_sectored,
     gibbs_state,
     infidelity,
     log_partition_function,
@@ -31,7 +30,6 @@ from .spectral_core import (
 from .drive_dynamics import (
     DriveProtocol,
     PropagatorResult,
-    convergence_probe,
     evolve_density,
     lambda_at,
     propagate,

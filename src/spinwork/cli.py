@@ -111,7 +111,7 @@ def main(argv=None) -> int:
                 "r_squared_quench": report.r_squared_quench,
             }
         elif args.command == "pert-compare":
-            report = xp.run_pert_compare(cfg, threads=args.threads)
+            report = xp.run_pert_compare(cfg)
             records = []
             fits = {
                 "residual_slope": report.residual_slope,

@@ -312,43 +312,3 @@ def evolve_density(rho0: DensityMatrix, u: PropagatorResult) -> DensityMatrix:
         raise DimensionError(f"dimension mismatch: {rho0.dimension} vs {m.shape[0]}")
     return DensityMatrix(m @ rho0.matrix @ m.conj().T)
 
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    dt: float
-    delta_unitary: float
-    infidelity_shift: Optional[float]
-    method: str
-
-
-def convergence_probe(
-    h0: OperatorMatrix,
-    h1: OperatorMatrix,
-    p: DriveProtocol,
-    dt: float,
-    method: str = "strang",
-    beta: Optional[float] = None,
-    sectors: Optional[Sequence[np.ndarray]] = None,
-) -> ConvergenceReport:
-    """Step-halving certification: ||U_dt - U_dt/2|| and the induced infidelity shift.
-
-    The infidelity shift (reported when ``beta`` is given) is the change in
-    1 - F(evolved Gibbs state of H0, Gibbs state of H(t_total)) when dt is
-    halved; scans gate on it.
-    """
-    from .spectral_core import eigendecompose as _eig, gibbs_state, infidelity as _infid
-
-    u_full = propagate(h0, h1, p, dt, method=method, sectors=sectors)
-    u_half = propagate(h0, h1, p, dt / 2.0, method=method, sectors=sectors)
-    delta = float(np.linalg.norm(u_full.unitary.matrix - u_half.unitary.matrix))
-    shift = None
-    if beta is not None:
-        lam_end = lambda_at(p, p.t_total)
-        spec0 = _eig(h0)
-        spec_f = _eig(OperatorMatrix(h0.matrix + lam_end * h1.matrix))
-        rho0 = gibbs_state(spec0, beta)
-        target = gibbs_state(spec_f, beta)
-        inf_full = _infid(evolve_density(rho0, u_full), target)
-        inf_half = _infid(evolve_density(rho0, u_half), target)
-        shift = abs(inf_full - inf_half)
-    return ConvergenceReport(dt=dt, delta_unitary=delta, infidelity_shift=shift, method=method)

@@ -26,7 +26,7 @@ from .perturbative_cfw import (
     first_cumulant,
     lnchi_second_order,
     lnchi_second_order_quadrature,
-    lnchi_third_order_adiabatic,
+    third_order_adiabatic_coefficient,
     three_point_measure,
     two_point_measure,
 )
@@ -36,8 +36,9 @@ from .spectral_core import (
     infidelity,
     log_partition_function,
 )
-from .spin_model import OperatorMatrix, SpinChainSpec, build_hopping, build_zz, magnetization_sectors
+from .spin_model import OperatorMatrix, SpinChainSpec, assemble, build_hopping, build_zz, magnetization_sectors
 from .work_statistics import (
+    WorkDistribution,
     average_work,
     cfw_from_distribution,
     default_u_grid,
@@ -45,6 +46,7 @@ from .work_statistics import (
     jarzynski_check,
     phase_linearity,
     tpm_distribution,
+    write_csv,
 )
 
 CSV_COLUMNS = ["scan_value", "infidelity", "avg_work", "jarzynski_deviation", "delta_variance", "runtime_seconds"]
@@ -266,11 +268,10 @@ def _run_point(
     dt: float,
     fidelity_convention: str,
     certify: bool = True,
-) -> ScanRecord:
+) -> tuple[ScanRecord, WorkDistribution]:
+    """One scan point: its record and the work distribution the record was built from."""
     start = time.perf_counter()
-    spec_f = eigendecompose(
-        OperatorMatrix(ops.h0.matrix + protocol.lambda_final * ops.h1.matrix)
-    )
+    spec_f = eigendecompose(assemble(ops.h0, ops.h1, protocol.lambda_final))
     rho0 = gibbs_state(ops.spec0, beta)
     target = gibbs_state(spec_f, beta)
 
@@ -300,7 +301,7 @@ def _run_point(
         )
     epsilon = 1e-6 * (ops.spec0.spectral_range + spec_f.spectral_range)
     delta = delta_concentration(dist, epsilon)
-    return ScanRecord(
+    record = ScanRecord(
         scan_value=scan_value,
         infidelity=infid,
         avg_work=average_work(dist),
@@ -308,6 +309,7 @@ def _run_point(
         delta_variance=delta.variance,
         runtime_seconds=time.perf_counter() - start,
     )
+    return record, dist
 
 
 def _pool_map(jobs, threads: Optional[int]):
@@ -337,7 +339,7 @@ def run_velocity_scan(cfg: RunConfig, threads: Optional[int] = None, certify: bo
 
     def job(v):
         protocol = _protocol_for("quench" if math.isinf(v) else "ramp_hold", v, cfg.lambda1, t_total)
-        return lambda: _run_point(ops, protocol, cfg.beta, v, cfg.dt, cfg.fidelity_convention, certify)
+        return lambda: _run_point(ops, protocol, cfg.beta, v, cfg.dt, cfg.fidelity_convention, certify)[0]
 
     records = _pool_map([job(v) for v in grid], threads)
     return sorted(records, key=lambda r: r.scan_value)
@@ -352,7 +354,7 @@ def run_size_scan(cfg: RunConfig, threads: Optional[int] = None, certify: bool =
     def job(n):
         ops = _ModelOps.build(SpinChainSpec(n, cfg.model.coupling, cfg.model.boundary))
         protocol = _protocol_for(cfg.protocol_kind, cfg.velocity, cfg.lambda1, cfg.t_total)
-        return lambda: _run_point(ops, protocol, cfg.beta, float(n), cfg.dt, cfg.fidelity_convention, certify)
+        return lambda: _run_point(ops, protocol, cfg.beta, float(n), cfg.dt, cfg.fidelity_convention, certify)[0]
 
     records = _pool_map([job(n) for n in sizes], threads)
     return sorted(records, key=lambda r: r.scan_value)
@@ -399,7 +401,7 @@ def run_lambda_scaling(
             protocol = _protocol_for("quench", None, lam, cfg.t_total)
         else:
             protocol = _protocol_for("ramp_hold", slow_velocity, lam, lam / slow_velocity)
-        return lambda: _run_point(ops, protocol, cfg.beta, lam, cfg.dt, cfg.fidelity_convention, certify)
+        return lambda: _run_point(ops, protocol, cfg.beta, lam, cfg.dt, cfg.fidelity_convention, certify)[0]
 
     ramp_records = _pool_map([job(lam, False) for lam in lams], threads)
     quench_records = _pool_map([job(lam, True) for lam in lams], threads)
@@ -437,7 +439,7 @@ class PertCompareReport:
     measure3: object = None
 
 
-def run_pert_compare(cfg: RunConfig, threads: Optional[int] = None) -> PertCompareReport:
+def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
     """Exact ln chi against the second-order prediction (and the adiabatic
     third-order correction) over the configured coupling grid."""
     lams = sorted(float(v) for v in cfg.grid)
@@ -450,6 +452,7 @@ def run_pert_compare(cfg: RunConfig, threads: Optional[int] = None) -> PertCompa
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         m3 = three_point_measure(ops.spec0, ops.h1, cfg.beta)
+        s = third_order_adiabatic_coefficient(m3)
 
     entries = []
     curves: dict = {"u": u.tolist()}
@@ -460,15 +463,11 @@ def run_pert_compare(cfg: RunConfig, threads: Optional[int] = None) -> PertCompa
         else:
             v = cfg.velocity if cfg.velocity else 1e-3
             protocol = _protocol_for("ramp_hold", v, lam, lam / v)
-        spec_f = eigendecompose(OperatorMatrix(ops.h0.matrix + lam * ops.h1.matrix))
+        spec_f = eigendecompose(assemble(ops.h0, ops.h1, lam))
         prop = propagate(ops.h0, ops.h1, protocol, cfg.dt, method=PROPAGATION_METHOD, sectors=ops.sectors)
         dist = tpm_distribution(ops.spec0, spec_f, prop, cfg.beta)
         exact = cfw_from_distribution(dist, u)
         pert2 = lnchi_second_order(m2, protocol, first, lam, u)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pert3 = lnchi_third_order_adiabatic(m3, lam, u)
-            coeff = pert3.ln_chi[-1] / (1j * u[-1] * lam**3)
         quad = lnchi_second_order_quadrature(ops.spec0, ops.h1, cfg.beta, protocol, lam, u)
         residual = float(np.abs(exact.ln_chi - pert2.ln_chi).max())
         residuals.append(residual)
@@ -479,8 +478,8 @@ def run_pert_compare(cfg: RunConfig, threads: Optional[int] = None) -> PertCompa
                 max_abs_residual_2nd=residual,
                 linearity_rel_residual_2nd=lin.rel_residual,
                 w0_fit=lin.w0_fit,
-                third_order_coefficient_re=float(np.real(coeff)),
-                third_order_coefficient_im=float(np.imag(coeff)),
+                third_order_coefficient_re=s.real,
+                third_order_coefficient_im=s.imag,
                 quadrature_max_gap=float(np.abs(pert2.ln_chi - quad.ln_chi).max()),
             )
         )
@@ -489,7 +488,7 @@ def run_pert_compare(cfg: RunConfig, threads: Optional[int] = None) -> PertCompa
             "exact_im": np.imag(exact.ln_chi).tolist(),
             "pert2_re": np.real(pert2.ln_chi).tolist(),
             "pert2_im": np.imag(pert2.ln_chi).tolist(),
-            "pert3_im": np.imag(pert3.ln_chi).tolist(),
+            "pert3_im": np.imag(1j * u * lam**3 * s).tolist(),
         }
     slope = _loglog_fit(np.array(lams), np.array(residuals))[0] if len(lams) >= 2 else math.nan
     return PertCompareReport(
@@ -507,10 +506,7 @@ def run_single_detailed(cfg: RunConfig, certify: bool = True):
     ops = _ModelOps.build(cfg.model)
     protocol = _protocol_for(cfg.protocol_kind, cfg.velocity, cfg.lambda1, cfg.t_total)
     value = math.inf if cfg.protocol_kind == "quench" else (cfg.velocity or 0.0)
-    record = _run_point(ops, protocol, cfg.beta, value, cfg.dt, cfg.fidelity_convention, certify)
-    spec_f = eigendecompose(OperatorMatrix(ops.h0.matrix + cfg.lambda1 * ops.h1.matrix))
-    prop = propagate(ops.h0, ops.h1, protocol, cfg.dt, method=PROPAGATION_METHOD, sectors=ops.sectors)
-    dist = tpm_distribution(ops.spec0, spec_f, prop, cfg.beta)
+    record, dist = _run_point(ops, protocol, cfg.beta, value, cfg.dt, cfg.fidelity_convention, certify)
     cfw = cfw_from_distribution(dist, default_u_grid(cfg.beta))
     return record, dist, cfw
 
@@ -520,18 +516,9 @@ def run_single_detailed(cfg: RunConfig, certify: bool = True):
 # ---------------------------------------------------------------------------
 
 
-def _format_value(v: float) -> str:
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
-    return repr(float(v))
-
-
 def emit_csv(records: list[ScanRecord], path) -> None:
     """Fixed-schema CSV; full repr precision, UTF-8, '.' decimal separator."""
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        lines.append(",".join(_format_value(getattr(r, c)) for c in CSV_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, CSV_COLUMNS, ([getattr(r, c) for c in CSV_COLUMNS] for r in records))
 
 
 def emit_json_summary(cfg: RunConfig, records, fits, path, wall_time: float) -> None:

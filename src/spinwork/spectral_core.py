@@ -8,7 +8,7 @@ the ``one_minus_sqrtF`` infidelity convention is exposed by callers as a flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -64,28 +64,6 @@ def eigendecompose(h: OperatorMatrix) -> SpectralDecomposition:
         raise ValueError("eigendecompose requires a Hermitian input")
     evals, evecs = np.linalg.eigh(m)
     return SpectralDecomposition(evals, evecs)
-
-
-def eigendecompose_sectored(
-    h: OperatorMatrix, sectors: Sequence[np.ndarray]
-) -> SpectralDecomposition:
-    """Block eigendecomposition over symmetry sectors, reassembled and sorted.
-
-    Equivalent to :func:`eigendecompose` when the operator is block diagonal
-    over ``sectors``; the dense path remains the default.
-    """
-    d = h.dimension
-    evals = np.empty(d)
-    evecs = np.zeros((d, d), dtype=complex)
-    col = 0
-    for idx in sectors:
-        block = h.matrix[np.ix_(idx, idx)]
-        eb, vb = np.linalg.eigh(block)
-        evals[col : col + len(idx)] = eb
-        evecs[np.ix_(idx, np.arange(col, col + len(idx)))] = vb
-        col += len(idx)
-    order = np.argsort(evals, kind="stable")
-    return SpectralDecomposition(evals[order], evecs[:, order])
 
 
 def boltzmann_weights(spec: SpectralDecomposition, beta: float) -> np.ndarray:

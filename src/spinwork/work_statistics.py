@@ -7,7 +7,6 @@ continuous phase unwrapping along the u grid, anchored so ln chi(0) = 0.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,19 +240,21 @@ def phase_linearity(c: CfwSamples) -> LinearityReport:
     )
 
 
+def write_csv(path, header, rows) -> None:
+    """UTF-8 CSV with LF line ends; every cell is written as repr(float(x))."""
+    lines = [",".join(header)]
+    lines.extend(",".join(repr(float(x)) for x in row) for row in rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def distribution_to_csv(d: WorkDistribution, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["w", "p"])
-        for w, p in zip(d.works, d.probabilities):
-            writer.writerow([repr(float(w)), repr(float(p))])
+    write_csv(path, ["w", "p"], zip(d.works, d.probabilities))
 
 
 def cfw_to_csv(c: CfwSamples, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "re_chi", "im_chi", "re_ln_chi", "im_ln_chi"])
-        for u, chi, ln in zip(c.u_grid, c.chi, c.ln_chi):
-            writer.writerow(
-                [repr(float(u)), repr(chi.real), repr(chi.imag), repr(ln.real), repr(ln.imag)]
-            )
+    write_csv(
+        path,
+        ["u", "re_chi", "im_chi", "re_ln_chi", "im_ln_chi"],
+        zip(c.u_grid, c.chi.real, c.chi.imag, c.ln_chi.real, c.ln_chi.imag),
+    )

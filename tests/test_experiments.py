@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,12 @@ from spinwork.experiments import (
     run_single,
     run_size_scan,
     run_velocity_scan,
+    _ModelOps,
+)
+from spinwork.perturbative_cfw import (
+    lnchi_third_order_adiabatic,
+    third_order_adiabatic_coefficient,
+    three_point_measure,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -220,6 +227,29 @@ class TestScans:
             assert entry.quadrature_max_gap < 1e-6
         assert np.isfinite(report.residual_slope)
 
+    def test_pert_compare_third_order_coefficient_is_exact(self):
+        # at N = 4 a coefficient recovered from one ln chi sample by division
+        # lands an ulp off; the report must carry the coefficient itself
+        cfg = config_from_dict(
+            tiny_config(
+                model={"n_sites": 4, "coupling": 2.0},
+                scan="pert_compare",
+                grid=[0.05, 0.1],
+                protocol={"kind": "quench", "t_total": 1.0},
+            )
+        )
+        report = run_pert_compare(cfg)
+        ops = _ModelOps.build(cfg.model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            m3 = three_point_measure(ops.spec0, ops.h1, cfg.beta)
+            s = third_order_adiabatic_coefficient(m3)
+            for entry in report.entries:
+                assert entry.third_order_coefficient_re == s.real
+                assert entry.third_order_coefficient_im == s.imag
+                pert3 = lnchi_third_order_adiabatic(m3, entry.lambda1, report.curves["u"])
+                assert report.curves[f"lam_{entry.lambda1}"]["pert3_im"] == np.imag(pert3.ln_chi).tolist()
+
     def test_determinism_modulo_runtime(self, tmp_path):
         cfg = config_from_dict(tiny_config())
         a = run_velocity_scan(cfg, threads=2)
@@ -325,6 +355,26 @@ class TestCli:
         m3_lines = (out / "three_point_measure.csv").read_text().strip().split("\n")
         assert m3_lines[0] == "omega,omega2,re_weight,im_weight"
         assert (out / "pert_compare_curves.json").exists()
+
+    def test_measure_and_single_csvs_hold_plain_floats_with_lf(self, tmp_path):
+        out = tmp_path / "out"
+        runs = {
+            "single": tiny_config(scan="single", grid=[], protocol={"kind": "quench", "t_total": 2.0}),
+            "pert-compare": tiny_config(
+                scan="pert_compare", grid=[0.05, 0.1], protocol={"kind": "quench", "t_total": 1.0}
+            ),
+        }
+        for command, cfg in runs.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(dict(cfg, output_dir=str(out))))
+            assert self.run_cli(command, "--config", str(path), "--threads", "1") == 0
+        for name in ("single_distribution.csv", "single_cfw.csv", "two_point_measure.csv", "three_point_measure.csv"):
+            data = (out / name).read_bytes()
+            assert b"\r" not in data and data.endswith(b"\n"), name
+            rows = data.decode("utf-8").split("\n")[1:-1]
+            assert rows, name
+            for row in rows:
+                [float(cell) for cell in row.split(",")]
 
     def test_fidelity_convention_flag(self, tmp_path):
         path = tmp_path / "c.json"

@@ -8,11 +8,9 @@ from spinwork import (
     build_hopping,
     build_zz,
     eigendecompose,
-    eigendecompose_sectored,
     gibbs_state,
     infidelity,
     log_partition_function,
-    magnetization_sectors,
     matrix_function,
     thermal_expectation,
     uhlmann_fidelity,
@@ -54,15 +52,6 @@ class TestEigendecompose:
         assert np.linalg.norm(spec.reconstruct() - h) < 1e-10 * scale
         v = spec.eigenvectors
         assert np.linalg.norm(v.conj().T @ v - np.eye(spec.dimension)) < 1e-10
-
-    def test_sectored_matches_dense(self):
-        spec = SpinChainSpec(5, 2.0)
-        h = OperatorMatrix(build_hopping(spec).matrix + 0.4 * build_zz(spec).matrix)
-        dense = eigendecompose(h)
-        blocked = eigendecompose_sectored(h, magnetization_sectors(5))
-        assert np.abs(dense.eigenvalues - blocked.eigenvalues).max() < 1e-10
-        scale = np.abs(h.matrix).max()
-        assert np.linalg.norm(blocked.reconstruct() - h.matrix) < 1e-10 * scale
 
 
 class TestGibbsState:
