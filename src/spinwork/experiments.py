@@ -36,7 +36,7 @@ from .spectral_core import (
     infidelity,
     log_partition_function,
 )
-from .spin_model import OperatorMatrix, SpinChainSpec, assemble, build_hopping, build_zz, magnetization_sectors
+from .spin_model import MAX_SITES, OperatorMatrix, SpinChainSpec, assemble, build_hopping, build_zz
 from .work_statistics import (
     WorkDistribution,
     average_work,
@@ -95,6 +95,12 @@ class RunConfig:
             raise ConfigError("grid: must be nonempty for scan kinds")
         if self.fidelity_convention not in ("one_minus_F", "one_minus_sqrtF"):
             raise ConfigError(f"fidelity_convention: unknown value {self.fidelity_convention!r}")
+        if self.model.n_sites > MAX_SITES:
+            raise ConfigError(f"model.n_sites: {self.model.n_sites} exceeds the maximum {MAX_SITES}")
+        if self.scan == "size":
+            for n in self.grid:
+                if not (float(n).is_integer() and 2 <= n <= MAX_SITES):
+                    raise ConfigError(f"grid: chain size {n:g} is not a whole number in [2, {MAX_SITES}]")
 
 
 @dataclass(frozen=True)
@@ -243,15 +249,12 @@ class _ModelOps:
     spec: SpinChainSpec
     h0: OperatorMatrix
     h1: OperatorMatrix
-    sectors: list
     spec0: object
 
     @classmethod
     def build(cls, spec: SpinChainSpec):
         h0 = build_hopping(spec)
-        h1 = build_zz(spec)
-        sectors = magnetization_sectors(spec.n_sites)
-        return cls(spec, h0, h1, sectors, eigendecompose(h0))
+        return cls(spec, h0, build_zz(spec), eigendecompose(h0))
 
 
 def _protocol_for(kind: str, velocity, lambda1: float, t_total: float) -> DriveProtocol:
@@ -275,12 +278,12 @@ def _run_point(
     rho0 = gibbs_state(ops.spec0, beta)
     target = gibbs_state(spec_f, beta)
 
-    prop = propagate(ops.h0, ops.h1, protocol, dt, method=PROPAGATION_METHOD, sectors=ops.sectors)
+    prop = propagate(ops.h0, ops.h1, protocol, dt, method=PROPAGATION_METHOD)
     evolved = evolve_density(rho0, prop)
     infid = infidelity(evolved, target, fidelity_convention)
 
     if certify and protocol.ramp_time > 0.0:
-        half = propagate(ops.h0, ops.h1, protocol, dt / 2.0, method=PROPAGATION_METHOD, sectors=ops.sectors)
+        half = propagate(ops.h0, ops.h1, protocol, dt / 2.0, method=PROPAGATION_METHOD)
         shift = abs(infidelity(evolve_density(rho0, half), target, fidelity_convention) - infid)
         if shift > CERTIFICATION_SHIFT:
             raise CertificationError(
@@ -464,7 +467,7 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
             v = cfg.velocity if cfg.velocity else 1e-3
             protocol = _protocol_for("ramp_hold", v, lam, lam / v)
         spec_f = eigendecompose(assemble(ops.h0, ops.h1, lam))
-        prop = propagate(ops.h0, ops.h1, protocol, cfg.dt, method=PROPAGATION_METHOD, sectors=ops.sectors)
+        prop = propagate(ops.h0, ops.h1, protocol, cfg.dt, method=PROPAGATION_METHOD)
         dist = tpm_distribution(ops.spec0, spec_f, prop, cfg.beta)
         exact = cfw_from_distribution(dist, u)
         pert2 = lnchi_second_order(m2, protocol, first, lam, u)

@@ -124,7 +124,8 @@ def magnetization_sectors(n_sites: int) -> list[np.ndarray]:
     """Partition of basis indices by Hamming weight (total sigma^z eigenvalue).
 
     Both chain parts commute with total magnetization, so every H(t) is block
-    diagonal over these index groups; used as an optional acceleration path.
+    diagonal over these index groups.  ``propagate`` finds its blocks from the
+    operators themselves; this closed form names the expected partition.
     """
     if n_sites < 2:
         raise ValueError(f"n_sites must be >= 2, got {n_sites}")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from spinwork import (
     DriveProtocol,
@@ -132,15 +133,47 @@ class TestPropagate:
             propagate(h1, h0, ramp(), 0.01, method="strang")
         propagate(h1, h0, ramp(), 0.05, method="midpoint_exact")
 
-    def test_sectored_matches_dense(self):
+    def test_midpoint_exact_takes_non_diagonal_interaction(self, chain4):
+        # the hopping passed as the interaction: the hold must exponentiate
+        # all of it, not only its (zero) diagonal
+        _, h0, h1, _ = chain4
+        u = propagate(h1, h0, quench(0.3, 2.0), 0.01, method="midpoint_exact").unitary.matrix
+        exact = expm(-1j * (h1.matrix + 0.3 * h0.matrix) * 2.0)
+        assert np.abs(u - exact).max() < 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_invariant_blocks_are_magnetization_sectors(self, n):
+        from spinwork.drive_dynamics import _invariant_blocks
+
+        spec = SpinChainSpec(n, 2.0)
+        blocks = _invariant_blocks(build_hopping(spec).matrix, build_zz(spec).matrix)
+        expected = magnetization_sectors(n)
+        assert sorted(map(tuple, blocks)) == sorted(map(tuple, expected))
+
+    def test_blocked_ramp_matches_dense_suzuki4_product(self):
         spec = SpinChainSpec(5, 2.0)
         h0, h1 = build_hopping(spec), build_zz(spec)
         p = ramp(lam1=0.1, v=0.05, t_total=4.0)
-        dense = propagate(h0, h1, p, 0.01, method="suzuki4").unitary.matrix
-        blocked = propagate(
-            h0, h1, p, 0.01, method="suzuki4", sectors=magnetization_sectors(5)
-        ).unitary.matrix
-        assert np.abs(dense - blocked).max() < 1e-10
+        u = propagate(h0, h1, p, 0.01, method="suzuki4").unitary.matrix
+
+        # Dense reference on the full 32x32 matrices: 200 triple-jump steps of
+        # Strang substeps over the ramp, then the exact hold at lambda = 0.1.
+        w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+        h, t = 0.01, 0.0
+        ref = np.eye(32, dtype=complex)
+        for _ in range(200):
+            for w in (w1, 1.0 - 2.0 * w1, w1):
+                half = expm(-0.5j * w * h * h0.matrix)
+                kick = expm(-1j * lambda_at(p, t + w * h / 2.0) * w * h * h1.matrix)
+                ref = half @ kick @ half @ ref
+                t += w * h
+        ref = expm(-1j * (h0.matrix + 0.1 * h1.matrix) * 2.0) @ ref
+        assert np.abs(u - ref).max() < 1e-10
+
+        inside = np.zeros((32, 32), dtype=bool)
+        for idx in magnetization_sectors(5):
+            inside[np.ix_(idx, idx)] = True
+        assert np.all(u[~inside] == 0)
 
     def test_strang_order_versus_midpoint(self, chain4):
         _, h0, h1, _ = chain4

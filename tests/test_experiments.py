@@ -290,6 +290,23 @@ class TestCli:
         path.write_text(json.dumps(tiny_config(beta=-1.0)))
         assert self.run_cli("validate-config", "--config", str(path)) == 2
 
+    @pytest.mark.parametrize("command", ["validate-config", "scan-size"])
+    @pytest.mark.parametrize("size", [1, "inf", 15, 4.5])
+    def test_bad_size_grid_exit_code(self, tmp_path, command, size):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config(scan="size", grid=[size], output_dir=str(tmp_path / "out"))))
+        assert self.run_cli(command, "--config", str(path), "--threads", "1") == 2
+
+    @pytest.mark.parametrize("command", ["validate-config", "single"])
+    def test_too_many_sites_exit_code(self, tmp_path, command):
+        path = tmp_path / "c.json"
+        cfg = tiny_config(
+            model={"n_sites": 15, "coupling": 2.0}, scan="single", grid=[],
+            protocol={"kind": "quench", "t_total": 2.0}, output_dir=str(tmp_path / "out"),
+        )
+        path.write_text(json.dumps(cfg))
+        assert self.run_cli(command, "--config", str(path)) == 2
+
     def test_scan_subcommand_mismatch(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(tiny_config(scan="size")))
