@@ -101,6 +101,14 @@ class RunConfig:
             for n in self.grid:
                 if not (float(n).is_integer() and 2 <= n <= MAX_SITES):
                     raise ConfigError(f"grid: chain size {n:g} is not a whole number in [2, {MAX_SITES}]")
+        if self.scan == "velocity":
+            for v in self.grid:
+                if not v > 0:
+                    raise ConfigError(f"grid: velocity {v:g} must be positive (or inf for the quench)")
+        if self.scan in ("lambda_scaling", "pert_compare"):
+            for lam in self.grid:
+                if not 0 < lam < math.inf:
+                    raise ConfigError(f"grid: coupling {lam:g} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -353,11 +361,13 @@ def run_size_scan(cfg: RunConfig, threads: Optional[int] = None, certify: bool =
     if cfg.velocity is None:
         raise ConfigError("protocol.velocity: required for the size scan")
     sizes = sorted(int(v) for v in cfg.grid)
+    protocol = _protocol_for(cfg.protocol_kind, cfg.velocity, cfg.lambda1, cfg.t_total)
 
     def job(n):
-        ops = _ModelOps.build(SpinChainSpec(n, cfg.model.coupling, cfg.model.boundary))
-        protocol = _protocol_for(cfg.protocol_kind, cfg.velocity, cfg.lambda1, cfg.t_total)
-        return lambda: _run_point(ops, protocol, cfg.beta, float(n), cfg.dt, cfg.fidelity_convention, certify)[0]
+        spec = SpinChainSpec(n, cfg.model.coupling, cfg.model.boundary)
+        return lambda: _run_point(
+            _ModelOps.build(spec), protocol, cfg.beta, float(n), cfg.dt, cfg.fidelity_convention, certify
+        )[0]
 
     records = _pool_map([job(n) for n in sizes], threads)
     return sorted(records, key=lambda r: r.scan_value)
@@ -406,8 +416,8 @@ def run_lambda_scaling(
             protocol = _protocol_for("ramp_hold", slow_velocity, lam, lam / slow_velocity)
         return lambda: _run_point(ops, protocol, cfg.beta, lam, cfg.dt, cfg.fidelity_convention, certify)[0]
 
-    ramp_records = _pool_map([job(lam, False) for lam in lams], threads)
-    quench_records = _pool_map([job(lam, True) for lam in lams], threads)
+    results = _pool_map([job(lam, quench) for quench in (False, True) for lam in lams], threads)
+    ramp_records, quench_records = results[: len(lams)], results[len(lams) :]
 
     def usable(records):
         kept = [(r.scan_value, r.infidelity) for r in records if r.infidelity > 1e-14]

@@ -13,7 +13,7 @@ and checked against the time-domain quadrature oracle):
     two-point weights satisfy weight(-omega)/weight(omega) = exp(-beta omega)
     on nondegenerate pairs.
 
-Frequency-denominator handling: atoms inside ``omega_floor`` of a singular
+Frequency-denominator handling: atoms within ``default_omega_floor`` of a singular
 denominator are excluded from the singular sums; their exact contribution is
 restored analytically (a real u^2/2 * A(0) term at second order, a 1/omega1^2
 counterterm at third order; both derived from the expansion of the exact
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -191,20 +190,18 @@ def lnchi_second_order(
     first_cum: float,
     lambda1: float,
     u_grid: np.ndarray,
-    omega_floor: Optional[float] = None,
     return_report: bool = False,
 ):
     """Second-order cumulant approximation of ln chi(u).
 
     Evaluates i u lam <H1>_c + i u lam^2 sum' g/omega
     + sum' (1 - e^{i omega u}) / omega^2 * A(omega) * g, with atoms below
-    ``omega_floor`` excluded from the primed sums and restored through their
+    the frequency floor excluded from the primed sums and restored through their
     exact shape-independent limit (u^2/2) lam^2 g0 (real, since the
     zero-frequency weight is real).
     """
     u = np.asarray(u_grid, dtype=float)
-    if omega_floor is None:
-        omega_floor = default_omega_floor(measure.frequency_scale)
+    omega_floor = default_omega_floor(measure.frequency_scale)
     reg = np.abs(measure.omegas) > omega_floor
     o, g = measure.omegas[reg], measure.weights[reg]
     g0 = float(measure.weights[~reg].sum())
@@ -240,11 +237,11 @@ def lnchi_second_order(
 # ---------------------------------------------------------------------------
 
 
-def _gl_leg(a: float, b: float, points_per_unit: float, degree: int = 8, refine: int = 1):
-    """Composite Gauss-Legendre nodes/weights on the oriented interval [a, b]."""
+def _gl_leg(a: float, b: float, points_per_unit: float, refine: int = 1):
+    """Composite 8-point Gauss-Legendre nodes/weights on the oriented interval [a, b]."""
     span = b - a
     n_panels = refine * max(2, int(np.ceil(points_per_unit * abs(span))))
-    x, w = np.polynomial.legendre.leggauss(degree)
+    x, w = np.polynomial.legendre.leggauss(8)
     edges = np.linspace(a, b, n_panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
@@ -305,7 +302,6 @@ def lnchi_second_order_quadrature(
     lambda1: float,
     u_grid: np.ndarray,
     points_per_unit: float = 8.0,
-    check: bool = True,
 ) -> CfwSamples:
     """Oracle route for the second-order ln chi, by time-domain quadrature.
 
@@ -319,22 +315,17 @@ def lnchi_second_order_quadrature(
     m2 = two_point_measure(h0_spec, h1, beta)
     omegas, coeffs = -m2.omegas[::-1], -m2.weights[::-1]
     first = first_cumulant(h0_spec, h1, beta)
-    second = _second_order_time_domain(omegas, coeffs, protocol, lambda1, u, points_per_unit)
-    if check:
-        finer = _second_order_time_domain(omegas, coeffs, protocol, lambda1, u, points_per_unit, refine=2)
-        drift = float(np.abs(second - finer).max())
-        if drift > 1e-7:
-            raise QuadratureError(
-                f"quadrature moved by {drift:.3e} under step halving; raise points_per_unit"
-            )
-        second = finer
+    coarse = _second_order_time_domain(omegas, coeffs, protocol, lambda1, u, points_per_unit)
+    second = _second_order_time_domain(omegas, coeffs, protocol, lambda1, u, points_per_unit, refine=2)
+    drift = float(np.abs(coarse - second).max())
+    if drift > 1e-7:
+        raise QuadratureError(f"quadrature moved by {drift:.3e} under step halving; raise points_per_unit")
     ln = 1j * u * lambda1 * first + second
     return CfwSamples(u, np.exp(ln), ln)
 
 
 def third_order_adiabatic_coefficient(
     m3: SpectralMeasure3,
-    omega_floor: Optional[float] = None,
     return_report: bool = False,
 ):
     """Coefficient S of the adiabatic third-order term i u lam^3 S.
@@ -344,8 +335,7 @@ def third_order_adiabatic_coefficient(
     counterterm i w / omega1^2 (the degenerate-continuation limit); atoms with
     omega1 inside the floor contribute nothing in the adiabatic limit.
     """
-    if omega_floor is None:
-        omega_floor = default_omega_floor(m3.frequency_scale)
+    omega_floor = default_omega_floor(m3.frequency_scale)
     o1, sig, w = m3.omega1, m3.omega1 + m3.omega2, m3.weights
     small1 = np.abs(o1) <= omega_floor
     small_sig = np.abs(sig) <= omega_floor
@@ -372,13 +362,12 @@ def lnchi_third_order_adiabatic(
     m3: SpectralMeasure3,
     lambda1: float,
     u_grid: np.ndarray,
-    omega_floor: Optional[float] = None,
 ) -> CfwSamples:
     """Adiabatic third-order term of ln chi: linear in u with a generally
     complex coefficient (the signature that slow driving still misses the
     target thermal state at this order)."""
     u = np.asarray(u_grid, dtype=float)
-    s = third_order_adiabatic_coefficient(m3, omega_floor)
+    s = third_order_adiabatic_coefficient(m3)
     ln = 1j * u * lambda1**3 * s
     return CfwSamples(u, np.exp(ln), ln)
 

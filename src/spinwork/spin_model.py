@@ -4,7 +4,9 @@ Conventions (fixed so tests are bit-exact):
   * sigma^+ = (sigma^x + i sigma^y)/2, sigma^- its adjoint, so the flip
     amplitude between up-down and down-up neighbours is exactly J per bond.
   * Computational basis with site 0 as the most significant bit; bit 0 means
-    spin up (sigma^z eigenvalue +1).
+    spin up (sigma^z eigenvalue +1).  Every operator is read off one table of
+    these sigma^z values: H0 links b to b ^ (0b11 << (N-2-i)) wherever the
+    spins of sites i and i+1 differ.
   * Open boundary conditions: bond sums run over sites 0..N-2.
 """
 from __future__ import annotations
@@ -14,9 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_SITES = 14
-
-_SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-_SIGMA_MINUS = _SIGMA_PLUS.conj().T
 
 
 class DimensionError(ValueError):
@@ -77,32 +76,27 @@ def _check_sites(n_sites: int) -> None:
         )
 
 
-def _site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for k in range(n_sites):
-        out = np.kron(out, op if k == site else np.eye(2, dtype=complex))
-    return out
+def _spins(n_sites: int) -> np.ndarray:
+    """(2^N, N) integer table of sigma^z eigenvalues (+1 up, -1 down) per basis state and site."""
+    _check_sites(n_sites)
+    b = np.arange(2**n_sites)
+    return 1 - 2 * ((b[:, None] >> (n_sites - 1 - np.arange(n_sites))[None, :]) & 1)
 
 
 def build_hopping(spec: SpinChainSpec) -> OperatorMatrix:
     """Hopping part H0 = J sum_i (sigma+_i sigma-_{i+1} + h.c.)."""
-    _check_sites(spec.n_sites)
-    d = spec.dimension
-    h = np.zeros((d, d), dtype=complex)
-    for i in range(spec.n_sites - 1):
-        bond = _site_operator(_SIGMA_PLUS, i, spec.n_sites) @ _site_operator(
-            _SIGMA_MINUS, i + 1, spec.n_sites
-        )
-        h += bond + bond.conj().T
+    n = spec.n_sites
+    z = _spins(n)
+    h = np.zeros((spec.dimension, spec.dimension), dtype=complex)
+    for i in range(n - 1):
+        b = np.flatnonzero(z[:, i] != z[:, i + 1])
+        h[b, b ^ (0b11 << (n - 2 - i))] = 1.0
     return OperatorMatrix(spec.coupling * h)
 
 
 def zz_diagonal(spec: SpinChainSpec) -> np.ndarray:
     """Diagonal of the zz part: entry for basis state b is J * sum_i z_i(b) z_{i+1}(b)."""
-    _check_sites(spec.n_sites)
-    n = spec.n_sites
-    b = np.arange(spec.dimension)
-    z = 1 - 2 * ((b[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1)
+    z = _spins(spec.n_sites)
     return spec.coupling * np.sum(z[:, :-1] * z[:, 1:], axis=1).astype(float)
 
 
@@ -129,17 +123,10 @@ def magnetization_sectors(n_sites: int) -> list[np.ndarray]:
     """
     if n_sites < 2:
         raise ValueError(f"n_sites must be >= 2, got {n_sites}")
-    b = np.arange(2 ** n_sites)
-    weights = np.zeros_like(b)
-    x = b.copy()
-    while x.any():
-        weights += x & 1
-        x >>= 1
-    return [np.flatnonzero(weights == k) for k in range(n_sites + 1)]
+    down = (n_sites - _spins(n_sites).sum(axis=1)) // 2
+    return [np.flatnonzero(down == k) for k in range(n_sites + 1)]
 
 
 def total_magnetization(n_sites: int) -> OperatorMatrix:
     """Total sigma^z operator (diagonal), for symmetry checks."""
-    b = np.arange(2 ** n_sites)
-    z = 1 - 2 * ((b[:, None] >> (n_sites - 1 - np.arange(n_sites))[None, :]) & 1)
-    return OperatorMatrix(np.diag(z.sum(axis=1)).astype(complex))
+    return OperatorMatrix(np.diag(_spins(n_sites).sum(axis=1)).astype(complex))

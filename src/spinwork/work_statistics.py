@@ -82,7 +82,6 @@ def tpm_distribution(
     spec_f: SpectralDecomposition,
     u: PropagatorResult,
     beta: float,
-    merge_tolerance: float | None = None,
 ) -> WorkDistribution:
     """Two-point-measurement work distribution.
 
@@ -94,8 +93,7 @@ def tpm_distribution(
     m = u.unitary.matrix
     if spec_i.dimension != m.shape[0] or spec_f.dimension != m.shape[0]:
         raise DimensionError("propagator and spectral data dimensions differ")
-    if merge_tolerance is None:
-        merge_tolerance = default_merge_tolerance(spec_i, spec_f)
+    merge_tolerance = default_merge_tolerance(spec_i, spec_f)
     p = boltzmann_weights(spec_i, beta)
     kernel = np.abs(spec_f.eigenvectors.conj().T @ m @ spec_i.eigenvectors) ** 2
     works = np.subtract.outer(spec_f.eigenvalues, spec_i.eigenvalues).ravel()
@@ -123,9 +121,9 @@ def _unwrapped_log(u_grid: np.ndarray, chi: np.ndarray, max_rate: float) -> np.n
     return np.log(np.abs(chi)) + 1j * unwrapped
 
 
-def default_u_grid(beta: float, n_points: int = 201) -> np.ndarray:
-    """Symmetric grid on [-5 beta, 5 beta]; odd counts place a node at u = 0."""
-    return np.linspace(-5.0 * beta, 5.0 * beta, n_points)
+def default_u_grid(beta: float) -> np.ndarray:
+    """201-point symmetric grid on [-5 beta, 5 beta]; the odd count places a node at u = 0."""
+    return np.linspace(-5.0 * beta, 5.0 * beta, 201)
 
 
 def cfw_from_distribution(d: WorkDistribution, u_grid: np.ndarray) -> CfwSamples:

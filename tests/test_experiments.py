@@ -297,6 +297,29 @@ class TestCli:
         path.write_text(json.dumps(tiny_config(scan="size", grid=[size], output_dir=str(tmp_path / "out"))))
         assert self.run_cli(command, "--config", str(path), "--threads", "1") == 2
 
+    @pytest.mark.parametrize(
+        "scan, command, grid",
+        [
+            ("velocity", "validate-config", [0.05, 0]),
+            ("velocity", "scan-velocity", [0.05, 0]),
+            ("velocity", "validate-config", [0.05, -0.05]),
+            ("velocity", "scan-velocity", [0.05, -0.05]),
+            ("lambda_scaling", "validate-config", [0.05, 0]),
+            ("lambda_scaling", "scan-lambda", [0.05, 0]),
+            ("lambda_scaling", "validate-config", [0.05, -0.1]),
+            ("lambda_scaling", "scan-lambda", [0.05, -0.1]),
+            ("lambda_scaling", "validate-config", [0.05, "inf"]),
+            ("lambda_scaling", "scan-lambda", [0.05, "inf"]),
+            ("pert_compare", "validate-config", [0.05, 0]),
+            ("pert_compare", "pert-compare", [0.05, 0]),
+            ("pert_compare", "pert-compare", [0.05, -0.1]),
+        ],
+    )
+    def test_bad_velocity_or_coupling_grid_exit_code(self, tmp_path, scan, command, grid):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config(scan=scan, grid=grid, output_dir=str(tmp_path / "out"))))
+        assert self.run_cli(command, "--config", str(path), "--threads", "1") == 2
+
     @pytest.mark.parametrize("command", ["validate-config", "single"])
     def test_too_many_sites_exit_code(self, tmp_path, command):
         path = tmp_path / "c.json"

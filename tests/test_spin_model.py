@@ -11,7 +11,7 @@ from spinwork import (
 )
 from spinwork.spin_model import DimensionError, total_magnetization, zz_diagonal
 
-from conftest import two_site_operators
+from conftest import kron_chain_operators, two_site_operators
 
 
 def comm_norm(a, b):
@@ -52,6 +52,14 @@ class TestBuildHopping:
     def test_dimension_guard(self):
         with pytest.raises(DimensionError):
             build_hopping(SpinChainSpec(15, 1.0))
+
+    @pytest.mark.parametrize("J", [2.0, -1.3])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bit_build_equals_kron_chain(self, n, J):
+        h0, h1 = kron_chain_operators(n, J)
+        spec = SpinChainSpec(n, J)
+        assert (build_hopping(spec).matrix == h0).all()
+        assert (build_zz(spec).matrix == h1).all()
 
 
 class TestBuildZz:
@@ -105,6 +113,12 @@ class TestMagnetizationSectors:
 
     def test_three_site_group_count(self):
         assert len(magnetization_sectors(3)) == 4
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_sector_k_is_popcount_k(self, n):
+        popcount = np.array([bin(b).count("1") for b in range(2**n)])
+        for k, group in enumerate(magnetization_sectors(n)):
+            assert np.array_equal(group, np.flatnonzero(popcount == k))
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_partition_is_complete_and_disjoint(self, n):
