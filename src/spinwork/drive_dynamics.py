@@ -11,8 +11,10 @@ Propagation conventions (hbar = 1, time in inverse energy units):
     reported as ``dt_used``.
   * Coupling is sampled at substep midpoints for every method.
   * Each invariant block (connected component of the joint nonzero pattern of
-    H0 and H1, found on every call; the magnetization sectors for the XXZ
-    chain) is propagated on its own with one substep schedule shared by all.
+    H0 and H1, found on every call by ``spectral_core.invariant_blocks``; the
+    magnetization sectors for the XXZ chain) is propagated on its own with one
+    substep schedule shared by all.  The result records the blocks, and
+    ``evolve_density`` works on them.
 
 Methods: ``strang`` (second order, requires the interaction part diagonal in
 the computational basis), ``suzuki4`` (fourth-order triple-jump composition of
@@ -29,7 +31,14 @@ from typing import Optional
 import numpy as np
 
 from .spin_model import DimensionError, OperatorMatrix
-from .spectral_core import DensityMatrix, SpectralDecomposition
+from .spectral_core import (
+    DensityMatrix,
+    SpectralDecomposition,
+    StateFactors,
+    common_blocks,
+    invariant_blocks,
+    whole_space,
+)
 
 #: Triple-jump composition coefficients for the fourth-order method.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -177,30 +186,23 @@ def spectral_response(p: DriveProtocol, omega) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class PropagatorResult:
+    """U(t_total) with one (rows, rows) pair per invariant block it was stepped
+    on; U is exactly zero between blocks.  Left empty, the whole space is one block."""
+
     unitary: OperatorMatrix
     dt_used: float
     method: str
     unitarity_defect: float
+    blocks: tuple = ()
+
+    def __post_init__(self):
+        if not self.blocks:
+            object.__setattr__(self, "blocks", whole_space(self.unitary.dimension))
 
 
 def _expi(spec: SpectralDecomposition, tau: float) -> np.ndarray:
     v = spec.eigenvectors
     return (v * np.exp(-1j * spec.eigenvalues * tau)) @ v.conj().T
-
-
-def _invariant_blocks(h0: np.ndarray, h1: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of the joint nonzero pattern of H0 and H1.
-
-    Every H(t) = H0 + lambda(t) H1 is block diagonal over them; for the XXZ
-    chain they are the magnetization sectors.
-    """
-    # Imported here: scipy.sparse adds ~0.1 s to start-up, and only
-    # propagation needs it.
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    count, labels = connected_components(csr_matrix((h0 != 0) | (h1 != 0)), directed=False)
-    return [np.flatnonzero(labels == k) for k in range(count)]
 
 
 def _substep_schedule(p: DriveProtocol, dt: float, method: str):
@@ -279,11 +281,16 @@ def propagate(
     schedule = _substep_schedule(p, dt, method) if p.ramp_time > 0.0 else None
     d = h0.dimension
     u = np.zeros((d, d), dtype=complex)
-    for idx in _invariant_blocks(h0.matrix, h1.matrix):
+    blocks = invariant_blocks(h0.matrix, h1.matrix)
+    squared_defect = 0.0
+    for idx in blocks:
         block = np.ix_(idx, idx)
-        u[block] = _propagate_block(h0.matrix[block], h1.matrix[block], p, schedule, method)
+        ub = _propagate_block(h0.matrix[block], h1.matrix[block], p, schedule, method)
+        u[block] = ub
+        squared_defect += np.linalg.norm(ub.conj().T @ ub - np.eye(idx.size)) ** 2
 
-    defect = float(np.linalg.norm(u.conj().T @ u - np.eye(d)))
+    # U^dag U - 1 vanishes between blocks, so the blocks' Frobenius defects add up
+    defect = float(np.sqrt(squared_defect))
     if defect > UNITARITY_ABORT:
         raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {UNITARITY_ABORT}")
     return PropagatorResult(
@@ -291,13 +298,22 @@ def propagate(
         dt_used=p.t_total if schedule is None else schedule[0],
         method=method,
         unitarity_defect=defect,
+        blocks=tuple((idx, idx) for idx in blocks),
     )
 
 
 def evolve_density(rho0: DensityMatrix, u: PropagatorResult) -> DensityMatrix:
-    """rho -> U rho U^dag."""
+    """rho -> U rho U^dag per block, with the factors mapped X -> U X."""
     m = u.unitary.matrix
     if rho0.dimension != m.shape[0]:
         raise DimensionError(f"dimension mismatch: {rho0.dimension} vs {m.shape[0]}")
-    return DensityMatrix(m @ rho0.matrix @ m.conj().T)
-
+    f = rho0.factorize()
+    vectors = np.zeros(f.vectors.shape, dtype=complex)
+    matrix = np.zeros(m.shape, dtype=complex)
+    blocks = []
+    for rows, (_, cols) in common_blocks(m.shape[0], u.blocks, f.blocks):
+        ub = m[np.ix_(rows, rows)]
+        vectors[np.ix_(rows, cols)] = ub @ f.vectors[np.ix_(rows, cols)]
+        matrix[np.ix_(rows, rows)] = ub @ rho0.matrix[np.ix_(rows, rows)] @ ub.conj().T
+        blocks.append((rows, cols))
+    return DensityMatrix(matrix, StateFactors(vectors, f.weights, tuple(blocks)))

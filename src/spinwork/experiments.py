@@ -95,6 +95,11 @@ class RunConfig:
             raise ConfigError("grid: must be nonempty for scan kinds")
         if self.fidelity_convention not in ("one_minus_F", "one_minus_sqrtF"):
             raise ConfigError(f"fidelity_convention: unknown value {self.fidelity_convention!r}")
+        if self.protocol_kind == "ramp_hold":
+            if self.velocity is None and self.scan in ("size", "single"):
+                raise ConfigError(f"protocol.velocity: required for a ramp_hold {self.scan} run")
+            if self.velocity is not None and not self.velocity > 0:
+                raise ConfigError(f"protocol.velocity: {self.velocity:g} must be positive")
         if self.model.n_sites > MAX_SITES:
             raise ConfigError(f"model.n_sites: {self.model.n_sites} exceeds the maximum {MAX_SITES}")
         if self.scan == "size":
@@ -358,8 +363,6 @@ def run_velocity_scan(cfg: RunConfig, threads: Optional[int] = None, certify: bo
 
 def run_size_scan(cfg: RunConfig, threads: Optional[int] = None, certify: bool = True) -> list[ScanRecord]:
     """Infidelity versus chain length at the configured ramp velocity and total time."""
-    if cfg.velocity is None:
-        raise ConfigError("protocol.velocity: required for the size scan")
     sizes = sorted(int(v) for v in cfg.grid)
     protocol = _protocol_for(cfg.protocol_kind, cfg.velocity, cfg.lambda1, cfg.t_total)
 

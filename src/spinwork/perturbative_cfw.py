@@ -102,9 +102,15 @@ def _merge_keyed(coords: np.ndarray, weights: np.ndarray, tol: float = 1e-12):
     single 2-d scatter-add is an order of magnitude slower at d^3 atoms.
     """
     keys = np.round(coords / tol).astype(np.int64)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    m = uniq.shape[0]
-    inverse = inverse.ravel()
+    # lexsort takes its primary key last; a key starts a group where it differs
+    # from its sorted predecessor
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    m = int(starts.sum())
     counts = np.bincount(inverse, minlength=m)
     means = np.empty((m, coords.shape[1]))
     for j in range(coords.shape[1]):

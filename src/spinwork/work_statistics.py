@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive_dynamics import PropagatorResult
-from .spectral_core import DensityMatrix, SpectralDecomposition, boltzmann_weights
+from .spectral_core import DensityMatrix, SpectralDecomposition, boltzmann_weights, common_blocks
 from .spin_model import DimensionError, OperatorMatrix
 
 NORMALIZATION_TOLERANCE = 1e-8
@@ -61,20 +61,34 @@ def default_merge_tolerance(spec_i: SpectralDecomposition, spec_f: SpectralDecom
 
 
 def _merge_atoms(works: np.ndarray, probs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sort atoms by work and merge each chain of gaps <= tol into one atom at the
+    probability-weighted mean work (the plain mean for a group without mass)."""
     order = np.argsort(works, kind="stable")
     w, p = works[order], probs[order]
     if tol > 0 and w.size:
-        boundaries = np.flatnonzero(np.diff(w) > tol)
-        groups = np.concatenate([[0], boundaries + 1, [w.size]])
-        merged_w = np.empty(groups.size - 1)
-        merged_p = np.empty(groups.size - 1)
-        for k in range(groups.size - 1):
-            sl = slice(groups[k], groups[k + 1])
-            mass = p[sl].sum()
-            merged_p[k] = mass
-            merged_w[k] = (w[sl] @ p[sl]) / mass if mass > 0 else w[sl].mean()
-        return merged_w, merged_p
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > tol) + 1))
+        mass = np.add.reduceat(p, starts)
+        massive = mass > 0
+        merged_w = np.add.reduceat(w, starts) / np.diff(np.append(starts, w.size))
+        merged_w[massive] = np.add.reduceat(w * p, starts)[massive] / mass[massive]
+        return merged_w, mass
     return w, p
+
+
+def _transition_kernel(
+    spec_i: SpectralDecomposition, spec_f: SpectralDecomposition, u: PropagatorResult
+) -> np.ndarray:
+    """M = |V_f^dag U V_i|^2 elementwise, evaluated per common block of the three
+    inputs; transitions between blocks get probability exactly 0."""
+    m = u.unitary.matrix
+    d = m.shape[0]
+    if spec_i.dimension != d or spec_f.dimension != d:
+        raise DimensionError("propagator and spectral data dimensions differ")
+    kernel = np.zeros((d, d))
+    for rows, (_, ci, cf) in common_blocks(d, u.blocks, spec_i.blocks, spec_f.blocks):
+        w = spec_f.eigenvectors[np.ix_(rows, cf)].conj().T @ m[np.ix_(rows, rows)]
+        kernel[np.ix_(cf, ci)] = np.abs(w @ spec_i.eigenvectors[np.ix_(rows, ci)]) ** 2
+    return kernel
 
 
 def tpm_distribution(
@@ -87,15 +101,13 @@ def tpm_distribution(
 
     Transition kernel M = |V_f^dag U V_i|^2 elementwise; the atom at
     w = E^f_m - E^i_n carries M_mn p_n with p the initial Boltzmann weights.
-    Atoms closer than the merge tolerance are merged at the
-    probability-weighted mean work.
+    The full d x d work grid is kept, so atoms between blocks are present with
+    probability exactly 0.  Atoms closer than the merge tolerance are merged
+    at the probability-weighted mean work.
     """
-    m = u.unitary.matrix
-    if spec_i.dimension != m.shape[0] or spec_f.dimension != m.shape[0]:
-        raise DimensionError("propagator and spectral data dimensions differ")
+    kernel = _transition_kernel(spec_i, spec_f, u)
     merge_tolerance = default_merge_tolerance(spec_i, spec_f)
     p = boltzmann_weights(spec_i, beta)
-    kernel = np.abs(spec_f.eigenvectors.conj().T @ m @ spec_i.eigenvectors) ** 2
     works = np.subtract.outer(spec_f.eigenvalues, spec_i.eigenvalues).ravel()
     probs = (kernel * p[None, :]).ravel()
     works, probs = _merge_atoms(works, probs, merge_tolerance)
@@ -142,12 +154,9 @@ def cfw_trace(
     u_grid: np.ndarray,
 ) -> CfwSamples:
     """chi(u) = tr[U^dag e^{iuH_f} U e^{-(iu+beta)H_i}] / Z_i, evaluated in eigenbases."""
-    m = u_prop.unitary.matrix
-    if spec_i.dimension != m.shape[0] or spec_f.dimension != m.shape[0]:
-        raise DimensionError("propagator and spectral data dimensions differ")
+    kernel = _transition_kernel(spec_i, spec_f, u_prop)
     u = np.asarray(u_grid, dtype=float)
     p = boltzmann_weights(spec_i, beta)
-    kernel = np.abs(spec_f.eigenvectors.conj().T @ m @ spec_i.eigenvectors) ** 2
     right = p[None, :] * np.exp(-1j * np.outer(u, spec_i.eigenvalues))  # (u, n)
     left = np.exp(1j * np.outer(u, spec_f.eigenvalues))  # (u, m)
     chi = np.einsum("um,mn,un->u", left, kernel, right)

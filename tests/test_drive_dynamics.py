@@ -141,15 +141,6 @@ class TestPropagate:
         exact = expm(-1j * (h1.matrix + 0.3 * h0.matrix) * 2.0)
         assert np.abs(u - exact).max() < 1e-12
 
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_invariant_blocks_are_magnetization_sectors(self, n):
-        from spinwork.drive_dynamics import _invariant_blocks
-
-        spec = SpinChainSpec(n, 2.0)
-        blocks = _invariant_blocks(build_hopping(spec).matrix, build_zz(spec).matrix)
-        expected = magnetization_sectors(n)
-        assert sorted(map(tuple, blocks)) == sorted(map(tuple, expected))
-
     def test_blocked_ramp_matches_dense_suzuki4_product(self):
         spec = SpinChainSpec(5, 2.0)
         h0, h1 = build_hopping(spec), build_zz(spec)

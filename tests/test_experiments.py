@@ -169,6 +169,10 @@ class TestScans:
         records = run_size_scan(cfg, threads=1)
         assert [r.scan_value for r in records] == [2.0, 3.0]
 
+    def test_quench_size_scan_needs_no_velocity(self):
+        cfg = config_from_dict(tiny_config(scan="size", grid=[3, 2], protocol={"kind": "quench", "t_total": 2.0}))
+        assert [r.scan_value for r in run_size_scan(cfg, threads=1)] == [2.0, 3.0]
+
     def test_size_scan_infidelity_grows_with_chain_length(self):
         cfg = config_from_dict(
             {
@@ -318,6 +322,18 @@ class TestCli:
     def test_bad_velocity_or_coupling_grid_exit_code(self, tmp_path, scan, command, grid):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(tiny_config(scan=scan, grid=grid, output_dir=str(tmp_path / "out"))))
+        assert self.run_cli(command, "--config", str(path), "--threads", "1") == 2
+
+    @pytest.mark.parametrize("command", ["validate-config", "scan-size", "single"])
+    @pytest.mark.parametrize("velocity", [-0.1, 0])
+    def test_non_positive_ramp_velocity_exit_code(self, tmp_path, command, velocity):
+        scan = "single" if command == "single" else "size"
+        path = tmp_path / "c.json"
+        cfg = tiny_config(
+            scan=scan, grid=[3] if scan == "size" else [], output_dir=str(tmp_path / "out"),
+            protocol={"kind": "ramp_hold", "velocity": velocity, "t_total": 4.0},
+        )
+        path.write_text(json.dumps(cfg))
         assert self.run_cli(command, "--config", str(path), "--threads", "1") == 2
 
     @pytest.mark.parametrize("command", ["validate-config", "single"])

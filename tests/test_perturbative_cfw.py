@@ -25,6 +25,7 @@ from spinwork import (
 from spinwork.perturbative_cfw import (
     DegenerateAtomWarning,
     QuadratureError,
+    _merge_keyed,
     default_omega_floor,
     third_order_adiabatic_coefficient,
 )
@@ -114,6 +115,32 @@ def brute_force_measure2(h0_ref, h1_ref, beta):
     mean = sum(p[n] * np.real(a[n, n]) for n in range(d))
     atoms[0.0] = atoms.get(0.0, 0.0) + mean**2
     return atoms
+
+
+class TestMergeKeyed:
+    @pytest.mark.parametrize("columns", [1, 2])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_lexsort_merge_equals_unique_merge(self, columns, dtype):
+        rng = np.random.default_rng(11)
+        n, tol = 20000, 1e-12
+        # few distinct keys, so most atoms tie; jitter well inside one key
+        coords = rng.integers(-8, 9, size=(n, columns)) * 0.37 + rng.uniform(-0.3, 0.3, (n, columns)) * tol
+        weights = rng.normal(size=n).astype(dtype)
+        if dtype is complex:
+            weights += 1j * rng.normal(size=n)
+        means, merged = _merge_keyed(coords, weights, tol)
+
+        keys = np.round(coords / tol).astype(np.int64)
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        inverse = inverse.ravel()
+        m = uniq.shape[0]
+        counts = np.bincount(inverse, minlength=m)
+        ref_means = np.stack([np.bincount(inverse, coords[:, j], m) / counts for j in range(columns)], axis=1)
+        ref_weights = np.zeros(m, dtype=dtype)
+        np.add.at(ref_weights, inverse, weights)
+        assert m < n // 10
+        assert np.array_equal(means, ref_means)
+        assert np.array_equal(merged, ref_weights)
 
 
 class TestTwoPointMeasure:

@@ -3,18 +3,26 @@ import pytest
 
 from spinwork import (
     DensityMatrix,
+    DriveProtocol,
     OperatorMatrix,
+    PropagatorResult,
     SpinChainSpec,
+    assemble,
     build_hopping,
     build_zz,
     eigendecompose,
+    evolve_density,
     gibbs_state,
     infidelity,
     log_partition_function,
+    magnetization_sectors,
     matrix_function,
+    propagate,
     thermal_expectation,
     uhlmann_fidelity,
 )
+from spinwork.spectral_core import common_blocks, invariant_blocks
+from spinwork.work_statistics import _transition_kernel
 
 from conftest import two_site_operators
 
@@ -25,7 +33,49 @@ def haar_unitary(d, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def dense_gibbs(h, beta):
+    e, v = np.linalg.eigh(h)
+    w = np.exp(-beta * (e - e[0]))
+    return (v * (w / w.sum())) @ v.conj().T
+
+
+def sqrt_fidelity(rho, sigma):
+    """The dense square-root formula (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
+    e, v = np.linalg.eigh(rho)
+    sq = (v * np.sqrt(np.clip(e, 0.0, None))) @ v.conj().T
+    inner = sq @ sigma @ sq
+    return np.sum(np.sqrt(np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None))) ** 2
+
+
+class TestInvariantBlocks:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_invariant_blocks_are_magnetization_sectors(self, n):
+        spec = SpinChainSpec(n, 2.0)
+        blocks = invariant_blocks(build_hopping(spec).matrix, build_zz(spec).matrix)
+        expected = magnetization_sectors(n)
+        assert sorted(map(tuple, blocks)) == sorted(map(tuple, expected))
+
+
 class TestEigendecompose:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_blocked_matches_dense_eigh(self, n):
+        spec = SpinChainSpec(n, 2.0)
+        h = build_hopping(spec).matrix + 0.3 * build_zz(spec).matrix
+        d = h.shape[0]
+        got = eigendecompose(OperatorMatrix(h))
+        scale = np.abs(h).max()
+        assert np.abs(got.eigenvalues - np.linalg.eigvalsh(h)).max() < 1e-12 * scale
+        assert np.all(np.diff(got.eigenvalues) >= 0)
+        assert np.abs(got.reconstruct() - h).max() < 1e-12 * scale
+        v = got.eigenvectors
+        assert np.abs(v.conj().T @ v - np.eye(d)).max() < 1e-12
+        assert sorted(tuple(rows) for rows, _ in got.blocks) == sorted(map(tuple, magnetization_sectors(n)))
+        assert np.array_equal(np.sort(np.concatenate([cols for _, cols in got.blocks])), np.arange(d))
+        for rows, cols in got.blocks:
+            outside = np.ones(d, dtype=bool)
+            outside[rows] = False
+            assert np.all(v[np.ix_(outside, cols)] == 0)
+
     def test_identity(self):
         spec = eigendecompose(OperatorMatrix(np.eye(4, dtype=complex)))
         assert np.allclose(spec.eigenvalues, 1.0)
@@ -226,3 +276,101 @@ class TestUhlmannFidelity:
         assert np.isclose(infidelity(rho, sigma, "one_minus_sqrtF"), 1 - np.sqrt(f))
         with pytest.raises(ValueError):
             infidelity(rho, sigma, "other")
+
+
+class TestMismatchedPartitions:
+    """Inputs blocked differently are handled on their coarsest common
+    partition and give the dense answer."""
+
+    @staticmethod
+    def case(kind):
+        rng = np.random.default_rng(3)
+        d, beta = 8, 0.5
+        h_i = np.diag(rng.normal(size=d)).astype(complex)
+        if kind == "dense":
+            # diagonal H_i, dense random H_f and a Haar U: one common block
+            z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            h_f = (z + z.conj().T) / 2
+            return h_i, h_f, haar_unitary(d, rng), (), 1, beta
+        # H_i, H_f and U each in a different pairing, all relabelled by a
+        # permutation: none of them is blocked like the common partition,
+        # the two halves {0..3} and {4..7}
+        def paired(pairs, make):
+            m = np.zeros((d, d), dtype=complex)
+            for pair in pairs:
+                m[np.ix_(pair, pair)] = make()
+            return m
+
+        def hermitian():
+            z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            return (z + z.conj().T) / 2
+
+        h_i = paired([[0, 1], [2, 3], [4, 5], [6, 7]], hermitian)
+        h_f = paired([[1, 2], [0, 3], [5, 6], [4, 7]], hermitian)
+        u_pairs = [[0, 2], [1, 3], [4, 6], [5, 7]]
+        u = paired(u_pairs, lambda: haar_unitary(2, rng))
+        perm = rng.permutation(d)
+        relabel = np.argsort(perm)
+        blocks = tuple((np.sort(relabel[pair]),) * 2 for pair in u_pairs)
+        sub = np.ix_(perm, perm)
+        return h_i[sub], h_f[sub], u[sub], blocks, 2, beta
+
+    @pytest.mark.parametrize("kind", ["dense", "coarsened"])
+    def test_kernel_and_fidelity_equal_dense_formulas(self, kind):
+        h_i, h_f, u, blocks, n_common, beta = self.case(kind)
+        spec_i, spec_f = eigendecompose(OperatorMatrix(h_i)), eigendecompose(OperatorMatrix(h_f))
+        prop = PropagatorResult(OperatorMatrix(u, hermitian=False), 0.0, "given", 0.0, blocks)
+        assert len(common_blocks(8, prop.blocks, spec_i.blocks, spec_f.blocks)) == n_common
+
+        _, v_i = np.linalg.eigh(h_i)
+        _, v_f = np.linalg.eigh(h_f)
+        dense_kernel = np.abs(v_f.conj().T @ u @ v_i) ** 2
+        assert np.abs(_transition_kernel(spec_i, spec_f, prop) - dense_kernel).max() < 1e-13
+
+        rho = evolve_density(gibbs_state(spec_i, beta), prop)
+        dense_rho = u @ dense_gibbs(h_i, beta) @ u.conj().T
+        assert np.abs(rho.matrix - dense_rho).max() < 1e-14
+        expected = sqrt_fidelity(dense_rho, dense_gibbs(h_f, beta))
+        assert abs(uhlmann_fidelity(rho, gibbs_state(spec_f, beta)) - expected) < 1e-13
+
+
+class TestFidelityOracle:
+    @pytest.mark.parametrize("beta", [1.0, 4.0])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_50_digit_square_roots(self, n, beta):
+        """Given the program's U, F(U rho0 U^dag, sigma) from 50-digit Gibbs
+        states and square roots; the dense double-precision square-root
+        formula's error is printed for comparison."""
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        spec = SpinChainSpec(n, 2.0)
+        h0, h1 = build_hopping(spec), build_zz(spec)
+        h_f = assemble(h0, h1, 0.1)
+        protocol = DriveProtocol(kind="ramp_hold", lambda_final=0.1, t_total=3.0, velocity=0.05)
+        prop = propagate(h0, h1, protocol, 0.01, method="suzuki4")
+        spec0, spec_f = eigendecompose(h0), eigendecompose(h_f)
+        rho, sigma = evolve_density(gibbs_state(spec0, beta), prop), gibbs_state(spec_f, beta)
+        got = uhlmann_fidelity(rho, sigma)
+        old = sqrt_fidelity(rho.matrix, sigma.matrix)
+
+        d = h0.dimension
+        with mpmath.workdps(50):
+
+            def gibbs(h):
+                e, q = mp.eigsy(mp.matrix(h.real.tolist()))
+                w = [mp.exp(-beta * (e[k] - min(e))) for k in range(d)]
+                return q * mp.diag([x / sum(w) for x in w]) * q.T
+
+            def psd_sqrt(a):
+                e, q = mp.eighe(a)
+                return q * mp.diag([mp.sqrt(max(e[k], 0)) for k in range(d)]) * q.H
+
+            u = mp.matrix(prop.unitary.matrix.tolist())
+            root = psd_sqrt(u * gibbs(h0.matrix) * u.H)
+            inner = root * gibbs(h_f.matrix) * root
+            e, _ = mp.eighe((inner + inner.H) / 2)
+            oracle = float(sum(mp.sqrt(max(e[k], 0)) for k in range(d)) ** 2)
+
+        print(f"N={n} beta={beta}: factor formula error {abs(got - oracle):.1e}, "
+              f"square-root formula error {abs(old - oracle):.1e}")
+        assert abs(got - oracle) < 1e-13

@@ -25,7 +25,7 @@ from spinwork import (
     tpm_distribution,
     uhlmann_fidelity,
 )
-from spinwork.work_statistics import ResolutionError, default_merge_tolerance
+from spinwork.work_statistics import ResolutionError, _merge_atoms, default_merge_tolerance
 
 from conftest import two_site_operators
 
@@ -102,6 +102,30 @@ class TestTpmDistribution:
         assert dist.merge_tolerance == pytest.approx(
             default_merge_tolerance(spec0, spec_f)
         )
+
+
+class TestMergeAtoms:
+    def test_vectorized_merge_equals_loop(self):
+        rng = np.random.default_rng(5)
+        n, tol = 20000, 1e-9
+        # chains of near-ties on a coarse grid, a third of the atoms without mass
+        works = 1.0 + rng.integers(0, 2000, size=n) * 1e-3 + rng.uniform(0.0, 3e-10, size=n)
+        probs = rng.uniform(size=n) * (rng.uniform(size=n) > 1 / 3)
+        probs[works < 1.2] = 0.0  # whole groups without mass
+        got_w, got_p = _merge_atoms(works, probs, tol)
+
+        order = np.argsort(works, kind="stable")
+        w, p = works[order], probs[order]
+        groups = np.concatenate([[0], np.flatnonzero(np.diff(w) > tol) + 1, [w.size]])
+        ref_w, ref_p = [], []
+        for a, b in zip(groups[:-1], groups[1:]):
+            mass = p[a:b].sum()
+            ref_p.append(mass)
+            ref_w.append((w[a:b] @ p[a:b]) / mass if mass > 0 else w[a:b].mean())
+        assert got_w.size == len(ref_w) < n // 5
+        assert np.any(np.array(ref_p) == 0.0)
+        np.testing.assert_allclose(got_w, ref_w, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(got_p, ref_p, rtol=1e-15, atol=0.0)
 
 
 class TestCfwFromDistribution:
