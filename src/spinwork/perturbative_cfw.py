@@ -243,16 +243,18 @@ def lnchi_second_order(
 # ---------------------------------------------------------------------------
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
 def _gl_leg(a: float, b: float, points_per_unit: float, refine: int = 1):
     """Composite 8-point Gauss-Legendre nodes/weights on the oriented interval [a, b]."""
     span = b - a
     n_panels = refine * max(2, int(np.ceil(points_per_unit * abs(span))))
-    x, w = np.polynomial.legendre.leggauss(8)
     edges = np.linspace(a, b, n_panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return nodes, weights
 
 

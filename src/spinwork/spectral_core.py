@@ -239,7 +239,7 @@ def thermal_expectation(h_spec: SpectralDecomposition, beta: float, a: OperatorM
         )
     p = boltzmann_weights(h_spec, beta)
     v = h_spec.eigenvectors
-    diag = np.einsum("in,ij,jn->n", v.conj(), a.matrix, v)
+    diag = np.einsum("in,in->n", v.conj(), a.matrix @ v)
     return float(np.real(p @ diag))
 
 

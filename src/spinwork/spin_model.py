@@ -83,6 +83,17 @@ def _spins(n_sites: int) -> np.ndarray:
     return 1 - 2 * ((b[:, None] >> (n_sites - 1 - np.arange(n_sites))[None, :]) & 1)
 
 
+def spin_symmetries(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis permutations of the global spin flip and of the site reflection i -> N-1-i.
+
+    Entry b of each is the index of the image of basis state b.  Both are
+    commuting involutions; the flip is b -> b ^ (2^N - 1), i.e. d - 1 - b.
+    """
+    z = _spins(n_sites)
+    place = 2 ** (n_sites - 1 - np.arange(n_sites))
+    return ((1 + z) // 2) @ place, ((1 - z[:, ::-1]) // 2) @ place
+
+
 def build_hopping(spec: SpinChainSpec) -> OperatorMatrix:
     """Hopping part H0 = J sum_i (sigma+_i sigma-_{i+1} + h.c.)."""
     n = spec.n_sites

@@ -19,7 +19,8 @@ from spinwork import (
     propagate,
     spectral_response,
 )
-from spinwork.drive_dynamics import ProtocolError
+from spinwork.drive_dynamics import ProtocolError, _parity_isometries, _symmetries
+from spinwork.spin_model import total_magnetization
 
 
 def ramp(lam1=0.1, v=0.05, t_total=None, **kw):
@@ -194,6 +195,91 @@ class TestPropagate:
         u1 = propagate(h0, h1, p, 0.01).unitary.matrix
         u2 = propagate(h0, h1, equivalent, 0.01).unitary.matrix
         assert np.abs(u1 - u2).max() < 1e-12
+
+
+def chain(n, coupling=1.3):
+    spec = SpinChainSpec(n, coupling)
+    return build_hopping(spec), build_zz(spec)
+
+
+def stepped_reference(h0, h1, p, dt, method, blocks):
+    """Product of exponentials per block, built with ``expm`` on the given
+    blocks and no symmetry: the schedule of ``propagate`` step by step."""
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    unit = (w1, 1.0 - 2.0 * w1, w1) if method == "suzuki4" else (1.0,)
+    nsteps = max(1, int(round(p.ramp_time / dt)))
+    h = p.ramp_time / nsteps
+    ref = np.zeros(h0.shape, dtype=complex)
+    for idx in blocks:
+        a0, a1 = h0[np.ix_(idx, idx)], h1[np.ix_(idx, idx)]
+        halves = {w: expm(-0.5j * w * h * a0) for w in unit}
+        ub, t = np.eye(idx.size, dtype=complex), 0.0
+        for _ in range(nsteps):
+            for w in unit:
+                lam = lambda_at(p, t + w * h / 2.0)
+                if method == "midpoint_exact":
+                    ub = expm(-1j * w * h * (a0 + lam * a1)) @ ub
+                else:
+                    ub = halves[w] @ expm(-1j * lam * w * h * a1) @ halves[w] @ ub
+                t += w * h
+        hold = expm(-1j * (p.t_total - p.ramp_time) * (a0 + p.lambda_final * a1))
+        ref[np.ix_(idx, idx)] = hold @ ub
+    return ref
+
+
+class TestSymmetryReduction:
+    """Stepping one sector per spin-flip pair, in site-reflection parity blocks."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_parity_isometries_split_each_sector(self, n):
+        h0, h1 = chain(n)
+        symmetries = _symmetries(h0.matrix, h1.matrix)
+        assert len(symmetries) == 2
+        for idx in magnetization_sectors(n):
+            isometries = _parity_isometries(idx, symmetries)
+            stacked = np.hstack(isometries)
+            assert np.abs(stacked.T @ stacked - np.eye(idx.size)).max() < 1e-14
+            assert np.abs(sum(s @ s.T for s in isometries) - np.eye(idx.size)).max() < 1e-14
+            h0b, h1b = h0.matrix[np.ix_(idx, idx)], h1.matrix[np.ix_(idx, idx)]
+            for a, s in enumerate(isometries):
+                kick = s.T @ h1b @ s
+                assert np.array_equal(kick, np.diag(np.diag(kick)))
+                for b, r in enumerate(isometries):
+                    if a != b:
+                        assert np.abs(s.T @ h0b @ r).max() < 1e-13
+
+    @pytest.mark.parametrize("method", ["strang", "suzuki4", "midpoint_exact"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_per_sector_reference(self, n, method):
+        h0, h1 = chain(n)
+        p = ramp(lam1=0.3, v=0.6, t_total=1.0)
+        u = propagate(h0, h1, p, 0.1, method=method).unitary.matrix
+        sectors = magnetization_sectors(n)
+        ref = stepped_reference(h0.matrix, h1.matrix, p, 0.1, method, sectors)
+        assert np.abs(u - ref).max() < 1e-12
+        inside = np.zeros(u.shape, dtype=bool)
+        for idx in sectors:
+            inside[np.ix_(idx, idx)] = True
+        assert np.all(u[~inside] == 0)
+        assert np.array_equal(u, u[::-1, ::-1])
+
+    @pytest.mark.parametrize("method", ["strang", "suzuki4", "midpoint_exact"])
+    @pytest.mark.parametrize("breaking, kept", [("bond", 1), ("field", 1), ("random", 0)])
+    def test_broken_symmetry_matches_dense_product(self, breaking, kept, method):
+        n = 5
+        h0, zz = chain(n)
+        z = 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+        if breaking == "bond":  # z0 z1 keeps the flip, breaks the reflection
+            h1 = OperatorMatrix(np.diag(1.3 * z[:, 0] * z[:, 1]).astype(complex))
+        elif breaking == "field":  # a uniform field keeps the reflection, breaks the flip
+            h1 = OperatorMatrix(zz.matrix + 0.4 * total_magnetization(n).matrix)
+        else:
+            h1 = OperatorMatrix(np.diag(np.random.default_rng(3).normal(size=2**n)).astype(complex))
+        assert len(_symmetries(h0.matrix, h1.matrix)) == kept
+        p = ramp(lam1=0.3, v=0.6, t_total=1.0)
+        u = propagate(h0, h1, p, 0.1, method=method).unitary.matrix
+        ref = stepped_reference(h0.matrix, h1.matrix, p, 0.1, method, [np.arange(2**n)])
+        assert np.abs(u - ref).max() < 1e-12
 
 
 class TestEvolveDensity:

@@ -25,6 +25,7 @@ from spinwork import (
 from spinwork.perturbative_cfw import (
     DegenerateAtomWarning,
     QuadratureError,
+    _gl_leg,
     _merge_keyed,
     default_omega_floor,
     third_order_adiabatic_coefficient,
@@ -343,6 +344,20 @@ class TestSecondOrder:
 
 
 class TestQuadratureOracle:
+    @pytest.mark.parametrize(
+        "a, b, points_per_unit, refine",
+        [(0.0, 1.0, 4.0, 1), (0.0, 3.7, 2.5, 2), (2.0, -1.5, 3.0, 1), (-0.3, 0.05, 10.0, 3)],
+    )
+    def test_gl_leg_matches_leggauss(self, a, b, points_per_unit, refine):
+        x, w = np.polynomial.legendre.leggauss(8)
+        n_panels = refine * max(2, int(np.ceil(points_per_unit * abs(b - a))))
+        edges = np.linspace(a, b, n_panels + 1)
+        mid, half = (edges[:-1] + edges[1:]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+        nodes, weights = _gl_leg(a, b, points_per_unit, refine=refine)
+        assert np.array_equal(nodes, (mid[:, None] + half[:, None] * x).ravel())
+        assert np.array_equal(weights, (half[:, None] * w).ravel())
+        assert abs(weights @ np.cos(nodes) - (np.sin(b) - np.sin(a))) < 1e-14
+
     @pytest.mark.parametrize(
         "protocol",
         [

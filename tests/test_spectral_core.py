@@ -204,6 +204,15 @@ class TestThermalExpectation:
         ) / (2 * step)
         assert abs(energy - deriv) < 1e-6 * max(abs(deriv), 1.0)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_trace_with_gibbs_matrix(self, n):
+        spec = SpinChainSpec(n, 1.5)
+        h0, h1 = build_hopping(spec), build_zz(spec)
+        spec0 = eigendecompose(h0)
+        for beta, a in ((0.7, h1), (2.0, h0), (1.0, assemble(h0, h1, 0.3))):
+            expected = np.real(np.trace(gibbs_state(spec0, beta).matrix @ a.matrix))
+            assert abs(thermal_expectation(spec0, beta, a) - expected) < 1e-12
+
     def test_two_site_brute_force(self):
         h0_ref, h1_ref, _ = two_site_operators(J=2.0)
         evals, evecs = np.linalg.eigh(h0_ref)

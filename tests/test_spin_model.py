@@ -9,7 +9,7 @@ from spinwork import (
     build_zz,
     magnetization_sectors,
 )
-from spinwork.spin_model import DimensionError, total_magnetization, zz_diagonal
+from spinwork.spin_model import DimensionError, spin_symmetries, total_magnetization, zz_diagonal
 
 from conftest import kron_chain_operators, two_site_operators
 
@@ -141,6 +141,17 @@ class TestHermiticityAndSymmetry:
         h = assemble(h0, h1, lam).matrix
         sz = total_magnetization(spec.n_sites).matrix
         assert comm_norm(h, sz) < 1e-12 * max(np.abs(h).max(), 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_flip_and_reflection_permutations(self, n):
+        flip, reflection = spin_symmetries(n)
+        d = 2**n
+        assert np.array_equal(flip, [b ^ (d - 1) for b in range(d)])
+        assert np.array_equal(reflection, [int(format(b, f"0{n}b")[::-1], 2) for b in range(d)])
+        h0, h1 = kron_chain_operators(n, 1.5)
+        for g in (flip, reflection):
+            assert np.array_equal(h0[np.ix_(g, g)], h0)
+            assert np.array_equal(h1[np.ix_(g, g)], h1)
 
     def test_hermitian_flag_validated(self):
         with pytest.raises(ValueError):
