@@ -1,6 +1,7 @@
 """Command-line front end for config-driven scans.
 
-Exit codes: 0 success, 2 config error, 3 numerical-certification failure.
+Exit codes: 0 success, 2 config error (including a run that would exceed the
+memory limit), 3 numerical-certification failure.
 The output directory comes from the config, the ``--output`` flag, or the
 ``SPINWORK_OUTPUT_DIR`` environment variable (the only environment override).
 """
@@ -18,6 +19,7 @@ import json
 from . import experiments as xp
 from .drive_dynamics import ProtocolError, UnitarityError
 from .perturbative_cfw import measure2_to_csv, measure3_to_csv
+from .spin_model import DimensionError
 from .work_statistics import cfw_to_csv, distribution_to_csv
 
 EXIT_OK = 0
@@ -128,7 +130,7 @@ def main(argv=None) -> int:
             fits = {}
             distribution_to_csv(dist, out_dir / "single_distribution.csv")
             cfw_to_csv(cfw, out_dir / "single_cfw.csv")
-    except xp.ConfigError as exc:
+    except (xp.ConfigError, DimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (xp.CertificationError, UnitarityError, ProtocolError) as exc:

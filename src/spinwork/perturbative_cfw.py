@@ -20,21 +20,33 @@ counterterm at third order; both derived from the expansion of the exact
 evolution and confirmed by the quadrature oracle, which needs no denominators
 at all).  Quasi-degenerate atoms just above the floor are reported via
 :class:`DegenerateAtomWarning`.
+
+Cost: H1 in the H0 eigenbasis is block diagonal over its invariant blocks
+(the magnetization sectors for the XXZ chain), so the three-point measure
+builds its raw atoms per block, sum_b b^3 of them instead of d^3, and checks
+their estimated memory against the machine's limit before allocating.  The
+quadrature oracle sums each leg over factored panels and derives u < 0 from
+|u| by conjugation; its terms are products over the atoms for the whole u grid.
 """
 from __future__ import annotations
 
+import os
+import resource
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .drive_dynamics import DriveProtocol, lambda_at, spectral_response
-from .spectral_core import SpectralDecomposition, boltzmann_weights, thermal_expectation
-from .spin_model import OperatorMatrix
+from .spectral_core import SpectralDecomposition, boltzmann_weights, invariant_blocks, thermal_expectation
+from .spin_model import DimensionError, OperatorMatrix
 from .work_statistics import CfwSamples, write_csv
 
 WEIGHT_FLOOR = 1e-12
 QUASI_DEGENERATE_BAND = 1e3
+# bytes per atom in three_point_measure's memory estimate: its tracemalloc peak is
+# ~98 B per atom at N = 7..9, and the rest is headroom for the process around it
+THREE_POINT_BYTES_PER_ATOM = 128
 
 
 class DegenerateAtomWarning(UserWarning):
@@ -99,7 +111,7 @@ def _merge_keyed(coords: np.ndarray, weights: np.ndarray, tol: float = 1e-12):
     ``coords`` is (n, k), one row of k frequencies per atom.  Returns the mean
     coordinates (m, k) and the summed weights (m,) of the m distinct keys, in
     lexicographic key order.  Columns are accumulated one at a time, because a
-    single 2-d scatter-add is an order of magnitude slower at d^3 atoms.
+    single 2-d scatter-add is an order of magnitude slower at millions of atoms.
     """
     keys = np.round(coords / tol).astype(np.int64)
     # lexsort takes its primary key last; a key starts a group where it differs
@@ -142,6 +154,15 @@ def two_point_measure(
     return SpectralMeasure2(omegas, weights)
 
 
+def _memory_limit() -> int:
+    """Bytes one computation may allocate: physical memory, or a lower soft RLIMIT_AS."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limit = min(limit, soft)
+    return limit
+
+
 def three_point_measure(
     h0_spec: SpectralDecomposition, h1: OperatorMatrix, beta: float
 ) -> SpectralMeasure3:
@@ -151,32 +172,54 @@ def three_point_measure(
     with weight p_n <n|H1|m><m|H1|k><k|H1|n>; the full connected subtraction
     (<ABC> - <AB><C> - <AC><B> - <BC><A> + 2<A><B><C>) is applied atom by
     atom, and the overall (-i)^3 prefactor is folded into the weights.
+
+    a = V_0^dag H1 V_0 is block diagonal over its invariant blocks (the
+    magnetization sectors for the XXZ chain, one block for an H1 that couples
+    them), and a raw weight vanishes exactly unless n, m and k share a block,
+    so raw atoms and pair subtractions are built per block: sum_b (b^3 + 3 b^2)
+    + 1 atoms instead of d^3 + 3 d^2 + 1.  Raises :class:`DimensionError`
+    before allocating when their estimated memory exceeds :func:`_memory_limit`.
     """
     a = _interaction_eigenbasis(h0_spec, h1)
     p = boltzmann_weights(h0_spec, beta)
     e = h0_spec.eigenvalues
-    d = e.shape[0]
     mean = float(np.real(p @ np.diag(a)))
+    blocks = invariant_blocks(a)
 
-    gap = np.subtract.outer(e, e)  # gap[i, j] = E_i - E_j
-    n_raw, n_pair = d**3, d * d
-    # rows: the d^3 raw atoms (n, m, k), then the three pair subtractions
+    n_raw = sum(cols.size**3 for cols in blocks)
+    n_pair = sum(cols.size**2 for cols in blocks)
+    n_atoms = n_raw + 3 * n_pair + 1
+    estimate, limit = n_atoms * THREE_POINT_BYTES_PER_ATOM, _memory_limit()
+    if estimate > limit:
+        raise DimensionError(
+            f"three-point measure needs {n_atoms} atoms, an estimated {estimate / 1e9:.2f} GB, "
+            f"over the {limit / 1e9:.2f} GB memory limit"
+        )
+
+    # rows: the raw atoms (n, m, k), then the three pair subtractions
     # <AB><C>, <AC><B>, <BC><A> over (n, m), then the 2<A><B><C> atom at the origin
-    coords = np.zeros((n_raw + 3 * n_pair + 1, 2))
-    raw = coords[:n_raw].reshape(d, d, d, 2)
-    raw[..., 0] = -gap[:, :, None]  # E_m - E_n
-    raw[..., 1] = gap.T[None, :, :]  # gap.T[m, k] = E_k - E_m
+    coords = np.zeros((n_atoms, 2))
+    weights = np.empty(n_atoms, dtype=complex)
     sub = coords[n_raw:-1].reshape(3, n_pair, 2)
-    sub[0, :, 0] = sub[1, :, 0] = -gap.ravel()
-    sub[0, :, 1] = gap.ravel()
-    sub[2, :, 1] = -gap.ravel()
-
-    pair = p[:, None] * np.abs(a) ** 2  # pair[n, m]
-    weights = np.concatenate(
-        [np.einsum("n,nm,mk,kn->nmk", p, a, a, a).ravel()]
-        + [-mean * pair.ravel()] * 3
-        + [np.array([2 * mean**3])]
-    )
+    sub_w = weights[n_raw:-1].reshape(3, n_pair)
+    raw_at = pair_at = 0
+    for cols in blocks:
+        b = cols.size
+        gap = np.subtract.outer(e[cols], e[cols])  # gap[i, j] = E_i - E_j
+        ab = a[np.ix_(cols, cols)]
+        raw = coords[raw_at : raw_at + b**3].reshape(b, b, b, 2)
+        raw[..., 0] = -gap[:, :, None]  # E_m - E_n
+        raw[..., 1] = gap.T[None, :, :]  # gap.T[m, k] = E_k - E_m
+        raw_w = weights[raw_at : raw_at + b**3].reshape(b, b, b)
+        np.einsum("n,nm,mk,kn->nmk", p[cols], ab, ab, ab, out=raw_w)
+        pairs = slice(pair_at, pair_at + b * b)
+        sub[0, pairs, 0] = sub[1, pairs, 0] = -gap.ravel()
+        sub[0, pairs, 1] = gap.ravel()
+        sub[2, pairs, 1] = -gap.ravel()
+        sub_w[:, pairs] = -mean * (p[cols, None] * np.abs(ab) ** 2).ravel()
+        raw_at += b**3
+        pair_at += b * b
+    weights[-1] = 2 * mean**3
 
     coords, merged_w = _merge_keyed(coords, weights)
     keep = np.abs(merged_w) > 0.0
@@ -246,16 +289,51 @@ def lnchi_second_order(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
+def _gl_panels(a: float, b: float, points_per_unit: float, refine: int = 1):
+    """Midpoints and half-widths of the composite rule's panels on the oriented interval [a, b]."""
+    n_panels = refine * max(2, int(np.ceil(points_per_unit * abs(b - a))))
+    edges = np.linspace(a, b, n_panels + 1)
+    return (edges[:-1] + edges[1:]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+
+
 def _gl_leg(a: float, b: float, points_per_unit: float, refine: int = 1):
     """Composite 8-point Gauss-Legendre nodes/weights on the oriented interval [a, b]."""
-    span = b - a
-    n_panels = refine * max(2, int(np.ceil(points_per_unit * abs(span))))
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
+    mid, half = _gl_panels(a, b, points_per_unit, refine=refine)
     nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return nodes, weights
+
+
+def _legs(omegas: np.ndarray, u_grid: np.ndarray, points_per_unit: float, refine: int = 1):
+    """Leg sums of the composite rule on [0, u] (:func:`_gl_leg`) for every u of the grid.
+
+    Returns g[:, j] = sum_k e^{i omega tau_k} w_k and the tent-kernel sum
+    h[:, j] = sum_k e^{-i omega tau_k} (u_j - tau_k) w_k, one row per omega.
+    The rule on [0, -u] is the exact negation of the rule on [0, u], so only
+    the distinct |u| are summed and u < 0 follows by conjugation.  Each panel
+    factors as e^{i omega (mid_j + half x_k)} = e^{i omega mid_j} e^{i omega half x_k},
+    so a leg takes one exponential per panel and per Gauss node, not per node
+    of every panel; the panel sums themselves are summed term by term.
+    """
+    u = np.asarray(u_grid, dtype=float)
+    spans, where = np.unique(np.abs(u), return_inverse=True)
+    g = np.zeros((omegas.size, spans.size), dtype=complex)
+    h = np.zeros_like(g)
+    for j, span in enumerate(spans):
+        if span <= 1e-14:
+            continue
+        mid, half = _gl_panels(0.0, span, points_per_unit, refine=refine)
+        # the panels have one width up to roundoff, so one row of in-panel factors serves all
+        rule = np.exp(1j * np.outer(omegas, half[0] * _GL_NODES))
+        e_w, e_xw = rule @ _GL_WEIGHTS, rule @ (_GL_NODES * _GL_WEIGHTS)
+        panels = np.exp(1j * np.outer(omegas, mid))
+        g[:, j] = e_w * (panels @ half)
+        h[:, j] = np.conj(e_w * (panels @ (half * (span - mid))) - half[0] * e_xw * (panels @ half))
+    g, h = g[:, where], h[:, where]
+    mirror = u < 0
+    g[:, mirror] = -np.conj(g[:, mirror])
+    h[:, mirror] = np.conj(h[:, mirror])
+    return g, h
 
 
 def _second_order_time_domain(
@@ -274,32 +352,27 @@ def _second_order_time_domain(
     over the legs [0, t] and [t, t+u].  They are evaluated with composite
     Gauss-Legendre weights; the quadrature sums are factorized per atom of the
     correlator (finite-sum algebra only; no frequency denominators appear).
+    The leg on [t, t+u] is e^{i omega t} times the leg on [0, u], and the
+    ordered double integral over [t, t+u]^2 reduces to the tent kernel on
+    [0, u] (:func:`_legs`); each term is then one product over the atoms for
+    the whole u grid.
     """
     t = protocol.t_total
+    u = np.asarray(u_grid, dtype=float)
     s_nodes, s_w = _gl_leg(0.0, t, points_per_unit, refine=refine)
     lam_s = np.array([lambda_at(protocol, s) for s in s_nodes]) * s_w
     # F(omega) = sum_s lam(s) ds e^{i omega s}
     f = np.exp(1j * np.outer(omegas, s_nodes)) @ lam_s
     t_ab = -np.sum(coeffs * np.abs(f) ** 2)
 
-    out = np.empty(len(u_grid), dtype=complex)
-    for iu, u in enumerate(np.asarray(u_grid, dtype=float)):
-        phase = np.exp(-1j * omegas * u)
-        t_e = np.sum(coeffs * phase * np.abs(f) ** 2)
-        if abs(u) > 1e-14:
-            r_nodes, r_w = _gl_leg(t, t + u, points_per_unit, refine=refine)
-            g = np.exp(1j * np.outer(omegas, r_nodes)) @ r_w
-            # tent-kernel reduction of the ordered double integral over [t, t+u]^2
-            tau_nodes, tau_w = _gl_leg(0.0, u, points_per_unit, refine=refine)
-            tent = (u - tau_nodes) * tau_w
-            h = np.exp(-1j * np.outer(omegas, tau_nodes)) @ tent
-            t_c = -(lambda1**2) * np.sum(coeffs * h)
-            t_d = -lambda1 * np.sum(coeffs * f * np.conj(g))
-            t_f = lambda1 * np.sum(coeffs * phase * g * np.conj(f))
-        else:
-            t_c = t_d = t_f = 0.0
-        out[iu] = t_ab + t_c + t_d + t_e + t_f
-    return out
+    g, h = _legs(omegas, u, points_per_unit, refine=refine)
+    phase = np.exp(-1j * np.outer(omegas, u))
+    at_t = np.exp(1j * omegas * t)
+    t_e = (coeffs * np.abs(f) ** 2) @ phase
+    t_c = -(lambda1**2) * (coeffs @ h)
+    t_d = -lambda1 * ((coeffs * f * np.conj(at_t)) @ np.conj(g))
+    t_f = lambda1 * ((coeffs * np.conj(f) * at_t) @ (phase * g))
+    return t_ab + t_c + t_d + t_e + t_f
 
 
 def lnchi_second_order_quadrature(

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -431,6 +435,41 @@ class TestCli:
             assert rows, name
             for row in rows:
                 [float(cell) for cell in row.split(",")]
+
+    @pytest.mark.parametrize("n_sites, exit_code", [(9, 0), (10, 2)])
+    def test_pert_compare_under_address_space_limit(self, tmp_path, n_sites, exit_code):
+        # The child lowers its own soft RLIMIT_AS to 3,000,000 KiB before numpy loads.
+        # N = 9 fits; at N = 10 the three-point measure's estimate (~4.9 GB) does not,
+        # and the run must stop with a named config error instead of an allocation failure.
+        path = tmp_path / "c.json"
+        cfg = tiny_config(
+            model={"n_sites": n_sites, "coupling": 2.0}, scan="pert_compare", grid=[0.05, 0.1, 0.2],
+            protocol={"kind": "quench", "t_total": 2.0}, output_dir=str(tmp_path / "out"),
+        )
+        path.write_text(json.dumps(cfg))
+        child = (
+            "import resource, runpy, sys\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "soft = 3_000_000 * 1024\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (soft if hard == resource.RLIM_INFINITY else min(soft, hard), hard))\n"
+            "sys.argv = ['spinwork', 'pert-compare', '--config', sys.argv[1], '--threads', '1']\n"
+            "runpy.run_module('spinwork.cli', run_name='__main__')\n"
+        )
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS="1",
+            OMP_NUM_THREADS="1",
+            PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]),
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", child, str(path)], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert run.returncode == exit_code, run.stderr
+        if exit_code == 0:
+            assert (tmp_path / "out" / "three_point_measure.csv").exists()
+        else:
+            assert re.search(r"config error: three-point measure needs \d+ atoms, an estimated [\d.]+ GB", run.stderr)
+            assert "Traceback" not in run.stderr
 
     def test_fidelity_convention_flag(self, tmp_path):
         path = tmp_path / "c.json"

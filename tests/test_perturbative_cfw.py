@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import spinwork.perturbative_cfw as pcfw
 from spinwork import (
     CfwSamples,
     DriveProtocol,
@@ -26,10 +29,13 @@ from spinwork.perturbative_cfw import (
     DegenerateAtomWarning,
     QuadratureError,
     _gl_leg,
+    _legs,
     _merge_keyed,
     default_omega_floor,
     third_order_adiabatic_coefficient,
 )
+
+from spinwork.spin_model import DimensionError
 
 from conftest import two_site_operators
 
@@ -218,7 +224,89 @@ def brute_force_measure3(h0_ref, h1_ref, beta):
     return {key: (-1j) ** 3 * w for key, w in atoms.items() if abs(w) > 0.0}
 
 
+def dense_measure3(h0_spec, h1, beta):
+    """The d^3 construction: every raw atom (n, m, k) and every pair subtraction over
+    the whole space, merged by the same key rounding as three_point_measure.  Also
+    returns the weight scale, the largest weight before the merge cancels any."""
+    v = h0_spec.eigenvectors
+    a = v.conj().T @ h1.matrix @ v
+    e = h0_spec.eigenvalues
+    p = np.exp(-beta * (e - e.min()))
+    p /= p.sum()
+    d = e.shape[0]
+    mean = float(np.real(p @ np.diag(a)))
+    gap = np.subtract.outer(e, e)
+    coords = np.zeros((d**3 + 3 * d * d + 1, 2))
+    raw = coords[: d**3].reshape(d, d, d, 2)
+    raw[..., 0] = -gap[:, :, None]
+    raw[..., 1] = gap.T[None, :, :]
+    sub = coords[d**3 : -1].reshape(3, d * d, 2)
+    sub[0, :, 0] = sub[1, :, 0] = -gap.ravel()
+    sub[0, :, 1] = gap.ravel()
+    sub[2, :, 1] = -gap.ravel()
+    pair = p[:, None] * np.abs(a) ** 2
+    weights = np.concatenate(
+        [np.einsum("n,nm,mk,kn->nmk", p, a, a, a).ravel()]
+        + [-mean * pair.ravel()] * 3
+        + [np.array([2 * mean**3])]
+    )
+    scale = np.abs(weights).max()
+    coords, merged_w = _merge_keyed(coords, weights)
+    keep = np.abs(merged_w) > 0.0
+    return coords[keep], (-1j) ** 3 * merged_w[keep], scale
+
+
+def assert_matches_dense(m, h0_spec, h1, beta):
+    coords, weights, scale = dense_measure3(h0_spec, h1, beta)
+    assert m.weights.size == weights.size
+    assert np.abs(m.omega1 - coords[:, 0]).max() <= 1e-12 * max(1.0, m.frequency_scale)
+    assert np.abs(m.omega2 - coords[:, 1]).max() <= 1e-12 * max(1.0, m.frequency_scale)
+    assert np.abs(m.weights - weights).max() <= 1e-12 * scale
+
+
 class TestThreePointMeasure:
+    @pytest.mark.parametrize("beta", [1.0, 4.0])
+    @pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6])
+    def test_per_block_matches_dense(self, n_sites, beta):
+        spec = SpinChainSpec(n_sites, 2.0)
+        spec0, h1 = eigendecompose(build_hopping(spec)), build_zz(spec)
+        assert_matches_dense(three_point_measure(spec0, h1, beta), spec0, h1, beta)
+
+    @pytest.mark.parametrize("beta", [1.0, 4.0])
+    @pytest.mark.parametrize("n_sites", [3, 5])
+    def test_sector_coupling_term_matches_dense(self, n_sites, beta):
+        # a random Hermitian term couples the sectors, so a is one block
+        spec = SpinChainSpec(n_sites, 2.0)
+        spec0 = eigendecompose(build_hopping(spec))
+        rng = np.random.default_rng(n_sites)
+        z = rng.normal(size=(spec0.dimension,) * 2) + 1j * rng.normal(size=(spec0.dimension,) * 2)
+        h1 = OperatorMatrix(build_zz(spec).matrix + 0.3 * (z + z.conj().T))
+        m = three_point_measure(spec0, h1, beta)
+        assert_matches_dense(m, spec0, h1, beta)
+        assert len(spec0.blocks) == n_sites + 1
+
+    def test_allocation_stays_per_block(self):
+        spec = SpinChainSpec(7, 2.0)
+        spec0, h1 = eigendecompose(build_hopping(spec)), build_zz(spec)
+        tracemalloc.start()
+        try:
+            m = three_point_measure(spec0, h1, BETA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.weights.size > 0
+        assert peak < 40 * 2**20
+
+    def test_memory_guard_names_atoms_and_estimate(self, chain4, monkeypatch):
+        _, _, h1, spec0 = chain4
+        # the chain's sectors have sizes 1, 4, 6, 4, 1
+        atoms = (1 + 64 + 216 + 64 + 1) + 3 * (1 + 16 + 36 + 16 + 1) + 1
+        monkeypatch.setattr(pcfw, "_memory_limit", lambda: atoms * pcfw.THREE_POINT_BYTES_PER_ATOM - 1)
+        with pytest.raises(DimensionError, match=f"needs {atoms} atoms, an estimated"):
+            three_point_measure(spec0, h1, BETA)
+        monkeypatch.setattr(pcfw, "_memory_limit", lambda: atoms * pcfw.THREE_POINT_BYTES_PER_ATOM)
+        three_point_measure(spec0, h1, BETA)
+
     def test_identity_interaction_has_no_connected_weight(self, chain4):
         *_, spec0 = chain4
         op = OperatorMatrix(0.9 * np.eye(spec0.dimension, dtype=complex))
@@ -357,6 +445,31 @@ class TestQuadratureOracle:
         assert np.array_equal(nodes, (mid[:, None] + half[:, None] * x).ravel())
         assert np.array_equal(weights, (half[:, None] * w).ravel())
         assert abs(weights @ np.cos(nodes) - (np.sin(b) - np.sin(a))) < 1e-14
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_factored_legs_match_direct_sums(self, refine):
+        rng = np.random.default_rng(refine)
+        omegas = rng.uniform(-30.0, 30.0, size=40)
+        spans = np.array([0.05, 0.3, 1.0, 2.55, 5.0])
+        u = np.concatenate([spans, -spans])
+        g, h = _legs(omegas, u, 8.0, refine=refine)
+        for j, uj in enumerate(u):
+            nodes, w = _gl_leg(0.0, uj, 8.0, refine=refine)
+            direct_g = np.exp(1j * np.outer(omegas, nodes)) @ w
+            direct_h = np.exp(-1j * np.outer(omegas, nodes)) @ ((uj - nodes) * w)
+            assert np.abs(g[:, j] - direct_g).max() < 1e-13 * (1 + uj**2)
+            assert np.abs(h[:, j] - direct_h).max() < 1e-13 * (1 + uj**2)
+
+    def test_negative_u_legs_mirror_exactly(self):
+        omegas = np.random.default_rng(5).uniform(-30.0, 30.0, size=40)
+        u = np.array([0.0, 0.3, 2.55, 5.0])
+        g, h = _legs(omegas, u, 8.0)
+        g_neg, h_neg = _legs(omegas, -u, 8.0)
+        assert np.array_equal(g_neg, -np.conj(g))
+        assert np.array_equal(h_neg, np.conj(h))
+        nodes, w = _gl_leg(0.0, 2.55, 8.0)
+        mirrored, mirrored_w = _gl_leg(0.0, -2.55, 8.0)
+        assert np.array_equal(mirrored, -nodes) and np.array_equal(mirrored_w, -w)
 
     @pytest.mark.parametrize(
         "protocol",
