@@ -44,7 +44,6 @@ import numpy as np
 from .spin_model import DimensionError, OperatorMatrix, spin_symmetries
 from .spectral_core import (
     DensityMatrix,
-    SpectralDecomposition,
     StateFactors,
     common_blocks,
     invariant_blocks,
@@ -56,11 +55,6 @@ _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
 
 UNITARITY_ABORT = 1e-6
-
-
-def _decompose_raw(matrix: np.ndarray) -> SpectralDecomposition:
-    evals, evecs = np.linalg.eigh(matrix)
-    return SpectralDecomposition(evals, evecs)
 
 
 class ProtocolError(ValueError):
@@ -211,9 +205,10 @@ class PropagatorResult:
             object.__setattr__(self, "blocks", whole_space(self.unitary.dimension))
 
 
-def _expi(spec: SpectralDecomposition, tau: float) -> np.ndarray:
-    v = spec.eigenvectors
-    return (v * np.exp(-1j * spec.eigenvalues * tau)) @ v.conj().T
+def _expi(eig: tuple[np.ndarray, np.ndarray], tau: float) -> np.ndarray:
+    """exp(-i tau H) from ``np.linalg.eigh(H)``."""
+    evals, v = eig
+    return (v * np.exp(-1j * evals * tau)) @ v.conj().T
 
 
 def _substep_schedule(p: DriveProtocol, dt: float, method: str):
@@ -247,11 +242,11 @@ def _propagate_block(
         if method == "midpoint_exact":
             u = np.eye(h0.shape[0], dtype=complex)
             for lam, w in zip(lam_mid, widths):
-                u = _expi(_decompose_raw(h0 + lam * h1), w) @ u
+                u = _expi(np.linalg.eigh(h0 + lam * h1), w) @ u
         else:
-            spec0 = _decompose_raw(h0)
+            eig0 = np.linalg.eigh(h0)
             h1_diag = np.real(np.diag(h1))
-            factors = [_expi(spec0, g) for g in gaps]
+            factors = [_expi(eig0, g) for g in gaps]
             u = factors[gap_index[0]].copy()
             for lam, w, g in zip(lam_mid, widths, gap_index[1:]):
                 u = np.exp(-1j * lam * h1_diag * w)[:, None] * u
@@ -259,7 +254,7 @@ def _propagate_block(
 
     t_hold = p.t_total - p.ramp_time
     if t_hold > 1e-15 * p.t_total:
-        hold = _expi(_decompose_raw(h0 + lambda_at(p, p.t_total) * h1), t_hold)
+        hold = _expi(np.linalg.eigh(h0 + lambda_at(p, p.t_total) * h1), t_hold)
         u = hold if u is None else hold @ u
     return u
 

@@ -484,7 +484,7 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
         dist = tpm_distribution(ops.spec0, spec_f, prop, cfg.beta)
         exact = cfw_from_distribution(dist, u)
         pert2 = lnchi_second_order(m2, protocol, first, lam, u)
-        quad = lnchi_second_order_quadrature(ops.spec0, ops.h1, cfg.beta, protocol, lam, u)
+        quad = lnchi_second_order_quadrature(m2, protocol, first, lam, u)
         residual = float(np.abs(exact.ln_chi - pert2.ln_chi).max())
         residuals.append(residual)
         lin = phase_linearity(pert2)

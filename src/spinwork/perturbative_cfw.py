@@ -12,6 +12,10 @@ and checked against the time-domain quadrature oracle):
   * Inverse transforms use exp(-i omega s) per frequency argument, so the
     two-point weights satisfy weight(-omega)/weight(omega) = exp(-beta omega)
     on nondegenerate pairs.
+  * Atoms are merged by :func:`~spinwork.work_statistics.merge_atoms`, the
+    chain merge of the work distribution, at ``MERGE_TOLERANCE``: frequencies
+    that chain together within it, coordinate by coordinate, are one atom, so
+    the atom set does not depend on where the spectrum falls on a grid.
 
 Frequency-denominator handling: atoms within ``default_omega_floor`` of a singular
 denominator are excluded from the singular sums; their exact contribution is
@@ -40,12 +44,14 @@ import numpy as np
 from .drive_dynamics import DriveProtocol, lambda_at, spectral_response
 from .spectral_core import SpectralDecomposition, boltzmann_weights, invariant_blocks, thermal_expectation
 from .spin_model import DimensionError, OperatorMatrix
-from .work_statistics import CfwSamples, write_csv
+from .work_statistics import CfwSamples, merge_atoms, write_csv
 
 WEIGHT_FLOOR = 1e-12
+# frequencies of the measures that chain together within this are one atom
+MERGE_TOLERANCE = 1e-12
 QUASI_DEGENERATE_BAND = 1e3
 # bytes per atom in three_point_measure's memory estimate: its tracemalloc peak is
-# ~98 B per atom at N = 7..9, and the rest is headroom for the process around it
+# ~78 B per atom at N = 7..9, and the rest is headroom for the process around it
 THREE_POINT_BYTES_PER_ATOM = 128
 
 
@@ -63,7 +69,6 @@ class SpectralMeasure2:
 
     omegas: np.ndarray
     weights: np.ndarray
-    connected: bool = True
 
     @property
     def frequency_scale(self) -> float:
@@ -105,33 +110,6 @@ def _interaction_eigenbasis(h0_spec: SpectralDecomposition, h1: OperatorMatrix) 
     return v.conj().T @ h1.matrix @ v
 
 
-def _merge_keyed(coords: np.ndarray, weights: np.ndarray, tol: float = 1e-12):
-    """Merge atoms whose frequency coordinates round to the same multiples of ``tol``.
-
-    ``coords`` is (n, k), one row of k frequencies per atom.  Returns the mean
-    coordinates (m, k) and the summed weights (m,) of the m distinct keys, in
-    lexicographic key order.  Columns are accumulated one at a time, because a
-    single 2-d scatter-add is an order of magnitude slower at millions of atoms.
-    """
-    keys = np.round(coords / tol).astype(np.int64)
-    # lexsort takes its primary key last; a key starts a group where it differs
-    # from its sorted predecessor
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    m = int(starts.sum())
-    counts = np.bincount(inverse, minlength=m)
-    means = np.empty((m, coords.shape[1]))
-    for j in range(coords.shape[1]):
-        means[:, j] = np.bincount(inverse, coords[:, j], m) / counts
-    merged_w = np.zeros(m, dtype=weights.dtype)
-    np.add.at(merged_w, inverse, weights)
-    return means, merged_w
-
-
 def two_point_measure(
     h0_spec: SpectralDecomposition, h1: OperatorMatrix, beta: float
 ) -> SpectralMeasure2:
@@ -139,16 +117,17 @@ def two_point_measure(
 
     Atom at omega = E_m - E_n with weight -p_n |<n|H1|m>|^2 (the (-i)^2
     prefactor); the connected subtraction adds +<H1>_0^2 to the omega = 0
-    atom.  Atoms within 1e-12 in frequency are merged.
+    atom.  Chains of frequencies with gaps within ``MERGE_TOLERANCE`` are one
+    atom (:func:`merge_atoms`), so every atom at omega has one at -omega.
     """
     a = _interaction_eigenbasis(h0_spec, h1)
     p = boltzmann_weights(h0_spec, beta)
     e = h0_spec.eigenvalues
     omegas = np.subtract.outer(e, e).T.reshape(-1, 1)  # omega[n, m] = E_m - E_n, flattened
     weights = -(p[:, None] * np.abs(a) ** 2).ravel()
-    omegas, weights = _merge_keyed(omegas, weights)
+    omegas, weights = merge_atoms(omegas, weights, MERGE_TOLERANCE)
     omegas = omegas[:, 0]
-    # the n = m terms sit at omega = 0 exactly, so the key-0 atom always exists
+    # the n = m terms sit at omega = 0 exactly, so an atom at omega ~ 0 always exists
     mean = float(np.real(p @ np.diag(a)))
     weights[np.argmin(np.abs(omegas))] += mean**2
     return SpectralMeasure2(omegas, weights)
@@ -221,7 +200,7 @@ def three_point_measure(
         pair_at += b * b
     weights[-1] = 2 * mean**3
 
-    coords, merged_w = _merge_keyed(coords, weights)
+    coords, merged_w = merge_atoms(coords, weights, MERGE_TOLERANCE)
     keep = np.abs(merged_w) > 0.0
     return SpectralMeasure3(coords[keep, 0], coords[keep, 1], (-1j) ** 3 * merged_w[keep])
 
@@ -376,32 +355,30 @@ def _second_order_time_domain(
 
 
 def lnchi_second_order_quadrature(
-    h0_spec: SpectralDecomposition,
-    h1: OperatorMatrix,
-    beta: float,
+    measure: SpectralMeasure2,
     protocol: DriveProtocol,
+    first_cum: float,
     lambda1: float,
     u_grid: np.ndarray,
     points_per_unit: float = 8.0,
 ) -> CfwSamples:
     """Oracle route for the second-order ln chi, by time-domain quadrature.
 
-    Serves as the arbiter for the frequency-floor conventions of
-    :func:`lnchi_second_order`; raises :class:`QuadratureError` when halving
+    Takes the same two-point measure and first cumulant as
+    :func:`lnchi_second_order` and serves as the arbiter for its
+    frequency-floor conventions; raises :class:`QuadratureError` when halving
     the quadrature step still moves the result by more than 1e-7.
     """
     u = np.asarray(u_grid, dtype=float)
     # atoms (omega, a) of c(s) = <H1^I(s) H1^I(0)>_0 - <H1>_0^2 = sum a exp(i omega s):
     # the two-point measure with frequency and sign flipped
-    m2 = two_point_measure(h0_spec, h1, beta)
-    omegas, coeffs = -m2.omegas[::-1], -m2.weights[::-1]
-    first = first_cumulant(h0_spec, h1, beta)
+    omegas, coeffs = -measure.omegas[::-1], -measure.weights[::-1]
     coarse = _second_order_time_domain(omegas, coeffs, protocol, lambda1, u, points_per_unit)
     second = _second_order_time_domain(omegas, coeffs, protocol, lambda1, u, points_per_unit, refine=2)
     drift = float(np.abs(coarse - second).max())
     if drift > 1e-7:
         raise QuadratureError(f"quadrature moved by {drift:.3e} under step halving; raise points_per_unit")
-    ln = 1j * u * lambda1 * first + second
+    ln = 1j * u * lambda1 * first_cum + second
     return CfwSamples(u, np.exp(ln), ln)
 
 

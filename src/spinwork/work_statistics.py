@@ -24,7 +24,8 @@ class ResolutionError(ValueError):
 
 @dataclass(frozen=True)
 class WorkDistribution:
-    """Discrete work atoms (w_k, p_k), sorted by w, separated by more than merge_tolerance."""
+    """Discrete work atoms (w_k, p_k), sorted by w: the chains of raw works with gaps
+    <= merge_tolerance, merged by :func:`merge_atoms` at their probability-weighted mean."""
 
     works: np.ndarray
     probabilities: np.ndarray
@@ -60,19 +61,39 @@ def default_merge_tolerance(spec_i: SpectralDecomposition, spec_f: SpectralDecom
     return 1e-9 * (spec_i.spectral_range + spec_f.spectral_range)
 
 
-def _merge_atoms(works: np.ndarray, probs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sort atoms by work and merge each chain of gaps <= tol into one atom at the
-    probability-weighted mean work (the plain mean for a group without mass)."""
-    order = np.argsort(works, kind="stable")
-    w, p = works[order], probs[order]
-    if tol > 0 and w.size:
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > tol) + 1))
-        mass = np.add.reduceat(p, starts)
-        massive = mass > 0
-        merged_w = np.add.reduceat(w, starts) / np.diff(np.append(starts, w.size))
-        merged_w[massive] = np.add.reduceat(w * p, starts)[massive] / mass[massive]
-        return merged_w, mass
-    return w, p
+def merge_atoms(coords: np.ndarray, weights: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Merge atoms, one row of ``coords`` (n, k) each, that chain together within ``tol``.
+
+    Column by column, each group found so far is sorted by that column and
+    split wherever the column jumps by more than ``tol``, so no rounding grid
+    can split a degenerate atom.  Returns each group's |weight|-weighted mean
+    position (the plain mean for a group without weight) and summed weight,
+    ordered by the first column's chains, then the second's, and so on.
+    """
+    n, k = coords.shape
+    label = np.zeros(n, dtype=np.intp)
+    for j in range(k):
+        order = np.argsort(coords[:, j])
+        if j:
+            # sort by group first and by column j inside each group, through the column's rank
+            key = np.empty(n, dtype=np.intp)
+            key[order] = np.arange(n)
+            key += label * n
+            order = np.argsort(key)
+            del key
+        starts = np.diff(coords[order, j], prepend=-np.inf) > tol
+        if j:
+            starts[1:] |= np.diff(label[order]) != 0
+        label[order] = np.cumsum(starts) - 1
+    m = int(label.max(initial=-1)) + 1
+    size = np.abs(weights)
+    size = np.where(np.bincount(label, size, m)[label] > 0, size, 1.0)
+    total = np.bincount(label, size, m)
+    positions = np.stack([np.bincount(label, size * coords[:, j], m) / total for j in range(k)], axis=1)
+    merged = np.bincount(label, weights.real, m)
+    if np.iscomplexobj(weights):
+        merged = merged + 1j * np.bincount(label, weights.imag, m)
+    return positions, merged
 
 
 def _transition_kernel(
@@ -102,16 +123,17 @@ def tpm_distribution(
     Transition kernel M = |V_f^dag U V_i|^2 elementwise; the atom at
     w = E^f_m - E^i_n carries M_mn p_n with p the initial Boltzmann weights.
     The full d x d work grid is kept, so atoms between blocks are present with
-    probability exactly 0.  Atoms closer than the merge tolerance are merged
-    at the probability-weighted mean work.
+    probability exactly 0.  Chains of works with gaps within the merge
+    tolerance are merged (:func:`merge_atoms`) at the probability-weighted mean
+    work; with a zero tolerance (both spectra flat) exact ties still merge.
     """
     kernel = _transition_kernel(spec_i, spec_f, u)
     merge_tolerance = default_merge_tolerance(spec_i, spec_f)
     p = boltzmann_weights(spec_i, beta)
     works = np.subtract.outer(spec_f.eigenvalues, spec_i.eigenvalues).ravel()
     probs = (kernel * p[None, :]).ravel()
-    works, probs = _merge_atoms(works, probs, merge_tolerance)
-    return WorkDistribution(works, probs, merge_tolerance)
+    works, probs = merge_atoms(works[:, None], probs, merge_tolerance)
+    return WorkDistribution(works[:, 0], probs, merge_tolerance)
 
 
 def _unwrapped_log(u_grid: np.ndarray, chi: np.ndarray, max_rate: float) -> np.ndarray:

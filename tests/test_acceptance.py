@@ -346,7 +346,7 @@ class TestCriterion6PerturbativeAccuracy:
             prop = propagate(h0, h1, protocol, 0.01)
             exact = cfw_from_distribution(tpm_distribution(spec0, spec_f, prop, beta), u)
             pert2 = lnchi_second_order(m2, protocol, fc, lam, u)
-            quad = lnchi_second_order_quadrature(spec0, h1, beta, protocol, lam, u)
+            quad = lnchi_second_order_quadrature(m2, protocol, fc, lam, u)
             residuals.append(float(np.abs(exact.ln_chi - pert2.ln_chi).max()))
             worst_gap = max(worst_gap, float(np.abs(pert2.ln_chi - quad.ln_chi).max()))
         slope = float(np.polyfit(np.log(lams), np.log(residuals), 1)[0])

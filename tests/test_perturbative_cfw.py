@@ -29,13 +29,14 @@ from spinwork.perturbative_cfw import (
     DegenerateAtomWarning,
     QuadratureError,
     _gl_leg,
+    MERGE_TOLERANCE,
     _legs,
-    _merge_keyed,
     default_omega_floor,
     third_order_adiabatic_coefficient,
 )
 
 from spinwork.spin_model import DimensionError
+from spinwork.work_statistics import merge_atoms
 
 from conftest import two_site_operators
 
@@ -124,30 +125,36 @@ def brute_force_measure2(h0_ref, h1_ref, beta):
     return atoms
 
 
-class TestMergeKeyed:
-    @pytest.mark.parametrize("columns", [1, 2])
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_lexsort_merge_equals_unique_merge(self, columns, dtype):
-        rng = np.random.default_rng(11)
-        n, tol = 20000, 1e-12
-        # few distinct keys, so most atoms tie; jitter well inside one key
-        coords = rng.integers(-8, 9, size=(n, columns)) * 0.37 + rng.uniform(-0.3, 0.3, (n, columns)) * tol
-        weights = rng.normal(size=n).astype(dtype)
-        if dtype is complex:
-            weights += 1j * rng.normal(size=n)
-        means, merged = _merge_keyed(coords, weights, tol)
+def close_pairs(coords, tol=1e-11):
+    """Number of atom pairs that lie within tol of each other in every coordinate."""
+    count = 0
+    for start in range(0, coords.shape[0], 512):
+        near = np.ones((min(512, coords.shape[0] - start), coords.shape[0]), dtype=bool)
+        for j in range(coords.shape[1]):
+            near &= np.abs(np.subtract.outer(coords[start : start + 512, j], coords[:, j])) <= tol
+        count += int(near.sum()) - near.shape[0]
+    return count // 2
 
-        keys = np.round(coords / tol).astype(np.int64)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        m = uniq.shape[0]
-        counts = np.bincount(inverse, minlength=m)
-        ref_means = np.stack([np.bincount(inverse, coords[:, j], m) / counts for j in range(columns)], axis=1)
-        ref_weights = np.zeros(m, dtype=dtype)
-        np.add.at(ref_weights, inverse, weights)
-        assert m < n // 10
-        assert np.array_equal(means, ref_means)
-        assert np.array_equal(merged, ref_weights)
+
+class TestMeasureAtomSets:
+    """At these couplings (the N = 7 quench benchmark's seed 10) degenerate
+    frequencies straddle multiples of 1e-12, where a rounding merge splits them."""
+
+    @pytest.fixture(scope="class")
+    def seed10(self):
+        spec = SpinChainSpec(7, 2.005712207575193)
+        return eigendecompose(build_hopping(spec)), build_zz(spec), 0.9971555621870046
+
+    def test_two_point_atoms_are_whole_and_mirror_symmetric(self, seed10):
+        m = two_point_measure(*seed10)
+        assert m.omegas.size == 125
+        assert close_pairs(m.omegas[:, None]) == 0
+        assert np.abs(np.sort(-m.omegas) - m.omegas).max() < 1e-12
+
+    def test_three_point_atoms_are_whole(self, seed10):
+        m = three_point_measure(*seed10)
+        assert m.weights.size == 6859
+        assert close_pairs(np.stack([m.omega1, m.omega2], axis=1)) == 0
 
 
 class TestTwoPointMeasure:
@@ -226,7 +233,7 @@ def brute_force_measure3(h0_ref, h1_ref, beta):
 
 def dense_measure3(h0_spec, h1, beta):
     """The d^3 construction: every raw atom (n, m, k) and every pair subtraction over
-    the whole space, merged by the same key rounding as three_point_measure.  Also
+    the whole space, merged by the same chain merge as three_point_measure.  Also
     returns the weight scale, the largest weight before the merge cancels any."""
     v = h0_spec.eigenvectors
     a = v.conj().T @ h1.matrix @ v
@@ -251,7 +258,7 @@ def dense_measure3(h0_spec, h1, beta):
         + [np.array([2 * mean**3])]
     )
     scale = np.abs(weights).max()
-    coords, merged_w = _merge_keyed(coords, weights)
+    coords, merged_w = merge_atoms(coords, weights, MERGE_TOLERANCE)
     keep = np.abs(merged_w) > 0.0
     return coords[keep], (-1j) ** 3 * merged_w[keep], scale
 
@@ -486,13 +493,14 @@ class TestQuadratureOracle:
         fc = first_cumulant(spec0, h1, BETA)
         u = np.linspace(-5, 5, 21)
         spectral = lnchi_second_order(m2, protocol, fc, 0.1, u)
-        quad = lnchi_second_order_quadrature(spec0, h1, BETA, protocol, 0.1, u)
+        quad = lnchi_second_order_quadrature(m2, protocol, fc, 0.1, u)
         assert np.abs(spectral.ln_chi - quad.ln_chi).max() < 1e-6
 
     def test_zero_coupling(self, chain4):
         _, _, h1, spec0 = chain4
         protocol = DriveProtocol(kind="quench", lambda_final=0.0, t_total=1.0)
-        out = lnchi_second_order_quadrature(spec0, h1, BETA, protocol, 0.0, np.linspace(-3, 3, 13))
+        m2, fc = two_point_measure(spec0, h1, BETA), first_cumulant(spec0, h1, BETA)
+        out = lnchi_second_order_quadrature(m2, protocol, fc, 0.0, np.linspace(-3, 3, 13))
         assert np.abs(out.ln_chi).max() < 1e-12
 
     def test_unconverged_quadrature_raises(self, chain4):
@@ -500,10 +508,9 @@ class TestQuadratureOracle:
         _, h0, h1, _ = chain4
         stiff = eigendecompose(OperatorMatrix(30.0 * h0.matrix))
         protocol = DriveProtocol(kind="ramp_hold", lambda_final=0.1, t_total=2.0, velocity=0.05)
+        m2, fc = two_point_measure(stiff, h1, BETA), first_cumulant(stiff, h1, BETA)
         with pytest.raises(QuadratureError):
-            lnchi_second_order_quadrature(
-                stiff, h1, BETA, protocol, 0.1, np.linspace(-5, 5, 11), points_per_unit=0.05
-            )
+            lnchi_second_order_quadrature(m2, protocol, fc, 0.1, np.linspace(-5, 5, 11), points_per_unit=0.05)
 
 
 def rs_pt_third_order_mean(h0_ref, h1_ref, beta, floor=1e-9):

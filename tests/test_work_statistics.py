@@ -25,7 +25,7 @@ from spinwork import (
     tpm_distribution,
     uhlmann_fidelity,
 )
-from spinwork.work_statistics import ResolutionError, _merge_atoms, default_merge_tolerance
+from spinwork.work_statistics import ResolutionError, default_merge_tolerance, merge_atoms
 
 from conftest import two_site_operators
 
@@ -103,6 +103,14 @@ class TestTpmDistribution:
             default_merge_tolerance(spec0, spec_f)
         )
 
+    def test_flat_spectra_give_one_atom(self):
+        # J = 0: both Hamiltonians vanish, the merge tolerance is 0 and every work is exactly 0
+        _, _, spec_i, spec_f, prop = quench_pipeline(n=4, J=0.0)
+        dist = tpm_distribution(spec_i, spec_f, prop, BETA)
+        assert dist.merge_tolerance == 0.0
+        assert dist.works.tolist() == [0.0]
+        assert dist.probabilities[0] == pytest.approx(1.0, abs=1e-14)
+
 
 class TestMergeAtoms:
     def test_vectorized_merge_equals_loop(self):
@@ -112,7 +120,8 @@ class TestMergeAtoms:
         works = 1.0 + rng.integers(0, 2000, size=n) * 1e-3 + rng.uniform(0.0, 3e-10, size=n)
         probs = rng.uniform(size=n) * (rng.uniform(size=n) > 1 / 3)
         probs[works < 1.2] = 0.0  # whole groups without mass
-        got_w, got_p = _merge_atoms(works, probs, tol)
+        got_w, got_p = merge_atoms(works[:, None], probs, tol)
+        got_w = got_w[:, 0]
 
         order = np.argsort(works, kind="stable")
         w, p = works[order], probs[order]
@@ -126,6 +135,63 @@ class TestMergeAtoms:
         assert np.any(np.array(ref_p) == 0.0)
         np.testing.assert_allclose(got_w, ref_w, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(got_p, ref_p, rtol=1e-15, atol=0.0)
+
+
+def loop_merge(coords, weights, tol):
+    """Chain merge by plain loops: split each group, column by column, where the
+    sorted column jumps by more than tol; each group at its |weight|-weighted mean."""
+    groups = [list(range(len(weights)))]
+    for j in range(coords.shape[1]):
+        split = []
+        for group in groups:
+            members = sorted(group, key=lambda i: coords[i, j])
+            current = [members[0]]
+            for prev, i in zip(members, members[1:]):
+                if coords[i, j] - coords[prev, j] > tol:
+                    split.append(current)
+                    current = []
+                current.append(i)
+            split.append(current)
+        groups = split
+    positions, merged = [], []
+    for group in groups:
+        group = sorted(group)
+        size = np.abs(weights[group])
+        total = sum(weights[i] for i in group)
+        mass = sum(size)
+        row = []
+        for j in range(coords.shape[1]):
+            acc = 0.0
+            for i, z in zip(group, size):
+                acc += (z if mass > 0 else 1.0) * coords[i, j]
+            row.append(acc / (mass if mass > 0 else len(group)))
+        positions.append(row)
+        merged.append(total)
+    return np.array(positions), np.array(merged)
+
+
+class TestChainMerge:
+    @pytest.mark.parametrize("columns", [1, 2])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_merge_equals_loop(self, columns, dtype):
+        rng = np.random.default_rng(11)
+        n, tol = 4000, 1e-12
+        # few distinct points, each at a rounding boundary (an odd multiple of tol / 2)
+        # and jittered across it, so rounding to multiples of tol would split every one
+        points = rng.integers(-4, 5, size=(n, columns))
+        coords = (np.round(points * 0.37 / tol) + 0.5) * tol + rng.uniform(-0.3, 0.3, (n, columns)) * tol
+        weights = rng.normal(size=n).astype(dtype)
+        if dtype is complex:
+            weights += 1j * rng.normal(size=n)
+        weights[points[:, 0] == 4] = 0.0  # whole groups without weight
+        positions, merged = merge_atoms(coords, weights, tol)
+
+        ref_positions, ref_merged = loop_merge(coords, weights, tol)
+        assert merged.size == len(np.unique(points, axis=0)) == ref_merged.size
+        assert np.any(ref_merged == 0.0)
+        assert merged.dtype == np.dtype(dtype)
+        np.testing.assert_allclose(positions, ref_positions, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(merged, ref_merged, rtol=1e-14, atol=1e-15)
 
 
 class TestCfwFromDistribution:
