@@ -42,13 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .spin_model import DimensionError, OperatorMatrix, spin_symmetries
-from .spectral_core import (
-    DensityMatrix,
-    StateFactors,
-    common_blocks,
-    invariant_blocks,
-    whole_space,
-)
+from .spectral_core import DensityMatrix, common_blocks, invariant_blocks
 
 #: Triple-jump composition coefficients for the fourth-order method.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -192,17 +186,13 @@ def spectral_response(p: DriveProtocol, omega) -> np.ndarray | float:
 @dataclass(frozen=True)
 class PropagatorResult:
     """U(t_total) with one (rows, rows) pair per invariant block it was stepped
-    on; U is exactly zero between blocks.  Left empty, the whole space is one block."""
+    on; U is exactly zero between blocks."""
 
     unitary: OperatorMatrix
     dt_used: float
     method: str
     unitarity_defect: float
-    blocks: tuple = ()
-
-    def __post_init__(self):
-        if not self.blocks:
-            object.__setattr__(self, "blocks", whole_space(self.unitary.dimension))
+    blocks: tuple
 
 
 def _expi(eig: tuple[np.ndarray, np.ndarray], tau: float) -> np.ndarray:
@@ -368,17 +358,14 @@ def propagate(
 
 
 def evolve_density(rho0: DensityMatrix, u: PropagatorResult) -> DensityMatrix:
-    """rho -> U rho U^dag per block, with the factors mapped X -> U X."""
+    """U rho U^dag as factors: X -> U X on each block common to U and rho.
+    No d x d matrix of the state is formed."""
     m = u.unitary.matrix
     if rho0.dimension != m.shape[0]:
         raise DimensionError(f"dimension mismatch: {rho0.dimension} vs {m.shape[0]}")
-    f = rho0.factorize()
-    vectors = np.zeros(f.vectors.shape, dtype=complex)
-    matrix = np.zeros(m.shape, dtype=complex)
+    vectors = np.zeros(rho0.vectors.shape, dtype=complex)
     blocks = []
-    for rows, (_, cols) in common_blocks(m.shape[0], u.blocks, f.blocks):
-        ub = m[np.ix_(rows, rows)]
-        vectors[np.ix_(rows, cols)] = ub @ f.vectors[np.ix_(rows, cols)]
-        matrix[np.ix_(rows, rows)] = ub @ rho0.matrix[np.ix_(rows, rows)] @ ub.conj().T
+    for rows, (_, cols) in common_blocks(m.shape[0], u.blocks, rho0.blocks):
+        vectors[np.ix_(rows, cols)] = m[np.ix_(rows, rows)] @ rho0.vectors[np.ix_(rows, cols)]
         blocks.append((rows, cols))
-    return DensityMatrix(matrix, StateFactors(vectors, f.weights, tuple(blocks)))
+    return DensityMatrix(vectors, rho0.weights, tuple(blocks))

@@ -87,6 +87,10 @@ class RunConfig:
             raise ConfigError("beta: must be positive and finite")
         if self.dt <= 0 or not math.isfinite(self.dt):
             raise ConfigError("dt: must be positive and finite")
+        if not math.isfinite(self.lambda1):
+            raise ConfigError("lambda1: must be finite")
+        if not 0 < self.t_total < math.inf:
+            raise ConfigError("protocol.t_total: must be positive and finite")
         if self.scan not in SCAN_KINDS:
             raise ConfigError(f"scan: unknown kind {self.scan!r}")
         if self.protocol_kind not in ("ramp_hold", "quench"):
@@ -341,7 +345,7 @@ def _pool_map(jobs, threads: Optional[int]):
 def run_velocity_scan(cfg: RunConfig, threads: Optional[int] = None, certify: bool = True) -> list[ScanRecord]:
     """Ramp-then-hold infidelity versus ramp velocity, plus the quench sentinel.
 
-    Every protocol shares t_total = lambda1 / min(finite grid velocities), so
+    Every protocol shares t_total = |lambda1| / min(finite grid velocities), so
     faster ramps hold at full coupling for the remaining time.
     """
     grid = sorted(cfg.grid)
@@ -350,7 +354,7 @@ def run_velocity_scan(cfg: RunConfig, threads: Optional[int] = None, certify: bo
         raise ConfigError("grid: velocity scan needs at least one finite velocity")
     if not any(math.isinf(v) for v in grid):
         grid.append(math.inf)
-    t_total = cfg.lambda1 / min(finite) if cfg.lambda1 != 0.0 else cfg.t_total
+    t_total = abs(cfg.lambda1) / min(finite) if cfg.lambda1 != 0.0 else cfg.t_total
     ops = _ModelOps.build(cfg.model)
 
     def job(v):

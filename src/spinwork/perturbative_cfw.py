@@ -51,7 +51,7 @@ WEIGHT_FLOOR = 1e-12
 MERGE_TOLERANCE = 1e-12
 QUASI_DEGENERATE_BAND = 1e3
 # bytes per atom in three_point_measure's memory estimate: its tracemalloc peak is
-# ~78 B per atom at N = 7..9, and the rest is headroom for the process around it
+# 74-75 B per atom at N = 7..9, and the rest is headroom for the process around it
 THREE_POINT_BYTES_PER_ATOM = 128
 
 

@@ -4,11 +4,14 @@ Every operator of the pipeline is block diagonal over its invariant blocks:
 the connected components of its nonzero pattern (:func:`invariant_blocks`;
 the magnetization sectors for the XXZ chain).  ``eigendecompose`` runs
 ``eigh`` on each block and merges the eigenvalues in ascending order, so
-every eigenvector is exactly zero outside its block.  Gibbs states carry
-their exact factors rho = X diag(p) X^dag (eigenvectors X, Boltzmann
-weights p), and evolution maps X -> U X.  Where two inputs are blocked
-differently, the work runs on the coarsest partition that both refine,
-found by the same finder.
+every eigenvector is exactly zero outside its block.  A state
+(``DensityMatrix``) is its exact factors rho = X diag(p) X^dag with their
+blocks: a Gibbs state is the eigenvectors X and the Boltzmann weights p,
+and evolution maps X -> U X, so no d x d matrix of a state is formed in the
+pipeline.  A state given as a matrix is factorized by
+``DensityMatrix.from_matrix`` (per-block ``eigh``, PSD-checked).  Where two
+inputs are blocked differently, the work runs on the coarsest partition
+that both refine, found by the same finder.
 
 Boltzmann weights are always computed with the minimum-eigenvalue shift
 (log-sum-exp convention), so large beta never overflows.  Fidelity is the
@@ -22,7 +25,7 @@ convention is exposed by callers as a flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -54,12 +57,6 @@ def invariant_blocks(*matrices: np.ndarray) -> list[np.ndarray]:
             member |= frontier
         blocks.append(np.flatnonzero(member))
     return blocks
-
-
-def whole_space(d: int) -> tuple:
-    """The one-block partition: every basis row with every column."""
-    every = np.arange(d)
-    return ((every, every),)
 
 
 def common_blocks(d: int, *partitions) -> list[tuple[np.ndarray, tuple]]:
@@ -121,17 +118,12 @@ class SpectralDecomposition:
     """Ascending eigenvalues and orthonormal eigenvector columns of a Hermitian operator.
 
     ``blocks`` holds one (rows, eigen-columns) pair per invariant block; each
-    eigenvector is exactly zero outside its block's rows.  Left empty, the
-    whole space is one block.
+    eigenvector is exactly zero outside its block's rows.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    blocks: tuple = ()
-
-    def __post_init__(self):
-        if not self.blocks:
-            object.__setattr__(self, "blocks", whole_space(self.eigenvalues.shape[0]))
+    blocks: tuple
 
     @property
     def dimension(self) -> int:
@@ -147,46 +139,38 @@ class SpectralDecomposition:
 
 
 @dataclass(frozen=True)
-class StateFactors:
-    """rho = X diag(p) X^dag: orthonormal columns X (``vectors``), weights p >= 0,
-    and one (rows, columns) pair per block, X being exactly zero outside it."""
+class DensityMatrix:
+    """Unit-trace positive semidefinite state, held as its exact spectral factors.
+
+    rho = X diag(p) X^dag with orthonormal columns X (``vectors``), weights
+    p >= 0, and one (rows, columns) pair per block, X being exactly zero
+    outside it.
+    """
 
     vectors: np.ndarray
     weights: np.ndarray
     blocks: tuple
 
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, positive semidefinite, unit-trace state.
-
-    ``factors`` are its exact spectral factors where the state was built from
-    them (Gibbs states and their unitary evolutions); a state given only as a
-    matrix is factorized on demand.
-    """
-
-    matrix: np.ndarray
-    factors: Optional[StateFactors] = None
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray) -> "DensityMatrix":
+        """The factors of a Hermitian matrix by per-block ``eigh``; rejects a non-PSD matrix."""
+        evals, vectors, blocks = _blocked_eigh(matrix)
+        if evals[0] < -PSD_TOLERANCE:
+            raise ValueError(f"matrix is not PSD: min eigenvalue {evals[0]:.3e}")
+        return cls(vectors, np.clip(evals, 0.0, None), blocks)
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.vectors.shape[0]
 
-    def validate(self) -> None:
-        tr = np.trace(self.matrix)
-        if abs(tr - 1.0) > 1e-12:
-            raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        if np.linalg.eigvalsh(self.matrix).min() < -PSD_TOLERANCE:
-            raise ValueError("state has eigenvalues below the PSD tolerance")
-
-    def factorize(self) -> StateFactors:
-        """The carried factors, or those of a per-block ``eigh`` of the matrix (PSD-checked)."""
-        if self.factors is not None:
-            return self.factors
-        evals, vectors, blocks = _blocked_eigh(self.matrix)
-        if evals[0] < -PSD_TOLERANCE:
-            raise ValueError(f"matrix is not PSD: min eigenvalue {evals[0]:.3e}")
-        return StateFactors(vectors, np.clip(evals, 0.0, None), blocks)
+    @property
+    def matrix(self) -> np.ndarray:
+        """rho as a d x d array, formed block by block from the factors."""
+        m = np.zeros((self.dimension, self.dimension), dtype=complex)
+        for rows, cols in self.blocks:
+            x = self.vectors[np.ix_(rows, cols)]
+            m[np.ix_(rows, rows)] = (x * self.weights[cols]) @ x.conj().T
+        return m
 
 
 def eigendecompose(h: OperatorMatrix) -> SpectralDecomposition:
@@ -204,15 +188,9 @@ def boltzmann_weights(spec: SpectralDecomposition, beta: float) -> np.ndarray:
 
 
 def gibbs_state(spec: SpectralDecomposition, beta: float) -> DensityMatrix:
-    """Thermal state exp(-beta H)/Z from spectral data, built block by block and
-    carrying its factors (the eigenvectors and the Boltzmann weights)."""
-    p = boltzmann_weights(spec, beta)
-    v = spec.eigenvectors
-    matrix = np.zeros((spec.dimension, spec.dimension), dtype=complex)
-    for rows, cols in spec.blocks:
-        x = v[np.ix_(rows, cols)]
-        matrix[np.ix_(rows, rows)] = (x * p[cols]) @ x.conj().T
-    return DensityMatrix(matrix, StateFactors(v, p, spec.blocks))
+    """Thermal state exp(-beta H)/Z as its factors: the eigenvectors, their
+    blocks and the Boltzmann weights.  No d x d matrix is formed."""
+    return DensityMatrix(spec.eigenvectors, boltzmann_weights(spec, beta), spec.blocks)
 
 
 def log_partition_function(spec: SpectralDecomposition, beta: float) -> float:
@@ -244,21 +222,20 @@ def thermal_expectation(h_spec: SpectralDecomposition, beta: float, a: OperatorM
 
 
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity F = ||sqrt(sigma) sqrt(rho)||_1^2 from exact factors, clipped to [0, 1].
+    """Uhlmann fidelity F = ||sqrt(sigma) sqrt(rho)||_1^2, clipped to [0, 1].
 
-    With rho = X diag(p) X^dag and sigma = Y diag(q) Y^dag, F is the square of
-    the summed singular values of diag(sqrt q) Y^dag X diag(sqrt p) over the
-    blocks common to both factorizations.
+    Read from the two states' factors rho = X diag(p) X^dag and
+    sigma = Y diag(q) Y^dag: F is the square of the summed singular values of
+    diag(sqrt q) Y^dag X diag(sqrt p) over the blocks common to both.
     """
     if rho.dimension != sigma.dimension:
         raise DimensionError(
             f"dimension mismatch: {rho.dimension} vs {sigma.dimension}"
         )
-    x, y = rho.factorize(), sigma.factorize()
     root = 0.0
-    for rows, (cx, cy) in common_blocks(rho.dimension, x.blocks, y.blocks):
-        a = x.vectors[np.ix_(rows, cx)] * np.sqrt(x.weights[cx])
-        b = y.vectors[np.ix_(rows, cy)] * np.sqrt(y.weights[cy])
+    for rows, (cx, cy) in common_blocks(rho.dimension, rho.blocks, sigma.blocks):
+        a = rho.vectors[np.ix_(rows, cx)] * np.sqrt(rho.weights[cx])
+        b = sigma.vectors[np.ix_(rows, cy)] * np.sqrt(sigma.weights[cy])
         root += float(np.linalg.svd(b.conj().T @ a, compute_uv=False).sum())
     return float(min(root * root, 1.0))
 

@@ -11,7 +11,16 @@ import numpy as np
 import pytest
 
 import spinwork.experiments as xp
-from spinwork import cli
+from spinwork import (
+    SpinChainSpec,
+    assemble,
+    build_hopping,
+    build_zz,
+    cli,
+    eigendecompose,
+    gibbs_state,
+    infidelity,
+)
 from spinwork.experiments import (
     CSV_COLUMNS,
     ConfigError,
@@ -101,16 +110,6 @@ class TestConfigLoading:
             config_from_dict(tiny_config(protocol={"kind": "linear", "t_total": 4.0}))
 
     def test_reference_configs_parse(self):
-        for name in (
-            "velocity_scan_full.json",
-            "velocity_scan_desk.json",
-            "size_scan.json",
-            "lambda_scaling.json",
-            "pert_compare.json",
-            "single_quench.json",
-        ):
-            cfg = load_config(REPO / "configs" / name)
-            assert cfg.beta == 1.0
         full = load_config(REPO / "configs" / "velocity_scan_full.json")
         assert full.model.n_sites == 11
         assert full.model.coupling == 2.0
@@ -328,6 +327,38 @@ class TestCli:
         path.write_text(json.dumps(tiny_config(scan=scan, grid=grid, output_dir=str(tmp_path / "out"))))
         assert self.run_cli(command, "--config", str(path), "--threads", "1") == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lambda1", math.nan), ("lambda1", math.inf), ("lambda1", -math.inf)]
+        + [("t_total", t) for t in (-1.0, math.nan, math.inf)],
+    )
+    @pytest.mark.parametrize(
+        "scan, command",
+        [
+            ("single", "validate-config"),
+            ("single", "single"),
+            ("size", "validate-config"),
+            ("size", "scan-size"),
+            ("pert_compare", "validate-config"),
+            ("pert_compare", "pert-compare"),
+        ],
+    )
+    def test_non_finite_coupling_or_bad_total_time_exit_code(self, tmp_path, scan, command, key, value):
+        # json.dumps writes NaN and Infinity, which json.loads accepts
+        grid = {"single": [], "size": [3], "pert_compare": [0.05, 0.1]}[scan]
+        kind = "ramp_hold" if scan == "size" else "quench"
+        cfg = tiny_config(
+            scan=scan, grid=grid, protocol={"kind": kind, "velocity": 0.05, "t_total": 4.0},
+            output_dir=str(tmp_path / "out"),
+        )
+        if key == "t_total":
+            cfg["protocol"]["t_total"] = value
+        else:
+            cfg[key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert self.run_cli(command, "--config", str(path), "--threads", "1") == 2
+
     @pytest.mark.parametrize("command", ["validate-config", "scan-size", "single"])
     @pytest.mark.parametrize("velocity", [-0.1, 0])
     def test_non_positive_ramp_velocity_exit_code(self, tmp_path, command, velocity):
@@ -349,6 +380,31 @@ class TestCli:
         )
         path.write_text(json.dumps(cfg))
         assert self.run_cli(command, "--config", str(path)) == 2
+
+    @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_config_validates(self, path):
+        assert load_config(path).beta == 1.0
+        assert self.run_cli("validate-config", "--config", str(path)) == 0
+
+    def test_negative_coupling_velocity_scan(self, tmp_path):
+        # every protocol runs for |lambda1| / min(grid); the quench record is
+        # the Gibbs-to-Gibbs infidelity, since U = exp(-i H_f t) leaves the
+        # target Gibbs state of H_f fixed
+        out = tmp_path / "out"
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps(tiny_config(model={"n_sites": 4, "coupling": 2.0}, lambda1=-0.1, output_dir=str(out)))
+        )
+        assert self.run_cli("scan-velocity", "--config", str(path), "--threads", "1") == 0
+        rows = (out / "velocity_records.csv").read_text().strip().split("\n")[1:]
+        quench = [float(r.split(",")[1]) for r in rows if math.isinf(float(r.split(",")[0]))]
+        spec = SpinChainSpec(4, 2.0)
+        h0, h1 = build_hopping(spec), build_zz(spec)
+        expected = infidelity(
+            gibbs_state(eigendecompose(h0), 1.0), gibbs_state(eigendecompose(assemble(h0, h1, -0.1)), 1.0)
+        )
+        assert len(quench) == 1 and expected > 1e-4
+        assert abs(quench[0] - expected) < 1e-8
 
     def test_scan_subcommand_mismatch(self, tmp_path):
         path = tmp_path / "c.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,7 +112,7 @@ class TestGibbsState:
         rho = gibbs_state(spec, 200.0)
         ground = np.zeros((4, 4), dtype=complex)
         ground[0, 0] = 1.0
-        assert uhlmann_fidelity(rho, DensityMatrix(ground)) > 1 - 1e-8
+        assert uhlmann_fidelity(rho, DensityMatrix.from_matrix(ground)) > 1 - 1e-8
 
     def test_zero_hamiltonian_is_maximally_mixed(self):
         spec = eigendecompose(OperatorMatrix(np.zeros((8, 8), dtype=complex)))
@@ -141,6 +143,30 @@ class TestGibbsState:
         for beta in (0.0, -1.0, np.inf):
             with pytest.raises(ValueError):
                 gibbs_state(spec0, beta)
+
+
+class TestStateStorage:
+    """A state is its factors: building a Gibbs state allocates no d x d
+    array, and evolving one allocates about one (the evolved factors)."""
+
+    def test_gibbs_and_evolution_form_no_dense_state(self):
+        spec = SpinChainSpec(9, 2.0)
+        h0, h1 = build_hopping(spec), build_zz(spec)
+        spec0 = eigendecompose(h0)
+        prop = propagate(h0, h1, DriveProtocol(kind="quench", lambda_final=0.1, t_total=2.0), 0.01)
+        dense = 16 * spec0.dimension**2
+        tracemalloc.start()
+        try:
+            rho = gibbs_state(spec0, 1.0)
+            held, gibbs_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            evolved = evolve_density(rho, prop)
+            evolve_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert evolved.dimension == 512
+        assert gibbs_peak < 0.1 * dense
+        assert evolve_peak < 1.5 * dense
 
 
 class TestLogPartitionFunction:
@@ -238,11 +264,11 @@ class TestUhlmannFidelity:
         a[0, 0] = 1.0
         b = np.zeros((2, 2), dtype=complex)
         b[1, 1] = 1.0
-        assert uhlmann_fidelity(DensityMatrix(a), DensityMatrix(b)) < 1e-14
+        assert uhlmann_fidelity(DensityMatrix.from_matrix(a), DensityMatrix.from_matrix(b)) < 1e-14
 
     def test_commuting_mixtures_closed_form(self):
-        rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-        sigma = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
+        rho = DensityMatrix.from_matrix(np.diag([0.7, 0.3]).astype(complex))
+        sigma = DensityMatrix.from_matrix(np.diag([0.5, 0.5]).astype(complex))
         expected = (np.sqrt(0.35) + np.sqrt(0.15)) ** 2
         assert abs(uhlmann_fidelity(rho, sigma) - expected) < 1e-12
 
@@ -256,7 +282,7 @@ class TestUhlmannFidelity:
         _, h0, _, spec0 = chain4
         rho = gibbs_state(spec0, 1.0)
         u = matrix_function(spec0, lambda x: np.exp(-1j * x * 2.3)).matrix
-        rotated = DensityMatrix(u @ rho.matrix @ u.conj().T)
+        rotated = DensityMatrix.from_matrix(u @ rho.matrix @ u.conj().T)
         assert abs(uhlmann_fidelity(rho, rotated) - 1.0) < 1e-10
 
     def test_joint_unitary_invariance(self, chain4):
@@ -267,19 +293,18 @@ class TestUhlmannFidelity:
         u = haar_unitary(rho.dimension, rng)
         f0 = uhlmann_fidelity(rho, sigma)
         f1 = uhlmann_fidelity(
-            DensityMatrix(u @ rho.matrix @ u.conj().T), DensityMatrix(u @ sigma.matrix @ u.conj().T)
+            DensityMatrix.from_matrix(u @ rho.matrix @ u.conj().T),
+            DensityMatrix.from_matrix(u @ sigma.matrix @ u.conj().T),
         )
         assert abs(f0 - f1) < 1e-10
 
     def test_rejects_non_psd(self):
-        bad = DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
-        good = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
         with pytest.raises(ValueError):
-            uhlmann_fidelity(bad, good)
+            DensityMatrix.from_matrix(np.diag([1.5, -0.5]).astype(complex))
 
     def test_infidelity_conventions(self):
-        rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-        sigma = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
+        rho = DensityMatrix.from_matrix(np.diag([0.7, 0.3]).astype(complex))
+        sigma = DensityMatrix.from_matrix(np.diag([0.5, 0.5]).astype(complex))
         f = uhlmann_fidelity(rho, sigma)
         assert np.isclose(infidelity(rho, sigma), 1 - f)
         assert np.isclose(infidelity(rho, sigma, "one_minus_sqrtF"), 1 - np.sqrt(f))
@@ -300,7 +325,7 @@ class TestMismatchedPartitions:
             # diagonal H_i, dense random H_f and a Haar U: one common block
             z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             h_f = (z + z.conj().T) / 2
-            return h_i, h_f, haar_unitary(d, rng), (), 1, beta
+            return h_i, h_f, haar_unitary(d, rng), ((np.arange(d),) * 2,), 1, beta
         # H_i, H_f and U each in a different pairing, all relabelled by a
         # permutation: none of them is blocked like the common partition,
         # the two halves {0..3} and {4..7}

@@ -331,7 +331,7 @@ class TestAverageWorkAndEnergyBalance:
         from spinwork import DensityMatrix
 
         d = h0.dimension
-        mixed = DensityMatrix(np.eye(d, dtype=complex) / d)
+        mixed = DensityMatrix.from_matrix(np.eye(d, dtype=complex) / d)
         assert abs(mean_energy_change(mixed, h0, mixed, h1)) < 1e-14
 
     def test_mean_work_identity_on_quench(self):
