@@ -23,7 +23,6 @@ from .spectral_core import (
     gibbs_state,
     infidelity,
     log_partition_function,
-    matrix_function,
     thermal_expectation,
     uhlmann_fidelity,
 )

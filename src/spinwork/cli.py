@@ -1,7 +1,8 @@
 """Command-line front end for config-driven scans.
 
-Exit codes: 0 success, 2 config error (including a run that would exceed the
-memory limit), 3 numerical-certification failure.
+Exit codes: 0 success, 2 config or argument error (including a run that would
+exceed the memory limit, and ``--threads`` below 1), 3 numerical-certification
+failure.
 The output directory comes from the config, the ``--output`` flag, or the
 ``SPINWORK_OUTPUT_DIR`` environment variable (the only environment override).
 """
@@ -35,6 +36,13 @@ _SUBCOMMAND_SCAN = {
 }
 
 
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinwork",
@@ -46,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--output", default=None, help="output directory override")
         p.add_argument("--dt", type=float, default=None, help="time step override")
-        p.add_argument("--threads", type=int, default=None, help="worker pool size (default: CPU count)")
+        p.add_argument("--threads", type=_worker_count, default=None, help="worker pool size (default: CPU count)")
         p.add_argument("--full-scale", action="store_true", help="run the long N=11 variant")
         p.add_argument(
             "--fidelity-convention",
@@ -125,7 +133,7 @@ def main(argv=None) -> int:
             measure2_to_csv(report.measure2, out_dir / "two_point_measure.csv")
             measure3_to_csv(report.measure3, out_dir / "three_point_measure.csv")
         else:  # single
-            record, dist, cfw = xp.run_single_detailed(cfg)
+            record, dist, cfw = xp.run_single(cfg)
             records = [record]
             fits = {}
             distribution_to_csv(dist, out_dir / "single_distribution.csv")

@@ -74,7 +74,6 @@ class DriveProtocol:
     t_total: float
     velocity: Optional[float] = None
     samples: Optional[np.ndarray] = None
-    allow_partial: bool = False
 
     def __post_init__(self):
         if self.kind not in ("ramp_hold", "quench", "sampled"):
@@ -84,12 +83,8 @@ class DriveProtocol:
         if self.kind == "ramp_hold":
             if self.velocity is None or self.velocity < 0:
                 raise ProtocolError("ramp_hold requires velocity >= 0")
-            if self.lambda_final != 0.0 and not self.allow_partial:
-                if self.velocity * self.t_total < abs(self.lambda_final) * (1 - 1e-12):
-                    raise ProtocolError(
-                        "ramp does not reach lambda_final within t_total; "
-                        "set allow_partial to permit an incomplete ramp"
-                    )
+            if self.velocity * self.t_total < abs(self.lambda_final) * (1 - 1e-12):
+                raise ProtocolError("ramp does not reach lambda_final within t_total")
         if self.kind == "sampled":
             s = np.asarray(self.samples, dtype=float)
             if s.ndim != 2 or s.shape[1] != 2 or s.shape[0] < 2:
@@ -190,7 +185,6 @@ class PropagatorResult:
 
     unitary: OperatorMatrix
     dt_used: float
-    method: str
     unitarity_defect: float
     blocks: tuple
 
@@ -351,7 +345,6 @@ def propagate(
     return PropagatorResult(
         unitary=OperatorMatrix(u, hermitian=False),
         dt_used=p.t_total if schedule is None else schedule[0],
-        method=method,
         unitarity_defect=defect,
         blocks=tuple((idx, idx) for idx in blocks),
     )

@@ -23,9 +23,12 @@ import numpy as np
 from . import __version__
 from .drive_dynamics import DriveProtocol, evolve_density, propagate
 from .perturbative_cfw import (
+    SpectralMeasure2,
+    SpectralMeasure3,
     first_cumulant,
     lnchi_second_order,
     lnchi_second_order_quadrature,
+    lnchi_third_order_adiabatic,
     third_order_adiabatic_coefficient,
     three_point_measure,
     two_point_measure,
@@ -252,10 +255,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
     }
 
 
-def emit_config(cfg: RunConfig, path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n", encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # Scan pipeline
 # ---------------------------------------------------------------------------
@@ -263,7 +262,6 @@ def emit_config(cfg: RunConfig, path) -> None:
 
 @dataclass(frozen=True)
 class _ModelOps:
-    spec: SpinChainSpec
     h0: OperatorMatrix
     h1: OperatorMatrix
     spec0: object
@@ -271,7 +269,7 @@ class _ModelOps:
     @classmethod
     def build(cls, spec: SpinChainSpec):
         h0 = build_hopping(spec)
-        return cls(spec, h0, build_zz(spec), eigendecompose(h0))
+        return cls(h0, build_zz(spec), eigendecompose(h0))
 
 
 def _protocol_for(kind: str, velocity, lambda1: float, t_total: float) -> DriveProtocol:
@@ -455,8 +453,8 @@ class PertCompareReport:
     entries: list[PertCompareEntry]
     residual_slope: float
     curves: dict
-    measure2: object = None
-    measure3: object = None
+    measure2: SpectralMeasure2
+    measure3: SpectralMeasure3
 
 
 def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
@@ -492,6 +490,9 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
         residual = float(np.abs(exact.ln_chi - pert2.ln_chi).max())
         residuals.append(residual)
         lin = phase_linearity(pert2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pert3 = lnchi_third_order_adiabatic(m3, lam, u)
         entries.append(
             PertCompareEntry(
                 lambda1=lam,
@@ -508,7 +509,7 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
             "exact_im": np.imag(exact.ln_chi).tolist(),
             "pert2_re": np.real(pert2.ln_chi).tolist(),
             "pert2_im": np.imag(pert2.ln_chi).tolist(),
-            "pert3_im": np.imag(1j * u * lam**3 * s).tolist(),
+            "pert3_im": np.imag(pert3.ln_chi).tolist(),
         }
     slope = _loglog_fit(np.array(lams), np.array(residuals))[0] if len(lams) >= 2 else math.nan
     return PertCompareReport(
@@ -516,13 +517,8 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
     )
 
 
-def run_single(cfg: RunConfig, certify: bool = True) -> ScanRecord:
-    """One protocol run with the full diagnostic record."""
-    return run_single_detailed(cfg, certify)[0]
-
-
-def run_single_detailed(cfg: RunConfig, certify: bool = True):
-    """Single run returning (record, work distribution, CFW samples)."""
+def run_single(cfg: RunConfig, certify: bool = True):
+    """One protocol run: its record, work distribution and CFW samples."""
     ops = _ModelOps.build(cfg.model)
     protocol = _protocol_for(cfg.protocol_kind, cfg.velocity, cfg.lambda1, cfg.t_total)
     value = math.inf if cfg.protocol_kind == "quench" else (cfg.velocity or 0.0)

@@ -74,9 +74,6 @@ class SpectralMeasure2:
     def frequency_scale(self) -> float:
         return float(np.abs(self.omegas).max())
 
-    def inverse_transform(self, s: float) -> complex:
-        return complex(np.sum(self.weights * np.exp(-1j * self.omegas * s)))
-
 
 @dataclass(frozen=True)
 class SpectralMeasure3:
@@ -89,11 +86,6 @@ class SpectralMeasure3:
     @property
     def frequency_scale(self) -> float:
         return float(max(np.abs(self.omega1).max(), np.abs(self.omega2).max()))
-
-    def inverse_transform(self, s1: float, s2: float) -> complex:
-        return complex(
-            np.sum(self.weights * np.exp(-1j * (self.omega1 * s1 + self.omega2 * s2)))
-        )
 
 
 def default_omega_floor(frequency_scale: float) -> float:
@@ -382,10 +374,7 @@ def lnchi_second_order_quadrature(
     return CfwSamples(u, np.exp(ln), ln)
 
 
-def third_order_adiabatic_coefficient(
-    m3: SpectralMeasure3,
-    return_report: bool = False,
-):
+def third_order_adiabatic_coefficient(m3: SpectralMeasure3) -> complex:
     """Coefficient S of the adiabatic third-order term i u lam^3 S.
 
     Regular atoms contribute w / (i omega1 (omega1 + omega2)).  Atoms with
@@ -411,8 +400,6 @@ def third_order_adiabatic_coefficient(
             DegenerateAtomWarning,
             stacklevel=2,
         )
-    if return_report:
-        return s, dropped
     return s
 
 

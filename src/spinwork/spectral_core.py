@@ -9,9 +9,10 @@ every eigenvector is exactly zero outside its block.  A state
 blocks: a Gibbs state is the eigenvectors X and the Boltzmann weights p,
 and evolution maps X -> U X, so no d x d matrix of a state is formed in the
 pipeline.  A state given as a matrix is factorized by
-``DensityMatrix.from_matrix`` (per-block ``eigh``, PSD-checked).  Where two
-inputs are blocked differently, the work runs on the coarsest partition
-that both refine, found by the same finder.
+``DensityMatrix.from_matrix`` (per-block ``eigh``; it accepts only a
+Hermitian, unit-trace PSD matrix).  Where two inputs are blocked
+differently, the work runs on the coarsest partition that both
+refine, found by the same finder.
 
 Boltzmann weights are always computed with the minimum-eigenvalue shift
 (log-sum-exp convention), so large beta never overflows.  Fidelity is the
@@ -25,7 +26,6 @@ convention is exposed by callers as a flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -33,6 +33,8 @@ from scipy.special import logsumexp
 from .spin_model import DimensionError, OperatorMatrix
 
 PSD_TOLERANCE = 1e-12
+HERMITIAN_TOLERANCE = 1e-12
+TRACE_TOLERANCE = 1e-10
 
 
 def invariant_blocks(*matrices: np.ndarray) -> list[np.ndarray]:
@@ -133,10 +135,6 @@ class SpectralDecomposition:
     def spectral_range(self) -> float:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -153,7 +151,14 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "DensityMatrix":
-        """The factors of a Hermitian matrix by per-block ``eigh``; rejects a non-PSD matrix."""
+        """The factors of a Hermitian matrix by per-block ``eigh``; rejects a matrix that
+        is not Hermitian, not of unit trace or not PSD."""
+        defect = np.abs(matrix - matrix.conj().T).max()
+        if defect > HERMITIAN_TOLERANCE:
+            raise ValueError(f"matrix is not Hermitian: |m - m^dag| = {defect:.3e}")
+        trace = np.trace(matrix).real
+        if abs(trace - 1.0) > TRACE_TOLERANCE:
+            raise ValueError(f"matrix trace is {trace!r}, not 1")
         evals, vectors, blocks = _blocked_eigh(matrix)
         if evals[0] < -PSD_TOLERANCE:
             raise ValueError(f"matrix is not PSD: min eigenvalue {evals[0]:.3e}")
@@ -198,15 +203,6 @@ def log_partition_function(spec: SpectralDecomposition, beta: float) -> float:
     if not np.isfinite(beta) or beta <= 0:
         raise ValueError(f"beta must be positive and finite, got {beta}")
     return float(logsumexp(-beta * spec.eigenvalues))
-
-
-def matrix_function(spec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]) -> OperatorMatrix:
-    """Apply a scalar function to the spectrum: V f(Lambda) V^dag."""
-    fe = np.asarray(f(spec.eigenvalues), dtype=complex)
-    if not np.all(np.isfinite(fe)):
-        raise OverflowError("scalar function is not finite on the spectrum")
-    v = spec.eigenvectors
-    return OperatorMatrix((v * fe) @ v.conj().T, hermitian=False)
 
 
 def thermal_expectation(h_spec: SpectralDecomposition, beta: float, a: OperatorMatrix) -> float:

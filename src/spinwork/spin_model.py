@@ -136,8 +136,3 @@ def magnetization_sectors(n_sites: int) -> list[np.ndarray]:
         raise ValueError(f"n_sites must be >= 2, got {n_sites}")
     down = (n_sites - _spins(n_sites).sum(axis=1)) // 2
     return [np.flatnonzero(down == k) for k in range(n_sites + 1)]
-
-
-def total_magnetization(n_sites: int) -> OperatorMatrix:
-    """Total sigma^z operator (diagonal), for symmetry checks."""
-    return OperatorMatrix(np.diag(_spins(n_sites).sum(axis=1)).astype(complex))

@@ -42,10 +42,6 @@ class WorkDistribution:
         if drift > NORMALIZATION_TOLERANCE:
             raise ValueError(f"normalization drift {drift:.3e}")
 
-    @property
-    def n_atoms(self) -> int:
-        return self.works.shape[0]
-
 
 @dataclass(frozen=True)
 class CfwSamples:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spinwork import SpinChainSpec, build_hopping, build_zz, eigendecompose
+from spinwork import OperatorMatrix, SpinChainSpec, build_hopping, build_zz, eigendecompose
+from spinwork.spin_model import _spins
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +37,35 @@ def kron_chain_operators(n_sites, J):
     h0 = sum(bond(sp, sm, i) + bond(sm, sp, i) for i in range(n_sites - 1))
     h1 = sum(bond(sz, sz, i) for i in range(n_sites - 1))
     return J * h0, J * h1
+
+
+def matrix_function(spec, f):
+    """Apply a scalar function to the spectrum: V f(Lambda) V^dag."""
+    fe = np.asarray(f(spec.eigenvalues), dtype=complex)
+    if not np.all(np.isfinite(fe)):
+        raise OverflowError("scalar function is not finite on the spectrum")
+    v = spec.eigenvectors
+    return OperatorMatrix((v * fe) @ v.conj().T, hermitian=False)
+
+
+def reconstruct(spec):
+    """V Lambda V^dag of a spectral decomposition."""
+    v = spec.eigenvectors
+    return (v * spec.eigenvalues) @ v.conj().T
+
+
+def total_magnetization(n_sites):
+    """Total sigma^z operator (diagonal), for symmetry checks."""
+    return OperatorMatrix(np.diag(_spins(n_sites).sum(axis=1)).astype(complex))
+
+
+def measure2_inverse_transform(m, s):
+    """Two-point measure in the time domain: sum of weight * exp(-i omega s)."""
+    return complex(np.sum(m.weights * np.exp(-1j * m.omegas * s)))
+
+
+def measure3_inverse_transform(m, s1, s2):
+    """Three-point measure in the time domain: sum of weight * exp(-i (omega1 s1 + omega2 s2))."""
+    return complex(
+        np.sum(m.weights * np.exp(-1j * (m.omega1 * s1 + m.omega2 * s2)))
+    )

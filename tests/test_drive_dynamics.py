@@ -15,31 +15,35 @@ from spinwork import (
     infidelity,
     lambda_at,
     magnetization_sectors,
-    matrix_function,
     propagate,
     spectral_response,
 )
 from spinwork.drive_dynamics import ProtocolError, _parity_isometries, _symmetries
-from spinwork.spin_model import total_magnetization
+
+from conftest import matrix_function, total_magnetization
 
 
-def ramp(lam1=0.1, v=0.05, t_total=None, **kw):
+def ramp(lam1=0.1, v=0.05, t_total=None):
     if t_total is None:
         t_total = lam1 / v
-    return DriveProtocol(kind="ramp_hold", lambda_final=lam1, t_total=t_total, velocity=v, **kw)
+    return DriveProtocol(kind="ramp_hold", lambda_final=lam1, t_total=t_total, velocity=v)
 
 
 def quench(lam1=0.1, t_total=10.0):
     return DriveProtocol(kind="quench", lambda_final=lam1, t_total=t_total)
 
 
+def short_of_final():
+    """A sampled schedule that stops at 0.1 of its lambda_final = 1."""
+    return DriveProtocol(
+        kind="sampled", lambda_final=1.0, t_total=1.0, samples=np.array([[0.0, 0.0], [1.0, 0.1]])
+    )
+
+
 class TestDriveProtocol:
-    def test_incomplete_ramp_rejected_without_flag(self):
+    def test_incomplete_ramp_rejected(self):
         with pytest.raises(ProtocolError):
             DriveProtocol(kind="ramp_hold", lambda_final=1.0, t_total=1.0, velocity=0.1)
-        DriveProtocol(
-            kind="ramp_hold", lambda_final=1.0, t_total=1.0, velocity=0.1, allow_partial=True
-        )
 
     def test_sampled_requires_zero_start(self):
         with pytest.raises(ProtocolError):
@@ -53,7 +57,7 @@ class TestDriveProtocol:
     def test_completed_flags(self):
         assert ramp().completed
         assert quench().completed
-        partial = ramp(lam1=1.0, v=0.1, t_total=1.0, allow_partial=True)
+        partial = short_of_final()
         assert not partial.completed
 
 
@@ -354,7 +358,7 @@ class TestSpectralResponse:
         assert np.allclose(spectral_response(p_ramp, w), spectral_response(p_sampled, w), atol=1e-12)
 
     def test_requires_completed_protocol(self):
-        partial = ramp(lam1=1.0, v=0.1, t_total=1.0, allow_partial=True)
+        partial = short_of_final()
         with pytest.raises(ProtocolError):
             spectral_response(partial, 1.0)
 

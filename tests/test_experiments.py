@@ -27,7 +27,6 @@ from spinwork.experiments import (
     ScanRecord,
     config_from_dict,
     config_to_dict,
-    emit_config,
     emit_csv,
     emit_json_summary,
     load_config,
@@ -93,7 +92,7 @@ class TestConfigLoading:
     def test_round_trip(self, tmp_path):
         cfg = config_from_dict(tiny_config(grid=[0.05, "inf"]))
         path = tmp_path / "echo.json"
-        emit_config(cfg, path)
+        path.write_text(json.dumps(config_to_dict(cfg)))
         again = load_config(path)
         assert config_to_dict(again) == config_to_dict(cfg)
 
@@ -215,7 +214,7 @@ class TestScans:
         cfg = config_from_dict(
             tiny_config(scan="single", grid=[], protocol={"kind": "quench", "t_total": 5.0})
         )
-        record = run_single(cfg)
+        record = run_single(cfg)[0]
         assert math.isinf(record.scan_value)
         assert record.jarzynski_deviation < 1e-8
 
@@ -279,7 +278,7 @@ class TestScans:
                     protocol={"kind": "ramp_hold", "velocity": 0.05, "t_total": t_total},
                 )
             )
-            records.append(run_single(cfg))
+            records.append(run_single(cfg)[0])
         assert abs(records[0].infidelity - records[1].infidelity) < 1e-9
 
 
@@ -380,6 +379,18 @@ class TestCli:
         )
         path.write_text(json.dumps(cfg))
         assert self.run_cli(command, "--config", str(path)) == 2
+
+    @pytest.mark.parametrize("command", ["validate-config", "scan-velocity"])
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one_exit_code(self, tmp_path, capsys, command, threads):
+        out = tmp_path / "out"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config(output_dir=str(out))))
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(command, "--config", str(path), "--threads", threads)
+        assert exc.value.code == 2
+        assert "--threads: must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.name)
     def test_shipped_config_validates(self, path):

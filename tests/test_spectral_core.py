@@ -18,7 +18,6 @@ from spinwork import (
     infidelity,
     log_partition_function,
     magnetization_sectors,
-    matrix_function,
     propagate,
     thermal_expectation,
     uhlmann_fidelity,
@@ -26,7 +25,7 @@ from spinwork import (
 from spinwork.spectral_core import common_blocks, invariant_blocks
 from spinwork.work_statistics import _transition_kernel
 
-from conftest import two_site_operators
+from conftest import matrix_function, reconstruct, two_site_operators
 
 
 def haar_unitary(d, rng):
@@ -68,7 +67,7 @@ class TestEigendecompose:
         scale = np.abs(h).max()
         assert np.abs(got.eigenvalues - np.linalg.eigvalsh(h)).max() < 1e-12 * scale
         assert np.all(np.diff(got.eigenvalues) >= 0)
-        assert np.abs(got.reconstruct() - h).max() < 1e-12 * scale
+        assert np.abs(reconstruct(got) - h).max() < 1e-12 * scale
         v = got.eigenvectors
         assert np.abs(v.conj().T @ v - np.eye(d)).max() < 1e-12
         assert sorted(tuple(rows) for rows, _ in got.blocks) == sorted(map(tuple, magnetization_sectors(n)))
@@ -101,7 +100,7 @@ class TestEigendecompose:
         h = h0.matrix + 0.3 * h1.matrix
         spec = eigendecompose(OperatorMatrix(h))
         scale = np.abs(h).max()
-        assert np.linalg.norm(spec.reconstruct() - h) < 1e-10 * scale
+        assert np.linalg.norm(reconstruct(spec) - h) < 1e-10 * scale
         v = spec.eigenvectors
         assert np.linalg.norm(v.conj().T @ v - np.eye(spec.dimension)) < 1e-10
 
@@ -302,6 +301,22 @@ class TestUhlmannFidelity:
         with pytest.raises(ValueError):
             DensityMatrix.from_matrix(np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            # the fidelity clips to 1, so 2·I/4 against I/4 would read 1.0
+            (2 * np.eye(4) / 4, "trace"),
+            (np.eye(4) / 8, "trace"),
+            (np.eye(2) / 2 + 1j * np.eye(2) * 1e-3, "Hermitian"),
+            # eigh reads one triangle, so this unit-trace matrix would factor as I/2
+            (np.array([[0.5, 0.9], [0.0, 0.5]]), "Hermitian"),
+        ],
+        ids=["trace-2", "trace-half", "complex-diagonal", "one-triangle"],
+    )
+    def test_rejects_wrong_trace_or_non_hermitian(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix.from_matrix(matrix.astype(complex))
+
     def test_infidelity_conventions(self):
         rho = DensityMatrix.from_matrix(np.diag([0.7, 0.3]).astype(complex))
         sigma = DensityMatrix.from_matrix(np.diag([0.5, 0.5]).astype(complex))
@@ -353,7 +368,7 @@ class TestMismatchedPartitions:
     def test_kernel_and_fidelity_equal_dense_formulas(self, kind):
         h_i, h_f, u, blocks, n_common, beta = self.case(kind)
         spec_i, spec_f = eigendecompose(OperatorMatrix(h_i)), eigendecompose(OperatorMatrix(h_f))
-        prop = PropagatorResult(OperatorMatrix(u, hermitian=False), 0.0, "given", 0.0, blocks)
+        prop = PropagatorResult(OperatorMatrix(u, hermitian=False), 0.0, 0.0, blocks)
         assert len(common_blocks(8, prop.blocks, spec_i.blocks, spec_f.blocks)) == n_common
 
         _, v_i = np.linalg.eigh(h_i)

@@ -9,9 +9,9 @@ from spinwork import (
     build_zz,
     magnetization_sectors,
 )
-from spinwork.spin_model import DimensionError, spin_symmetries, total_magnetization, zz_diagonal
+from spinwork.spin_model import DimensionError, spin_symmetries, zz_diagonal
 
-from conftest import kron_chain_operators, two_site_operators
+from conftest import kron_chain_operators, total_magnetization, two_site_operators
 
 
 def comm_norm(a, b):
