@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--output", default=None, help="output directory override")
         p.add_argument("--dt", type=float, default=None, help="time step override")
-        p.add_argument("--threads", type=_worker_count, default=None, help="worker pool size (default: CPU count)")
+        p.add_argument("--threads", type=_worker_count, default=None, help="worker processes for scan points (default: CPU count)")
         p.add_argument("--full-scale", action="store_true", help="run the long N=11 variant")
         p.add_argument(
             "--fidelity-convention",
@@ -102,15 +102,16 @@ def main(argv=None) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
+    workers = xp.in_process_workers()  # the scans' pools overwrite it
     try:
         if args.command == "scan-velocity":
-            records = xp.run_velocity_scan(cfg, threads=args.threads)
+            records = xp.run_velocity_scan(cfg, threads=args.threads, workers=workers)
             fits = {}
         elif args.command == "scan-size":
-            records = xp.run_size_scan(cfg, threads=args.threads)
+            records = xp.run_size_scan(cfg, threads=args.threads, workers=workers)
             fits = {}
         elif args.command == "scan-lambda":
-            report = xp.run_lambda_scaling(cfg, threads=args.threads)
+            report = xp.run_lambda_scaling(cfg, threads=args.threads, workers=workers)
             records = report.records_adiabatic + report.records_quench
             fits = {
                 "slope_adiabatic": report.slope_adiabatic,
@@ -148,7 +149,7 @@ def main(argv=None) -> int:
     wall = time.perf_counter() - started
     stem = cfg.scan
     xp.emit_csv(records, out_dir / f"{stem}_records.csv")
-    xp.emit_json_summary(cfg, records, fits, out_dir / f"{stem}_summary.json", wall)
+    xp.emit_json_summary(cfg, records, fits, out_dir / f"{stem}_summary.json", wall, workers)
     for record in records:
         print(
             f"scan_value={record.scan_value:g} infidelity={record.infidelity:.6e} "

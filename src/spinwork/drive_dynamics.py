@@ -81,8 +81,8 @@ class DriveProtocol:
         if not np.isfinite(self.t_total) or self.t_total <= 0:
             raise ProtocolError(f"t_total must be positive, got {self.t_total}")
         if self.kind == "ramp_hold":
-            if self.velocity is None or self.velocity < 0:
-                raise ProtocolError("ramp_hold requires velocity >= 0")
+            if self.velocity is None or not 0 <= self.velocity < np.inf:
+                raise ProtocolError(f"ramp_hold requires a finite velocity >= 0, got {self.velocity}")
             if self.velocity * self.t_total < abs(self.lambda_final) * (1 - 1e-12):
                 raise ProtocolError("ramp does not reach lambda_final within t_total")
         if self.kind == "sampled":
@@ -195,12 +195,16 @@ def _expi(eig: tuple[np.ndarray, np.ndarray], tau: float) -> np.ndarray:
     return (v * np.exp(-1j * evals * tau)) @ v.conj().T
 
 
+def _step_count(p: DriveProtocol, dt: float) -> int:
+    """Steps of size ~dt over the varying segment [0, ramp_time]; 0 when it is empty."""
+    return max(1, int(round(p.ramp_time / dt))) if p.ramp_time > 0.0 else 0
+
+
 def _substep_schedule(p: DriveProtocol, dt: float, method: str):
     """Step h, substep widths and midpoint couplings over [0, ramp_time], with
     the distinct merged H0 gaps between diagonal kicks and each gap's index."""
-    t_var = p.ramp_time
-    nsteps = max(1, int(round(t_var / dt)))
-    h = t_var / nsteps
+    nsteps = _step_count(p, dt)
+    h = p.ramp_time / nsteps
     unit = np.array([_W1, _W0, _W1] if method == "suzuki4" else [1.0])
     widths = np.tile(unit * h, nsteps)
     starts = np.concatenate(([0.0], np.cumsum(widths)[:-1]))

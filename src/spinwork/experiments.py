@@ -1,27 +1,34 @@
 """Config-driven scans: velocity and size sweeps, coupling-scaling fits, and
 perturbative-vs-exact comparisons, with CSV/JSON emission.
 
-Scan points run on a bounded thread pool (the heavy dense algebra releases the
-GIL); records are gathered and sorted by scan value before emission, so output
-is deterministic for a fixed config.  The ``runtime_seconds`` column is wall
-time and is excluded from the bit-for-bit reproducibility guarantee.
+A scan point is a dt run and, when certified, a dt/2 run.  With one worker the
+points run in this process; otherwise the runs are tasks on a pool of forked
+processes, longest first, each with BLAS pinned to one thread (``_run_points``).
+The parent joins a point's two runs for the certification gate, and records
+are sorted by scan value before emission, so output is deterministic for a
+fixed config whatever the worker count.  The ``runtime_seconds`` column is the
+wall time of a point's runs, summed, and is excluded from the bit-for-bit
+reproducibility guarantee.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+import multiprocessing as mp
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .drive_dynamics import DriveProtocol, evolve_density, propagate
+from .drive_dynamics import DriveProtocol, _step_count, evolve_density, propagate
 from .perturbative_cfw import (
     SpectralMeasure2,
     SpectralMeasure3,
@@ -278,33 +285,11 @@ def _protocol_for(kind: str, velocity, lambda1: float, t_total: float) -> DriveP
     return DriveProtocol(kind="ramp_hold", lambda_final=lambda1, t_total=t_total, velocity=velocity)
 
 
-def _run_point(
-    ops: _ModelOps,
-    protocol: DriveProtocol,
-    beta: float,
-    scan_value: float,
-    dt: float,
-    fidelity_convention: str,
-    certify: bool = True,
-) -> tuple[ScanRecord, WorkDistribution]:
-    """One scan point: its record and the work distribution the record was built from."""
-    start = time.perf_counter()
-    spec_f = eigendecompose(assemble(ops.h0, ops.h1, protocol.lambda_final))
-    rho0 = gibbs_state(ops.spec0, beta)
-    target = gibbs_state(spec_f, beta)
-
-    prop = propagate(ops.h0, ops.h1, protocol, dt, method=PROPAGATION_METHOD)
-    evolved = evolve_density(rho0, prop)
-    infid = infidelity(evolved, target, fidelity_convention)
-
-    if certify and protocol.ramp_time > 0.0:
-        half = propagate(ops.h0, ops.h1, protocol, dt / 2.0, method=PROPAGATION_METHOD)
-        shift = abs(infidelity(evolve_density(rho0, half), target, fidelity_convention) - infid)
-        if shift > CERTIFICATION_SHIFT:
-            raise CertificationError(
-                f"dt={dt} not certified at scan value {scan_value}: infidelity shift {shift:.3e}"
-            )
-
+def _point_main(ops: _ModelOps, spec_f, protocol: DriveProtocol, beta: float, scan_value: float, dt: float,
+                fidelity_convention: str) -> tuple[ScanRecord, WorkDistribution]:
+    """A scan point's dt run: its record, with the infidelity not yet certified
+    and no runtime, and the work distribution the record was built from."""
+    infid, prop = _point_infidelity(ops, spec_f, protocol, beta, dt, fidelity_convention)
     dist = tpm_distribution(ops.spec0, spec_f, prop, beta)
     jz = jarzynski_check(
         dist,
@@ -325,26 +310,164 @@ def _run_point(
         avg_work=average_work(dist),
         jarzynski_deviation=jz.abs_deviation,
         delta_variance=delta.variance,
-        runtime_seconds=time.perf_counter() - start,
+        runtime_seconds=0.0,
     )
     return record, dist
 
 
-def _pool_map(jobs, threads: Optional[int]):
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
+def _point_infidelity(ops: _ModelOps, spec_f, protocol: DriveProtocol, beta: float, dt: float,
+                      fidelity_convention: str):
+    """Infidelity of the initial Gibbs state evolved at step dt against the final
+    Gibbs state, and the propagator.  At dt/2 this is a point's certification run."""
+    prop = propagate(ops.h0, ops.h1, protocol, dt, method=PROPAGATION_METHOD)
+    evolved = evolve_density(gibbs_state(ops.spec0, beta), prop)
+    return infidelity(evolved, gibbs_state(spec_f, beta), fidelity_convention), prop
 
 
-def run_velocity_scan(cfg: RunConfig, threads: Optional[int] = None, certify: bool = True) -> list[ScanRecord]:
+def _certified(record: ScanRecord, half_infidelity: Optional[float], seconds: float, dt: float) -> ScanRecord:
+    """The record with its runtime, once the dt/2 run's infidelity (None when
+    the point is not certified) agrees with the record's to CERTIFICATION_SHIFT."""
+    if half_infidelity is not None:
+        shift = abs(half_infidelity - record.infidelity)
+        if shift > CERTIFICATION_SHIFT:
+            raise CertificationError(
+                f"dt={dt} not certified at scan value {record.scan_value}: infidelity shift {shift:.3e}"
+            )
+    return replace(record, runtime_seconds=seconds)
+
+
+def _levels(protocol: DriveProtocol, certify: bool) -> tuple:
+    """A point's runs: step dt / 2**level for each level."""
+    return (0, 1) if certify and protocol.ramp_time > 0.0 else (0,)
+
+
+def _run_point(ops: _ModelOps, protocol: DriveProtocol, beta: float, scan_value: float, dt: float,
+               fidelity_convention: str, certify: bool = True) -> tuple[ScanRecord, WorkDistribution]:
+    """One scan point in this process: its record and the work distribution the record was built from."""
+    start = time.perf_counter()
+    spec_f = eigendecompose(assemble(ops.h0, ops.h1, protocol.lambda_final))
+    record, dist = _point_main(ops, spec_f, protocol, beta, scan_value, dt, fidelity_convention)
+    half = None
+    if 1 in _levels(protocol, certify):
+        half = _point_infidelity(ops, spec_f, protocol, beta, dt / 2.0, fidelity_convention)[0]
+    return _certified(record, half, time.perf_counter() - start, dt), dist
+
+
+# A pool worker's model operators by spec: those the parent built before the
+# fork, plus those the worker built itself.
+_worker_ops: dict = {}
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled scipy-openblas library, or None when numpy links another BLAS."""
+    found = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    return ctypes.CDLL(str(found[0])) if found else None
+
+
+def _blas_threads() -> Optional[int]:
+    """This process's BLAS thread count, or None when it cannot be read."""
+    lib = _openblas()
+    return None if lib is None else int(lib.scipy_openblas_get_num_threads64_())
+
+
+def in_process_workers() -> dict:
+    """The worker setup of a run in this process, as the summary JSON records it."""
+    return {"count": 1, "start_method": None, "blas_threads": _blas_threads()}
+
+
+def _init_worker(prebuilt: dict) -> None:
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+    _worker_ops.update(prebuilt)
+
+
+def _run_task(level: int, spec: SpinChainSpec, protocol: DriveProtocol, scan_value: float, beta: float,
+              dt: float, fidelity_convention: str):
+    """One pool task and its wall time: the point's record at level 0, its dt/2 infidelity at level 1."""
+    start = time.perf_counter()
+    if spec not in _worker_ops:
+        _worker_ops[spec] = _ModelOps.build(spec)
+    ops = _worker_ops[spec]
+    spec_f = eigendecompose(assemble(ops.h0, ops.h1, protocol.lambda_final))
+    if level == 0:
+        result = _point_main(ops, spec_f, protocol, beta, scan_value, dt, fidelity_convention)[0]
+    else:
+        result = _point_infidelity(ops, spec_f, protocol, beta, dt / 2.0, fidelity_convention)[0]
+    return result, time.perf_counter() - start
+
+
+def _run_points(cfg: RunConfig, points: list, prebuilt: dict, threads: Optional[int], certify: bool,
+                workers: Optional[dict]) -> list[ScanRecord]:
+    """Records of ``points``, (spec, protocol, scan value) triples, in their order.
+
+    Each point is a dt task and, when certified, a dt/2 task.  With one worker
+    they run in this process; otherwise on a pool of min(threads, tasks)
+    forked processes, longest first, with BLAS pinned to one thread in each.
+    The workers inherit ``prebuilt``, {spec: _ModelOps}, and build any other
+    spec themselves.  The first error cancels the pending tasks and is raised
+    once the pool has shut down.  ``workers``, when given, receives the
+    worker count, the start method and the workers' BLAS thread count.
+    """
+    tasks = [
+        (i, level) for i, (_, protocol, _) in enumerate(points) for level in _levels(protocol, certify)
+    ]
+    count = min(os.cpu_count() or 1 if threads is None else threads, len(tasks))
+    if count <= 1 or "fork" not in mp.get_all_start_methods():
+        if workers is not None:
+            workers.update(in_process_workers())
+        return [
+            _run_point(
+                prebuilt.get(spec) or _ModelOps.build(spec),
+                protocol, cfg.beta, value, cfg.dt, cfg.fidelity_convention, certify,
+            )[0]
+            for spec, protocol, value in points
+        ]
+
+    def cost(task):
+        """Steps of the task's run (a hold or quench exponential counts as one)
+        times the matmul flops of the sectors, sum C(N, k)^3."""
+        spec, protocol, _ = points[task[0]]
+        steps = _step_count(protocol, cfg.dt / 2 ** task[1]) + 1
+        return steps * sum(math.comb(spec.n_sites, k) ** 3 for k in range(spec.n_sites + 1))
+
+    tasks.sort(key=cost, reverse=True)
+    # fork: the workers inherit the imported modules and ``prebuilt`` instead
+    # of re-importing and rebuilding them (a spawned worker spends ~0.45 s on imports)
+    pool = ProcessPoolExecutor(count, mp_context=mp.get_context("fork"),
+                               initializer=_init_worker, initargs=(prebuilt,))
+    results = {}
+    try:
+        blas = pool.submit(_blas_threads)
+        futures = {
+            pool.submit(_run_task, level, *points[i], cfg.beta, cfg.dt, cfg.fidelity_convention): (i, level)
+            for i, level in tasks
+        }
+        for future in as_completed(futures):
+            results[futures[future]] = future.result()
+        blas_threads = blas.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+    if workers is not None:
+        workers.update(count=count, start_method="fork", blas_threads=blas_threads)
+
+    records = []
+    for i in range(len(points)):
+        record, seconds = results[i, 0]
+        half, half_seconds = results.get((i, 1), (None, 0.0))
+        records.append(_certified(record, half, seconds + half_seconds, cfg.dt))
+    return records
+
+
+def run_velocity_scan(
+    cfg: RunConfig, threads: Optional[int] = None, certify: bool = True, workers: Optional[dict] = None
+) -> list[ScanRecord]:
     """Ramp-then-hold infidelity versus ramp velocity, plus the quench sentinel.
 
     Every protocol shares t_total = |lambda1| / min(finite grid velocities), so
-    faster ramps hold at full coupling for the remaining time.
+    faster ramps hold at full coupling for the remaining time.  ``threads`` and
+    ``workers`` are as in ``_run_points``.
     """
     grid = sorted(cfg.grid)
     finite = [v for v in grid if math.isfinite(v)]
@@ -353,29 +476,26 @@ def run_velocity_scan(cfg: RunConfig, threads: Optional[int] = None, certify: bo
     if not any(math.isinf(v) for v in grid):
         grid.append(math.inf)
     t_total = abs(cfg.lambda1) / min(finite) if cfg.lambda1 != 0.0 else cfg.t_total
-    ops = _ModelOps.build(cfg.model)
-
-    def job(v):
-        protocol = _protocol_for("quench" if math.isinf(v) else "ramp_hold", v, cfg.lambda1, t_total)
-        return lambda: _run_point(ops, protocol, cfg.beta, v, cfg.dt, cfg.fidelity_convention, certify)[0]
-
-    records = _pool_map([job(v) for v in grid], threads)
+    points = [
+        (cfg.model, _protocol_for("quench" if math.isinf(v) else "ramp_hold", v, cfg.lambda1, t_total), v)
+        for v in grid
+    ]
+    records = _run_points(cfg, points, {cfg.model: _ModelOps.build(cfg.model)}, threads, certify, workers)
     return sorted(records, key=lambda r: r.scan_value)
 
 
-def run_size_scan(cfg: RunConfig, threads: Optional[int] = None, certify: bool = True) -> list[ScanRecord]:
-    """Infidelity versus chain length at the configured ramp velocity and total time."""
-    sizes = sorted(int(v) for v in cfg.grid)
+def run_size_scan(
+    cfg: RunConfig, threads: Optional[int] = None, certify: bool = True, workers: Optional[dict] = None
+) -> list[ScanRecord]:
+    """Infidelity versus chain length at the configured ramp velocity and total
+    time.  Each point builds its own model, in the worker that runs it;
+    ``threads`` and ``workers`` are as in ``_run_points``."""
     protocol = _protocol_for(cfg.protocol_kind, cfg.velocity, cfg.lambda1, cfg.t_total)
-
-    def job(n):
-        spec = SpinChainSpec(n, cfg.model.coupling, cfg.model.boundary)
-        return lambda: _run_point(
-            _ModelOps.build(spec), protocol, cfg.beta, float(n), cfg.dt, cfg.fidelity_convention, certify
-        )[0]
-
-    records = _pool_map([job(n) for n in sizes], threads)
-    return sorted(records, key=lambda r: r.scan_value)
+    points = [
+        (SpinChainSpec(n, cfg.model.coupling, cfg.model.boundary), protocol, float(n))
+        for n in sorted(int(v) for v in cfg.grid)
+    ]
+    return _run_points(cfg, points, {}, threads, certify, workers)
 
 
 @dataclass(frozen=True)
@@ -401,27 +521,23 @@ def _loglog_fit(xs, ys):
 
 
 def run_lambda_scaling(
-    cfg: RunConfig, threads: Optional[int] = None, certify: bool = True, slow_velocity: float = 1e-3
+    cfg: RunConfig, threads: Optional[int] = None, certify: bool = True, slow_velocity: float = 1e-3,
+    workers: Optional[dict] = None,
 ) -> ScalingReport:
     """Log-log fit of infidelity versus coupling for a slow full ramp and a quench.
 
     The slow ramp ends exactly at t_r = lambda1 / slow_velocity per coupling;
     the quench evolves for the configured t_total (its infidelity is
-    hold-time independent).
+    hold-time independent).  ``threads`` and ``workers`` are as in ``_run_points``.
     """
     lams = sorted(float(v) for v in cfg.grid)
     if len(lams) < 2:
         raise ConfigError("grid: scaling fit needs at least 2 coupling values")
-    ops = _ModelOps.build(cfg.model)
-
-    def job(lam, quench):
-        if quench:
-            protocol = _protocol_for("quench", None, lam, cfg.t_total)
-        else:
-            protocol = _protocol_for("ramp_hold", slow_velocity, lam, lam / slow_velocity)
-        return lambda: _run_point(ops, protocol, cfg.beta, lam, cfg.dt, cfg.fidelity_convention, certify)[0]
-
-    results = _pool_map([job(lam, quench) for quench in (False, True) for lam in lams], threads)
+    points = [
+        (cfg.model, _protocol_for("ramp_hold", slow_velocity, lam, lam / slow_velocity), lam) for lam in lams
+    ]
+    points += [(cfg.model, _protocol_for("quench", None, lam, cfg.t_total), lam) for lam in lams]
+    results = _run_points(cfg, points, {cfg.model: _ModelOps.build(cfg.model)}, threads, certify, workers)
     ramp_records, quench_records = results[: len(lams)], results[len(lams) :]
 
     def usable(records):
@@ -537,12 +653,15 @@ def emit_csv(records: list[ScanRecord], path) -> None:
     write_csv(path, CSV_COLUMNS, ([getattr(r, c) for c in CSV_COLUMNS] for r in records))
 
 
-def emit_json_summary(cfg: RunConfig, records, fits, path, wall_time: float) -> None:
+def emit_json_summary(cfg: RunConfig, records, fits, path, wall_time: float, workers: dict) -> None:
+    """The run's config, records, fits, wall time and worker setup
+    ({count, start_method, blas_threads}, as ``_run_points`` reports it)."""
     payload = {
         "config": config_to_dict(cfg),
         "records": [asdict(r) for r in records],
         "fits": fits,
         "tool_version": __version__,
         "wall_time": wall_time,
+        "workers": workers,
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

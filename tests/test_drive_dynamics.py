@@ -45,6 +45,16 @@ class TestDriveProtocol:
         with pytest.raises(ProtocolError):
             DriveProtocol(kind="ramp_hold", lambda_final=1.0, t_total=1.0, velocity=0.1)
 
+    @pytest.mark.parametrize("velocity", [np.nan, np.inf])
+    def test_non_finite_ramp_velocity_rejected(self, velocity):
+        # a NaN velocity used to pass both checks and fail later inside propagate's matmul
+        spec = SpinChainSpec(3, 2.0)
+        with pytest.raises(ProtocolError, match="finite velocity"):
+            propagate(
+                build_hopping(spec), build_zz(spec),
+                DriveProtocol(kind="ramp_hold", lambda_final=0.1, t_total=4.0, velocity=velocity), 0.02,
+            )
+
     def test_sampled_requires_zero_start(self):
         with pytest.raises(ProtocolError):
             DriveProtocol(

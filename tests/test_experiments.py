@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -11,6 +13,8 @@ import numpy as np
 import pytest
 
 import spinwork.experiments as xp
+from spinwork import drive_dynamics
+from spinwork.spin_model import DimensionError
 from spinwork import (
     SpinChainSpec,
     assemble,
@@ -140,12 +144,14 @@ class TestEmission:
     def test_json_summary_embeds_config(self, tmp_path):
         cfg = config_from_dict(tiny_config())
         path = tmp_path / "s.json"
-        emit_json_summary(cfg, self.records(), {"slope": 2.0}, path, 1.25)
+        workers = {"count": 2, "start_method": "fork", "blas_threads": 1}
+        emit_json_summary(cfg, self.records(), {"slope": 2.0}, path, 1.25, workers)
         payload = json.loads(path.read_text())
         assert payload["config"]["model"]["n_sites"] == 3
         assert payload["fits"]["slope"] == 2.0
         assert payload["tool_version"]
         assert len(payload["records"]) == 2
+        assert payload["workers"] == workers
 
 
 class TestScans:
@@ -256,16 +262,53 @@ class TestScans:
                 pert3 = lnchi_third_order_adiabatic(m3, entry.lambda1, report.curves["u"])
                 assert report.curves[f"lam_{entry.lambda1}"]["pert3_im"] == np.imag(pert3.ln_chi).tolist()
 
-    def test_determinism_modulo_runtime(self, tmp_path):
-        cfg = config_from_dict(tiny_config())
-        a = run_velocity_scan(cfg, threads=2)
-        b = run_velocity_scan(cfg, threads=1)
+    @staticmethod
+    def assert_same_records_apart_from_runtime(a, b, tmp_path):
         emit_csv(a, tmp_path / "a.csv")
         emit_csv(b, tmp_path / "b.csv")
         def stripped(path):
             rows = (tmp_path / path).read_text().strip().split("\n")
-            return ["," .join(r.split(",")[:-1]) for r in rows]
+            return [",".join(r.split(",")[:-1]) for r in rows]
         assert stripped("a.csv") == stripped("b.csv")
+
+    def test_determinism_modulo_runtime(self, tmp_path):
+        cfg = config_from_dict(tiny_config())
+        a = run_velocity_scan(cfg, threads=2)
+        b = run_velocity_scan(cfg, threads=1)
+        self.assert_same_records_apart_from_runtime(a, b, tmp_path)
+        assert not multiprocessing.active_children()
+
+    def test_size_scan_determinism_modulo_runtime(self, tmp_path):
+        cfg = config_from_dict(tiny_config(scan="size", grid=[2, 3, 4]))
+        a = run_size_scan(cfg, threads=2)
+        b = run_size_scan(cfg, threads=1)
+        self.assert_same_records_apart_from_runtime(a, b, tmp_path)
+
+    def test_lambda_scaling_determinism_modulo_runtime(self, tmp_path):
+        cfg = config_from_dict(tiny_config(scan="lambda_scaling", grid=[0.1, 0.2]))
+        a = run_lambda_scaling(cfg, threads=2, slow_velocity=0.02)
+        b = run_lambda_scaling(cfg, threads=1, slow_velocity=0.02)
+        self.assert_same_records_apart_from_runtime(
+            a.records_adiabatic + a.records_quench, b.records_adiabatic + b.records_quench, tmp_path
+        )
+        assert (a.slope_adiabatic, a.slope_quench) == (b.slope_adiabatic, b.slope_quench)
+
+    def test_pool_and_in_process_worker_setup(self):
+        cfg = config_from_dict(tiny_config())
+        pooled, in_process = {}, {}
+        run_velocity_scan(cfg, threads=2, workers=pooled)
+        run_velocity_scan(cfg, threads=1, workers=in_process)
+        # a worker pins its BLAS to one thread whatever the parent runs on
+        assert pooled == {"count": 2, "start_method": "fork", "blas_threads": 1}
+        assert in_process["count"] == 1 and in_process["start_method"] is None
+
+    def test_pool_record_runtime_sums_its_tasks(self, monkeypatch):
+        # each clock reading advances one second, so every task measures 1 s:
+        # the two ramps run a dt and a dt/2 task, the quench one task
+        ticks = itertools.count()
+        monkeypatch.setattr(xp.time, "perf_counter", lambda: float(next(ticks)))
+        records = run_velocity_scan(config_from_dict(tiny_config()), threads=2)
+        assert [r.runtime_seconds for r in records] == [2.0, 2.0, 1.0]
 
     def test_plateau_under_longer_hold(self):
         # the ramp ends at t = 2; doubling the hold leaves the infidelity fixed
@@ -446,6 +489,68 @@ class TestCli:
         path.write_text(json.dumps(tiny_config()))
         monkeypatch.setattr(xp, "CERTIFICATION_SHIFT", 1e-30)
         assert self.run_cli("scan-velocity", "--config", str(path), "--threads", "1") == 3
+
+    def test_pool_certification_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the gate runs in the parent when it joins a point's dt and dt/2 tasks
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config()))
+        monkeypatch.setattr(xp, "CERTIFICATION_SHIFT", 1e-30)
+        assert self.run_cli("scan-velocity", "--config", str(path), "--threads", "2") == 3
+        assert "not certified at scan value" in capsys.readouterr().err
+        assert not multiprocessing.active_children()
+
+    def test_worker_unitarity_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the forked workers inherit the lowered guard
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config()))
+        monkeypatch.setattr(drive_dynamics, "UNITARITY_ABORT", -1.0)
+        assert self.run_cli("scan-velocity", "--config", str(path), "--threads", "2") == 3
+        assert "unitarity defect" in capsys.readouterr().err
+        assert not multiprocessing.active_children()
+
+    def test_worker_dimension_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        def too_large(*args, **kwargs):
+            raise DimensionError("distribution too large")
+
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config(scan="size", grid=[2, 3, 4])))
+        monkeypatch.setattr(xp, "tpm_distribution", too_large)
+        assert self.run_cli("scan-size", "--config", str(path), "--threads", "2") == 2
+        assert "config error: distribution too large" in capsys.readouterr().err
+        assert not multiprocessing.active_children()
+
+    def test_summary_records_worker_setup(self, tmp_path):
+        path = tmp_path / "c.json"
+        out = tmp_path / "out"
+        path.write_text(json.dumps(tiny_config(output_dir=str(out))))
+        assert self.run_cli("scan-velocity", "--config", str(path), "--threads", "2") == 0
+        payload = json.loads((out / "velocity_summary.json").read_text())
+        assert list(payload) == ["config", "records", "fits", "tool_version", "wall_time", "workers"]
+        assert payload["workers"] == {"count": 2, "start_method": "fork", "blas_threads": 1}
+        assert (out / "velocity_records.csv").read_text().split("\n")[0] == ",".join(CSV_COLUMNS)
+
+    def test_unpinned_pool_matches_pinned_serial_run(self, tmp_path):
+        # records apart from runtime_seconds do not depend on the worker count or the BLAS setting
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config(model={"n_sites": 6, "coupling": 2.0}, grid=[0.05, 0.2, "inf"])))
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
+        pinned = dict(env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        outputs = {}
+        for name, threads, run_env in (("unpinned", "2", env), ("pinned", "1", pinned)):
+            out = tmp_path / name
+            run = subprocess.run(
+                [sys.executable, "-m", "spinwork.cli", "scan-velocity", "--config", str(path),
+                 "--output", str(out), "--threads", threads],
+                env=run_env, capture_output=True, text=True, timeout=300,
+            )
+            assert run.returncode == 0, run.stderr
+            rows = (out / "velocity_records.csv").read_text().split("\n")
+            outputs[name] = [row.rpartition(",")[0] for row in rows]
+            outputs[name + "_workers"] = json.loads((out / "velocity_summary.json").read_text())["workers"]
+        assert outputs["unpinned"] == outputs["pinned"]
+        assert outputs["unpinned_workers"] == {"count": 2, "start_method": "fork", "blas_threads": 1}
+        assert outputs["pinned_workers"] == {"count": 1, "start_method": None, "blas_threads": 1}
 
     def test_single_emits_distribution_and_cfw(self, tmp_path):
         path = tmp_path / "c.json"
