@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--output", default=None, help="output directory override")
         p.add_argument("--dt", type=float, default=None, help="time step override")
-        p.add_argument("--threads", type=_worker_count, default=None, help="worker processes for scan points (default: CPU count)")
+        p.add_argument("--threads", type=_worker_count, default=None, help="worker pool size (default: CPU count)")
         p.add_argument("--full-scale", action="store_true", help="run the long N=11 variant")
         p.add_argument(
             "--fidelity-convention",
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    workers = xp.in_process_workers()  # the scans' pools overwrite it
+    workers = xp.in_process_workers()  # single and pert-compare; the scans report their own
     try:
         if args.command == "scan-velocity":
             records = xp.run_velocity_scan(cfg, threads=args.threads, workers=workers)

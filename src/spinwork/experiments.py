@@ -362,13 +362,20 @@ _worker_ops: dict = {}
 def _openblas():
     """numpy's bundled scipy-openblas library, or None when numpy links another BLAS."""
     found = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
-    return ctypes.CDLL(str(found[0])) if found else None
+    if not found:
+        return None
+    lib = ctypes.CDLL(str(found[0]))
+    lib.scipy_openblas_get_num_threads64_.argtypes = []
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads64_.restype = None
+    return lib
 
 
 def _blas_threads() -> Optional[int]:
     """This process's BLAS thread count, or None when it cannot be read."""
     lib = _openblas()
-    return None if lib is None else int(lib.scipy_openblas_get_num_threads64_())
+    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
 
 
 def in_process_workers() -> dict:
@@ -434,7 +441,9 @@ def _run_points(cfg: RunConfig, points: list, prebuilt: dict, threads: Optional[
 
     tasks.sort(key=cost, reverse=True)
     # fork: the workers inherit the imported modules and ``prebuilt`` instead
-    # of re-importing and rebuilding them (a spawned worker spends ~0.45 s on imports)
+    # of re-importing and rebuilding them (a spawned worker spends ~0.45 s on
+    # imports).  Forking is safe while the caller runs no other thread; OpenBLAS
+    # stops its own threads before a fork.
     pool = ProcessPoolExecutor(count, mp_context=mp.get_context("fork"),
                                initializer=_init_worker, initargs=(prebuilt,))
     results = {}
