@@ -10,13 +10,13 @@ Propagation conventions (hbar = 1, time in inverse energy units):
     segment end; the realized step (within rounding of the requested dt) is
     reported as ``dt_used``.
   * Coupling is sampled at substep midpoints for every method.
-  * Each invariant block (connected component of the joint nonzero pattern of
-    H0 and H1, found on every call by ``spectral_core.invariant_blocks``; the
+  * Each block common to H0 and H1 (the blocks they were built on: the
     magnetization sectors for the XXZ chain) is propagated on its own with one
-    substep schedule shared by all.  The result records the blocks, and
+    substep schedule shared by all.  U is an operator on the same blocks, and
     ``evolve_density`` works on them.
   * Of the spin flip and the site reflection (``spin_model.spin_symmetries``),
-    those under which H0 and H1 are exactly invariant reduce the stepping.
+    those under which H0 and H1 are exactly invariant, checked block by block,
+    reduce the stepping.
     A block that a symmetry maps onto another block is stepped once and the
     image is its permuted copy (the flip pairs sector k with sector N - k).
     A block stepped is split by the real isometries onto the joint +-1
@@ -41,8 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .spin_model import DimensionError, OperatorMatrix, spin_symmetries
-from .spectral_core import DensityMatrix, common_blocks, invariant_blocks
+from .spin_model import OperatorMatrix, common_blocks, spin_symmetries
+from .spectral_core import DensityMatrix
 
 #: Triple-jump composition coefficients for the fourth-order method.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -180,13 +180,11 @@ def spectral_response(p: DriveProtocol, omega) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class PropagatorResult:
-    """U(t_total) with one (rows, rows) pair per invariant block it was stepped
-    on; U is exactly zero between blocks."""
+    """U(t_total), an operator on the blocks it was stepped on."""
 
     unitary: OperatorMatrix
     dt_used: float
     unitarity_defect: float
-    blocks: tuple
 
 
 def _expi(eig: tuple[np.ndarray, np.ndarray], tau: float) -> np.ndarray:
@@ -247,14 +245,23 @@ def _propagate_block(
     return u
 
 
-def _symmetries(*matrices: np.ndarray) -> list[np.ndarray]:
-    """Those of the spin flip and the site reflection under which every matrix is exactly invariant."""
-    n_sites = matrices[0].shape[0].bit_length() - 1
-    return [
-        g
-        for g in spin_symmetries(n_sites)
-        if all(np.array_equal(m[np.ix_(g, g)], m) for m in matrices)
-    ]
+def _symmetries(blocks: list) -> list[np.ndarray]:
+    """Those of the spin flip and the site reflection under which operators given on
+    common blocks (``common_blocks``) are exactly invariant: each block maps onto
+    a block, and each of its arrays onto that block's."""
+    first = {rows[0]: k for k, (rows, _) in enumerate(blocks)}
+
+    def invariant(g, rows, arrays):
+        if g[rows].min() not in first:
+            return False
+        target, images = blocks[first[g[rows].min()]]
+        at = np.ix_(*[np.searchsorted(target, g[rows])] * 2)
+        return np.array_equal(np.sort(g[rows]), target) and all(
+            np.array_equal(b[at], a) for (_, a), (_, b) in zip(arrays, images)
+        )
+
+    n_sites = sum(rows.size for rows, _ in blocks).bit_length() - 1
+    return [g for g in spin_symmetries(n_sites) if all(invariant(g, *block) for block in blocks)]
 
 
 def _parity_isometries(rows: np.ndarray, symmetries: list[np.ndarray]) -> list[np.ndarray]:
@@ -295,74 +302,52 @@ def propagate(
 ) -> PropagatorResult:
     """Time-ordered propagator U(t_total) for H(t) = H0 + lambda(t) H1.
 
-    Each invariant block of H0 and H1 is stepped on its own, reduced by the
+    Each block common to H0 and H1 is stepped on its own, reduced by the
     spin-flip and reflection symmetries the two share (see the module notes).
     ``midpoint_exact`` takes any Hermitian H1; ``strang`` and ``suzuki4``
     need H1 diagonal in the computational basis.
     """
-    if h0.dimension != h1.dimension:
-        raise DimensionError(f"dimension mismatch: {h0.dimension} vs {h1.dimension}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if method not in ("strang", "suzuki4", "midpoint_exact"):
         raise ValueError(f"unknown method {method!r}")
+    blocks = common_blocks(h0.blocks, h1.blocks)
     if method in ("strang", "suzuki4"):
-        h1_diag = np.real(np.diag(h1.matrix))
-        offdiag = np.abs(h1.matrix - np.diag(np.diag(h1.matrix))).max()
-        if offdiag > 1e-12 * max(np.abs(h1_diag).max(), 1.0):
+        h1_blocks = [h1b for _, (_, (_, h1b)) in blocks]
+        scale = max(max(np.abs(np.diag(b)).max() for b in h1_blocks), 1.0)
+        if any(np.abs(b - np.diag(np.diag(b))).max() > 1e-12 * scale for b in h1_blocks):
             raise ValueError(f"{method} requires the interaction part diagonal in the computational basis")
 
     schedule = _substep_schedule(p, dt, method) if p.ramp_time > 0.0 else None
-    d = h0.dimension
-    u = np.zeros((d, d), dtype=complex)
-    blocks = invariant_blocks(h0.matrix, h1.matrix)
-    symmetries = _symmetries(h0.matrix, h1.matrix)
-    label = np.empty(d, dtype=np.intp)
-    for k, idx in enumerate(blocks):
-        label[idx] = k
-    done = np.zeros(len(blocks), dtype=bool)
-    squared_defect = 0.0
-    for k, idx in enumerate(blocks):
-        if done[k]:
+    symmetries = _symmetries(blocks)
+    first = {rows[0]: k for k, (rows, _) in enumerate(blocks)}
+    stepped = [None] * len(blocks)
+    for k, (idx, ((_, h0b), (_, h1b))) in enumerate(blocks):
+        if stepped[k] is not None:
             continue
-        done[k] = True
-        h0b, h1b = h0.matrix[np.ix_(idx, idx)], h1.matrix[np.ix_(idx, idx)]
         ub = np.zeros((idx.size, idx.size), dtype=complex)
         for s in _parity_isometries(idx, symmetries):
             ub += s @ _propagate_block(s.T @ h0b @ s, s.T @ h1b @ s, p, schedule, method) @ s.T
-        assembled = [(idx, ub)]
+        stepped[k] = ub
         # U commutes with each symmetry, so the block it maps this one onto is a copy
         for g in symmetries:
-            image = label[g[idx[0]]]
-            if not done[image]:
-                done[image] = True
+            image = first[g[idx].min()]
+            if stepped[image] is None:
                 order = np.argsort(g[idx])
-                assembled.append((blocks[image], ub[np.ix_(order, order)]))
-        for rows, ur in assembled:
-            u[np.ix_(rows, rows)] = ur
-            squared_defect += np.linalg.norm(ur.conj().T @ ur - np.eye(rows.size)) ** 2
+                stepped[image] = ub[np.ix_(order, order)]
 
     # U^dag U - 1 vanishes between blocks, so the blocks' Frobenius defects add up
-    defect = float(np.sqrt(squared_defect))
+    defect = float(np.sqrt(sum(np.linalg.norm(ub.conj().T @ ub - np.eye(ub.shape[0])) ** 2 for ub in stepped)))
     if defect > UNITARITY_ABORT:
         raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {UNITARITY_ABORT}")
     return PropagatorResult(
-        unitary=OperatorMatrix(u, hermitian=False),
+        unitary=OperatorMatrix(tuple((idx, idx, ub) for (idx, _), ub in zip(blocks, stepped)), hermitian=False),
         dt_used=p.t_total if schedule is None else schedule[0],
         unitarity_defect=defect,
-        blocks=tuple((idx, idx) for idx in blocks),
     )
 
 
 def evolve_density(rho0: DensityMatrix, u: PropagatorResult) -> DensityMatrix:
-    """U rho U^dag as factors: X -> U X on each block common to U and rho.
-    No d x d matrix of the state is formed."""
-    m = u.unitary.matrix
-    if rho0.dimension != m.shape[0]:
-        raise DimensionError(f"dimension mismatch: {rho0.dimension} vs {m.shape[0]}")
-    vectors = np.zeros(rho0.vectors.shape, dtype=complex)
-    blocks = []
-    for rows, (_, cols) in common_blocks(m.shape[0], u.blocks, rho0.blocks):
-        vectors[np.ix_(rows, cols)] = m[np.ix_(rows, rows)] @ rho0.vectors[np.ix_(rows, cols)]
-        blocks.append((rows, cols))
-    return DensityMatrix(vectors, rho0.weights, tuple(blocks))
+    """U rho U^dag as factors: X -> U X on each block common to U and rho."""
+    blocks = common_blocks(u.unitary.blocks, rho0.blocks)
+    return DensityMatrix(rho0.weights, tuple((rows, cols, m @ x) for rows, ((_, m), (cols, x)) in blocks))

@@ -25,11 +25,11 @@ evolution and confirmed by the quadrature oracle, which needs no denominators
 at all).  Quasi-degenerate atoms just above the floor are reported via
 :class:`DegenerateAtomWarning`.
 
-Cost: H1 in the H0 eigenbasis is block diagonal over its invariant blocks
-(the magnetization sectors for the XXZ chain), so the three-point measure
-builds its raw atoms per block, sum_b b^3 of them instead of d^3, and checks
-their estimated memory against the machine's limit before allocating.  The
-quadrature oracle sums each leg over factored panels and derives u < 0 from
+Cost: H1 in the H0 eigenbasis is block diagonal over the blocks common to
+both (the magnetization sectors for the XXZ chain), so both measures build
+their atoms per block: the three-point measure sum_b b^3 raw atoms instead
+of d^3, after checking their estimated memory against the machine's limit.
+The quadrature oracle sums each leg over factored panels and derives u < 0 from
 |u| by conjugation; its terms are products over the atoms for the whole u grid.
 """
 from __future__ import annotations
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive_dynamics import DriveProtocol, lambda_at, spectral_response
-from .spectral_core import SpectralDecomposition, boltzmann_weights, invariant_blocks, thermal_expectation
-from .spin_model import DimensionError, OperatorMatrix
+from .spectral_core import SpectralDecomposition, boltzmann_weights, thermal_expectation
+from .spin_model import DimensionError, OperatorMatrix, common_blocks
 from .work_statistics import CfwSamples, merge_atoms, write_csv
 
 WEIGHT_FLOOR = 1e-12
@@ -97,9 +97,12 @@ def first_cumulant(h0_spec: SpectralDecomposition, h1: OperatorMatrix, beta: flo
     return thermal_expectation(h0_spec, beta, h1)
 
 
-def _interaction_eigenbasis(h0_spec: SpectralDecomposition, h1: OperatorMatrix) -> np.ndarray:
-    v = h0_spec.eigenvectors
-    return v.conj().T @ h1.matrix @ v
+def _interaction_blocks(h0_spec: SpectralDecomposition, h1: OperatorMatrix, p: np.ndarray):
+    """a = V_0^dag H1 V_0 as (eigen-columns, block) pairs, one per block common to
+    V_0 and H1, and <H1>_0 = sum_n p_n a_nn for the weights p."""
+    common = common_blocks(h0_spec.blocks, h1.blocks)
+    blocks = [(cols, v.conj().T @ h @ v) for _, ((cols, v), (_, h)) in common]
+    return blocks, float(sum(np.real(p[cols] @ np.diag(ab)) for cols, ab in blocks))
 
 
 def two_point_measure(
@@ -112,15 +115,15 @@ def two_point_measure(
     atom.  Chains of frequencies with gaps within ``MERGE_TOLERANCE`` are one
     atom (:func:`merge_atoms`), so every atom at omega has one at -omega.
     """
-    a = _interaction_eigenbasis(h0_spec, h1)
     p = boltzmann_weights(h0_spec, beta)
+    blocks, mean = _interaction_blocks(h0_spec, h1, p)
     e = h0_spec.eigenvalues
-    omegas = np.subtract.outer(e, e).T.reshape(-1, 1)  # omega[n, m] = E_m - E_n, flattened
-    weights = -(p[:, None] * np.abs(a) ** 2).ravel()
-    omegas, weights = merge_atoms(omegas, weights, MERGE_TOLERANCE)
+    # omega[n, m] = E_m - E_n within each block, flattened; a vanishes between blocks
+    omegas = np.concatenate([np.subtract.outer(e[cols], e[cols]).T.ravel() for cols, _ in blocks])
+    weights = np.concatenate([-(p[cols, None] * np.abs(ab) ** 2).ravel() for cols, ab in blocks])
+    omegas, weights = merge_atoms(omegas[:, None], weights, MERGE_TOLERANCE)
     omegas = omegas[:, 0]
     # the n = m terms sit at omega = 0 exactly, so an atom at omega ~ 0 always exists
-    mean = float(np.real(p @ np.diag(a)))
     weights[np.argmin(np.abs(omegas))] += mean**2
     return SpectralMeasure2(omegas, weights)
 
@@ -144,21 +147,20 @@ def three_point_measure(
     (<ABC> - <AB><C> - <AC><B> - <BC><A> + 2<A><B><C>) is applied atom by
     atom, and the overall (-i)^3 prefactor is folded into the weights.
 
-    a = V_0^dag H1 V_0 is block diagonal over its invariant blocks (the
-    magnetization sectors for the XXZ chain, one block for an H1 that couples
-    them), and a raw weight vanishes exactly unless n, m and k share a block,
-    so raw atoms and pair subtractions are built per block: sum_b (b^3 + 3 b^2)
-    + 1 atoms instead of d^3 + 3 d^2 + 1.  Raises :class:`DimensionError`
-    before allocating when their estimated memory exceeds :func:`_memory_limit`.
+    a = V_0^dag H1 V_0 is block diagonal over the blocks common to V_0 and H1
+    (the magnetization sectors for the XXZ chain, one block for an H1 that
+    couples them), and a raw weight vanishes exactly unless n, m and k share a
+    block, so raw atoms and pair subtractions are built per block:
+    sum_b (b^3 + 3 b^2) + 1 atoms instead of d^3 + 3 d^2 + 1.  Raises
+    :class:`DimensionError` before allocating when their estimated memory
+    exceeds :func:`_memory_limit`.
     """
-    a = _interaction_eigenbasis(h0_spec, h1)
     p = boltzmann_weights(h0_spec, beta)
+    blocks, mean = _interaction_blocks(h0_spec, h1, p)
     e = h0_spec.eigenvalues
-    mean = float(np.real(p @ np.diag(a)))
-    blocks = invariant_blocks(a)
 
-    n_raw = sum(cols.size**3 for cols in blocks)
-    n_pair = sum(cols.size**2 for cols in blocks)
+    n_raw = sum(cols.size**3 for cols, _ in blocks)
+    n_pair = sum(cols.size**2 for cols, _ in blocks)
     n_atoms = n_raw + 3 * n_pair + 1
     estimate, limit = n_atoms * THREE_POINT_BYTES_PER_ATOM, _memory_limit()
     if estimate > limit:
@@ -174,10 +176,9 @@ def three_point_measure(
     sub = coords[n_raw:-1].reshape(3, n_pair, 2)
     sub_w = weights[n_raw:-1].reshape(3, n_pair)
     raw_at = pair_at = 0
-    for cols in blocks:
+    for cols, ab in blocks:
         b = cols.size
         gap = np.subtract.outer(e[cols], e[cols])  # gap[i, j] = E_i - E_j
-        ab = a[np.ix_(cols, cols)]
         raw = coords[raw_at : raw_at + b**3].reshape(b, b, b, 2)
         raw[..., 0] = -gap[:, :, None]  # E_m - E_n
         raw[..., 1] = gap.T[None, :, :]  # gap.T[m, k] = E_k - E_m

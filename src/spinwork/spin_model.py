@@ -1,4 +1,4 @@
-"""XXZ chain operators: hopping part, zz part, and magnetization-sector bookkeeping.
+"""XXZ chain operators, held as their magnetization-sector blocks, and the block bookkeeping.
 
 Conventions (fixed so tests are bit-exact):
   * sigma^+ = (sigma^x + i sigma^y)/2, sigma^- its adjoint, so the flip
@@ -8,6 +8,12 @@ Conventions (fixed so tests are bit-exact):
     these sigma^z values: H0 links b to b ^ (0b11 << (N-2-i)) wherever the
     spins of sites i and i+1 differ.
   * Open boundary conditions: bond sums run over sites 0..N-2.
+
+An operator (``OperatorMatrix``) is its blocks, one (rows, rows, array) triple
+per invariant block: 16 C(2N, N) bytes for the chain, not 16 4^N.
+``build_hopping`` and ``build_zz`` block by magnetization sector; a dense
+input is checked and blocked once by ``OperatorMatrix.from_dense``.  Eigenvectors and state factors are
+(rows, cols, array) triples too, and ``common_blocks`` lines several up.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ MAX_SITES = 14
 
 
 class DimensionError(ValueError):
-    """Operator dimensions incompatible or beyond the configured maximum."""
+    """Operator dimensions incompatible, not a power of two, or beyond the configured maximum."""
 
 
 @dataclass(frozen=True)
@@ -43,37 +49,115 @@ class SpinChainSpec:
         return 2 ** self.n_sites
 
 
+def invariant_blocks(*matrices: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the joint nonzero pattern of square matrices.
+
+    Every matrix given is block diagonal over them.  Components are listed by
+    their smallest index, each sorted ascending.
+    """
+    pattern = np.zeros(matrices[0].shape, dtype=bool)
+    for m in matrices:
+        pattern |= m != 0
+    pattern |= pattern.T
+    unseen = np.ones(pattern.shape[0], dtype=bool)
+    blocks = []
+    while unseen.any():
+        frontier = np.zeros_like(unseen)
+        frontier[np.argmax(unseen)] = True
+        member = frontier.copy()
+        while frontier.any():
+            unseen &= ~frontier
+            frontier = pattern[frontier].any(axis=0) & unseen
+            member |= frontier
+        blocks.append(np.flatnonzero(member))
+    return blocks
+
+
+def common_blocks(*partitions) -> list[tuple[np.ndarray, tuple]]:
+    """Blocks of the coarsest partition of range(d) that every given partition refines.
+
+    A partition is a sequence of (rows, cols, array) triples: disjoint rows
+    covering range(d), the columns on them (an operator's own rows, or
+    eigenvector indices) and the array.  Returns one (rows, ((cols, array) of
+    each partition)) pair per common block; blocks merged into one are placed
+    side by side, their columns sorted.  Partitions of different d raise
+    :class:`DimensionError`.
+    """
+    sizes = sorted({sum(rows.size for rows, _, _ in part) for part in partitions})
+    if len(sizes) > 1:
+        raise DimensionError(f"dimension mismatch: {sizes[0]} vs {sizes[-1]}")
+    first = [rows for rows, _, _ in partitions[0]]
+    if all(len(p) == len(first) and all(np.array_equal(r, q[0]) for r, q in zip(first, p)) for p in partitions[1:]):
+        return [(rows, tuple((cols, a) for _, cols, a in blocks)) for rows, blocks in zip(first, zip(*partitions))]
+    # label each index by the smallest index the blocks join it to
+    label, previous = np.arange(sizes[0]), None
+    while not np.array_equal(label, previous):
+        previous = label.copy()
+        for rows, _, _ in (block for part in partitions for block in part):
+            label[rows] = label[rows].min()
+    _, where, counts = np.unique(label, return_inverse=True, return_counts=True)
+    result = []
+    for k, rows in enumerate(np.split(np.argsort(label, kind="stable"), np.cumsum(counts)[:-1])):
+        placed = []
+        for part in partitions:
+            group = [block for block in part if where[block[0][0]] == k]
+            cols = np.sort(np.concatenate([c for _, c, _ in group]))
+            a = np.zeros((rows.size, cols.size), dtype=group[0][2].dtype)
+            for r, c, block in group:
+                a[np.ix_(np.searchsorted(rows, r), np.searchsorted(cols, c))] = block
+            placed.append((cols, a))
+        result.append((rows, tuple(placed)))
+    return result
+
+
+def dense_view(d: int, blocks) -> np.ndarray:
+    """The d x d array of (rows, cols, array) blocks; a view for tests, never used in the pipeline."""
+    m = np.zeros((d, d), dtype=complex)
+    for rows, cols, a in blocks:
+        m[np.ix_(rows, cols)] = a
+    return m
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense operator on the 2^N spin Hilbert space."""
+    """Operator on the 2^N spin Hilbert space, held as one (rows, rows, array) triple
+    per invariant block; it is exactly zero between blocks."""
 
-    matrix: np.ndarray
+    blocks: tuple
     hermitian: bool = True
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
+    @classmethod
+    def from_dense(cls, matrix: np.ndarray, hermitian: bool = True) -> "OperatorMatrix":
+        """The blocks of a dense square matrix of power-of-two dimension; rejects a
+        non-finite entry, and a matrix marked Hermitian that is not."""
+        m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"operator must be square, got shape {m.shape}")
         n = m.shape[0]
         if n & (n - 1):
             raise DimensionError(f"dimension {n} is not a power of two")
-        if self.hermitian:
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has a non-finite entry")
+        if hermitian:
             scale = max(np.abs(m).max(), 1.0)
             defect = np.abs(m - m.conj().T).max()
             if defect > 1e-12 * scale:
-                raise ValueError(f"matrix marked hermitian but |H - H^dag| = {defect:.3e}")
+                raise ValueError(f"matrix is not Hermitian: |H - H^dag| = {defect:.3e}")
+        return cls(tuple((rows, rows, m[np.ix_(rows, rows)]) for rows in invariant_blocks(m)), hermitian)
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return sum(rows.size for rows, _, _ in self.blocks)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The operator as a d x d array (a view for tests; the pipeline reads the blocks)."""
+        return dense_view(self.dimension, self.blocks)
 
 
 def _check_sites(n_sites: int) -> None:
     if n_sites > MAX_SITES:
-        raise DimensionError(
-            f"n_sites={n_sites} exceeds the dense-storage maximum {MAX_SITES}"
-        )
+        raise DimensionError(f"n_sites={n_sites} exceeds the dense-storage maximum {MAX_SITES}")
 
 
 def _spins(n_sites: int) -> np.ndarray:
@@ -95,14 +179,17 @@ def spin_symmetries(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_hopping(spec: SpinChainSpec) -> OperatorMatrix:
-    """Hopping part H0 = J sum_i (sigma+_i sigma-_{i+1} + h.c.)."""
+    """Hopping part H0 = J sum_i (sigma+_i sigma-_{i+1} + h.c.), sector by sector."""
     n = spec.n_sites
     z = _spins(n)
-    h = np.zeros((spec.dimension, spec.dimension), dtype=complex)
-    for i in range(n - 1):
-        b = np.flatnonzero(z[:, i] != z[:, i + 1])
-        h[b, b ^ (0b11 << (n - 2 - i))] = 1.0
-    return OperatorMatrix(spec.coupling * h)
+    blocks = []
+    for rows in _sectors(z):
+        h = np.zeros((rows.size, rows.size), dtype=complex)
+        for i in range(n - 1):
+            b = np.flatnonzero(z[rows, i] != z[rows, i + 1])
+            h[b, np.searchsorted(rows, rows[b] ^ (0b11 << (n - 2 - i)))] = 1.0
+        blocks.append((rows, rows, spec.coupling * h))
+    return OperatorMatrix(tuple(blocks))
 
 
 def zz_diagonal(spec: SpinChainSpec) -> np.ndarray:
@@ -113,26 +200,29 @@ def zz_diagonal(spec: SpinChainSpec) -> np.ndarray:
 
 def build_zz(spec: SpinChainSpec) -> OperatorMatrix:
     """Interaction part H1 = J sum_i sigma^z_i sigma^z_{i+1}, diagonal in the computational basis."""
-    return OperatorMatrix(np.diag(zz_diagonal(spec)).astype(complex))
+    diag = zz_diagonal(spec)
+    return OperatorMatrix(tuple((r, r, np.diag(diag[r]).astype(complex)) for r in _sectors(_spins(spec.n_sites))))
 
 
 def assemble(h0: OperatorMatrix, h1: OperatorMatrix, lam: float) -> OperatorMatrix:
-    """Full Hamiltonian H = H0 + lam * H1."""
-    if h0.dimension != h1.dimension:
-        raise DimensionError(
-            f"dimension mismatch: {h0.dimension} vs {h1.dimension}"
-        )
-    return OperatorMatrix(h0.matrix + lam * h1.matrix)
+    """Full Hamiltonian H = H0 + lam * H1, block by block."""
+    blocks = common_blocks(h0.blocks, h1.blocks)
+    return OperatorMatrix(tuple((rows, rows, a + lam * b) for rows, ((_, a), (_, b)) in blocks))
 
 
 def magnetization_sectors(n_sites: int) -> list[np.ndarray]:
-    """Partition of basis indices by Hamming weight (total sigma^z eigenvalue).
+    """Partition of basis indices by Hamming weight (the number of spins down).
 
     Both chain parts commute with total magnetization, so every H(t) is block
-    diagonal over these index groups.  ``propagate`` finds its blocks from the
-    operators themselves; this closed form names the expected partition.
+    diagonal over these index groups: the blocks of ``build_hopping`` and
+    ``build_zz``, which everything downstream keeps.
     """
     if n_sites < 2:
         raise ValueError(f"n_sites must be >= 2, got {n_sites}")
-    down = (n_sites - _spins(n_sites).sum(axis=1)) // 2
-    return [np.flatnonzero(down == k) for k in range(n_sites + 1)]
+    return _sectors(_spins(n_sites))
+
+
+def _sectors(z: np.ndarray) -> list[np.ndarray]:
+    """``magnetization_sectors`` of a spin table."""
+    down = (z.shape[1] - z.sum(axis=1)) // 2
+    return [np.flatnonzero(down == k) for k in range(z.shape[1] + 1)]

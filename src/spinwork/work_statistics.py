@@ -12,10 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive_dynamics import PropagatorResult
-from .spectral_core import DensityMatrix, SpectralDecomposition, boltzmann_weights, common_blocks
-from .spin_model import DimensionError, OperatorMatrix
+from .spectral_core import DensityMatrix, SpectralDecomposition, boltzmann_weights, expectation
+from .spin_model import OperatorMatrix, common_blocks
 
 NORMALIZATION_TOLERANCE = 1e-8
+# atoms per term of the chi(u) sum: 201 u values x 4096 atoms is a 13 MB array
+CHI_CHUNK = 4096
 
 
 class ResolutionError(ValueError):
@@ -94,18 +96,11 @@ def merge_atoms(coords: np.ndarray, weights: np.ndarray, tol: float) -> tuple[np
 
 def _transition_kernel(
     spec_i: SpectralDecomposition, spec_f: SpectralDecomposition, u: PropagatorResult
-) -> np.ndarray:
-    """M = |V_f^dag U V_i|^2 elementwise, evaluated per common block of the three
-    inputs; transitions between blocks get probability exactly 0."""
-    m = u.unitary.matrix
-    d = m.shape[0]
-    if spec_i.dimension != d or spec_f.dimension != d:
-        raise DimensionError("propagator and spectral data dimensions differ")
-    kernel = np.zeros((d, d))
-    for rows, (_, ci, cf) in common_blocks(d, u.blocks, spec_i.blocks, spec_f.blocks):
-        w = spec_f.eigenvectors[np.ix_(rows, cf)].conj().T @ m[np.ix_(rows, rows)]
-        kernel[np.ix_(cf, ci)] = np.abs(w @ spec_i.eigenvectors[np.ix_(rows, ci)]) ** 2
-    return kernel
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """M = |V_f^dag U V_i|^2 as (final columns, initial columns, block) triples, one
+    per block common to the three inputs; M vanishes between them."""
+    blocks = common_blocks(u.unitary.blocks, spec_i.blocks, spec_f.blocks)
+    return [(cf, ci, np.abs((vf.conj().T @ m) @ vi) ** 2) for _, ((_, m), (ci, vi), (cf, vf)) in blocks]
 
 
 def tpm_distribution(
@@ -118,17 +113,22 @@ def tpm_distribution(
 
     Transition kernel M = |V_f^dag U V_i|^2 elementwise; the atom at
     w = E^f_m - E^i_n carries M_mn p_n with p the initial Boltzmann weights.
-    The full d x d work grid is kept, so atoms between blocks are present with
-    probability exactly 0.  Chains of works with gaps within the merge
-    tolerance are merged (:func:`merge_atoms`) at the probability-weighted mean
-    work; with a zero tolerance (both spectra flat) exact ties still merge.
+    Raw atoms are built only inside the blocks common to U and both
+    eigenbases (sum_b b_i b_f of them, C(2N, N) for the XXZ chain), since a
+    transition between blocks has probability exactly 0.  Chains of works
+    with gaps within the merge tolerance are merged (:func:`merge_atoms`) at
+    the probability-weighted mean work; with a zero tolerance (both spectra
+    flat) exact ties still merge.
     """
     kernel = _transition_kernel(spec_i, spec_f, u)
     merge_tolerance = default_merge_tolerance(spec_i, spec_f)
     p = boltzmann_weights(spec_i, beta)
-    works = np.subtract.outer(spec_f.eigenvalues, spec_i.eigenvalues).ravel()
-    probs = (kernel * p[None, :]).ravel()
-    works, probs = merge_atoms(works[:, None], probs, merge_tolerance)
+    e_i, e_f = spec_i.eigenvalues, spec_f.eigenvalues
+    works = np.concatenate([np.subtract.outer(e_f[cf], e_i[ci]).ravel() for cf, ci, _ in kernel])
+    probs = np.concatenate([(k * p[ci]).ravel() for _, ci, k in kernel])
+    # atoms in (final, initial) eigen-index order, so the merged sums do not depend on the blocking
+    order = np.argsort(np.concatenate([np.add.outer(cf * spec_i.dimension, ci).ravel() for cf, ci, _ in kernel]))
+    works, probs = merge_atoms(works[order, None], probs[order], merge_tolerance)
     return WorkDistribution(works[:, 0], probs, merge_tolerance)
 
 
@@ -157,9 +157,13 @@ def default_u_grid(beta: float) -> np.ndarray:
 
 
 def cfw_from_distribution(d: WorkDistribution, u_grid: np.ndarray) -> CfwSamples:
-    """chi(u) = sum_k p_k exp(i u w_k), with ln chi unwrapped from u = 0."""
+    """chi(u) = sum_k p_k exp(i u w_k), with ln chi unwrapped from u = 0.  The sum
+    runs over CHI_CHUNK atoms at a time, so no (u x atoms) array is formed."""
     u = np.asarray(u_grid, dtype=float)
-    chi = np.exp(1j * np.outer(u, d.works)) @ d.probabilities.astype(complex)
+    chi = np.zeros(u.shape, dtype=complex)
+    for start in range(0, d.works.size, CHI_CHUNK):
+        atoms = slice(start, start + CHI_CHUNK)
+        chi += np.exp(1j * np.outer(u, d.works[atoms])) @ d.probabilities[atoms].astype(complex)
     rate = float(np.abs(d.works).max(initial=0.0))
     return CfwSamples(u, chi, _unwrapped_log(u, chi, rate))
 
@@ -172,12 +176,13 @@ def cfw_trace(
     u_grid: np.ndarray,
 ) -> CfwSamples:
     """chi(u) = tr[U^dag e^{iuH_f} U e^{-(iu+beta)H_i}] / Z_i, evaluated in eigenbases."""
-    kernel = _transition_kernel(spec_i, spec_f, u_prop)
     u = np.asarray(u_grid, dtype=float)
     p = boltzmann_weights(spec_i, beta)
     right = p[None, :] * np.exp(-1j * np.outer(u, spec_i.eigenvalues))  # (u, n)
     left = np.exp(1j * np.outer(u, spec_f.eigenvalues))  # (u, m)
-    chi = np.einsum("um,mn,un->u", left, kernel, right)
+    chi = sum(
+        np.einsum("um,mn,un->u", left[:, cf], k, right[:, ci]) for cf, ci, k in _transition_kernel(spec_i, spec_f, u_prop)
+    )
     rate = max(
         spec_f.eigenvalues[-1] - spec_i.eigenvalues[0],
         spec_i.eigenvalues[-1] - spec_f.eigenvalues[0],
@@ -208,11 +213,7 @@ def mean_energy_change(
     rho_f: DensityMatrix, h_f: OperatorMatrix, rho_i: DensityMatrix, h_i: OperatorMatrix
 ) -> float:
     """tr[rho_f H_f] - tr[rho_i H_i]; equals the mean measured work for unitary evolution."""
-    if rho_f.dimension != h_f.dimension or rho_i.dimension != h_i.dimension:
-        raise DimensionError("state/operator dimension mismatch")
-    final = float(np.real(np.trace(rho_f.matrix @ h_f.matrix)))
-    initial = float(np.real(np.trace(rho_i.matrix @ h_i.matrix)))
-    return final - initial
+    return expectation(rho_f, h_f) - expectation(rho_i, h_i)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ def matrix_function(spec, f):
     if not np.all(np.isfinite(fe)):
         raise OverflowError("scalar function is not finite on the spectrum")
     v = spec.eigenvectors
-    return OperatorMatrix((v * fe) @ v.conj().T, hermitian=False)
+    return OperatorMatrix.from_dense((v * fe) @ v.conj().T, hermitian=False)
 
 
 def reconstruct(spec):
@@ -56,7 +56,7 @@ def reconstruct(spec):
 
 def total_magnetization(n_sites):
     """Total sigma^z operator (diagonal), for symmetry checks."""
-    return OperatorMatrix(np.diag(_spins(n_sites).sum(axis=1)).astype(complex))
+    return OperatorMatrix.from_dense(np.diag(_spins(n_sites).sum(axis=1)).astype(complex))
 
 
 def measure2_inverse_transform(m, s):

@@ -19,6 +19,7 @@ from spinwork import (
     spectral_response,
 )
 from spinwork.drive_dynamics import ProtocolError, _parity_isometries, _symmetries
+from spinwork.spin_model import common_blocks
 
 from conftest import matrix_function, total_magnetization
 
@@ -119,7 +120,7 @@ class TestPropagate:
     def test_quench_is_single_exact_exponential(self, chain4):
         _, h0, h1, _ = chain4
         res = propagate(h0, h1, quench(0.1, 7.0), 0.01)
-        spec_f = eigendecompose(OperatorMatrix(h0.matrix + 0.1 * h1.matrix))
+        spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + 0.1 * h1.matrix))
         exact = matrix_function(spec_f, lambda x: np.exp(-1j * x * 7.0)).matrix
         assert np.abs(res.unitary.matrix - exact).max() < 1e-12
         assert res.dt_used == 7.0
@@ -247,7 +248,7 @@ class TestSymmetryReduction:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_parity_isometries_split_each_sector(self, n):
         h0, h1 = chain(n)
-        symmetries = _symmetries(h0.matrix, h1.matrix)
+        symmetries = _symmetries(common_blocks(h0.blocks, h1.blocks))
         assert len(symmetries) == 2
         for idx in magnetization_sectors(n):
             isometries = _parity_isometries(idx, symmetries)
@@ -284,12 +285,12 @@ class TestSymmetryReduction:
         h0, zz = chain(n)
         z = 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
         if breaking == "bond":  # z0 z1 keeps the flip, breaks the reflection
-            h1 = OperatorMatrix(np.diag(1.3 * z[:, 0] * z[:, 1]).astype(complex))
+            h1 = OperatorMatrix.from_dense(np.diag(1.3 * z[:, 0] * z[:, 1]).astype(complex))
         elif breaking == "field":  # a uniform field keeps the reflection, breaks the flip
-            h1 = OperatorMatrix(zz.matrix + 0.4 * total_magnetization(n).matrix)
+            h1 = OperatorMatrix.from_dense(zz.matrix + 0.4 * total_magnetization(n).matrix)
         else:
-            h1 = OperatorMatrix(np.diag(np.random.default_rng(3).normal(size=2**n)).astype(complex))
-        assert len(_symmetries(h0.matrix, h1.matrix)) == kept
+            h1 = OperatorMatrix.from_dense(np.diag(np.random.default_rng(3).normal(size=2**n)).astype(complex))
+        assert len(_symmetries(common_blocks(h0.blocks, h1.blocks))) == kept
         p = ramp(lam1=0.3, v=0.6, t_total=1.0)
         u = propagate(h0, h1, p, 0.1, method=method).unitary.matrix
         ref = stepped_reference(h0.matrix, h1.matrix, p, 0.1, method, [np.arange(2**n)])
@@ -414,7 +415,7 @@ class TestHoldPlateau:
     def test_infidelity_constant_across_hold(self, chain4):
         _, h0, h1, spec0 = chain4
         beta, lam1 = 1.0, 0.1
-        target = gibbs_state(eigendecompose(OperatorMatrix(h0.matrix + lam1 * h1.matrix)), beta)
+        target = gibbs_state(eigendecompose(OperatorMatrix.from_dense(h0.matrix + lam1 * h1.matrix)), beta)
         rho0 = gibbs_state(spec0, beta)
         values = []
         for t_total in (4.0, 2.0):  # ramp ends at t = 1

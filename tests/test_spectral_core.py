@@ -22,7 +22,7 @@ from spinwork import (
     thermal_expectation,
     uhlmann_fidelity,
 )
-from spinwork.spectral_core import common_blocks, invariant_blocks
+from spinwork.spin_model import common_blocks, invariant_blocks
 from spinwork.work_statistics import _transition_kernel
 
 from conftest import matrix_function, reconstruct, two_site_operators
@@ -63,22 +63,22 @@ class TestEigendecompose:
         spec = SpinChainSpec(n, 2.0)
         h = build_hopping(spec).matrix + 0.3 * build_zz(spec).matrix
         d = h.shape[0]
-        got = eigendecompose(OperatorMatrix(h))
+        got = eigendecompose(OperatorMatrix.from_dense(h))
         scale = np.abs(h).max()
         assert np.abs(got.eigenvalues - np.linalg.eigvalsh(h)).max() < 1e-12 * scale
         assert np.all(np.diff(got.eigenvalues) >= 0)
         assert np.abs(reconstruct(got) - h).max() < 1e-12 * scale
         v = got.eigenvectors
         assert np.abs(v.conj().T @ v - np.eye(d)).max() < 1e-12
-        assert sorted(tuple(rows) for rows, _ in got.blocks) == sorted(map(tuple, magnetization_sectors(n)))
-        assert np.array_equal(np.sort(np.concatenate([cols for _, cols in got.blocks])), np.arange(d))
-        for rows, cols in got.blocks:
+        assert sorted(tuple(rows) for rows, *_ in got.blocks) == sorted(map(tuple, magnetization_sectors(n)))
+        assert np.array_equal(np.sort(np.concatenate([cols for _, cols, _ in got.blocks])), np.arange(d))
+        for rows, cols, _ in got.blocks:
             outside = np.ones(d, dtype=bool)
             outside[rows] = False
             assert np.all(v[np.ix_(outside, cols)] == 0)
 
     def test_identity(self):
-        spec = eigendecompose(OperatorMatrix(np.eye(4, dtype=complex)))
+        spec = eigendecompose(OperatorMatrix.from_dense(np.eye(4, dtype=complex)))
         assert np.allclose(spec.eigenvalues, 1.0)
 
     def test_two_site_hopping(self):
@@ -86,19 +86,19 @@ class TestEigendecompose:
         assert np.allclose(spec.eigenvalues, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
     def test_diagonal_input_sorted(self):
-        spec = eigendecompose(OperatorMatrix(np.diag([3.0, -1.0, 2.0, 0.0]).astype(complex)))
+        spec = eigendecompose(OperatorMatrix.from_dense(np.diag([3.0, -1.0, 2.0, 0.0]).astype(complex)))
         assert np.allclose(spec.eigenvalues, [-1.0, 0.0, 2.0, 3.0])
 
     def test_rejects_non_hermitian(self):
         m = np.zeros((2, 2), dtype=complex)
         m[0, 1] = 1.0
         with pytest.raises(ValueError):
-            eigendecompose(OperatorMatrix(m, hermitian=False))
+            eigendecompose(OperatorMatrix.from_dense(m, hermitian=False))
 
     def test_reconstruction_and_orthonormality(self, chain4):
         _, h0, h1, _ = chain4
         h = h0.matrix + 0.3 * h1.matrix
-        spec = eigendecompose(OperatorMatrix(h))
+        spec = eigendecompose(OperatorMatrix.from_dense(h))
         scale = np.abs(h).max()
         assert np.linalg.norm(reconstruct(spec) - h) < 1e-10 * scale
         v = spec.eigenvectors
@@ -107,14 +107,14 @@ class TestEigendecompose:
 
 class TestGibbsState:
     def test_low_temperature_limit_projects_on_ground_state(self):
-        spec = eigendecompose(OperatorMatrix(np.diag([-1.0, 0.3, 0.8, 2.0]).astype(complex)))
+        spec = eigendecompose(OperatorMatrix.from_dense(np.diag([-1.0, 0.3, 0.8, 2.0]).astype(complex)))
         rho = gibbs_state(spec, 200.0)
         ground = np.zeros((4, 4), dtype=complex)
         ground[0, 0] = 1.0
         assert uhlmann_fidelity(rho, DensityMatrix.from_matrix(ground)) > 1 - 1e-8
 
     def test_zero_hamiltonian_is_maximally_mixed(self):
-        spec = eigendecompose(OperatorMatrix(np.zeros((8, 8), dtype=complex)))
+        spec = eigendecompose(OperatorMatrix.from_dense(np.zeros((8, 8), dtype=complex)))
         rho = gibbs_state(spec, 3.7)
         assert np.abs(rho.matrix - np.eye(8) / 8).max() < 1e-14
 
@@ -130,7 +130,7 @@ class TestGibbsState:
 
     def test_populations_monotone_in_energy(self, chain4):
         _, h0, h1, _ = chain4
-        spec = eigendecompose(OperatorMatrix(h0.matrix + 0.2 * h1.matrix))
+        spec = eigendecompose(OperatorMatrix.from_dense(h0.matrix + 0.2 * h1.matrix))
         rho = gibbs_state(spec, 2.0)
         pops = np.real(
             np.einsum("in,ij,jn->n", spec.eigenvectors.conj(), rho.matrix, spec.eigenvectors)
@@ -170,7 +170,7 @@ class TestStateStorage:
 
 class TestLogPartitionFunction:
     def test_zero_hamiltonian(self):
-        spec = eigendecompose(OperatorMatrix(np.zeros((8, 8), dtype=complex)))
+        spec = eigendecompose(OperatorMatrix.from_dense(np.zeros((8, 8), dtype=complex)))
         assert abs(log_partition_function(spec, 1.0) - np.log(8)) < 1e-14
         assert abs(log_partition_function(spec, 2.0) - np.log(8)) < 1e-14
 
@@ -217,7 +217,7 @@ class TestMatrixFunction:
 class TestThermalExpectation:
     def test_identity_operator(self, chain4):
         *_, spec0 = chain4
-        one = OperatorMatrix(np.eye(spec0.dimension, dtype=complex))
+        one = OperatorMatrix.from_dense(np.eye(spec0.dimension, dtype=complex))
         assert abs(thermal_expectation(spec0, 1.0, one) - 1.0) < 1e-13
 
     def test_energy_matches_beta_derivative_of_log_z(self, chain4):
@@ -274,7 +274,7 @@ class TestUhlmannFidelity:
     def test_symmetry(self, chain4):
         _, h0, h1, spec0 = chain4
         rho = gibbs_state(spec0, 1.0)
-        sigma = gibbs_state(eigendecompose(OperatorMatrix(h0.matrix + 0.3 * h1.matrix)), 1.0)
+        sigma = gibbs_state(eigendecompose(OperatorMatrix.from_dense(h0.matrix + 0.3 * h1.matrix)), 1.0)
         assert abs(uhlmann_fidelity(rho, sigma) - uhlmann_fidelity(sigma, rho)) < 1e-10
 
     def test_invariance_under_commuting_unitary(self, chain4):
@@ -288,7 +288,7 @@ class TestUhlmannFidelity:
         _, h0, h1, spec0 = chain4
         rng = np.random.default_rng(7)
         rho = gibbs_state(spec0, 1.0)
-        sigma = gibbs_state(eigendecompose(OperatorMatrix(h0.matrix + 0.3 * h1.matrix)), 1.0)
+        sigma = gibbs_state(eigendecompose(OperatorMatrix.from_dense(h0.matrix + 0.3 * h1.matrix)), 1.0)
         u = haar_unitary(rho.dimension, rng)
         f0 = uhlmann_fidelity(rho, sigma)
         f1 = uhlmann_fidelity(
@@ -325,6 +325,15 @@ class TestUhlmannFidelity:
         assert np.isclose(infidelity(rho, sigma, "one_minus_sqrtF"), 1 - np.sqrt(f))
         with pytest.raises(ValueError):
             infidelity(rho, sigma, "other")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("build", [OperatorMatrix.from_dense, DensityMatrix.from_matrix], ids=["operator", "state"])
+def test_non_finite_dense_input_rejected(build, value):
+    m = np.eye(4, dtype=complex) / 4
+    m[1, 1] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        build(m)
 
 
 class TestMismatchedPartitions:
@@ -367,14 +376,18 @@ class TestMismatchedPartitions:
     @pytest.mark.parametrize("kind", ["dense", "coarsened"])
     def test_kernel_and_fidelity_equal_dense_formulas(self, kind):
         h_i, h_f, u, blocks, n_common, beta = self.case(kind)
-        spec_i, spec_f = eigendecompose(OperatorMatrix(h_i)), eigendecompose(OperatorMatrix(h_f))
-        prop = PropagatorResult(OperatorMatrix(u, hermitian=False), 0.0, 0.0, blocks)
-        assert len(common_blocks(8, prop.blocks, spec_i.blocks, spec_f.blocks)) == n_common
+        spec_i, spec_f = eigendecompose(OperatorMatrix.from_dense(h_i)), eigendecompose(OperatorMatrix.from_dense(h_f))
+        prop = PropagatorResult(OperatorMatrix.from_dense(u, hermitian=False), 0.0, 0.0)
+        assert sorted(tuple(r) for r, *_ in prop.unitary.blocks) == sorted(tuple(r) for r, _ in blocks)
+        assert len(common_blocks(prop.unitary.blocks, spec_i.blocks, spec_f.blocks)) == n_common
 
         _, v_i = np.linalg.eigh(h_i)
         _, v_f = np.linalg.eigh(h_f)
         dense_kernel = np.abs(v_f.conj().T @ u @ v_i) ** 2
-        assert np.abs(_transition_kernel(spec_i, spec_f, prop) - dense_kernel).max() < 1e-13
+        kernel = np.zeros((8, 8))
+        for cf, ci, k in _transition_kernel(spec_i, spec_f, prop):
+            kernel[np.ix_(cf, ci)] = k
+        assert np.abs(kernel - dense_kernel).max() < 1e-13
 
         rho = evolve_density(gibbs_state(spec_i, beta), prop)
         dense_rho = u @ dense_gibbs(h_i, beta) @ u.conj().T

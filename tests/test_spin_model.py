@@ -155,4 +155,4 @@ class TestHermiticityAndSymmetry:
 
     def test_hermitian_flag_validated(self):
         with pytest.raises(ValueError):
-            OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
+            OperatorMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)

@@ -1,5 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from spinwork import work_statistics
 from hypothesis import given, settings, strategies as st
 
 from spinwork import (
@@ -57,7 +62,7 @@ def quench_pipeline(n=2, J=2.0, lam1=0.1, beta=BETA, t=5.0):
     spec = SpinChainSpec(n, J)
     h0, h1 = build_hopping(spec), build_zz(spec)
     spec_i = eigendecompose(h0)
-    spec_f = eigendecompose(OperatorMatrix(h0.matrix + lam1 * h1.matrix))
+    spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + lam1 * h1.matrix))
     protocol = DriveProtocol(kind="quench", lambda_final=lam1, t_total=t)
     prop = propagate(h0, h1, protocol, 0.01)
     return h0, h1, spec_i, spec_f, prop
@@ -81,21 +86,22 @@ class TestTpmDistribution:
         got = {}
         for w, p in zip(dist.works, dist.probabilities):
             got[round(w, 9)] = got.get(round(w, 9), 0.0) + p
-        assert len(got) == len(works_ref)
+        # the oracle's between-sector outcomes have probability exactly 0 and are not atoms
+        assert set(got) == {round(w, 9) for w, p in zip(works_ref, probs_ref) if p != 0.0}
         for w, p in zip(works_ref, probs_ref):
-            assert abs(got[round(w, 9)] - p) < 1e-10
+            assert abs(got.get(round(w, 9), 0.0) - p) < 1e-10
 
     def test_atoms_sum_to_one(self, chain4):
         _, h0, h1, spec0 = chain4
         lam1 = 0.2
-        spec_f = eigendecompose(OperatorMatrix(h0.matrix + lam1 * h1.matrix))
+        spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + lam1 * h1.matrix))
         p = DriveProtocol(kind="ramp_hold", lambda_final=lam1, t_total=4.0, velocity=0.1)
         dist = tpm_distribution(spec0, spec_f, propagate(h0, h1, p, 0.02), BETA)
         assert abs(dist.probabilities.sum() - 1.0) < 1e-10
 
     def test_atom_separation_respects_tolerance(self, chain4):
         _, h0, h1, spec0 = chain4
-        spec_f = eigendecompose(OperatorMatrix(h0.matrix + 0.1 * h1.matrix))
+        spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + 0.1 * h1.matrix))
         prop = propagate(h0, h1, DriveProtocol(kind="quench", lambda_final=0.1, t_total=2.0), 0.01)
         dist = tpm_distribution(spec0, spec_f, prop, BETA)
         assert np.all(np.diff(dist.works) > dist.merge_tolerance)
@@ -110,6 +116,22 @@ class TestTpmDistribution:
         assert dist.merge_tolerance == 0.0
         assert dist.works.tolist() == [0.0]
         assert dist.probabilities[0] == pytest.approx(1.0, abs=1e-14)
+
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_raw_atoms_are_the_sector_pairs(self, n, monkeypatch):
+        """Raw atoms are built only inside the magnetization sectors: sum_k C(N, k)^2 = C(2N, N)."""
+        built = []
+        merge = work_statistics.merge_atoms
+
+        def counting_merge(coords, weights, tol):
+            built.append(coords.shape[0])
+            return merge(coords, weights, tol)
+
+        monkeypatch.setattr(work_statistics, "merge_atoms", counting_merge)
+        _, _, spec_i, spec_f, prop = quench_pipeline(n=n)
+        tpm_distribution(spec_i, spec_f, prop, BETA)
+        assert built == [math.comb(2 * n, n)]
 
 
 class TestMergeAtoms:
@@ -204,7 +226,7 @@ class TestCfwFromDistribution:
 
     def test_value_at_zero(self, chain4):
         _, h0, h1, spec0 = chain4
-        spec_f = eigendecompose(OperatorMatrix(h0.matrix + 0.1 * h1.matrix))
+        spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + 0.1 * h1.matrix))
         prop = propagate(h0, h1, DriveProtocol(kind="quench", lambda_final=0.1, t_total=1.0), 0.01)
         dist = tpm_distribution(spec0, spec_f, prop, BETA)
         c = cfw_from_distribution(dist, np.linspace(-2, 2, 41))
@@ -221,11 +243,29 @@ class TestCfwFromDistribution:
 
     def test_magnitude_bounded_by_one(self, chain4):
         _, h0, h1, spec0 = chain4
-        spec_f = eigendecompose(OperatorMatrix(h0.matrix + 0.3 * h1.matrix))
+        spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + 0.3 * h1.matrix))
         prop = propagate(h0, h1, DriveProtocol(kind="quench", lambda_final=0.3, t_total=1.0), 0.01)
         dist = tpm_distribution(spec0, spec_f, prop, BETA)
         c = cfw_from_distribution(dist, default_u_grid(BETA))
         assert np.abs(c.chi).max() <= 1 + 1e-10
+
+    def test_chunked_sum_matches_direct_formula_in_bounded_memory(self):
+        rng = np.random.default_rng(5)
+        n = 200_000
+        works = np.sort(rng.normal(0.3, 0.2, n))
+        probs = rng.random(n)
+        probs /= probs.sum()
+        u = default_u_grid(BETA)
+        tracemalloc.start()
+        try:
+            c = cfw_from_distribution(WorkDistribution(works, probs, 0.0), u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the direct formula, one u at a time
+        direct = np.array([np.exp(1j * x * works) @ probs for x in u])
+        assert np.abs(c.chi - direct).max() < 1e-13
+        assert peak < u.size * n * 16 / 10
 
     def test_coarse_grid_raises_resolution_error(self):
         d = WorkDistribution(np.array([50.0]), np.array([1.0]), 0.0)
@@ -290,7 +330,7 @@ class TestJarzynski:
         spec = SpinChainSpec(n, 2.0)
         h0, h1 = build_hopping(spec), build_zz(spec)
         spec_i = eigendecompose(h0)
-        spec_f = eigendecompose(OperatorMatrix(h0.matrix + lam1 * h1.matrix))
+        spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + lam1 * h1.matrix))
         if quench:
             protocol = DriveProtocol(kind="quench", lambda_final=lam1, t_total=2.0)
         else:
@@ -339,7 +379,7 @@ class TestAverageWorkAndEnergyBalance:
         dist = tpm_distribution(spec_i, spec_f, prop, BETA)
         rho0 = gibbs_state(spec_i, BETA)
         rho_f = evolve_density(rho0, prop)
-        hf = OperatorMatrix(h0.matrix + 0.1 * h1.matrix)
+        hf = OperatorMatrix.from_dense(h0.matrix + 0.1 * h1.matrix)
         assert abs(average_work(dist) - mean_energy_change(rho_f, hf, rho0, h0)) < 1e-10
 
 
@@ -377,9 +417,9 @@ class TestDeltaImpliesTargetReached:
         # point mass and the evolved state is exactly the target Gibbs state
         _, h0, _, spec0 = chain4
         d = h0.dimension
-        h1 = OperatorMatrix(np.eye(d, dtype=complex) * 1.3)
+        h1 = OperatorMatrix.from_dense(np.eye(d, dtype=complex) * 1.3)
         lam1 = 0.2
-        spec_f = eigendecompose(OperatorMatrix(h0.matrix + lam1 * h1.matrix))
+        spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + lam1 * h1.matrix))
         prop = propagate(h0, h1, DriveProtocol(kind="quench", lambda_final=lam1, t_total=3.0), 0.01)
         dist = tpm_distribution(spec0, spec_f, prop, BETA)
         rep = delta_concentration(dist, 1e-6 * (spec0.spectral_range + spec_f.spectral_range + 1.0))
