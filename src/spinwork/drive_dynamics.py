@@ -49,6 +49,8 @@ _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
 
 UNITARITY_ABORT = 1e-6
+#: Substeps whose diagonal kicks are exponentiated together (bounds that table's memory).
+KICK_CHUNK = 256
 
 
 class ProtocolError(ValueError):
@@ -234,9 +236,15 @@ def _propagate_block(
             h1_diag = np.real(np.diag(h1))
             factors = [_expi(eig0, g) for g in gaps]
             u = factors[gap_index[0]].copy()
-            for lam, w, g in zip(lam_mid, widths, gap_index[1:]):
-                u = np.exp(-1j * lam * h1_diag * w)[:, None] * u
-                u = factors[g] @ u
+            kicked = np.empty_like(u)
+            # the diagonal kicks of a chunk of substeps in one exp, each applied
+            # and followed by its H0 factor in place in two buffers
+            for start in range(0, widths.size, KICK_CHUNK):
+                part = slice(start, start + KICK_CHUNK)
+                kicks = np.exp((-1j * lam_mid[part])[:, None] * h1_diag * widths[part][:, None])
+                for kick, g in zip(kicks, gap_index[1:][part]):
+                    np.multiply(kick[:, None], u, out=kicked)
+                    np.matmul(factors[g], kicked, out=u)
 
     t_hold = p.t_total - p.ramp_time
     if t_hold > 1e-15 * p.t_total:

@@ -413,9 +413,10 @@ def _run_points(cfg: RunConfig, points: list, prebuilt: dict, threads: Optional[
     they run in this process; otherwise on a pool of min(threads, tasks)
     forked processes, longest first, with BLAS pinned to one thread in each.
     The workers inherit ``prebuilt``, {spec: _ModelOps}, and build any other
-    spec themselves.  The first error cancels the pending tasks and is raised
-    once the pool has shut down.  ``workers``, when given, receives the
-    worker count, the start method and the workers' BLAS thread count.
+    spec themselves.  The first error cancels the pending tasks, stops the
+    workers (running tasks included) and is raised once the pool has shut
+    down.  ``workers``, when given, receives the worker count, the start
+    method and the workers' BLAS thread count.
     """
     tasks = [
         (i, level) for i, (_, protocol, _) in enumerate(points) for level in _levels(protocol, certify)
@@ -444,6 +445,7 @@ def _run_points(cfg: RunConfig, points: list, prebuilt: dict, threads: Optional[
     # of re-importing and rebuilding them (a spawned worker spends ~0.45 s on
     # imports).  Forking is safe while the caller runs no other thread; OpenBLAS
     # stops its own threads before a fork.
+    others = set(mp.active_children())
     pool = ProcessPoolExecutor(count, mp_context=mp.get_context("fork"),
                                initializer=_init_worker, initargs=(prebuilt,))
     results = {}
@@ -456,6 +458,11 @@ def _run_points(cfg: RunConfig, points: list, prebuilt: dict, threads: Optional[
         for future in as_completed(futures):
             results[futures[future]] = future.result()
         blas_threads = blas.result()
+    except BaseException:
+        # cancel_futures drops only the queued tasks: stop the running ones too
+        for worker in set(mp.active_children()) - others:
+            worker.terminate()
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
     if workers is not None:

@@ -15,7 +15,10 @@ unit-trace PSD matrix).  Where two inputs are blocked differently, the work
 runs on the coarsest partition that both refine (``common_blocks``).
 
 Boltzmann weights are always computed with the minimum-eigenvalue shift
-(log-sum-exp convention), so large beta never overflows.  Fidelity is the
+(log-sum-exp convention), so large beta never overflows.  ln Z is a
+log-sum-exp in numpy with the same shift and tie count as scipy's
+``logsumexp``, so it matches scipy's bit for bit and the package imports no
+scipy at run time.  Fidelity is the
 squared-trace Uhlmann convention F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2,
 evaluated as F = ||sqrt(sigma) sqrt(rho)||_1^2 (Jozsa 1994) from the factors:
 with sigma = Y diag(q) Y^dag, F is the squared sum over blocks of the
@@ -28,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .spin_model import OperatorMatrix, common_blocks, dense_view
 
@@ -123,10 +125,20 @@ def gibbs_state(spec: SpectralDecomposition, beta: float) -> DensityMatrix:
 
 
 def log_partition_function(spec: SpectralDecomposition, beta: float) -> float:
-    """ln Z = ln tr exp(-beta H), evaluated by log-sum-exp."""
+    """ln Z = ln tr exp(-beta H), evaluated by log-sum-exp.
+
+    The steps are scipy's ``logsumexp`` (1.17): the top exponent and its tie
+    count are taken out of the sum, which runs over the full-length array so
+    that its pairwise order, and hence every bit of ln Z, is scipy's.
+    """
     if not np.isfinite(beta) or beta <= 0:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    return float(logsumexp(-beta * spec.eigenvalues))
+    x = -beta * spec.eigenvalues
+    top = x.max()
+    at_top = x == top
+    count = at_top.sum()
+    rest = np.exp(np.where(at_top, -np.inf, x) - top).sum() / count
+    return float(np.log1p(rest) + np.log(count) + top)
 
 
 def expectation(rho: DensityMatrix, a: OperatorMatrix) -> float:

@@ -18,7 +18,15 @@ from spinwork import (
     propagate,
     spectral_response,
 )
-from spinwork.drive_dynamics import ProtocolError, _parity_isometries, _symmetries
+from spinwork.drive_dynamics import (
+    KICK_CHUNK,
+    ProtocolError,
+    _expi,
+    _parity_isometries,
+    _propagate_block,
+    _substep_schedule,
+    _symmetries,
+)
 from spinwork.spin_model import common_blocks
 
 from conftest import matrix_function, total_magnetization
@@ -240,6 +248,26 @@ def stepped_reference(h0, h1, p, dt, method, blocks):
         hold = expm(-1j * (p.t_total - p.ramp_time) * (a0 + p.lambda_final * a1))
         ref[np.ix_(idx, idx)] = hold @ ub
     return ref
+
+
+class TestSteppingLoop:
+    @pytest.mark.parametrize("method", ["strang", "suzuki4"])
+    def test_chunked_kicks_match_per_substep_loop_bit_for_bit(self, method):
+        spec = SpinChainSpec(6, 2.0)
+        (rows, _, h0), (_, _, h1) = build_hopping(spec).blocks[3], build_zz(spec).blocks[3]
+        p = ramp(lam1=0.1, v=0.1 / 3.1, t_total=4.0)
+        schedule = _substep_schedule(p, 0.01, method)
+        _, widths, lam_mid, gaps, gap_index = schedule
+        assert widths.size > KICK_CHUNK  # more than one chunk, the last one partial
+        eig0 = np.linalg.eigh(h0)
+        factors = [_expi(eig0, g) for g in gaps]
+        h1_diag = np.real(np.diag(h1))
+        u = factors[gap_index[0]].copy()
+        for lam, w, g in zip(lam_mid, widths, gap_index[1:]):
+            u = np.exp(-1j * lam * h1_diag * w)[:, None] * u
+            u = factors[g] @ u
+        hold = _expi(np.linalg.eigh(h0 + 0.1 * h1), p.t_total - p.ramp_time)
+        assert np.array_equal(_propagate_block(h0, h1, p, schedule, method), hold @ u)
 
 
 class TestSymmetryReduction:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -557,6 +558,46 @@ class TestCli:
         assert self.run_cli("scan-size", "--config", str(path), "--threads", "2") == 2
         assert "config error: distribution too large" in capsys.readouterr().err
         assert not multiprocessing.active_children()
+
+    def test_first_failure_stops_running_tasks(self, tmp_path, monkeypatch, capsys):
+        # the dt/2 task runs long and marks its end; the dt task fails once it has started
+        started, finished = tmp_path / "started", tmp_path / "finished"
+
+        def long_task(*args, **kwargs):
+            started.touch()
+            time.sleep(20.0)
+            finished.touch()
+
+        def failing_task(*args, **kwargs):
+            for _ in range(1000):
+                if started.exists():
+                    break
+                time.sleep(0.01)
+            raise xp.CertificationError("failing task")
+
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config(grid=[0.05, "inf"])))
+        monkeypatch.setattr(xp, "_point_infidelity", long_task)
+        monkeypatch.setattr(xp, "_point_main", failing_task)
+        assert self.run_cli("scan-velocity", "--config", str(path), "--threads", "2") == 3
+        assert "numerical certification failure: failing task" in capsys.readouterr().err
+        assert not multiprocessing.active_children()
+        assert started.exists() and not finished.exists()
+
+    def test_runtime_imports_no_scipy(self):
+        # numpy is the one runtime dependency; scipy serves the tests only
+        code = (
+            "import sys; import spinwork.cli; "
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "print(scipy()); code = spinwork.cli.main(['validate-config', '--config', sys.argv[1]]); "
+            "print(scipy()); sys.exit(code)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", code, str(REPO / "configs" / "single_quench.json")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert lines[0] == "[]" and lines[-1] == "[]" and lines[1].startswith("config ok")
 
     def test_summary_records_worker_setup(self, tmp_path):
         path = tmp_path / "c.json"
