@@ -17,7 +17,7 @@ runs on the coarsest partition that both refine (``common_blocks``).
 Boltzmann weights are always computed with the minimum-eigenvalue shift
 (log-sum-exp convention), so large beta never overflows.  ln Z is a
 log-sum-exp in numpy with the same shift and tie count as scipy's
-``logsumexp``, so it matches scipy's bit for bit and the package imports no
+``logsumexp`` (bit-identical to scipy 1.17's), and the package imports no
 scipy at run time.  Fidelity is the
 squared-trace Uhlmann convention F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2,
 evaluated as F = ||sqrt(sigma) sqrt(rho)||_1^2 (Jozsa 1994) from the factors:

@@ -89,39 +89,25 @@ def common_blocks(*partitions) -> list[tuple[np.ndarray, tuple]]:
     first = [rows for rows, _, _ in partitions[0]]
     if all(len(p) == len(first) and all(np.array_equal(r, q[0]) for r, q in zip(first, p)) for p in partitions[1:]):
         return [(rows, tuple((cols, a) for _, cols, a in blocks)) for rows, blocks in zip(first, zip(*partitions))]
-    d = sizes[0]
-    owners = []  # each index's block number, per partition
-    for part in partitions:
-        rows = [r for r, _, _ in part]
-        owner = np.empty(d, dtype=np.intp)
-        owner[np.concatenate(rows)] = np.repeat(np.arange(len(part)), [r.size for r in rows])
-        owners.append(owner)
     # label each index by the smallest index the blocks join it to
-    label, previous = np.arange(d), None
+    label, previous = np.arange(sizes[0]), None
     while not np.array_equal(label, previous):
-        previous = label
-        for part, owner in zip(partitions, owners):
-            least = np.full(len(part), d)
-            np.minimum.at(least, owner, label)
-            label = least[owner]
+        previous = label.copy()
+        for rows, _, _ in (block for part in partitions for block in part):
+            label[rows] = label[rows].min()
     _, where, counts = np.unique(label, return_inverse=True, return_counts=True)
-    order = np.argsort(label, kind="stable")
-    place = np.empty(d, dtype=np.intp)  # each index's position in its common block
-    place[order] = np.arange(d) - np.repeat(np.cumsum(counts) - counts, counts)
-    result = [(rows, []) for rows in np.split(order, np.cumsum(counts)[:-1])]
-    for part, owner in zip(partitions, owners):
-        home = np.empty(len(part), dtype=np.intp)  # each block's common block
-        home[owner] = where
-        groups = [[] for _ in result]
-        for block, k in zip(part, home.tolist()):
-            groups[k].append(block)
-        for (rows, placed), group in zip(result, groups):
+    result = []
+    for k, rows in enumerate(np.split(np.argsort(label, kind="stable"), np.cumsum(counts)[:-1])):
+        placed = []
+        for part in partitions:
+            group = [block for block in part if where[block[0][0]] == k]
             cols = np.sort(np.concatenate([c for _, c, _ in group]))
             a = np.zeros((rows.size, cols.size), dtype=group[0][2].dtype)
             for r, c, block in group:
-                a[place[r][:, None], cols.searchsorted(c)] = block
+                a[np.ix_(np.searchsorted(rows, r), np.searchsorted(cols, c))] = block
             placed.append((cols, a))
-    return [(rows, tuple(placed)) for rows, placed in result]
+        result.append((rows, tuple(placed)))
+    return result
 
 
 def dense_view(d: int, blocks) -> np.ndarray:

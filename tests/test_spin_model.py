@@ -9,7 +9,7 @@ from spinwork import (
     build_zz,
     magnetization_sectors,
 )
-from spinwork.spin_model import DimensionError, common_blocks, spin_symmetries, zz_diagonal
+from spinwork.spin_model import DimensionError, spin_symmetries, zz_diagonal
 
 from conftest import kron_chain_operators, total_magnetization, two_site_operators
 
@@ -156,62 +156,3 @@ class TestHermiticityAndSymmetry:
     def test_hermitian_flag_validated(self):
         with pytest.raises(ValueError):
             OperatorMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
-
-
-def reference_common_blocks(*partitions):
-    """The merge by repeated relabelling passes that ``common_blocks`` vectorizes."""
-    d = sum(rows.size for rows, _, _ in partitions[0])
-    label, previous = np.arange(d), None
-    while not np.array_equal(label, previous):
-        previous = label.copy()
-        for rows, _, _ in (block for part in partitions for block in part):
-            label[rows] = label[rows].min()
-    _, where, counts = np.unique(label, return_inverse=True, return_counts=True)
-    result = []
-    for k, rows in enumerate(np.split(np.argsort(label, kind="stable"), np.cumsum(counts)[:-1])):
-        placed = []
-        for part in partitions:
-            group = [block for block in part if where[block[0][0]] == k]
-            cols = np.sort(np.concatenate([c for _, c, _ in group]))
-            a = np.zeros((rows.size, cols.size), dtype=group[0][2].dtype)
-            for r, c, block in group:
-                a[np.ix_(np.searchsorted(rows, r), np.searchsorted(cols, c))] = block
-            placed.append((cols, a))
-        result.append((rows, tuple(placed)))
-    return result
-
-
-def assert_same_blocks(got, expected):
-    assert len(got) == len(expected)
-    for (rows, placed), (rows_e, placed_e) in zip(got, expected):
-        assert np.array_equal(rows, rows_e) and rows.dtype == rows_e.dtype
-        assert len(placed) == len(placed_e)
-        for (cols, a), (cols_e, a_e) in zip(placed, placed_e):
-            assert np.array_equal(cols, cols_e) and cols.dtype == cols_e.dtype
-            assert a.dtype == a_e.dtype and a.shape == a_e.shape and np.array_equal(a, a_e)
-
-
-class TestCommonBlocks:
-    def test_sectors_with_singleton_diagonal_match_relabelling(self):
-        spec = SpinChainSpec(10, 2.0)
-        h0, h1 = build_hopping(spec), build_zz(spec)
-        singletons = OperatorMatrix.from_dense(h1.matrix).blocks
-        assert len(singletons) == 1024
-        got = common_blocks(h0.blocks, singletons)
-        assert_same_blocks(got, reference_common_blocks(h0.blocks, singletons))
-        assert_same_blocks(got, common_blocks(h0.blocks, h1.blocks))
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_coarsening_matches_relabelling(self, seed):
-        # blocks that chain sectors together through shuffled rows and eigenvector-like columns
-        rng = np.random.default_rng(seed)
-        d = 2**6
-        sectors = magnetization_sectors(6)
-        labels = rng.integers(0, 5, size=d)
-        coarse = [(rows, rows, rng.normal(size=(rows.size, rows.size)) + 0j)
-                  for rows in (np.flatnonzero(labels == k) for k in np.unique(labels))]
-        ranks = rng.permutation(d)
-        vectors = [(rows, np.sort(ranks[rows]), rng.normal(size=(rows.size, rows.size))) for rows in sectors]
-        singles = [(np.array([i]), np.array([i]), np.array([[float(i)]])) for i in rng.permutation(d)]
-        for partitions in ((coarse, vectors), (vectors, singles), (singles, coarse, vectors)):
-            assert_same_blocks(common_blocks(*partitions), reference_common_blocks(*partitions))
