@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 config or argument error (including a run that would
 exceed the memory limit, and ``--threads`` below 1), 3 numerical-certification
-failure.
+failure (including a u grid too coarse for the work support and a quadrature
+oracle that fails its step-halving check).
 The output directory comes from the config, the ``--output`` flag, or the
 ``SPINWORK_OUTPUT_DIR`` environment variable (the only environment override).
 """
@@ -19,9 +20,9 @@ import json
 
 from . import experiments as xp
 from .drive_dynamics import ProtocolError, UnitarityError
-from .perturbative_cfw import measure2_to_csv, measure3_to_csv
+from .perturbative_cfw import QuadratureError, measure2_to_csv, measure3_to_csv
 from .spin_model import DimensionError
-from .work_statistics import cfw_to_csv, distribution_to_csv
+from .work_statistics import ResolutionError, cfw_to_csv, distribution_to_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,7 +143,7 @@ def main(argv=None) -> int:
     except (xp.ConfigError, DimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (xp.CertificationError, UnitarityError, ProtocolError) as exc:
+    except (xp.CertificationError, UnitarityError, ProtocolError, ResolutionError, QuadratureError) as exc:
         print(f"numerical certification failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

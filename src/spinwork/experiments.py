@@ -604,21 +604,22 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
         m3 = three_point_measure(ops.spec0, ops.h1, cfg.beta)
         s = third_order_adiabatic_coefficient(m3)
 
+    if cfg.protocol_kind == "quench":
+        protocols = [_protocol_for("quench", None, lam, cfg.t_total) for lam in lams]
+    else:
+        v = cfg.velocity if cfg.velocity else 1e-3
+        protocols = [_protocol_for("ramp_hold", v, lam, lam / v) for lam in lams]
+    quads = lnchi_second_order_quadrature(m2, list(zip(protocols, lams)), first, u)
+
     entries = []
     curves: dict = {"u": u.tolist()}
     residuals = []
-    for lam in lams:
-        if cfg.protocol_kind == "quench":
-            protocol = _protocol_for("quench", None, lam, cfg.t_total)
-        else:
-            v = cfg.velocity if cfg.velocity else 1e-3
-            protocol = _protocol_for("ramp_hold", v, lam, lam / v)
+    for lam, protocol, quad in zip(lams, protocols, quads):
         spec_f = eigendecompose(assemble(ops.h0, ops.h1, lam))
         prop = propagate(ops.h0, ops.h1, protocol, cfg.dt, method=PROPAGATION_METHOD)
         dist = tpm_distribution(ops.spec0, spec_f, prop, cfg.beta)
         exact = cfw_from_distribution(dist, u)
         pert2 = lnchi_second_order(m2, protocol, first, lam, u)
-        quad = lnchi_second_order_quadrature(m2, protocol, first, lam, u)
         residual = float(np.abs(exact.ln_chi - pert2.ln_chi).max())
         residuals.append(residual)
         lin = phase_linearity(pert2)
@@ -666,7 +667,7 @@ def run_single(cfg: RunConfig, certify: bool = True):
 
 def emit_csv(records: list[ScanRecord], path) -> None:
     """Fixed-schema CSV; full repr precision, UTF-8, '.' decimal separator."""
-    write_csv(path, CSV_COLUMNS, ([getattr(r, c) for c in CSV_COLUMNS] for r in records))
+    write_csv(path, CSV_COLUMNS, [[getattr(r, c) for r in records] for c in CSV_COLUMNS])
 
 
 def emit_json_summary(cfg: RunConfig, records, fits, path, wall_time: float, workers: dict) -> None:

@@ -30,13 +30,16 @@ both (the magnetization sectors for the XXZ chain), so both measures build
 their atoms per block: the three-point measure sum_b b^3 raw atoms instead
 of d^3, after checking their estimated memory against the machine's limit.
 The quadrature oracle sums each leg over factored panels and derives u < 0 from
-|u| by conjugation; its terms are products over the atoms for the whole u grid.
+|u| by conjugation; the legs and the e^{-i omega u} phase table do not depend on
+the coupling, so one oracle call builds them once for a whole coupling grid, and
+each run's terms are then products over the atoms for the whole u grid.
 """
 from __future__ import annotations
 
 import os
 import resource
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,7 +316,8 @@ def _second_order_time_domain(
     coeffs: np.ndarray,
     protocol: DriveProtocol,
     lambda1: float,
-    u_grid: np.ndarray,
+    phase: np.ndarray,
+    legs: tuple[np.ndarray, np.ndarray],
     points_per_unit: float,
     refine: int = 1,
 ) -> np.ndarray:
@@ -326,19 +330,18 @@ def _second_order_time_domain(
     correlator (finite-sum algebra only; no frequency denominators appear).
     The leg on [t, t+u] is e^{i omega t} times the leg on [0, u], and the
     ordered double integral over [t, t+u]^2 reduces to the tent kernel on
-    [0, u] (:func:`_legs`); each term is then one product over the atoms for
-    the whole u grid.
+    [0, u]: ``legs`` is :func:`_legs` at the same ``refine`` and ``phase`` is
+    e^{-i omega u}, neither of which depends on the protocol, so each term is
+    one product over the atoms for the whole u grid.
     """
     t = protocol.t_total
-    u = np.asarray(u_grid, dtype=float)
     s_nodes, s_w = _gl_leg(0.0, t, points_per_unit, refine=refine)
     lam_s = np.array([lambda_at(protocol, s) for s in s_nodes]) * s_w
     # F(omega) = sum_s lam(s) ds e^{i omega s}
     f = np.exp(1j * np.outer(omegas, s_nodes)) @ lam_s
     t_ab = -np.sum(coeffs * np.abs(f) ** 2)
 
-    g, h = _legs(omegas, u, points_per_unit, refine=refine)
-    phase = np.exp(-1j * np.outer(omegas, u))
+    g, h = legs
     at_t = np.exp(1j * omegas * t)
     t_e = (coeffs * np.abs(f) ** 2) @ phase
     t_c = -(lambda1**2) * (coeffs @ h)
@@ -349,30 +352,43 @@ def _second_order_time_domain(
 
 def lnchi_second_order_quadrature(
     measure: SpectralMeasure2,
-    protocol: DriveProtocol,
+    runs: Sequence[tuple[DriveProtocol, float]],
     first_cum: float,
-    lambda1: float,
     u_grid: np.ndarray,
     points_per_unit: float = 8.0,
-) -> CfwSamples:
+) -> list[CfwSamples]:
     """Oracle route for the second-order ln chi, by time-domain quadrature.
 
     Takes the same two-point measure and first cumulant as
     :func:`lnchi_second_order` and serves as the arbiter for its
-    frequency-floor conventions; raises :class:`QuadratureError` when halving
-    the quadrature step still moves the result by more than 1e-7.
+    frequency-floor conventions.  ``runs`` is a sequence of
+    ``(protocol, lambda1)`` pairs and one :class:`CfwSamples` is returned per
+    pair; the leg sums at both rule levels and the phase table depend only on
+    the measure's frequencies and the u grid, so they are built once for the
+    whole sequence.  Raises :class:`QuadratureError` when halving the
+    quadrature step moves any run's result by more than 1e-7.
     """
     u = np.asarray(u_grid, dtype=float)
     # atoms (omega, a) of c(s) = <H1^I(s) H1^I(0)>_0 - <H1>_0^2 = sum a exp(i omega s):
     # the two-point measure with frequency and sign flipped
     omegas, coeffs = -measure.omegas[::-1], -measure.weights[::-1]
-    coarse = _second_order_time_domain(omegas, coeffs, protocol, lambda1, u, points_per_unit)
-    second = _second_order_time_domain(omegas, coeffs, protocol, lambda1, u, points_per_unit, refine=2)
-    drift = float(np.abs(coarse - second).max())
-    if drift > 1e-7:
-        raise QuadratureError(f"quadrature moved by {drift:.3e} under step halving; raise points_per_unit")
-    ln = 1j * u * lambda1 * first_cum + second
-    return CfwSamples(u, np.exp(ln), ln)
+    legs = {refine: _legs(omegas, u, points_per_unit, refine=refine) for refine in (1, 2)}
+    phase = np.exp(-1j * np.outer(omegas, u))
+    out = []
+    for protocol, lambda1 in runs:
+        coarse, second = (
+            _second_order_time_domain(omegas, coeffs, protocol, lambda1, phase, legs[refine], points_per_unit, refine)
+            for refine in (1, 2)
+        )
+        drift = float(np.abs(coarse - second).max())
+        if drift > 1e-7:
+            raise QuadratureError(
+                f"quadrature moved by {drift:.3e} under step halving at lambda1 = {lambda1:g}; "
+                "raise points_per_unit"
+            )
+        ln = 1j * u * lambda1 * first_cum + second
+        out.append(CfwSamples(u, np.exp(ln), ln))
+    return out
 
 
 def third_order_adiabatic_coefficient(m3: SpectralMeasure3) -> complex:
@@ -419,12 +435,12 @@ def lnchi_third_order_adiabatic(
 
 
 def measure2_to_csv(m: SpectralMeasure2, path) -> None:
-    write_csv(path, ["omega", "re_weight", "im_weight"], zip(m.omegas, m.weights.real, m.weights.imag))
+    write_csv(path, ["omega", "re_weight", "im_weight"], [m.omegas, m.weights.real, m.weights.imag])
 
 
 def measure3_to_csv(m: SpectralMeasure3, path) -> None:
     write_csv(
         path,
         ["omega", "omega2", "re_weight", "im_weight"],
-        zip(m.omega1, m.omega2, m.weights.real, m.weights.imag),
+        [m.omega1, m.omega2, m.weights.real, m.weights.imag],
     )

@@ -157,13 +157,20 @@ def default_u_grid(beta: float) -> np.ndarray:
 
 
 def cfw_from_distribution(d: WorkDistribution, u_grid: np.ndarray) -> CfwSamples:
-    """chi(u) = sum_k p_k exp(i u w_k), with ln chi unwrapped from u = 0.  The sum
-    runs over CHI_CHUNK atoms at a time, so no (u x atoms) array is formed."""
+    """chi(u) = sum_k p_k exp(i u w_k), with ln chi unwrapped from u = 0.
+
+    The weights are real, so chi(-u) = conj(chi(u)): the sum runs only at the
+    distinct |u| of the grid and u < 0 is filled by conjugation.  It runs over
+    CHI_CHUNK atoms at a time, so no (u x atoms) array is formed."""
     u = np.asarray(u_grid, dtype=float)
-    chi = np.zeros(u.shape, dtype=complex)
+    spans, where = np.unique(np.abs(u), return_inverse=True)
+    chi_at = np.zeros(spans.shape, dtype=complex)
     for start in range(0, d.works.size, CHI_CHUNK):
         atoms = slice(start, start + CHI_CHUNK)
-        chi += np.exp(1j * np.outer(u, d.works[atoms])) @ d.probabilities[atoms].astype(complex)
+        chi_at += np.exp(1j * np.outer(spans, d.works[atoms])) @ d.probabilities[atoms].astype(complex)
+    chi = chi_at[where]
+    mirror = u < 0
+    chi[mirror] = np.conj(chi[mirror])
     rate = float(np.abs(d.works).max(initial=0.0))
     return CfwSamples(u, chi, _unwrapped_log(u, chi, rate))
 
@@ -266,21 +273,23 @@ def phase_linearity(c: CfwSamples) -> LinearityReport:
     )
 
 
-def write_csv(path, header, rows) -> None:
-    """UTF-8 CSV with LF line ends; every cell is written as repr(float(x))."""
+def write_csv(path, header, columns) -> None:
+    """UTF-8 CSV with LF line ends, one column per entry of ``columns``; every cell is
+    written as the repr of the Python float its column's ``.tolist()`` gives."""
+    cells = [np.asarray(c, dtype=float).tolist() for c in columns]
     lines = [",".join(header)]
-    lines.extend(",".join(repr(float(x)) for x in row) for row in rows)
+    lines.extend(",".join(map(repr, row)) for row in zip(*cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def distribution_to_csv(d: WorkDistribution, path) -> None:
-    write_csv(path, ["w", "p"], zip(d.works, d.probabilities))
+    write_csv(path, ["w", "p"], [d.works, d.probabilities])
 
 
 def cfw_to_csv(c: CfwSamples, path) -> None:
     write_csv(
         path,
         ["u", "re_chi", "im_chi", "re_ln_chi", "im_ln_chi"],
-        zip(c.u_grid, c.chi.real, c.chi.imag, c.ln_chi.real, c.ln_chi.imag),
+        [c.u_grid, c.chi.real, c.chi.imag, c.ln_chi.real, c.ln_chi.imag],
     )

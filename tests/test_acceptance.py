@@ -343,13 +343,13 @@ class TestCriterion6PerturbativeAccuracy:
         lams = [0.05, 0.1, 0.2]
         residuals = []
         worst_gap = 0.0
-        for lam in lams:
-            protocol = DriveProtocol(kind="quench", lambda_final=lam, t_total=2.0)
+        protocols = [DriveProtocol(kind="quench", lambda_final=lam, t_total=2.0) for lam in lams]
+        quads = lnchi_second_order_quadrature(m2, list(zip(protocols, lams)), fc, u)
+        for lam, protocol, quad in zip(lams, protocols, quads):
             spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + lam * h1.matrix))
             prop = propagate(h0, h1, protocol, 0.01)
             exact = cfw_from_distribution(tpm_distribution(spec0, spec_f, prop, beta), u)
             pert2 = lnchi_second_order(m2, protocol, fc, lam, u)
-            quad = lnchi_second_order_quadrature(m2, protocol, fc, lam, u)
             residuals.append(float(np.abs(exact.ln_chi - pert2.ln_chi).max()))
             worst_gap = max(worst_gap, float(np.abs(pert2.ln_chi - quad.ln_chi).max()))
         slope = float(np.polyfit(np.log(lams), np.log(residuals), 1)[0])

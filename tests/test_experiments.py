@@ -688,6 +688,24 @@ class TestCli:
             for row in rows:
                 [float(cell) for cell in row.split(",")]
 
+    @pytest.mark.parametrize(
+        "command, shipped", [("single", "single_quench.json"), ("pert-compare", "pert_compare.json")]
+    )
+    def test_under_resolved_u_grid_exits_3_without_traceback(self, tmp_path, command, shipped):
+        # at coupling 10 the default u grid's spacing 0.05 cannot resolve max |w| ~ 72
+        cfg = json.loads((REPO / "configs" / shipped).read_text())
+        cfg["model"]["coupling"] = 10.0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "spinwork.cli", command, "--config", str(path), "--output", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 3, run.stderr
+        assert "numerical certification failure: u grid spacing 0.05 under-resolves" in run.stderr
+        assert "Traceback" not in run.stderr
+
     @pytest.mark.parametrize("n_sites, exit_code", [(9, 0), (10, 2)])
     def test_pert_compare_under_address_space_limit(self, tmp_path, n_sites, exit_code):
         # The child lowers its own soft RLIMIT_AS to 3,000,000 KiB before numpy loads.

@@ -494,14 +494,14 @@ class TestQuadratureOracle:
         fc = first_cumulant(spec0, h1, BETA)
         u = np.linspace(-5, 5, 21)
         spectral = lnchi_second_order(m2, protocol, fc, 0.1, u)
-        quad = lnchi_second_order_quadrature(m2, protocol, fc, 0.1, u)
+        (quad,) = lnchi_second_order_quadrature(m2, [(protocol, 0.1)], fc, u)
         assert np.abs(spectral.ln_chi - quad.ln_chi).max() < 1e-6
 
     def test_zero_coupling(self, chain4):
         _, _, h1, spec0 = chain4
         protocol = DriveProtocol(kind="quench", lambda_final=0.0, t_total=1.0)
         m2, fc = two_point_measure(spec0, h1, BETA), first_cumulant(spec0, h1, BETA)
-        out = lnchi_second_order_quadrature(m2, protocol, fc, 0.0, np.linspace(-3, 3, 13))
+        (out,) = lnchi_second_order_quadrature(m2, [(protocol, 0.0)], fc, np.linspace(-3, 3, 13))
         assert np.abs(out.ln_chi).max() < 1e-12
 
     def test_unconverged_quadrature_raises(self, chain4):
@@ -511,7 +511,56 @@ class TestQuadratureOracle:
         protocol = DriveProtocol(kind="ramp_hold", lambda_final=0.1, t_total=2.0, velocity=0.05)
         m2, fc = two_point_measure(stiff, h1, BETA), first_cumulant(stiff, h1, BETA)
         with pytest.raises(QuadratureError):
-            lnchi_second_order_quadrature(m2, protocol, fc, 0.1, np.linspace(-5, 5, 11), points_per_unit=0.05)
+            lnchi_second_order_quadrature(m2, [(protocol, 0.1)], fc, np.linspace(-5, 5, 11), points_per_unit=0.05)
+
+    @pytest.mark.parametrize("kind", ["quench", "ramp_hold"])
+    def test_grid_call_matches_one_run_calls(self, chain4, kind):
+        _, _, h1, spec0 = chain4
+        m2, fc = two_point_measure(spec0, h1, BETA), first_cumulant(spec0, h1, BETA)
+        lams = [0.05, 0.1, 0.2]
+        if kind == "quench":
+            runs = [(DriveProtocol(kind="quench", lambda_final=lam, t_total=2.0), lam) for lam in lams]
+        else:
+            runs = [(DriveProtocol(kind="ramp_hold", lambda_final=lam, t_total=lam / 0.1, velocity=0.1), lam)
+                    for lam in lams]
+        u = np.linspace(-5, 5, 21)
+        grid = lnchi_second_order_quadrature(m2, runs, fc, u)
+        assert len(grid) == len(runs)
+        for run, samples in zip(runs, grid):
+            (alone,) = lnchi_second_order_quadrature(m2, [run], fc, u)
+            assert np.array_equal(samples.u_grid, alone.u_grid)
+            assert np.array_equal(samples.ln_chi, alone.ln_chi)
+            assert np.array_equal(samples.chi, alone.chi)
+
+    @pytest.mark.parametrize("n_runs", [1, 3, 6])
+    def test_legs_built_twice_per_call(self, chain4, monkeypatch, n_runs):
+        _, _, h1, spec0 = chain4
+        m2, fc = two_point_measure(spec0, h1, BETA), first_cumulant(spec0, h1, BETA)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("refine"))
+            return _legs(*args, **kwargs)
+
+        monkeypatch.setattr(pcfw, "_legs", counted)
+        runs = [(DriveProtocol(kind="quench", lambda_final=lam, t_total=1.0), lam)
+                for lam in np.linspace(0.05, 0.2, n_runs)]
+        assert len(lnchi_second_order_quadrature(m2, runs, fc, np.linspace(-3, 3, 13))) == n_runs
+        assert sorted(calls) == [1, 2]
+
+    @pytest.mark.parametrize("stiff_at", [0, 1])
+    def test_unconverged_quadrature_raises_for_one_stiff_run(self, chain4, stiff_at):
+        # at zero coupling every term vanishes, so only the ramp at 0.1 can fail the gate
+        _, h0, h1, _ = chain4
+        stiff = eigendecompose(OperatorMatrix.from_dense(30.0 * h0.matrix))
+        m2, fc = two_point_measure(stiff, h1, BETA), first_cumulant(stiff, h1, BETA)
+        runs = [(DriveProtocol(kind="quench", lambda_final=0.0, t_total=2.0), 0.0)]
+        runs.insert(stiff_at, (DriveProtocol(kind="ramp_hold", lambda_final=0.1, t_total=2.0, velocity=0.05), 0.1))
+        u = np.linspace(-5, 5, 11)
+        with pytest.raises(QuadratureError, match="at lambda1 = 0.1;"):
+            lnchi_second_order_quadrature(m2, runs, fc, u, points_per_unit=0.05)
+        (benign,) = lnchi_second_order_quadrature(m2, runs[1 - stiff_at : 2 - stiff_at], fc, u, points_per_unit=0.05)
+        assert np.abs(benign.ln_chi).max() < 1e-12
 
 
 def rs_pt_third_order_mean(h0_ref, h1_ref, beta, floor=1e-9):

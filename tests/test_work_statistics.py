@@ -272,6 +272,31 @@ class TestCfwFromDistribution:
         with pytest.raises(ResolutionError):
             cfw_from_distribution(d, np.linspace(-1, 1, 5))
 
+    @pytest.mark.parametrize("u", [np.linspace(-3, 1, 41), np.linspace(-3, -0.5, 26)], ids=["asymmetric", "negative"])
+    def test_matches_direct_sum_off_symmetric_grids(self, u):
+        rng = np.random.default_rng(11)
+        works = np.sort(rng.uniform(-2.0, 2.0, 50))
+        probs = rng.random(50)
+        probs /= probs.sum()
+        c = cfw_from_distribution(WorkDistribution(works, probs, 0.0), u)
+        direct = np.array([np.sum(probs * np.exp(1j * x * works)) for x in u])
+        assert np.abs(c.chi - direct).max() < 1e-14
+
+    def test_negative_u_is_exact_conjugate_on_default_grid(self, chain4):
+        _, h0, h1, spec0 = chain4
+        spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + 0.1 * h1.matrix))
+        prop = propagate(h0, h1, DriveProtocol(kind="quench", lambda_final=0.1, t_total=1.0), 0.01)
+        dist = tpm_distribution(spec0, spec_f, prop, BETA)
+        u = default_u_grid(BETA)
+        c = cfw_from_distribution(dist, u)
+        assert np.array_equal(cfw_from_distribution(dist, -u).chi, np.conj(c.chi))
+        # the nodes whose exact negation is also a node
+        index = {x: k for k, x in enumerate(u.tolist())}
+        pairs = [(k, index[-x]) for k, x in enumerate(u.tolist()) if x > 0 and -x in index]
+        assert pairs
+        for k, j in pairs:
+            assert c.chi[j] == np.conj(c.chi[k])
+
 
 class TestCfwTrace:
     def test_trivial_propagator_gives_unity(self, chain4):
@@ -447,3 +472,32 @@ class TestPhaseLinearity:
         u = np.linspace(-1.5, 1.5, 101)
         c = cfw_from_distribution(d, u)
         assert np.max(np.real(c.ln_chi)) <= 1e-15
+
+
+class TestWriteCsv:
+    def test_bytes_match_repr_of_float_per_cell(self, tmp_path):
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        special = np.array([-0.0, np.nan, np.inf, -np.inf, 1e-300, tiny, 2.2250738585072014e-308 / 3, 0.1])
+        columns = [
+            special,
+            special[::-1].copy(),
+            [np.float64(x) for x in special],
+            special.tolist(),
+            np.arange(special.size),
+            [True, False] * 4,
+            special.astype(np.float32),
+        ]
+        path = tmp_path / "c.csv"
+        work_statistics.write_csv(path, [f"c{k}" for k in range(len(columns))], columns)
+        rows = zip(*columns)
+        expected = ",".join(f"c{k}" for k in range(len(columns))) + "\n"
+        expected += "".join(",".join(repr(float(x)) for x in row) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode("utf-8")
+        lines = path.read_text().split("\n")
+        assert lines[1].split(",")[:2] == ["-0.0", "0.1"]
+        assert lines[6].split(",")[0] == "5e-324"
+
+    def test_no_rows_writes_header_only(self, tmp_path):
+        path = tmp_path / "c.csv"
+        work_statistics.write_csv(path, ["a", "b"], [np.array([]), []])
+        assert path.read_bytes() == b"a,b\n"
