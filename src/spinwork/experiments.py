@@ -65,6 +65,7 @@ DEFAULT_SIZE_GRID = [4, 5, 6, 7, 8, 9]
 DEFAULT_LAMBDA_GRID = [0.05, 0.1, 0.2]
 CERTIFICATION_SHIFT = 1e-6
 IDENTITY_MONITOR = 1e-8
+SLOW_VELOCITY = 1e-3  # the slow ramp's velocity when the config gives none
 SCAN_KINDS = ("velocity", "size", "lambda_scaling", "pert_compare", "single")
 PROPAGATION_METHOD = "suzuki4"
 
@@ -128,6 +129,9 @@ class RunConfig:
             for lam in self.grid:
                 if not 0 < lam < math.inf:
                     raise ConfigError(f"grid: coupling {lam:g} must be positive and finite")
+            slow_ramp = self.scan == "lambda_scaling" or self.protocol_kind == "ramp_hold"
+            if slow_ramp and self.velocity is not None and not 0 < self.velocity < math.inf:
+                raise ConfigError(f"protocol.velocity: {self.velocity:g} must be positive and finite for the slow ramp")
 
 
 @dataclass(frozen=True)
@@ -285,30 +289,38 @@ def _protocol_for(kind: str, velocity, lambda1: float, t_total: float) -> DriveP
     return DriveProtocol(kind="ramp_hold", lambda_final=lambda1, t_total=t_total, velocity=velocity)
 
 
-def _point_main(ops: _ModelOps, spec_f, protocol: DriveProtocol, beta: float, scan_value: float, dt: float,
-                fidelity_convention: str) -> tuple[ScanRecord, WorkDistribution]:
-    """A scan point's dt run: its record, with the infidelity not yet certified
-    and no runtime, and the work distribution the record was built from."""
-    infid, prop = _point_infidelity(ops, spec_f, protocol, beta, dt, fidelity_convention)
-    dist = tpm_distribution(ops.spec0, spec_f, prop, beta)
-    jz = jarzynski_check(
-        dist,
-        log_partition_function(ops.spec0, beta),
-        log_partition_function(spec_f, beta),
-        beta,
-    )
+def _slow_ramp(cfg: RunConfig, lam: float) -> DriveProtocol:
+    """A full ramp to ``lam`` at the config's velocity (SLOW_VELOCITY if none), ending at t_r = lam / v."""
+    v = cfg.velocity or SLOW_VELOCITY
+    return _protocol_for("ramp_hold", v, lam, lam / v)
+
+
+def _gated_distribution(spec0, spec_f, prop, beta: float, scan_value: float):
+    """The TPM work distribution and its Jarzynski deviation, which must be
+    within IDENTITY_MONITOR (else :class:`CertificationError`)."""
+    dist = tpm_distribution(spec0, spec_f, prop, beta)
+    jz = jarzynski_check(dist, log_partition_function(spec0, beta), log_partition_function(spec_f, beta), beta)
     if jz.abs_deviation > IDENTITY_MONITOR:
         raise CertificationError(
             f"exact-identity monitor tripped at scan value {scan_value}: "
             f"Jarzynski deviation {jz.abs_deviation:.3e}"
         )
+    return dist, jz.abs_deviation
+
+
+def _point_main(ops: _ModelOps, spec_f, protocol: DriveProtocol, beta: float, scan_value: float, dt: float,
+                fidelity_convention: str) -> tuple[ScanRecord, WorkDistribution]:
+    """A scan point's dt run: its record, with the infidelity not yet certified
+    and no runtime, and the work distribution the record was built from."""
+    infid, prop = _point_infidelity(ops, spec_f, protocol, beta, dt, fidelity_convention)
+    dist, deviation = _gated_distribution(ops.spec0, spec_f, prop, beta, scan_value)
     epsilon = 1e-6 * (ops.spec0.spectral_range + spec_f.spectral_range)
     delta = delta_concentration(dist, epsilon)
     record = ScanRecord(
         scan_value=scan_value,
         infidelity=infid,
         avg_work=average_work(dist),
-        jarzynski_deviation=jz.abs_deviation,
+        jarzynski_deviation=deviation,
         delta_variance=delta.variance,
         runtime_seconds=0.0,
     )
@@ -537,21 +549,19 @@ def _loglog_fit(xs, ys):
 
 
 def run_lambda_scaling(
-    cfg: RunConfig, threads: Optional[int] = None, certify: bool = True, slow_velocity: float = 1e-3,
-    workers: Optional[dict] = None,
+    cfg: RunConfig, threads: Optional[int] = None, certify: bool = True, workers: Optional[dict] = None,
 ) -> ScalingReport:
     """Log-log fit of infidelity versus coupling for a slow full ramp and a quench.
 
-    The slow ramp ends exactly at t_r = lambda1 / slow_velocity per coupling;
+    The slow ramp runs at the config's protocol.velocity v (SLOW_VELOCITY if
+    none) and ends exactly at t_r = lambda1 / v per coupling;
     the quench evolves for the configured t_total (its infidelity is
     hold-time independent).  ``threads`` and ``workers`` are as in ``_run_points``.
     """
     lams = sorted(float(v) for v in cfg.grid)
     if len(lams) < 2:
         raise ConfigError("grid: scaling fit needs at least 2 coupling values")
-    points = [
-        (cfg.model, _protocol_for("ramp_hold", slow_velocity, lam, lam / slow_velocity), lam) for lam in lams
-    ]
+    points = [(cfg.model, _slow_ramp(cfg, lam), lam) for lam in lams]
     points += [(cfg.model, _protocol_for("quench", None, lam, cfg.t_total), lam) for lam in lams]
     results = _run_points(cfg, points, {cfg.model: _ModelOps.build(cfg.model)}, threads, certify, workers)
     ramp_records, quench_records = results[: len(lams)], results[len(lams) :]
@@ -607,8 +617,7 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
     if cfg.protocol_kind == "quench":
         protocols = [_protocol_for("quench", None, lam, cfg.t_total) for lam in lams]
     else:
-        v = cfg.velocity if cfg.velocity else 1e-3
-        protocols = [_protocol_for("ramp_hold", v, lam, lam / v) for lam in lams]
+        protocols = [_slow_ramp(cfg, lam) for lam in lams]
     quads = lnchi_second_order_quadrature(m2, list(zip(protocols, lams)), first, u)
 
     entries = []
@@ -617,7 +626,7 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
     for lam, protocol, quad in zip(lams, protocols, quads):
         spec_f = eigendecompose(assemble(ops.h0, ops.h1, lam))
         prop = propagate(ops.h0, ops.h1, protocol, cfg.dt, method=PROPAGATION_METHOD)
-        dist = tpm_distribution(ops.spec0, spec_f, prop, cfg.beta)
+        dist, _ = _gated_distribution(ops.spec0, spec_f, prop, cfg.beta, lam)
         exact = cfw_from_distribution(dist, u)
         pert2 = lnchi_second_order(m2, protocol, first, lam, u)
         residual = float(np.abs(exact.ln_chi - pert2.ln_chi).max())

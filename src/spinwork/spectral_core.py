@@ -1,8 +1,8 @@
 """Eigendecompositions, Gibbs states, partition functions and mixed-state fidelity.
 
-Every object here is held block by block, on the invariant blocks its
-operator came with (``spin_model``: the magnetization sectors for the XXZ
-chain, or the blocks ``OperatorMatrix.from_dense`` found once).
+Every object here is held block by block, on the blocks its operator came
+with (``spin_model``: the magnetization sectors, or one whole-space block
+for a dense input that couples them).
 ``eigendecompose`` runs ``eigh`` on each block and merges the eigenvalues in
 ascending order, keeping each block's eigenvectors as one (rows, cols, array)
 triple.  A state (``DensityMatrix``) is its exact factors
@@ -12,7 +12,7 @@ X -> U X, so no d x d array of a state or an operator is formed in the
 pipeline.  A state given as a matrix is factorized by
 ``DensityMatrix.from_matrix`` (it accepts only a finite, Hermitian,
 unit-trace PSD matrix).  Where two inputs are blocked differently, the work
-runs on the coarsest partition that both refine (``common_blocks``).
+runs on one whole-space block (``common_blocks``).
 
 Boltzmann weights are always computed with the minimum-eigenvalue shift
 (log-sum-exp convention), so large beta never overflows.  ln Z is a

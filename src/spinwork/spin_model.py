@@ -10,10 +10,12 @@ Conventions (fixed so tests are bit-exact):
   * Open boundary conditions: bond sums run over sites 0..N-2.
 
 An operator (``OperatorMatrix``) is its blocks, one (rows, rows, array) triple
-per invariant block: 16 C(2N, N) bytes for the chain, not 16 4^N.
-``build_hopping`` and ``build_zz`` block by magnetization sector; a dense
-input is checked and blocked once by ``OperatorMatrix.from_dense``.  Eigenvectors and state factors are
-(rows, cols, array) triples too, and ``common_blocks`` lines several up.
+per invariant block: 16 C(2N, N) bytes for the chain, not 16 4^N.  There is
+one partition rule: ``build_hopping`` and ``build_zz`` block by magnetization
+sector, and ``OperatorMatrix.from_dense`` checks a dense input and blocks it
+by sector too, or as one whole-space block if it couples sectors.
+Eigenvectors and state factors are (rows, cols, array) triples too, and
+``common_blocks`` lines several up: blocks they share, or the whole space.
 """
 from __future__ import annotations
 
@@ -49,39 +51,16 @@ class SpinChainSpec:
         return 2 ** self.n_sites
 
 
-def invariant_blocks(*matrices: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of the joint nonzero pattern of square matrices.
-
-    Every matrix given is block diagonal over them.  Components are listed by
-    their smallest index, each sorted ascending.
-    """
-    pattern = np.zeros(matrices[0].shape, dtype=bool)
-    for m in matrices:
-        pattern |= m != 0
-    pattern |= pattern.T
-    unseen = np.ones(pattern.shape[0], dtype=bool)
-    blocks = []
-    while unseen.any():
-        frontier = np.zeros_like(unseen)
-        frontier[np.argmax(unseen)] = True
-        member = frontier.copy()
-        while frontier.any():
-            unseen &= ~frontier
-            frontier = pattern[frontier].any(axis=0) & unseen
-            member |= frontier
-        blocks.append(np.flatnonzero(member))
-    return blocks
-
-
 def common_blocks(*partitions) -> list[tuple[np.ndarray, tuple]]:
-    """Blocks of the coarsest partition of range(d) that every given partition refines.
+    """Blocks that every given partition of range(d) refines, lined up.
 
     A partition is a sequence of (rows, cols, array) triples: disjoint rows
     covering range(d), the columns on them (an operator's own rows, or
     eigenvector indices) and the array.  Returns one (rows, ((cols, array) of
-    each partition)) pair per common block; blocks merged into one are placed
-    side by side, their columns sorted.  Partitions of different d raise
-    :class:`DimensionError`.
+    each partition)) pair per common block: the shared blocks when all
+    partitions have the same rows, otherwise one whole-space block holding
+    each partition's ``dense_view`` (exact, since every partition refines the
+    whole space).  Partitions of different d raise :class:`DimensionError`.
     """
     sizes = sorted({sum(rows.size for rows, _, _ in part) for part in partitions})
     if len(sizes) > 1:
@@ -89,29 +68,13 @@ def common_blocks(*partitions) -> list[tuple[np.ndarray, tuple]]:
     first = [rows for rows, _, _ in partitions[0]]
     if all(len(p) == len(first) and all(np.array_equal(r, q[0]) for r, q in zip(first, p)) for p in partitions[1:]):
         return [(rows, tuple((cols, a) for _, cols, a in blocks)) for rows, blocks in zip(first, zip(*partitions))]
-    # label each index by the smallest index the blocks join it to
-    label, previous = np.arange(sizes[0]), None
-    while not np.array_equal(label, previous):
-        previous = label.copy()
-        for rows, _, _ in (block for part in partitions for block in part):
-            label[rows] = label[rows].min()
-    _, where, counts = np.unique(label, return_inverse=True, return_counts=True)
-    result = []
-    for k, rows in enumerate(np.split(np.argsort(label, kind="stable"), np.cumsum(counts)[:-1])):
-        placed = []
-        for part in partitions:
-            group = [block for block in part if where[block[0][0]] == k]
-            cols = np.sort(np.concatenate([c for _, c, _ in group]))
-            a = np.zeros((rows.size, cols.size), dtype=group[0][2].dtype)
-            for r, c, block in group:
-                a[np.ix_(np.searchsorted(rows, r), np.searchsorted(cols, c))] = block
-            placed.append((cols, a))
-        result.append((rows, tuple(placed)))
-    return result
+    whole = np.arange(sizes[0])
+    return [(whole, tuple((whole, dense_view(sizes[0], part)) for part in partitions))]
 
 
 def dense_view(d: int, blocks) -> np.ndarray:
-    """The d x d array of (rows, cols, array) blocks; a view for tests, never used in the pipeline."""
+    """The d x d array of (rows, cols, array) blocks: a view for tests, and the
+    whole-space block ``common_blocks`` gives inputs blocked differently (no CLI run has such)."""
     m = np.zeros((d, d), dtype=complex)
     for rows, cols, a in blocks:
         m[np.ix_(rows, cols)] = a
@@ -121,15 +84,17 @@ def dense_view(d: int, blocks) -> np.ndarray:
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Operator on the 2^N spin Hilbert space, held as one (rows, rows, array) triple
-    per invariant block; it is exactly zero between blocks."""
+    per invariant block (a magnetization sector, or the whole space); it is
+    exactly zero between blocks."""
 
     blocks: tuple
     hermitian: bool = True
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray, hermitian: bool = True) -> "OperatorMatrix":
-        """The blocks of a dense square matrix of power-of-two dimension; rejects a
-        non-finite entry, and a matrix marked Hermitian that is not."""
+        """A dense square matrix of power-of-two dimension, blocked by magnetization
+        sector if it is exactly zero between sectors and as one whole-space block
+        otherwise; rejects a non-finite entry, and a matrix marked Hermitian that is not."""
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"operator must be square, got shape {m.shape}")
@@ -143,7 +108,10 @@ class OperatorMatrix:
             defect = np.abs(m - m.conj().T).max()
             if defect > 1e-12 * scale:
                 raise ValueError(f"matrix is not Hermitian: |H - H^dag| = {defect:.3e}")
-        return cls(tuple((rows, rows, m[np.ix_(rows, rows)]) for rows in invariant_blocks(m)), hermitian)
+        blocks = tuple((rows, rows, m[np.ix_(rows, rows)]) for rows in _sectors(n))
+        if sum(np.count_nonzero(a) for _, _, a in blocks) < np.count_nonzero(m):
+            blocks = ((np.arange(n), np.arange(n), m.copy()),)
+        return cls(blocks, hermitian)
 
     @property
     def dimension(self) -> int:
@@ -183,7 +151,7 @@ def build_hopping(spec: SpinChainSpec) -> OperatorMatrix:
     n = spec.n_sites
     z = _spins(n)
     blocks = []
-    for rows in _sectors(z):
+    for rows in _sectors(2**n):
         h = np.zeros((rows.size, rows.size), dtype=complex)
         for i in range(n - 1):
             b = np.flatnonzero(z[rows, i] != z[rows, i + 1])
@@ -201,7 +169,7 @@ def zz_diagonal(spec: SpinChainSpec) -> np.ndarray:
 def build_zz(spec: SpinChainSpec) -> OperatorMatrix:
     """Interaction part H1 = J sum_i sigma^z_i sigma^z_{i+1}, diagonal in the computational basis."""
     diag = zz_diagonal(spec)
-    return OperatorMatrix(tuple((r, r, np.diag(diag[r]).astype(complex)) for r in _sectors(_spins(spec.n_sites))))
+    return OperatorMatrix(tuple((r, r, np.diag(diag[r]).astype(complex)) for r in _sectors(spec.dimension)))
 
 
 def assemble(h0: OperatorMatrix, h1: OperatorMatrix, lam: float) -> OperatorMatrix:
@@ -219,10 +187,12 @@ def magnetization_sectors(n_sites: int) -> list[np.ndarray]:
     """
     if n_sites < 2:
         raise ValueError(f"n_sites must be >= 2, got {n_sites}")
-    return _sectors(_spins(n_sites))
+    _check_sites(n_sites)
+    return _sectors(2**n_sites)
 
 
-def _sectors(z: np.ndarray) -> list[np.ndarray]:
-    """``magnetization_sectors`` of a spin table."""
-    down = (z.shape[1] - z.sum(axis=1)) // 2
-    return [np.flatnonzero(down == k) for k in range(z.shape[1] + 1)]
+def _sectors(d: int) -> list[np.ndarray]:
+    """Basis indices 0..d-1 grouped by their number of set bits (spins down), 0..log2(d)."""
+    n = d.bit_length() - 1
+    down = ((np.arange(d)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    return [np.flatnonzero(down == k) for k in range(n + 1)]

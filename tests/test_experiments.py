@@ -207,10 +207,10 @@ class TestScans:
             tiny_config(
                 scan="lambda_scaling",
                 grid=[0.1, 0.2],
-                protocol={"kind": "ramp_hold", "velocity": 0.001, "t_total": 4.0},
+                protocol={"kind": "ramp_hold", "velocity": 0.02, "t_total": 4.0},
             )
         )
-        report = run_lambda_scaling(cfg, threads=1, slow_velocity=0.02)
+        report = run_lambda_scaling(cfg, threads=1)
         assert np.isfinite(report.slope_adiabatic)
         assert np.isfinite(report.slope_quench)
         assert 0.0 <= report.r_squared_quench <= 1.0
@@ -289,9 +289,15 @@ class TestScans:
         self.assert_same_records_apart_from_runtime(a, b, tmp_path)
 
     def test_lambda_scaling_determinism_modulo_runtime(self, tmp_path):
-        cfg = config_from_dict(tiny_config(scan="lambda_scaling", grid=[0.1, 0.2]))
-        a = run_lambda_scaling(cfg, threads=2, slow_velocity=0.02)
-        b = run_lambda_scaling(cfg, threads=1, slow_velocity=0.02)
+        cfg = config_from_dict(
+            tiny_config(
+                scan="lambda_scaling",
+                grid=[0.1, 0.2],
+                protocol={"kind": "ramp_hold", "velocity": 0.02, "t_total": 4.0},
+            )
+        )
+        a = run_lambda_scaling(cfg, threads=2)
+        b = run_lambda_scaling(cfg, threads=1)
         self.assert_same_records_apart_from_runtime(
             a.records_adiabatic + a.records_quench, b.records_adiabatic + b.records_quench, tmp_path
         )
@@ -407,6 +413,26 @@ class TestCli:
     def test_bad_velocity_or_coupling_grid_exit_code(self, tmp_path, scan, command, grid):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(tiny_config(scan=scan, grid=grid, output_dir=str(tmp_path / "out"))))
+        assert self.run_cli(command, "--config", str(path), "--threads", "1") == 2
+
+    @pytest.mark.parametrize(
+        "scan, command, kind, velocity",
+        [
+            ("lambda_scaling", "validate-config", "ramp_hold", math.inf),
+            ("lambda_scaling", "scan-lambda", "ramp_hold", math.inf),
+            ("lambda_scaling", "scan-lambda", "quench", -0.05),
+            ("pert_compare", "validate-config", "ramp_hold", math.inf),
+            ("pert_compare", "pert-compare", "ramp_hold", math.inf),
+        ],
+    )
+    def test_slow_ramp_velocity_not_positive_and_finite_exit_code(self, tmp_path, scan, command, kind, velocity):
+        # the slow ramp ends at t_r = lambda1 / velocity, so it needs 0 < velocity < inf
+        cfg = tiny_config(
+            scan=scan, grid=[0.05, 0.1], protocol={"kind": kind, "velocity": velocity, "t_total": 4.0},
+            output_dir=str(tmp_path / "out"),
+        )
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
         assert self.run_cli(command, "--config", str(path), "--threads", "1") == 2
 
     @pytest.mark.parametrize(
@@ -529,6 +555,16 @@ class TestCli:
         path.write_text(json.dumps(tiny_config()))
         monkeypatch.setattr(xp, "CERTIFICATION_SHIFT", 1e-30)
         assert self.run_cli("scan-velocity", "--config", str(path), "--threads", "1") == 3
+
+    def test_pert_compare_identity_monitor_exit_code(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config(
+            scan="pert_compare", grid=[0.05, 0.1], output_dir=str(tmp_path / "out"),
+            protocol={"kind": "quench", "t_total": 1.0},
+        )))
+        monkeypatch.setattr(xp, "IDENTITY_MONITOR", -1.0)
+        assert self.run_cli("pert-compare", "--config", str(path)) == 3
+        assert "Jarzynski deviation" in capsys.readouterr().err
 
     def test_pool_certification_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # the gate runs in the parent when it joins a point's dt and dt/2 tasks

@@ -24,7 +24,7 @@ from spinwork import (
     uhlmann_fidelity,
 )
 from spinwork.spectral_core import SpectralDecomposition
-from spinwork.spin_model import common_blocks, invariant_blocks
+from spinwork.spin_model import common_blocks
 from spinwork.work_statistics import _transition_kernel
 
 from conftest import matrix_function, reconstruct, two_site_operators
@@ -50,13 +50,45 @@ def sqrt_fidelity(rho, sigma):
     return np.sum(np.sqrt(np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None))) ** 2
 
 
-class TestInvariantBlocks:
+class TestFromDenseBlocks:
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_invariant_blocks_are_magnetization_sectors(self, n):
+    def test_chain_is_blocked_by_magnetization_sector(self, n):
         spec = SpinChainSpec(n, 2.0)
-        blocks = invariant_blocks(build_hopping(spec).matrix, build_zz(spec).matrix)
+        op = OperatorMatrix.from_dense(build_hopping(spec).matrix + 0.3 * build_zz(spec).matrix)
         expected = magnetization_sectors(n)
-        assert sorted(map(tuple, blocks)) == sorted(map(tuple, expected))
+        assert len(op.blocks) == n + 1
+        assert all(np.array_equal(rows, e) and cols is rows for (rows, cols, _), e in zip(op.blocks, expected))
+
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    def test_diagonal_pairs_with_built_operator_on_the_shared_blocks(self, n):
+        """A diagonal input gets the N + 1 sectors, not 2^N singletons, so
+        ``common_blocks`` lines it up with ``build_hopping`` block by block."""
+        spec = SpinChainSpec(n, 2.0)
+        h0, zz = build_hopping(spec), OperatorMatrix.from_dense(build_zz(spec).matrix)
+        assert len(zz.blocks) == n + 1
+        common = common_blocks(h0.blocks, zz.blocks)
+        assert len(common) == n + 1
+        for (rows, ((_, a), (_, b))), (r0, _, a0), (_, _, b0) in zip(common, h0.blocks, zz.blocks):
+            assert rows is r0 and a is a0 and b is b0
+
+    def test_sector_coupling_input_is_one_block(self):
+        n = 4
+        spec = SpinChainSpec(n, 2.0)
+        flip0 = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2 ** (n - 1)))  # sigma^x on site 0
+        h = build_hopping(spec).matrix + 0.3 * build_zz(spec).matrix + 0.7 * flip0
+        op = OperatorMatrix.from_dense(h)
+        assert len(op.blocks) == 1
+        assert np.array_equal(op.blocks[0][0], np.arange(2**n)) and np.array_equal(op.matrix, h)
+        got = eigendecompose(op)
+        scale = np.abs(h).max()
+        assert np.abs(got.eigenvalues - np.linalg.eigvalsh(h)).max() < 1e-12 * scale
+        assert np.linalg.norm(reconstruct(got) - h) < 1e-12 * scale
+
+    def test_whole_block_does_not_alias_the_input(self):
+        m = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        op = OperatorMatrix.from_dense(m)
+        m[0, 1] = 5.0
+        assert op.blocks[0][2][0, 1] == 1.0
 
 
 class TestEigendecompose:
@@ -350,8 +382,8 @@ def test_non_finite_dense_input_rejected(build, value):
 
 
 class TestMismatchedPartitions:
-    """Inputs blocked differently are handled on their coarsest common
-    partition and give the dense answer."""
+    """Inputs blocked differently are handled on one whole-space block and
+    give the dense answer."""
 
     @staticmethod
     def case(kind):
@@ -364,8 +396,8 @@ class TestMismatchedPartitions:
             h_f = (z + z.conj().T) / 2
             return h_i, h_f, haar_unitary(d, rng), ((np.arange(d),) * 2,), 1, beta
         # H_i, H_f and U each in a different pairing, all relabelled by a
-        # permutation: none of them is blocked like the common partition,
-        # the two halves {0..3} and {4..7}
+        # permutation: each couples magnetization sectors, so U is one block
+        # and so is the common partition
         def paired(pairs, make):
             m = np.zeros((d, d), dtype=complex)
             for pair in pairs:
@@ -381,10 +413,8 @@ class TestMismatchedPartitions:
         u_pairs = [[0, 2], [1, 3], [4, 6], [5, 7]]
         u = paired(u_pairs, lambda: haar_unitary(2, rng))
         perm = rng.permutation(d)
-        relabel = np.argsort(perm)
-        blocks = tuple((np.sort(relabel[pair]),) * 2 for pair in u_pairs)
         sub = np.ix_(perm, perm)
-        return h_i[sub], h_f[sub], u[sub], blocks, 2, beta
+        return h_i[sub], h_f[sub], u[sub], ((np.arange(d),) * 2,), 1, beta
 
     @pytest.mark.parametrize("kind", ["dense", "coarsened"])
     def test_kernel_and_fidelity_equal_dense_formulas(self, kind):
