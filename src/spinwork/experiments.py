@@ -1,14 +1,16 @@
 """Config-driven scans: velocity and size sweeps, coupling-scaling fits, and
 perturbative-vs-exact comparisons, with CSV/JSON emission.
 
-A scan point is a dt run and, when certified, a dt/2 run.  With one worker the
-points run in this process; otherwise the runs are tasks on a pool of forked
-processes, longest first, each with BLAS pinned to one thread (``_run_points``).
-The parent joins a point's two runs for the certification gate, and records
-are sorted by scan value before emission, so output is deterministic for a
-fixed config whatever the worker count.  The ``runtime_seconds`` column is the
-wall time of a point's runs, summed, and is excluded from the bit-for-bit
-reproducibility guarantee.
+A scan point is a dt run and, when certified, a dt/2 run (``_steps``).  One
+runner, ``_run_levels``, runs them.  With one worker it runs all of a point's
+runs in one call in this process (``single`` always runs so, in the CLI
+process); otherwise each run is a task on a pool of forked processes, longest
+first, each with BLAS pinned to one thread, and a worker sends back the record
+only.  On either path ``_run_points`` joins a point's runs for the
+certification gate, and records are sorted by scan value before emission, so
+output is deterministic for a fixed config whatever the worker count.  The
+``runtime_seconds`` column is the wall time of a point's runs, summed, and is
+excluded from the bit-for-bit reproducibility guarantee.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ import multiprocessing as mp
 import os
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -28,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .drive_dynamics import DriveProtocol, _step_count, evolve_density, propagate
+from .drive_dynamics import DriveProtocol, ProtocolError, _step_count, evolve_density, propagate
 from .perturbative_cfw import (
     SpectralMeasure2,
     SpectralMeasure3,
@@ -111,8 +114,6 @@ class RunConfig:
         if self.fidelity_convention not in ("one_minus_F", "one_minus_sqrtF"):
             raise ConfigError(f"fidelity_convention: unknown value {self.fidelity_convention!r}")
         if self.protocol_kind == "ramp_hold":
-            if self.velocity is None and self.scan in ("size", "single"):
-                raise ConfigError(f"protocol.velocity: required for a ramp_hold {self.scan} run")
             if self.velocity is not None and not self.velocity > 0:
                 raise ConfigError(f"protocol.velocity: {self.velocity:g} must be positive")
         if self.model.n_sites > MAX_SITES:
@@ -125,6 +126,10 @@ class RunConfig:
             for v in self.grid:
                 if not v > 0:
                     raise ConfigError(f"grid: velocity {v:g} must be positive (or inf for the quench)")
+            if all(math.isinf(v) for v in self.grid):
+                raise ConfigError("grid: velocity scan needs at least one finite velocity")
+        if self.scan == "lambda_scaling" and len(self.grid) < 2:
+            raise ConfigError("grid: scaling fit needs at least 2 coupling values")
         if self.scan in ("lambda_scaling", "pert_compare"):
             for lam in self.grid:
                 if not 0 < lam < math.inf:
@@ -132,6 +137,11 @@ class RunConfig:
             slow_ramp = self.scan == "lambda_scaling" or self.protocol_kind == "ramp_hold"
             if slow_ramp and self.velocity is not None and not 0 < self.velocity < math.inf:
                 raise ConfigError(f"protocol.velocity: {self.velocity:g} must be positive and finite for the slow ramp")
+        if self.scan in ("size", "single"):
+            try:
+                _protocol_for(self.protocol_kind, self.velocity, self.lambda1, self.t_total)
+            except ProtocolError as exc:
+                raise ConfigError(f"protocol: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -336,38 +346,37 @@ def _point_infidelity(ops: _ModelOps, spec_f, protocol: DriveProtocol, beta: flo
     return infidelity(evolved, gibbs_state(spec_f, beta), fidelity_convention), prop
 
 
-def _certified(record: ScanRecord, half_infidelity: Optional[float], seconds: float, dt: float) -> ScanRecord:
-    """The record with its runtime, once the dt/2 run's infidelity (None when
-    the point is not certified) agrees with the record's to CERTIFICATION_SHIFT."""
-    if half_infidelity is not None:
-        shift = abs(half_infidelity - record.infidelity)
-        if shift > CERTIFICATION_SHIFT:
-            raise CertificationError(
-                f"dt={dt} not certified at scan value {record.scan_value}: infidelity shift {shift:.3e}"
-            )
-    return replace(record, runtime_seconds=seconds)
+def _steps(dt: float, protocol: DriveProtocol, certify: bool) -> tuple:
+    """A point's steps: the record's dt and, when the point is certified, the check's dt/2."""
+    return (dt, dt / 2.0) if certify and protocol.ramp_time > 0.0 else (dt,)
 
 
-def _levels(protocol: DriveProtocol, certify: bool) -> tuple:
-    """A point's runs: step dt / 2**level for each level."""
-    return (0, 1) if certify and protocol.ramp_time > 0.0 else (0,)
-
-
-def _run_point(ops: _ModelOps, protocol: DriveProtocol, beta: float, scan_value: float, dt: float,
-               fidelity_convention: str, certify: bool = True) -> tuple[ScanRecord, WorkDistribution]:
-    """One scan point in this process: its record and the work distribution the record was built from."""
+def _run_levels(shared: dict, points: list, cfg: RunConfig, certify: bool, i: int,
+                levels) -> tuple[dict, Optional[WorkDistribution]]:
+    """Point ``i``'s runs at ``levels``, indices into its ``_steps``, with the
+    model operators from ``shared`` when its spec is there: {level: (the
+    record at level 0, else the infidelity; wall time)} and the record's work
+    distribution (None unless level 0 ran).  The final Hamiltonian is
+    diagonalized once, within the first run's time."""
+    spec, protocol, scan_value = points[i]
+    steps = _steps(cfg.dt, protocol, certify)
     start = time.perf_counter()
+    ops = shared.get(spec) or _ModelOps.build(spec)
     spec_f = eigendecompose(assemble(ops.h0, ops.h1, protocol.lambda_final))
-    record, dist = _point_main(ops, spec_f, protocol, beta, scan_value, dt, fidelity_convention)
-    half = None
-    if 1 in _levels(protocol, certify):
-        half = _point_infidelity(ops, spec_f, protocol, beta, dt / 2.0, fidelity_convention)[0]
-    return _certified(record, half, time.perf_counter() - start, dt), dist
+    runs, dist = {}, None
+    for level in levels:
+        if level == 0:
+            result, dist = _point_main(ops, spec_f, protocol, cfg.beta, scan_value, steps[0], cfg.fidelity_convention)
+        else:
+            result = _point_infidelity(ops, spec_f, protocol, cfg.beta, steps[level], cfg.fidelity_convention)[0]
+        end = time.perf_counter()
+        runs[level] = (result, end - start)
+        start = end
+    return runs, dist
 
 
-# A pool worker's model operators by spec: those the parent built before the
-# fork, plus those the worker built itself.
-_worker_ops: dict = {}
+# A pool worker's runner, ``_run_levels`` bound to the scan, set at the fork.
+_worker_run = None
 
 
 @functools.cache
@@ -395,97 +404,93 @@ def in_process_workers() -> dict:
     return {"count": 1, "start_method": None, "blas_threads": _blas_threads()}
 
 
-def _init_worker(prebuilt: dict) -> None:
+def _init_worker(run) -> None:
+    global _worker_run
     lib = _openblas()
     if lib is not None:
         lib.scipy_openblas_set_num_threads64_(1)
-    _worker_ops.update(prebuilt)
+    _worker_run = run
 
 
-def _run_task(level: int, spec: SpinChainSpec, protocol: DriveProtocol, scan_value: float, beta: float,
-              dt: float, fidelity_convention: str):
-    """One pool task and its wall time: the point's record at level 0, its dt/2 infidelity at level 1."""
-    start = time.perf_counter()
-    if spec not in _worker_ops:
-        _worker_ops[spec] = _ModelOps.build(spec)
-    ops = _worker_ops[spec]
-    spec_f = eigendecompose(assemble(ops.h0, ops.h1, protocol.lambda_final))
-    if level == 0:
-        result = _point_main(ops, spec_f, protocol, beta, scan_value, dt, fidelity_convention)[0]
-    else:
-        result = _point_infidelity(ops, spec_f, protocol, beta, dt / 2.0, fidelity_convention)[0]
-    return result, time.perf_counter() - start
+def _run_task(i: int, level: int):
+    """One pool task: point ``i``'s run at ``level`` and its wall time.  The
+    work distribution stays in the worker."""
+    return _worker_run(i, (level,))[0][level]
 
 
-def _run_points(cfg: RunConfig, points: list, prebuilt: dict, threads: Optional[int], certify: bool,
-                workers: Optional[dict]) -> list[ScanRecord]:
-    """Records of ``points``, (spec, protocol, scan value) triples, in their order.
+def _run_points(cfg: RunConfig, points: list, threads: Optional[int], certify: bool,
+                workers: Optional[dict]) -> tuple[list[ScanRecord], list]:
+    """Records of ``points``, (spec, protocol, scan value) triples, in their
+    order, and their work distributions (None where a pool worker ran it).
 
-    Each point is a dt task and, when certified, a dt/2 task.  With one worker
-    they run in this process; otherwise on a pool of min(threads, tasks)
-    forked processes, longest first, with BLAS pinned to one thread in each.
-    The workers inherit ``prebuilt``, {spec: _ModelOps}, and build any other
-    spec themselves.  The first error cancels the pending tasks, stops the
+    The operators of a spec that several points share are built once, here.
+    With one worker each point's runs (its ``_steps``) are one ``_run_levels``
+    call in this process; otherwise each run is a task on a pool of
+    min(threads, tasks) forked processes, longest first, with BLAS pinned to
+    one thread in each.  The first error cancels the pending tasks, stops the
     workers (running tasks included) and is raised once the pool has shut
-    down.  ``workers``, when given, receives the worker count, the start
-    method and the workers' BLAS thread count.
+    down.  The join gates a point's finer runs against its record to
+    CERTIFICATION_SHIFT and sums their wall times.  ``workers``, when given,
+    receives the worker count, the start method and the workers' BLAS threads.
     """
-    tasks = [
-        (i, level) for i, (_, protocol, _) in enumerate(points) for level in _levels(protocol, certify)
-    ]
+    steps = [_steps(cfg.dt, protocol, certify) for _, protocol, _ in points]
+    tasks = [(i, level) for i, point_steps in enumerate(steps) for level in range(len(point_steps))]
+    shared = {spec: _ModelOps.build(spec) for spec, n in Counter(p[0] for p in points).items() if n > 1}
+    run = functools.partial(_run_levels, shared, points, cfg, certify)
     count = min(os.cpu_count() or 1 if threads is None else threads, len(tasks))
+    runs, dists = {}, [None] * len(points)
     if count <= 1 or "fork" not in mp.get_all_start_methods():
-        if workers is not None:
-            workers.update(in_process_workers())
-        return [
-            _run_point(
-                prebuilt.get(spec) or _ModelOps.build(spec),
-                protocol, cfg.beta, value, cfg.dt, cfg.fidelity_convention, certify,
-            )[0]
-            for spec, protocol, value in points
-        ]
+        setup = in_process_workers()
+        for i, point_steps in enumerate(steps):
+            point_runs, dists[i] = run(i, range(len(point_steps)))
+            runs.update(((i, level), result) for level, result in point_runs.items())
+    else:
+        def cost(task):
+            """Steps of the task's run (a hold or quench exponential counts as one)
+            times the matmul flops of the sectors, sum C(N, k)^3."""
+            (spec, protocol, _), step = points[task[0]], steps[task[0]][task[1]]
+            flops = sum(math.comb(spec.n_sites, k) ** 3 for k in range(spec.n_sites + 1))
+            return (_step_count(protocol, step) + 1) * flops
 
-    def cost(task):
-        """Steps of the task's run (a hold or quench exponential counts as one)
-        times the matmul flops of the sectors, sum C(N, k)^3."""
-        spec, protocol, _ = points[task[0]]
-        steps = _step_count(protocol, cfg.dt / 2 ** task[1]) + 1
-        return steps * sum(math.comb(spec.n_sites, k) ** 3 for k in range(spec.n_sites + 1))
-
-    tasks.sort(key=cost, reverse=True)
-    # fork: the workers inherit the imported modules and ``prebuilt`` instead
-    # of re-importing and rebuilding them (a spawned worker spends ~0.45 s on
-    # imports).  Forking is safe while the caller runs no other thread; OpenBLAS
-    # stops its own threads before a fork.
-    others = set(mp.active_children())
-    pool = ProcessPoolExecutor(count, mp_context=mp.get_context("fork"),
-                               initializer=_init_worker, initargs=(prebuilt,))
-    results = {}
-    try:
-        blas = pool.submit(_blas_threads)
-        futures = {
-            pool.submit(_run_task, level, *points[i], cfg.beta, cfg.dt, cfg.fidelity_convention): (i, level)
-            for i, level in tasks
-        }
-        for future in as_completed(futures):
-            results[futures[future]] = future.result()
-        blas_threads = blas.result()
-    except BaseException:
-        # cancel_futures drops only the queued tasks: stop the running ones too
-        for worker in set(mp.active_children()) - others:
-            worker.terminate()
-        raise
-    finally:
-        pool.shutdown(cancel_futures=True)
+        tasks.sort(key=cost, reverse=True)
+        # fork: the workers inherit the imported modules, the shared model
+        # operators and the runner instead of re-importing and rebuilding them
+        # (a spawned worker spends ~0.45 s on imports).  Forking is safe while
+        # the caller runs no other thread; OpenBLAS stops its own threads
+        # before a fork.
+        others = set(mp.active_children())
+        pool = ProcessPoolExecutor(count, mp_context=mp.get_context("fork"),
+                                   initializer=_init_worker, initargs=(run,))
+        try:
+            blas = pool.submit(_blas_threads)
+            futures = {pool.submit(_run_task, *task): task for task in tasks}
+            for future in as_completed(futures):
+                runs[futures[future]] = future.result()
+            setup = {"count": count, "start_method": "fork", "blas_threads": blas.result()}
+        except BaseException:
+            # cancel_futures drops only the queued tasks: stop the running ones too
+            for worker in set(mp.active_children()) - others:
+                worker.terminate()
+            raise
+        finally:
+            pool.shutdown(cancel_futures=True)
     if workers is not None:
-        workers.update(count=count, start_method="fork", blas_threads=blas_threads)
+        workers.update(setup)
 
     records = []
-    for i in range(len(points)):
-        record, seconds = results[i, 0]
-        half, half_seconds = results.get((i, 1), (None, 0.0))
-        records.append(_certified(record, half, seconds + half_seconds, cfg.dt))
-    return records
+    for i, point_steps in enumerate(steps):
+        record, seconds = runs[i, 0]
+        for level in range(1, len(point_steps)):
+            check, check_seconds = runs[i, level]
+            shift = abs(check - record.infidelity)
+            if shift > CERTIFICATION_SHIFT:
+                raise CertificationError(
+                    f"dt={point_steps[0]} not certified at scan value {record.scan_value} "
+                    f"against dt={point_steps[level]}: infidelity shift {shift:.3e}"
+                )
+            seconds += check_seconds
+        records.append(replace(record, runtime_seconds=seconds))
+    return records, dists
 
 
 def run_velocity_scan(
@@ -499,8 +504,6 @@ def run_velocity_scan(
     """
     grid = sorted(cfg.grid)
     finite = [v for v in grid if math.isfinite(v)]
-    if not finite:
-        raise ConfigError("grid: velocity scan needs at least one finite velocity")
     if not any(math.isinf(v) for v in grid):
         grid.append(math.inf)
     t_total = abs(cfg.lambda1) / min(finite) if cfg.lambda1 != 0.0 else cfg.t_total
@@ -508,7 +511,7 @@ def run_velocity_scan(
         (cfg.model, _protocol_for("quench" if math.isinf(v) else "ramp_hold", v, cfg.lambda1, t_total), v)
         for v in grid
     ]
-    records = _run_points(cfg, points, {cfg.model: _ModelOps.build(cfg.model)}, threads, certify, workers)
+    records = _run_points(cfg, points, threads, certify, workers)[0]
     return sorted(records, key=lambda r: r.scan_value)
 
 
@@ -523,7 +526,7 @@ def run_size_scan(
         (SpinChainSpec(n, cfg.model.coupling, cfg.model.boundary), protocol, float(n))
         for n in sorted(int(v) for v in cfg.grid)
     ]
-    return _run_points(cfg, points, {}, threads, certify, workers)
+    return _run_points(cfg, points, threads, certify, workers)[0]
 
 
 @dataclass(frozen=True)
@@ -559,11 +562,9 @@ def run_lambda_scaling(
     hold-time independent).  ``threads`` and ``workers`` are as in ``_run_points``.
     """
     lams = sorted(float(v) for v in cfg.grid)
-    if len(lams) < 2:
-        raise ConfigError("grid: scaling fit needs at least 2 coupling values")
     points = [(cfg.model, _slow_ramp(cfg, lam), lam) for lam in lams]
     points += [(cfg.model, _protocol_for("quench", None, lam, cfg.t_total), lam) for lam in lams]
-    results = _run_points(cfg, points, {cfg.model: _ModelOps.build(cfg.model)}, threads, certify, workers)
+    results = _run_points(cfg, points, threads, certify, workers)[0]
     ramp_records, quench_records = results[: len(lams)], results[len(lams) :]
 
     def usable(records):
@@ -603,8 +604,6 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
     """Exact ln chi against the second-order prediction (and the adiabatic
     third-order correction) over the configured coupling grid."""
     lams = sorted(float(v) for v in cfg.grid)
-    if not lams:
-        raise ConfigError("grid: pert_compare needs coupling values")
     ops = _ModelOps.build(cfg.model)
     u = default_u_grid(cfg.beta)
     m2 = two_point_measure(ops.spec0, ops.h1, cfg.beta)
@@ -660,11 +659,10 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
 
 
 def run_single(cfg: RunConfig, certify: bool = True):
-    """One protocol run: its record, work distribution and CFW samples."""
-    ops = _ModelOps.build(cfg.model)
+    """One protocol run, in this process: its record, work distribution and CFW samples."""
     protocol = _protocol_for(cfg.protocol_kind, cfg.velocity, cfg.lambda1, cfg.t_total)
     value = math.inf if cfg.protocol_kind == "quench" else (cfg.velocity or 0.0)
-    record, dist = _run_point(ops, protocol, cfg.beta, value, cfg.dt, cfg.fidelity_convention, certify)
+    (record,), (dist,) = _run_points(cfg, [(cfg.model, protocol, value)], 1, certify, None)
     cfw = cfw_from_distribution(dist, default_u_grid(cfg.beta))
     return record, dist, cfw
 

@@ -216,9 +216,8 @@ class TestScans:
         assert 0.0 <= report.r_squared_quench <= 1.0
 
     def test_lambda_scaling_needs_two_points(self):
-        cfg = config_from_dict(tiny_config(scan="lambda_scaling", grid=[0.1]))
         with pytest.raises(ConfigError, match="grid"):
-            run_lambda_scaling(cfg, threads=1)
+            config_from_dict(tiny_config(scan="lambda_scaling", grid=[0.1]))
 
     def test_single_run_quench(self):
         cfg = config_from_dict(
@@ -312,12 +311,14 @@ class TestScans:
         assert pooled == {"count": 2, "start_method": "fork", "blas_threads": 1}
         assert in_process["count"] == 1 and in_process["start_method"] is None
 
-    def test_pool_record_runtime_sums_its_tasks(self, monkeypatch):
-        # each clock reading advances one second, so every task measures 1 s:
-        # the two ramps run a dt and a dt/2 task, the quench one task
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pool_record_runtime_sums_its_tasks(self, monkeypatch, threads):
+        # each clock reading advances one second, so every run measures 1 s,
+        # in a pool task or in this process: the two ramps run at dt and at
+        # dt/2, the quench at dt only
         ticks = itertools.count()
         monkeypatch.setattr(xp.time, "perf_counter", lambda: float(next(ticks)))
-        records = run_velocity_scan(config_from_dict(tiny_config()), threads=2)
+        records = run_velocity_scan(config_from_dict(tiny_config()), threads=threads)
         assert [r.runtime_seconds for r in records] == [2.0, 2.0, 1.0]
 
     def test_plateau_under_longer_hold(self):
@@ -342,10 +343,13 @@ class TestBlockedOperators:
         built = _ModelOps.build(spec)
         h0, h1 = OperatorMatrix.from_dense(built.h0.matrix), OperatorMatrix.from_dense(built.h1.matrix)
         dense = _ModelOps(h0, h1, eigendecompose(h0))
+        cfg = config_from_dict(tiny_config(dt=0.01))
         for protocol in (xp._protocol_for("ramp_hold", 0.2, 0.1, 3.0), xp._protocol_for("quench", None, 0.1, 3.0)):
-            (r1, d1), (r2, d2) = (
-                xp._run_point(ops, protocol, 1.0, 0.2, 0.01, "one_minus_F") for ops in (built, dense)
+            levels = range(len(xp._steps(cfg.dt, protocol, True)))
+            (runs1, d1), (runs2, d2) = (
+                xp._run_levels({spec: ops}, [(spec, protocol, 0.2)], cfg, True, 0, levels) for ops in (built, dense)
             )
+            (r1, _), (r2, _) = runs1[0], runs2[0]
             assert replace(r1, runtime_seconds=0.0) == replace(r2, runtime_seconds=0.0)
             assert np.array_equal(d1.works, d2.works)
             assert np.array_equal(d1.probabilities, d2.probabilities)
@@ -357,12 +361,13 @@ class TestBlockedOperators:
         spec = SpinChainSpec(10, 2.0)
         dense_bytes = 16 * spec.dimension**2
         protocol = xp._protocol_for("ramp_hold", 0.2, 0.1, 100.0)
+        cfg = config_from_dict(tiny_config(dt=0.01))
         tracemalloc.start()
         try:
             ops = _ModelOps.build(spec)
             build_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            xp._run_point(ops, protocol, 1.0, 10.0, 0.01, "one_minus_F")
+            xp._run_levels({spec: ops}, [(spec, protocol, 10.0)], cfg, True, 0, (0, 1))
             point_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -479,6 +484,29 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         assert self.run_cli(command, "--config", str(path), "--threads", "1") == 2
 
+    @pytest.mark.parametrize(
+        "scan, command, grid, protocol",
+        [
+            ("single", "single", [], {"kind": "ramp_hold", "velocity": 0.001, "t_total": 10.0}),
+            ("size", "scan-size", [2, 3], {"kind": "ramp_hold", "velocity": 0.001, "t_total": 10.0}),
+            ("velocity", "scan-velocity", ["inf"], {"kind": "ramp_hold", "velocity": 0.05, "t_total": 4.0}),
+            ("lambda_scaling", "scan-lambda", [0.1], {"kind": "ramp_hold", "velocity": 0.05, "t_total": 4.0}),
+            ("size", "scan-size", [2, 3], {"kind": "ramp_hold", "t_total": 10.0}),
+        ],
+        ids=["single-short-ramp", "size-short-ramp", "velocity-quench-only", "scaling-one-coupling", "size-no-velocity"],
+    )
+    def test_validate_config_rejects_what_the_run_rejects(self, tmp_path, capsys, scan, command, grid, protocol):
+        # a ramp that cannot reach lambda1 = 0.1 within t_total, a velocity grid
+        # of the quench alone, a scaling fit over one coupling, a ramp without a velocity
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config(scan=scan, grid=grid, protocol=protocol,
+                                               output_dir=str(tmp_path / "out"))))
+        errors = []
+        for argv in (["validate-config"], [command, "--threads", "1"]):
+            assert self.run_cli(*argv, "--config", str(path)) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].startswith("config error: ")
+
     @pytest.mark.parametrize("command", ["validate-config", "single"])
     def test_too_many_sites_exit_code(self, tmp_path, command):
         path = tmp_path / "c.json"
@@ -550,11 +578,22 @@ class TestCli:
         assert self.run_cli("single", "--config", str(path)) == 0
         assert (tmp_path / "env_out" / "single_records.csv").exists()
 
-    def test_certification_failure_exit_code(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "command, threads",
+        [("scan-velocity", "1"), ("scan-velocity", "2"), ("scan-size", "1"), ("scan-size", "2"), ("single", "1")],
+    )
+    def test_certification_failure_exit_code(self, tmp_path, monkeypatch, capsys, command, threads):
+        # one gate, in the parent, joins a point's dt and dt/2 runs on every path
+        scan = {"scan-velocity": "velocity", "scan-size": "size", "single": "single"}[command]
+        grid = {"velocity": [0.05, 0.5], "size": [2, 3], "single": []}[scan]
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(tiny_config()))
+        path.write_text(json.dumps(tiny_config(scan=scan, grid=grid, output_dir=str(tmp_path / "out"))))
         monkeypatch.setattr(xp, "CERTIFICATION_SHIFT", 1e-30)
-        assert self.run_cli("scan-velocity", "--config", str(path), "--threads", "1") == 3
+        assert self.run_cli(command, "--config", str(path), "--threads", threads) == 3
+        err = capsys.readouterr().err
+        assert "numerical certification failure: dt=0.02 not certified at scan value" in err
+        assert "against dt=0.01:" in err
+        assert not multiprocessing.active_children()
 
     def test_pert_compare_identity_monitor_exit_code(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "c.json"
@@ -565,15 +604,6 @@ class TestCli:
         monkeypatch.setattr(xp, "IDENTITY_MONITOR", -1.0)
         assert self.run_cli("pert-compare", "--config", str(path)) == 3
         assert "Jarzynski deviation" in capsys.readouterr().err
-
-    def test_pool_certification_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        # the gate runs in the parent when it joins a point's dt and dt/2 tasks
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(tiny_config()))
-        monkeypatch.setattr(xp, "CERTIFICATION_SHIFT", 1e-30)
-        assert self.run_cli("scan-velocity", "--config", str(path), "--threads", "2") == 3
-        assert "not certified at scan value" in capsys.readouterr().err
-        assert not multiprocessing.active_children()
 
     def test_worker_unitarity_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # the forked workers inherit the lowered guard
