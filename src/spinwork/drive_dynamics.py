@@ -9,7 +9,7 @@ Propagation conventions (hbar = 1, time in inverse energy units):
   * The varying segment is divided uniformly so the step lands exactly on the
     segment end; the realized step (within rounding of the requested dt) is
     reported as ``dt_used``.
-  * Coupling is sampled at substep midpoints for every method.
+  * Coupling is sampled at substep midpoints.
   * Each block common to H0 and H1 (the blocks they were built on: the
     magnetization sectors for the XXZ chain) is propagated on its own with one
     substep schedule shared by all.  U is an operator on the same blocks, and
@@ -26,12 +26,10 @@ Propagation conventions (hbar = 1, time in inverse energy units):
     chain this cuts the counted flops per substep 7.9x at N = 9.  Without
     such symmetries a block is stepped as it is.
 
-Methods: ``strang`` (second order, requires the interaction part diagonal in
-the computational basis), ``suzuki4`` (fourth-order triple-jump composition of
-Strang substeps, same requirement; the default for production scans because it
-keeps dt=0.01 results converged at the 1e-8 level), and ``midpoint_exact``
-(rediagonalizes H0 + lambda(t_mid) H1 every step for any Hermitian H1; the
-cross-method oracle).
+Stepping is fourth-order Suzuki: each step is the triple-jump composition of
+three Strang substeps (half H0, diagonal H1 kick, half H0), which keeps
+dt = 0.01 results converged at the 1e-8 level.  The kick needs the interaction
+part diagonal in the computational basis.
 """
 from __future__ import annotations
 
@@ -44,7 +42,7 @@ import numpy as np
 from .spin_model import OperatorMatrix, common_blocks, spin_symmetries
 from .spectral_core import DensityMatrix
 
-#: Triple-jump composition coefficients for the fourth-order method.
+#: Triple-jump composition coefficients of a Suzuki-4 step.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
 
@@ -200,13 +198,12 @@ def _step_count(p: DriveProtocol, dt: float) -> int:
     return max(1, int(round(p.ramp_time / dt))) if p.ramp_time > 0.0 else 0
 
 
-def _substep_schedule(p: DriveProtocol, dt: float, method: str):
+def _substep_schedule(p: DriveProtocol, dt: float):
     """Step h, substep widths and midpoint couplings over [0, ramp_time], with
     the distinct merged H0 gaps between diagonal kicks and each gap's index."""
     nsteps = _step_count(p, dt)
     h = p.ramp_time / nsteps
-    unit = np.array([_W1, _W0, _W1] if method == "suzuki4" else [1.0])
-    widths = np.tile(unit * h, nsteps)
+    widths = np.tile(np.array([_W1, _W0, _W1]) * h, nsteps)
     starts = np.concatenate(([0.0], np.cumsum(widths)[:-1]))
     lam_mid = np.array([lambda_at(p, t) for t in starts + widths / 2.0])
     # Adjacent H0 half-factors between diagonal kicks merge into one factor;
@@ -216,35 +213,24 @@ def _substep_schedule(p: DriveProtocol, dt: float, method: str):
     return h, widths, lam_mid, gaps, gap_index
 
 
-def _propagate_block(
-    h0: np.ndarray,
-    h1: np.ndarray,
-    p: DriveProtocol,
-    schedule: Optional[tuple],
-    method: str,
-) -> np.ndarray:
+def _propagate_block(h0: np.ndarray, h1: np.ndarray, p: DriveProtocol, schedule: Optional[tuple]) -> np.ndarray:
     """Propagator of one invariant block: the stepped varying segment, then the hold."""
     u = None
     if schedule is not None:
         _, widths, lam_mid, gaps, gap_index = schedule
-        if method == "midpoint_exact":
-            u = np.eye(h0.shape[0], dtype=complex)
-            for lam, w in zip(lam_mid, widths):
-                u = _expi(np.linalg.eigh(h0 + lam * h1), w) @ u
-        else:
-            eig0 = np.linalg.eigh(h0)
-            h1_diag = np.real(np.diag(h1))
-            factors = [_expi(eig0, g) for g in gaps]
-            u = factors[gap_index[0]].copy()
-            kicked = np.empty_like(u)
-            # the diagonal kicks of a chunk of substeps in one exp, each applied
-            # and followed by its H0 factor in place in two buffers
-            for start in range(0, widths.size, KICK_CHUNK):
-                part = slice(start, start + KICK_CHUNK)
-                kicks = np.exp((-1j * lam_mid[part])[:, None] * h1_diag * widths[part][:, None])
-                for kick, g in zip(kicks, gap_index[1:][part]):
-                    np.multiply(kick[:, None], u, out=kicked)
-                    np.matmul(factors[g], kicked, out=u)
+        eig0 = np.linalg.eigh(h0)
+        h1_diag = np.real(np.diag(h1))
+        factors = [_expi(eig0, g) for g in gaps]
+        u = factors[gap_index[0]].copy()
+        kicked = np.empty_like(u)
+        # the diagonal kicks of a chunk of substeps in one exp, each applied
+        # and followed by its H0 factor in place in two buffers
+        for start in range(0, widths.size, KICK_CHUNK):
+            part = slice(start, start + KICK_CHUNK)
+            kicks = np.exp((-1j * lam_mid[part])[:, None] * h1_diag * widths[part][:, None])
+            for kick, g in zip(kicks, gap_index[1:][part]):
+                np.multiply(kick[:, None], u, out=kicked)
+                np.matmul(factors[g], kicked, out=u)
 
     t_hold = p.t_total - p.ramp_time
     if t_hold > 1e-15 * p.t_total:
@@ -301,32 +287,22 @@ def _parity_isometries(rows: np.ndarray, symmetries: list[np.ndarray]) -> list[n
     return isometries
 
 
-def propagate(
-    h0: OperatorMatrix,
-    h1: OperatorMatrix,
-    p: DriveProtocol,
-    dt: float,
-    method: str = "strang",
-) -> PropagatorResult:
-    """Time-ordered propagator U(t_total) for H(t) = H0 + lambda(t) H1.
+def propagate(h0: OperatorMatrix, h1: OperatorMatrix, p: DriveProtocol, dt: float) -> PropagatorResult:
+    """Time-ordered propagator U(t_total) for H(t) = H0 + lambda(t) H1, in Suzuki-4 steps of ~dt.
 
     Each block common to H0 and H1 is stepped on its own, reduced by the
     spin-flip and reflection symmetries the two share (see the module notes).
-    ``midpoint_exact`` takes any Hermitian H1; ``strang`` and ``suzuki4``
-    need H1 diagonal in the computational basis.
+    H1 must be diagonal in the computational basis.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if method not in ("strang", "suzuki4", "midpoint_exact"):
-        raise ValueError(f"unknown method {method!r}")
     blocks = common_blocks(h0.blocks, h1.blocks)
-    if method in ("strang", "suzuki4"):
-        h1_blocks = [h1b for _, (_, (_, h1b)) in blocks]
-        scale = max(max(np.abs(np.diag(b)).max() for b in h1_blocks), 1.0)
-        if any(np.abs(b - np.diag(np.diag(b))).max() > 1e-12 * scale for b in h1_blocks):
-            raise ValueError(f"{method} requires the interaction part diagonal in the computational basis")
+    h1_blocks = [h1b for _, (_, (_, h1b)) in blocks]
+    scale = max(max(np.abs(np.diag(b)).max() for b in h1_blocks), 1.0)
+    if any(np.abs(b - np.diag(np.diag(b))).max() > 1e-12 * scale for b in h1_blocks):
+        raise ValueError("propagate requires the interaction part diagonal in the computational basis")
 
-    schedule = _substep_schedule(p, dt, method) if p.ramp_time > 0.0 else None
+    schedule = _substep_schedule(p, dt) if p.ramp_time > 0.0 else None
     symmetries = _symmetries(blocks)
     first = {rows[0]: k for k, (rows, _) in enumerate(blocks)}
     stepped = [None] * len(blocks)
@@ -335,7 +311,7 @@ def propagate(
             continue
         ub = np.zeros((idx.size, idx.size), dtype=complex)
         for s in _parity_isometries(idx, symmetries):
-            ub += s @ _propagate_block(s.T @ h0b @ s, s.T @ h1b @ s, p, schedule, method) @ s.T
+            ub += s @ _propagate_block(s.T @ h0b @ s, s.T @ h1b @ s, p, schedule) @ s.T
         stepped[k] = ub
         # U commutes with each symmetry, so the block it maps this one onto is a copy
         for g in symmetries:

@@ -70,7 +70,6 @@ CERTIFICATION_SHIFT = 1e-6
 IDENTITY_MONITOR = 1e-8
 SLOW_VELOCITY = 1e-3  # the slow ramp's velocity when the config gives none
 SCAN_KINDS = ("velocity", "size", "lambda_scaling", "pert_compare", "single")
-PROPAGATION_METHOD = "suzuki4"
 
 
 class ConfigError(ValueError):
@@ -111,6 +110,9 @@ class RunConfig:
             raise ConfigError(f"protocol.kind: unknown kind {self.protocol_kind!r}")
         if self.scan != "single" and not self.grid:
             raise ConfigError("grid: must be nonempty for scan kinds")
+        repeated = [v for k, v in enumerate(self.grid) if v in self.grid[:k]]
+        if repeated:
+            raise ConfigError(f"grid: repeated entry {repeated[0]:g}")
         if self.fidelity_convention not in ("one_minus_F", "one_minus_sqrtF"):
             raise ConfigError(f"fidelity_convention: unknown value {self.fidelity_convention!r}")
         if self.protocol_kind == "ramp_hold":
@@ -341,7 +343,7 @@ def _point_infidelity(ops: _ModelOps, spec_f, protocol: DriveProtocol, beta: flo
                       fidelity_convention: str):
     """Infidelity of the initial Gibbs state evolved at step dt against the final
     Gibbs state, and the propagator.  At dt/2 this is a point's certification run."""
-    prop = propagate(ops.h0, ops.h1, protocol, dt, method=PROPAGATION_METHOD)
+    prop = propagate(ops.h0, ops.h1, protocol, dt)
     evolved = evolve_density(gibbs_state(ops.spec0, beta), prop)
     return infidelity(evolved, gibbs_state(spec_f, beta), fidelity_convention), prop
 
@@ -624,7 +626,7 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
     residuals = []
     for lam, protocol, quad in zip(lams, protocols, quads):
         spec_f = eigendecompose(assemble(ops.h0, ops.h1, lam))
-        prop = propagate(ops.h0, ops.h1, protocol, cfg.dt, method=PROPAGATION_METHOD)
+        prop = propagate(ops.h0, ops.h1, protocol, cfg.dt)
         dist, _ = _gated_distribution(ops.spec0, spec_f, prop, cfg.beta, lam)
         exact = cfw_from_distribution(dist, u)
         pert2 = lnchi_second_order(m2, protocol, first, lam, u)
@@ -658,11 +660,11 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
     )
 
 
-def run_single(cfg: RunConfig, certify: bool = True):
+def run_single(cfg: RunConfig):
     """One protocol run, in this process: its record, work distribution and CFW samples."""
     protocol = _protocol_for(cfg.protocol_kind, cfg.velocity, cfg.lambda1, cfg.t_total)
     value = math.inf if cfg.protocol_kind == "quench" else (cfg.velocity or 0.0)
-    (record,), (dist,) = _run_points(cfg, [(cfg.model, protocol, value)], 1, certify, None)
+    (record,), (dist,) = _run_points(cfg, [(cfg.model, protocol, value)], 1, True, None)
     cfw = cfw_from_distribution(dist, default_u_grid(cfg.beta))
     return record, dist, cfw
 

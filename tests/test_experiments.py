@@ -105,8 +105,20 @@ class TestConfigLoading:
         assert config_to_dict(again) == config_to_dict(cfg)
 
     def test_quench_sentinel_strings(self):
-        cfg = config_from_dict(tiny_config(grid=[0.1, "inf", "quench"]))
-        assert sum(math.isinf(v) for v in cfg.grid) == 2
+        for sentinel in ("inf", "quench", "Quench"):
+            assert math.isinf(config_from_dict(tiny_config(grid=[0.1, sentinel])).grid[-1])
+        # both spellings parse to the one quench entry
+        with pytest.raises(ConfigError, match="grid: repeated entry inf"):
+            config_from_dict(tiny_config(grid=[0.1, "inf", "quench"]))
+
+    @pytest.mark.parametrize(
+        "scan, grid",
+        [("velocity", [0.05, 0.5, 0.05]), ("size", [3, 3.0]), ("lambda_scaling", [0.1, 0.1]),
+         ("pert_compare", [0.2, 0.1, 0.2]), ("single", [1, 1])],
+    )
+    def test_repeated_grid_entry_rejected(self, scan, grid):
+        with pytest.raises(ConfigError, match=f"grid: repeated entry {grid[0]:g}$"):
+            config_from_dict(tiny_config(scan=scan, grid=grid))
 
     def test_bad_scan_kind(self):
         with pytest.raises(ConfigError, match="scan"):
@@ -492,12 +504,16 @@ class TestCli:
             ("velocity", "scan-velocity", ["inf"], {"kind": "ramp_hold", "velocity": 0.05, "t_total": 4.0}),
             ("lambda_scaling", "scan-lambda", [0.1], {"kind": "ramp_hold", "velocity": 0.05, "t_total": 4.0}),
             ("size", "scan-size", [2, 3], {"kind": "ramp_hold", "t_total": 10.0}),
+            ("pert_compare", "pert-compare", [0.1, 0.1], {"kind": "quench", "t_total": 2.0}),
+            ("lambda_scaling", "scan-lambda", [0.1, 0.1], {"kind": "ramp_hold", "velocity": 0.05, "t_total": 4.0}),
         ],
-        ids=["single-short-ramp", "size-short-ramp", "velocity-quench-only", "scaling-one-coupling", "size-no-velocity"],
+        ids=["single-short-ramp", "size-short-ramp", "velocity-quench-only", "scaling-one-coupling", "size-no-velocity",
+             "pert-compare-repeated-coupling", "scaling-repeated-coupling"],
     )
     def test_validate_config_rejects_what_the_run_rejects(self, tmp_path, capsys, scan, command, grid, protocol):
         # a ramp that cannot reach lambda1 = 0.1 within t_total, a velocity grid
-        # of the quench alone, a scaling fit over one coupling, a ramp without a velocity
+        # of the quench alone, a scaling fit over one coupling, a ramp without a
+        # velocity, a coupling grid that repeats an entry
         path = tmp_path / "c.json"
         path.write_text(json.dumps(tiny_config(scan=scan, grid=grid, protocol=protocol,
                                                output_dir=str(tmp_path / "out"))))

@@ -452,7 +452,7 @@ class TestFidelityOracle:
         h0, h1 = build_hopping(spec), build_zz(spec)
         h_f = assemble(h0, h1, 0.1)
         protocol = DriveProtocol(kind="ramp_hold", lambda_final=0.1, t_total=3.0, velocity=0.05)
-        prop = propagate(h0, h1, protocol, 0.01, method="suzuki4")
+        prop = propagate(h0, h1, protocol, 0.01)
         spec0, spec_f = eigendecompose(h0), eigendecompose(h_f)
         rho, sigma = evolve_density(gibbs_state(spec0, beta), prop), gibbs_state(spec_f, beta)
         got = uhlmann_fidelity(rho, sigma)
