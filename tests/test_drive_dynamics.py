@@ -42,6 +42,21 @@ def quench(lam1=0.1, t_total=10.0):
     return DriveProtocol(kind="quench", lambda_final=lam1, t_total=t_total)
 
 
+def sampled(points, t_total):
+    """A completed sampled schedule through (t, lambda) points, starting at (0, 0)."""
+    samples = np.array([[0.0, 0.0]] + points)
+    return DriveProtocol(kind="sampled", lambda_final=samples[-1, 1], t_total=t_total, samples=samples)
+
+
+# Schedules over t_total = 1 that step through different branches: a rising ramp
+# then a hold, a falling ramp with no hold, a non-monotone sampled schedule then a hold.
+SHAPES = {
+    "ramp_hold": ramp(lam1=0.3, v=0.6, t_total=1.0),
+    "falling": ramp(lam1=-0.3, v=0.3, t_total=1.0),
+    "sampled": sampled([[0.25, 0.4], [0.5, 0.1], [0.75, 0.3], [1.0, 0.3]], 1.0),
+}
+
+
 def short_of_final():
     """A sampled schedule that stops at 0.1 of its lambda_final = 1."""
     return DriveProtocol(
@@ -133,9 +148,14 @@ class TestPropagate:
         assert np.abs(res.unitary.matrix - exact).max() < 1e-12
         assert res.dt_used == 7.0
 
-    def test_unitarity(self, chain4):
+    @pytest.mark.parametrize(
+        "p",
+        [ramp(lam1=0.2, v=0.1), ramp(lam1=-0.2, v=0.1, t_total=2.0), sampled([[1.0, 0.3], [2.0, -0.1], [3.0, 0.2]], 3.0)],
+        ids=["ramp", "falling", "sampled"],
+    )
+    def test_unitarity(self, chain4, p):
         _, h0, h1, _ = chain4
-        res = propagate(h0, h1, ramp(lam1=0.2, v=0.1), 0.02)
+        res = propagate(h0, h1, p, 0.02)
         assert res.unitarity_defect < 1e-8
 
     @pytest.mark.parametrize("p", [ramp(), quench(0.3, 2.0)], ids=["ramp", "quench"])
@@ -208,10 +228,14 @@ def stepped_reference(h0, h1, p, dt, blocks):
 
 
 class TestSteppingLoop:
-    def test_chunked_kicks_match_per_substep_loop_bit_for_bit(self):
+    @pytest.mark.parametrize(
+        "p",
+        [ramp(lam1=0.1, v=0.1 / 3.1, t_total=4.0), sampled([[1.0, 0.08], [2.0, 0.03], [3.1, 0.1], [4.0, 0.1]], 4.0)],
+        ids=["ramp", "sampled"],
+    )
+    def test_chunked_kicks_match_per_substep_loop_bit_for_bit(self, p):
         spec = SpinChainSpec(6, 2.0)
         (rows, _, h0), (_, _, h1) = build_hopping(spec).blocks[3], build_zz(spec).blocks[3]
-        p = ramp(lam1=0.1, v=0.1 / 3.1, t_total=4.0)
         schedule = _substep_schedule(p, 0.01)
         _, widths, lam_mid, gaps, gap_index = schedule
         assert widths.size > KICK_CHUNK  # more than one chunk, the last one partial
@@ -222,6 +246,7 @@ class TestSteppingLoop:
         for lam, w, g in zip(lam_mid, widths, gap_index[1:]):
             u = np.exp(-1j * lam * h1_diag * w)[:, None] * u
             u = factors[g] @ u
+        assert p.ramp_time == pytest.approx(3.1)  # both step 930 substeps, then hold for 0.9
         hold = _expi(np.linalg.eigh(h0 + 0.1 * h1), p.t_total - p.ramp_time)
         assert np.array_equal(_propagate_block(h0, h1, p, schedule), hold @ u)
 
@@ -247,10 +272,11 @@ class TestSymmetryReduction:
                     if a != b:
                         assert np.abs(s.T @ h0b @ r).max() < 1e-13
 
+    @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_matches_per_sector_reference(self, n):
+    def test_matches_per_sector_reference(self, n, shape):
         h0, h1 = chain(n)
-        p = ramp(lam1=0.3, v=0.6, t_total=1.0)
+        p = SHAPES[shape]
         u = propagate(h0, h1, p, 0.1).unitary.matrix
         sectors = magnetization_sectors(n)
         ref = stepped_reference(h0.matrix, h1.matrix, p, 0.1, sectors)
@@ -261,8 +287,9 @@ class TestSymmetryReduction:
         assert np.all(u[~inside] == 0)
         assert np.array_equal(u, u[::-1, ::-1])
 
+    @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("breaking, kept", [("bond", 1), ("field", 1), ("random", 0)])
-    def test_broken_symmetry_matches_dense_product(self, breaking, kept):
+    def test_broken_symmetry_matches_dense_product(self, breaking, kept, shape):
         n = 5
         h0, zz = chain(n)
         z = 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
@@ -273,7 +300,7 @@ class TestSymmetryReduction:
         else:
             h1 = OperatorMatrix.from_dense(np.diag(np.random.default_rng(3).normal(size=2**n)).astype(complex))
         assert len(_symmetries(common_blocks(h0.blocks, h1.blocks))) == kept
-        p = ramp(lam1=0.3, v=0.6, t_total=1.0)
+        p = SHAPES[shape]
         u = propagate(h0, h1, p, 0.1).unitary.matrix
         ref = stepped_reference(h0.matrix, h1.matrix, p, 0.1, [np.arange(2**n)])
         assert np.abs(u - ref).max() < 1e-12
