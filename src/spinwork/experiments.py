@@ -1,16 +1,17 @@
 """Config-driven scans: velocity and size sweeps, coupling-scaling fits, and
 perturbative-vs-exact comparisons, with CSV/JSON emission.
 
-A scan point is a dt run and, when certified, a dt/2 run (``_steps``).  One
-runner, ``_run_levels``, runs them.  With one worker it runs all of a point's
-runs in one call in this process (``single`` always runs so, in the CLI
-process); otherwise each run is a task on a pool of forked processes, longest
-first, each with BLAS pinned to one thread, and a worker sends back the record
-only.  On either path ``_run_points`` joins a point's runs for the
-certification gate, and records are sorted by scan value before emission, so
-output is deterministic for a fixed config whatever the worker count.  The
-``runtime_seconds`` column is the wall time of a point's runs, summed, and is
-excluded from the bit-for-bit reproducibility guarantee.
+A scan point is a dt run and, when certified, a check run at 2dt, or at dt/2
+for a ramp of one step (``_steps``).  One runner, ``_run_levels``, runs them.
+With one worker it runs all of a point's runs in one call in this process
+(``single`` always runs so, in the CLI process); otherwise each run is a task
+on a pool of forked processes, longest first, each with BLAS pinned to one
+thread, and a worker sends back the record only.  On either path
+``_run_points`` joins a point's runs for the certification gate, and records
+are sorted by scan value before emission, so output is deterministic for a
+fixed config whatever the worker count.  The ``runtime_seconds`` column is the
+wall time of a point's runs, summed, and is excluded from the bit-for-bit
+reproducibility guarantee.
 """
 from __future__ import annotations
 
@@ -342,15 +343,24 @@ def _point_main(ops: _ModelOps, spec_f, protocol: DriveProtocol, beta: float, sc
 def _point_infidelity(ops: _ModelOps, spec_f, protocol: DriveProtocol, beta: float, dt: float,
                       fidelity_convention: str):
     """Infidelity of the initial Gibbs state evolved at step dt against the final
-    Gibbs state, and the propagator.  At dt/2 this is a point's certification run."""
+    Gibbs state, and the propagator.  At the check's step (``_steps``) this is
+    a point's certification run."""
     prop = propagate(ops.h0, ops.h1, protocol, dt)
     evolved = evolve_density(gibbs_state(ops.spec0, beta), prop)
     return infidelity(evolved, gibbs_state(spec_f, beta), fidelity_convention), prop
 
 
 def _steps(dt: float, protocol: DriveProtocol, certify: bool) -> tuple:
-    """A point's steps: the record's dt and, when the point is certified, the check's dt/2."""
-    return (dt, dt / 2.0) if certify and protocol.ramp_time > 0.0 else (dt,)
+    """A point's steps: the record's dt and, when the point is certified, the
+    check's.  The check runs at 2dt when the ramp takes fewer steps there; its
+    realized step is then at least 1.5x the record's, so for a fourth-order
+    method its shift is at least ~4x the record's own error, at half the
+    record's cost.  A ramp of one step at dt is the same single step at 2dt,
+    so it is checked at dt/2."""
+    steps = _step_count(protocol, dt)
+    if not certify or steps == 0:
+        return (dt,)
+    return (dt, 2.0 * dt) if _step_count(protocol, 2.0 * dt) < steps else (dt, dt / 2.0)
 
 
 def _run_levels(shared: dict, points: list, cfg: RunConfig, certify: bool, i: int,
@@ -431,7 +441,7 @@ def _run_points(cfg: RunConfig, points: list, threads: Optional[int], certify: b
     min(threads, tasks) forked processes, longest first, with BLAS pinned to
     one thread in each.  The first error cancels the pending tasks, stops the
     workers (running tasks included) and is raised once the pool has shut
-    down.  The join gates a point's finer runs against its record to
+    down.  The join gates a point's check run against its record to
     CERTIFICATION_SHIFT and sums their wall times.  ``workers``, when given,
     receives the worker count, the start method and the workers' BLAS threads.
     """

@@ -384,8 +384,8 @@ class TestSpectralResponse:
 
 
 class TestConvergenceProbe:
-    """Step halving of ``propagate``: ||U_dt - U_dt/2|| and the infidelity shift
-    that scan points are certified on."""
+    """Step halving of ``propagate``: ||U_dt - U_dt/2||, and the fourth order
+    that lets a scan point be certified against a run at twice its step."""
 
     @staticmethod
     def halving_delta(h0, h1, p, dt):

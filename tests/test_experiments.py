@@ -327,11 +327,48 @@ class TestScans:
     def test_pool_record_runtime_sums_its_tasks(self, monkeypatch, threads):
         # each clock reading advances one second, so every run measures 1 s,
         # in a pool task or in this process: the two ramps run at dt and at
-        # dt/2, the quench at dt only
+        # 2dt, the quench at dt only
         ticks = itertools.count()
         monkeypatch.setattr(xp.time, "perf_counter", lambda: float(next(ticks)))
         records = run_velocity_scan(config_from_dict(tiny_config()), threads=threads)
         assert [r.runtime_seconds for r in records] == [2.0, 2.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "protocol, certify, steps",
+        [
+            # ramps over 0.75, 0.5 and 0.25 at dt = 0.25: 3, 2 and 1 steps at dt; 2, 1 and 1 at 2dt
+            (xp._protocol_for("ramp_hold", 1.0, 0.75, 4.0), True, (0.25, 0.5)),
+            (xp._protocol_for("ramp_hold", 1.0, 0.5, 4.0), True, (0.25, 0.5)),
+            (xp._protocol_for("ramp_hold", 1.0, 0.25, 4.0), True, (0.25, 0.125)),
+            (xp._protocol_for("ramp_hold", 1.0, 0.1, 4.0), True, (0.25, 0.125)),
+            (xp._protocol_for("ramp_hold", 1.0, 0.75, 4.0), False, (0.25,)),
+            (xp._protocol_for("quench", None, 0.75, 4.0), True, (0.25,)),
+            (xp._protocol_for("ramp_hold", 1.0, 0.0, 4.0), True, (0.25,)),
+        ],
+    )
+    def test_steps_check_at_twice_dt_unless_one_step(self, protocol, certify, steps):
+        assert xp._steps(0.25, protocol, certify) == steps
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_gate_shift_is_the_twice_dt_shift(self, monkeypatch, threads):
+        # the v = 0.5 ramp runs over t_total = 0.2: 10 steps at dt = 0.02, 5 at 2dt
+        cfg = config_from_dict(tiny_config(grid=[0.5]))
+        protocol = xp._protocol_for("ramp_hold", 0.5, cfg.lambda1, abs(cfg.lambda1) / 0.5)
+        ops = _ModelOps.build(cfg.model)
+        spec_f = eigendecompose(assemble(ops.h0, ops.h1, protocol.lambda_final))
+        infid = {
+            dt: xp._point_infidelity(ops, spec_f, protocol, cfg.beta, dt, cfg.fidelity_convention)[0]
+            for dt in (0.01, 0.02, 0.04)
+        }
+        shift = abs(infid[0.02] - infid[0.04])
+        # for a fourth-order error the 2dt shift is ~15x the dt run's error, the dt/2 shift ~15/16 of it
+        assert shift > 4.0 * abs(infid[0.02] - infid[0.01])
+        monkeypatch.setattr(xp, "CERTIFICATION_SHIFT", shift)
+        assert run_velocity_scan(cfg, threads=threads)[0].infidelity == infid[0.02]
+        monkeypatch.setattr(xp, "CERTIFICATION_SHIFT", np.nextafter(shift, 0.0))
+        with pytest.raises(xp.CertificationError, match=f"against dt=0.04: infidelity shift {shift:.3e}$"):
+            run_velocity_scan(cfg, threads=threads)
+        assert not multiprocessing.active_children()
 
     def test_plateau_under_longer_hold(self):
         # the ramp ends at t = 2; doubling the hold leaves the infidelity fixed
@@ -594,22 +631,36 @@ class TestCli:
         assert self.run_cli("single", "--config", str(path)) == 0
         assert (tmp_path / "env_out" / "single_records.csv").exists()
 
-    @pytest.mark.parametrize(
-        "command, threads",
-        [("scan-velocity", "1"), ("scan-velocity", "2"), ("scan-size", "1"), ("scan-size", "2"), ("single", "1")],
-    )
-    def test_certification_failure_exit_code(self, tmp_path, monkeypatch, capsys, command, threads):
-        # one gate, in the parent, joins a point's dt and dt/2 runs on every path
+    CERTIFIED_RUNS = [("scan-velocity", "1"), ("scan-velocity", "2"), ("scan-size", "1"), ("scan-size", "2"), ("single", "1")]
+
+    def failed_certification(self, tmp_path, monkeypatch, capsys, command, threads, velocity):
+        """stderr of ``command`` on ramps at ``velocity`` (a velocity scan adds one
+        10x faster) with the gate lowered to 1e-30: it exits 3, no worker left."""
         scan = {"scan-velocity": "velocity", "scan-size": "size", "single": "single"}[command]
-        grid = {"velocity": [0.05, 0.5], "size": [2, 3], "single": []}[scan]
+        grid = {"velocity": [velocity, 10 * velocity], "size": [2, 3], "single": []}[scan]
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(tiny_config(scan=scan, grid=grid, output_dir=str(tmp_path / "out"))))
+        path.write_text(json.dumps(tiny_config(
+            scan=scan, grid=grid, output_dir=str(tmp_path / "out"),
+            protocol={"kind": "ramp_hold", "velocity": velocity, "t_total": 4.0},
+        )))
         monkeypatch.setattr(xp, "CERTIFICATION_SHIFT", 1e-30)
         assert self.run_cli(command, "--config", str(path), "--threads", threads) == 3
+        assert not multiprocessing.active_children()
         err = capsys.readouterr().err
         assert "numerical certification failure: dt=0.02 not certified at scan value" in err
+        return err
+
+    @pytest.mark.parametrize("command, threads", CERTIFIED_RUNS)
+    def test_certification_failure_exit_code(self, tmp_path, monkeypatch, capsys, command, threads):
+        # one gate, in the parent, joins a point's dt and 2dt runs on every path
+        err = self.failed_certification(tmp_path, monkeypatch, capsys, command, threads, 0.05)
+        assert "against dt=0.04:" in err
+
+    @pytest.mark.parametrize("command, threads", CERTIFIED_RUNS)
+    def test_one_step_ramp_certification_failure_exit_code(self, tmp_path, monkeypatch, capsys, command, threads):
+        # a ramp over dt = 0.02 is one step at dt and at 2dt, the same run, so its gate joins the dt/2 run
+        err = self.failed_certification(tmp_path, monkeypatch, capsys, command, threads, 5.0)
         assert "against dt=0.01:" in err
-        assert not multiprocessing.active_children()
 
     def test_pert_compare_identity_monitor_exit_code(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "c.json"
@@ -642,7 +693,7 @@ class TestCli:
         assert not multiprocessing.active_children()
 
     def test_first_failure_stops_running_tasks(self, tmp_path, monkeypatch, capsys):
-        # the dt/2 task runs long and marks its end; the dt task fails once it has started
+        # the 2dt check task runs long and marks its end; the dt task fails once it has started
         started, finished = tmp_path / "started", tmp_path / "finished"
 
         def long_task(*args, **kwargs):
