@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--output", default=None, help="output directory override")
         p.add_argument("--dt", type=float, default=None, help="time step override")
-        p.add_argument("--threads", type=_worker_count, default=None, help="worker pool size (default: CPU count)")
+        p.add_argument("--threads", type=_worker_count, default=None,
+                       help="worker pool size (default: the CPUs this process may run on)")
         p.add_argument("--full-scale", action="store_true", help="run the long N=11 variant")
         p.add_argument(
             "--fidelity-convention",

@@ -25,6 +25,9 @@ Propagation conventions (hbar = 1, time in inverse energy units):
     since each orbit of basis states shares one diagonal value.  For the XXZ
     chain this cuts the counted flops per substep 7.9x at N = 9.  Without
     such symmetries a block is stepped as it is.
+  * For a real H0 and H1 (the chain's float64 blocks) the projections and
+    the ``eigh`` of each stepped block and of its hold Hamiltonian are real;
+    U, the kicks and the H0 factors are complex.
 
 Stepping is fourth-order Suzuki: each step is the triple-jump composition of
 three Strang substeps (half H0, diagonal H1 kick, half H0), which keeps

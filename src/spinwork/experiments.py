@@ -416,6 +416,14 @@ def in_process_workers() -> dict:
     return {"count": 1, "start_method": None, "blas_threads": _blas_threads()}
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one
+    (taskset and cpusets narrow it), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _init_worker(run) -> None:
     global _worker_run
     lib = _openblas()
@@ -449,7 +457,7 @@ def _run_points(cfg: RunConfig, points: list, threads: Optional[int], certify: b
     tasks = [(i, level) for i, point_steps in enumerate(steps) for level in range(len(point_steps))]
     shared = {spec: _ModelOps.build(spec) for spec, n in Counter(p[0] for p in points).items() if n > 1}
     run = functools.partial(_run_levels, shared, points, cfg, certify)
-    count = min(os.cpu_count() or 1 if threads is None else threads, len(tasks))
+    count = min(_usable_cpus() if threads is None else threads, len(tasks))
     runs, dists = {}, [None] * len(points)
     if count <= 1 or "fork" not in mp.get_all_start_methods():
         setup = in_process_workers()

@@ -5,7 +5,9 @@ with (``spin_model``: the magnetization sectors, or one whole-space block
 for a dense input that couples them).
 ``eigendecompose`` runs ``eigh`` on each block and merges the eigenvalues in
 ascending order, keeping each block's eigenvectors as one (rows, cols, array)
-triple.  A state (``DensityMatrix``) is its exact factors
+triple.  A real operator (the chain's H0 and H_f) gives real eigenvectors, so
+its Gibbs factors are float64 too; they turn complex only under evolution
+(X -> U X).  A state (``DensityMatrix``) is its exact factors
 rho = X diag(p) X^dag: the weights p and the blocks of X.  A Gibbs state is
 the eigenvector blocks and the Boltzmann weights, and evolution maps
 X -> U X, so no d x d array of a state or an operator is formed in the

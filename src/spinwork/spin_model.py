@@ -10,10 +10,15 @@ Conventions (fixed so tests are bit-exact):
   * Open boundary conditions: bond sums run over sites 0..N-2.
 
 An operator (``OperatorMatrix``) is its blocks, one (rows, rows, array) triple
-per invariant block: 16 C(2N, N) bytes for the chain, not 16 4^N.  There is
-one partition rule: ``build_hopping`` and ``build_zz`` block by magnetization
-sector, and ``OperatorMatrix.from_dense`` checks a dense input and blocks it
-by sector too, or as one whole-space block if it couples sectors.
+per invariant block: 8 C(2N, N) bytes for the chain, not 16 4^N, since H0 and
+H1 are real symmetric and their blocks are float64.  There is one partition
+rule: ``build_hopping`` and ``build_zz`` block by magnetization sector, and
+``OperatorMatrix.from_dense`` checks a dense input and blocks it by sector
+too, or as one whole-space block if it couples sectors.  A block is float64
+when the operator is real and complex128 otherwise (a propagator, a complex
+Hermitian input); numpy's dtype dispatch then runs every stage on a real
+operator in real arithmetic (real ``eigh``, real eigenvectors) without a
+second code path.
 Eigenvectors and state factors are (rows, cols, array) triples too, and
 ``common_blocks`` lines several up: blocks they share, or the whole space.
 """
@@ -73,9 +78,10 @@ def common_blocks(*partitions) -> list[tuple[np.ndarray, tuple]]:
 
 
 def dense_view(d: int, blocks) -> np.ndarray:
-    """The d x d array of (rows, cols, array) blocks: a view for tests, and the
-    whole-space block ``common_blocks`` gives inputs blocked differently (no CLI run has such)."""
-    m = np.zeros((d, d), dtype=complex)
+    """The d x d array of (rows, cols, array) blocks, in their common dtype: a view for tests,
+    and the whole-space block ``common_blocks`` gives inputs blocked differently (no CLI run has such)."""
+    blocks = list(blocks)
+    m = np.zeros((d, d), dtype=np.result_type(*(a for _, _, a in blocks)))
     for rows, cols, a in blocks:
         m[np.ix_(rows, cols)] = a
     return m
@@ -85,7 +91,8 @@ def dense_view(d: int, blocks) -> np.ndarray:
 class OperatorMatrix:
     """Operator on the 2^N spin Hilbert space, held as one (rows, rows, array) triple
     per invariant block (a magnetization sector, or the whole space); it is
-    exactly zero between blocks."""
+    exactly zero between blocks.  The arrays are float64 for a real operator
+    (the chain's: 8 C(2N, N) bytes) and complex128 otherwise."""
 
     blocks: tuple
     hermitian: bool = True
@@ -94,8 +101,11 @@ class OperatorMatrix:
     def from_dense(cls, matrix: np.ndarray, hermitian: bool = True) -> "OperatorMatrix":
         """A dense square matrix of power-of-two dimension, blocked by magnetization
         sector if it is exactly zero between sectors and as one whole-space block
-        otherwise; rejects a non-finite entry, and a matrix marked Hermitian that is not."""
+        otherwise, in float64 if its imaginary part is exactly zero and in complex128
+        if not; rejects a non-finite entry, and a matrix marked Hermitian that is not."""
         m = np.asarray(matrix, dtype=complex)
+        if not m.imag.any():
+            m = m.real
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"operator must be square, got shape {m.shape}")
         n = m.shape[0]
@@ -152,7 +162,7 @@ def build_hopping(spec: SpinChainSpec) -> OperatorMatrix:
     z = _spins(n)
     blocks = []
     for rows in _sectors(2**n):
-        h = np.zeros((rows.size, rows.size), dtype=complex)
+        h = np.zeros((rows.size, rows.size))
         for i in range(n - 1):
             b = np.flatnonzero(z[rows, i] != z[rows, i + 1])
             h[b, np.searchsorted(rows, rows[b] ^ (0b11 << (n - 2 - i)))] = 1.0
@@ -169,7 +179,7 @@ def zz_diagonal(spec: SpinChainSpec) -> np.ndarray:
 def build_zz(spec: SpinChainSpec) -> OperatorMatrix:
     """Interaction part H1 = J sum_i sigma^z_i sigma^z_{i+1}, diagonal in the computational basis."""
     diag = zz_diagonal(spec)
-    return OperatorMatrix(tuple((r, r, np.diag(diag[r]).astype(complex)) for r in _sectors(spec.dimension)))
+    return OperatorMatrix(tuple((r, r, np.diag(diag[r])) for r in _sectors(spec.dimension)))
 
 
 def assemble(h0: OperatorMatrix, h1: OperatorMatrix, lam: float) -> OperatorMatrix:

@@ -84,6 +84,35 @@ class TestFromDenseBlocks:
         assert np.abs(got.eigenvalues - np.linalg.eigvalsh(h)).max() < 1e-12 * scale
         assert np.linalg.norm(reconstruct(got) - h) < 1e-12 * scale
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("coupled", [False, True], ids=["sectors", "whole"])
+    def test_real_input_gives_float64_blocks(self, dtype, coupled):
+        """A real array, or a complex one whose imaginary part is exactly zero."""
+        spec = SpinChainSpec(4, 2.0)
+        h = build_hopping(spec).matrix + 0.3 * build_zz(spec).matrix
+        if coupled:
+            h = h + 0.7 * np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(8))
+        op = OperatorMatrix.from_dense(h.astype(dtype))
+        assert len(op.blocks) == (1 if coupled else 5)
+        assert all(a.dtype == np.float64 for _, _, a in op.blocks)
+        assert np.array_equal(op.matrix, h)
+
+    @pytest.mark.parametrize("coupled", [False, True], ids=["sectors", "whole"])
+    def test_complex_hermitian_input_keeps_complex_blocks(self, coupled):
+        spec = SpinChainSpec(3, 2.0)
+        h = build_hopping(spec).matrix.astype(complex)
+        # basis states 1 and 2 share sector 1; states 0 and 1 sit in sectors 0 and 1
+        i, j = (0, 1) if coupled else (1, 2)
+        h[i, j] += 0.5j
+        h[j, i] -= 0.5j
+        op = OperatorMatrix.from_dense(h)
+        assert len(op.blocks) == (1 if coupled else 4)
+        assert all(a.dtype == np.complex128 for _, _, a in op.blocks)
+        assert np.array_equal(op.matrix, h)
+        got = eigendecompose(op)
+        assert all(v.dtype == np.complex128 for _, _, v in got.blocks)
+        assert np.abs(reconstruct(got) - h).max() < 1e-12 * np.abs(h).max()
+
     def test_whole_block_does_not_alias_the_input(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         op = OperatorMatrix.from_dense(m)
@@ -110,6 +139,12 @@ class TestEigendecompose:
             outside = np.ones(d, dtype=bool)
             outside[rows] = False
             assert np.all(v[np.ix_(outside, cols)] == 0)
+
+    def test_real_operator_gives_float64_eigenvectors(self):
+        spec = SpinChainSpec(6, 2.0)
+        got = eigendecompose(assemble(build_hopping(spec), build_zz(spec), 0.3))
+        assert all(v.dtype == np.float64 for _, _, v in got.blocks)
+        assert all(x.dtype == np.float64 for _, _, x in gibbs_state(got, 1.0).blocks)
 
     def test_identity(self):
         spec = eigendecompose(OperatorMatrix.from_dense(np.eye(4, dtype=complex)))

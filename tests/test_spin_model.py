@@ -103,6 +103,17 @@ class TestAssemble:
             assemble(a, b, 0.5)
 
 
+class TestRealBlocks:
+    """The chain's parts are real symmetric, so they are held as float64 blocks."""
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_builders_and_assemble_give_float64_blocks(self, n):
+        spec = SpinChainSpec(n, -1.3)
+        h0, h1 = build_hopping(spec), build_zz(spec)
+        for op in (h0, h1, assemble(h0, h1, 0.3)):
+            assert all(a.dtype == np.float64 for _, _, a in op.blocks)
+
+
 class TestMagnetizationSectors:
     def test_two_site_sizes(self):
         sizes = sorted(len(g) for g in magnetization_sectors(2))
