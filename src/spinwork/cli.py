@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import json
@@ -115,14 +115,7 @@ def main(argv=None) -> int:
         elif args.command == "scan-lambda":
             report = xp.run_lambda_scaling(cfg, threads=args.threads, workers=workers)
             records = report.records_adiabatic + report.records_quench
-            fits = {
-                "slope_adiabatic": report.slope_adiabatic,
-                "slope_quench": report.slope_quench,
-                "intercept_adiabatic": report.intercept_adiabatic,
-                "intercept_quench": report.intercept_quench,
-                "r_squared_adiabatic": report.r_squared_adiabatic,
-                "r_squared_quench": report.r_squared_quench,
-            }
+            fits = {f.name: getattr(report, f.name) for f in fields(report) if not f.name.startswith("records_")}
         elif args.command == "pert-compare":
             report = xp.run_pert_compare(cfg)
             records = []

@@ -2,16 +2,17 @@
 perturbative-vs-exact comparisons, with CSV/JSON emission.
 
 A scan point is a dt run and, when certified, a check run at 2dt, or at dt/2
-for a ramp of one step (``_steps``).  One runner, ``_run_levels``, runs them.
-With one worker it runs all of a point's runs in one call in this process
-(``single`` always runs so, in the CLI process); otherwise each run is a task
-on a pool of forked processes, longest first, each with BLAS pinned to one
-thread, and a worker sends back the record only.  On either path
-``_run_points`` joins a point's runs for the certification gate, and records
-are sorted by scan value before emission, so output is deterministic for a
-fixed config whatever the worker count.  The ``runtime_seconds`` column is the
-wall time of a point's runs, summed, and is excluded from the bit-for-bit
-reproducibility guarantee.
+for a ramp of one step (``_steps``).  Every subcommand's stepped runs are scan
+points, pert-compare's exact run per coupling included, and one runner,
+``_run_levels``, runs them.  With one worker it runs all of a point's runs in
+one call in this process (``single`` and ``pert-compare`` always run so, in
+the CLI process); otherwise each run is a task on a pool of forked processes,
+longest first, each with BLAS pinned to one thread, and a worker sends back
+the record only.  On either path ``_run_points`` joins a point's runs for the
+certification gate, and records are sorted by scan value before emission, so
+output is deterministic for a fixed config whatever the worker count.  The
+``runtime_seconds`` column is the wall time of a point's runs, summed, and is
+excluded from the bit-for-bit reproducibility guarantee.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import time
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -63,7 +64,6 @@ from .work_statistics import (
     write_csv,
 )
 
-CSV_COLUMNS = ["scan_value", "infidelity", "avg_work", "jarzynski_deviation", "delta_variance", "runtime_seconds"]
 DEFAULT_VELOCITY_GRID = list(np.geomspace(1e-3, 10.0, 12))
 DEFAULT_SIZE_GRID = [4, 5, 6, 7, 8, 9]
 DEFAULT_LAMBDA_GRID = [0.05, 0.1, 0.2]
@@ -155,6 +155,9 @@ class ScanRecord:
     jarzynski_deviation: float
     delta_variance: float
     runtime_seconds: float
+
+
+CSV_COLUMNS = [f.name for f in fields(ScanRecord)]
 
 
 _SCHEMA = {
@@ -308,48 +311,6 @@ def _slow_ramp(cfg: RunConfig, lam: float) -> DriveProtocol:
     return _protocol_for("ramp_hold", v, lam, lam / v)
 
 
-def _gated_distribution(spec0, spec_f, prop, beta: float, scan_value: float):
-    """The TPM work distribution and its Jarzynski deviation, which must be
-    within IDENTITY_MONITOR (else :class:`CertificationError`)."""
-    dist = tpm_distribution(spec0, spec_f, prop, beta)
-    jz = jarzynski_check(dist, log_partition_function(spec0, beta), log_partition_function(spec_f, beta), beta)
-    if jz.abs_deviation > IDENTITY_MONITOR:
-        raise CertificationError(
-            f"exact-identity monitor tripped at scan value {scan_value}: "
-            f"Jarzynski deviation {jz.abs_deviation:.3e}"
-        )
-    return dist, jz.abs_deviation
-
-
-def _point_main(ops: _ModelOps, spec_f, protocol: DriveProtocol, beta: float, scan_value: float, dt: float,
-                fidelity_convention: str) -> tuple[ScanRecord, WorkDistribution]:
-    """A scan point's dt run: its record, with the infidelity not yet certified
-    and no runtime, and the work distribution the record was built from."""
-    infid, prop = _point_infidelity(ops, spec_f, protocol, beta, dt, fidelity_convention)
-    dist, deviation = _gated_distribution(ops.spec0, spec_f, prop, beta, scan_value)
-    epsilon = 1e-6 * (ops.spec0.spectral_range + spec_f.spectral_range)
-    delta = delta_concentration(dist, epsilon)
-    record = ScanRecord(
-        scan_value=scan_value,
-        infidelity=infid,
-        avg_work=average_work(dist),
-        jarzynski_deviation=deviation,
-        delta_variance=delta.variance,
-        runtime_seconds=0.0,
-    )
-    return record, dist
-
-
-def _point_infidelity(ops: _ModelOps, spec_f, protocol: DriveProtocol, beta: float, dt: float,
-                      fidelity_convention: str):
-    """Infidelity of the initial Gibbs state evolved at step dt against the final
-    Gibbs state, and the propagator.  At the check's step (``_steps``) this is
-    a point's certification run."""
-    prop = propagate(ops.h0, ops.h1, protocol, dt)
-    evolved = evolve_density(gibbs_state(ops.spec0, beta), prop)
-    return infidelity(evolved, gibbs_state(spec_f, beta), fidelity_convention), prop
-
-
 def _steps(dt: float, protocol: DriveProtocol, certify: bool) -> tuple:
     """A point's steps: the record's dt and, when the point is certified, the
     check's.  The check runs at 2dt when the ramp takes fewer steps there; its
@@ -368,8 +329,13 @@ def _run_levels(shared: dict, points: list, cfg: RunConfig, certify: bool, i: in
     """Point ``i``'s runs at ``levels``, indices into its ``_steps``, with the
     model operators from ``shared`` when its spec is there: {level: (the
     record at level 0, else the infidelity; wall time)} and the record's work
-    distribution (None unless level 0 ran).  The final Hamiltonian is
-    diagonalized once, within the first run's time."""
+    distribution (None unless level 0 ran).
+
+    A run's infidelity is that of the initial Gibbs state evolved at the
+    level's step against the final Gibbs state.  The record adds the TPM work
+    distribution of the level-0 propagator, whose Jarzynski deviation must be
+    within IDENTITY_MONITOR (else :class:`CertificationError`).  The final
+    Hamiltonian is diagonalized once, within the first run's time."""
     spec, protocol, scan_value = points[i]
     steps = _steps(cfg.dt, protocol, certify)
     start = time.perf_counter()
@@ -377,10 +343,21 @@ def _run_levels(shared: dict, points: list, cfg: RunConfig, certify: bool, i: in
     spec_f = eigendecompose(assemble(ops.h0, ops.h1, protocol.lambda_final))
     runs, dist = {}, None
     for level in levels:
+        prop = propagate(ops.h0, ops.h1, protocol, steps[level])
+        result = infidelity(evolve_density(gibbs_state(ops.spec0, cfg.beta), prop),
+                            gibbs_state(spec_f, cfg.beta), cfg.fidelity_convention)
         if level == 0:
-            result, dist = _point_main(ops, spec_f, protocol, cfg.beta, scan_value, steps[0], cfg.fidelity_convention)
-        else:
-            result = _point_infidelity(ops, spec_f, protocol, cfg.beta, steps[level], cfg.fidelity_convention)[0]
+            dist = tpm_distribution(ops.spec0, spec_f, prop, cfg.beta)
+            jz = jarzynski_check(dist, log_partition_function(ops.spec0, cfg.beta),
+                                 log_partition_function(spec_f, cfg.beta), cfg.beta)
+            if jz.abs_deviation > IDENTITY_MONITOR:
+                raise CertificationError(
+                    f"exact-identity monitor tripped at scan value {scan_value}: "
+                    f"Jarzynski deviation {jz.abs_deviation:.3e}"
+                )
+            delta = delta_concentration(dist, 1e-6 * (ops.spec0.spectral_range + spec_f.spectral_range))
+            result = ScanRecord(scan_value, result, average_work(dist), jz.abs_deviation, delta.variance, 0.0)
+        del prop  # freed before the next level builds its own
         end = time.perf_counter()
         runs[level] = (result, end - start)
         start = end
@@ -439,11 +416,12 @@ def _run_task(i: int, level: int):
 
 
 def _run_points(cfg: RunConfig, points: list, threads: Optional[int], certify: bool,
-                workers: Optional[dict]) -> tuple[list[ScanRecord], list]:
+                workers: Optional[dict], shared: Optional[dict] = None) -> tuple[list[ScanRecord], list]:
     """Records of ``points``, (spec, protocol, scan value) triples, in their
     order, and their work distributions (None where a pool worker ran it).
 
-    The operators of a spec that several points share are built once, here.
+    The operators of a spec that several points share are built once, here,
+    unless the caller passes them in ``shared`` ({spec: _ModelOps}).
     With one worker each point's runs (its ``_steps``) are one ``_run_levels``
     call in this process; otherwise each run is a task on a pool of
     min(threads, tasks) forked processes, longest first, with BLAS pinned to
@@ -455,7 +433,8 @@ def _run_points(cfg: RunConfig, points: list, threads: Optional[int], certify: b
     """
     steps = [_steps(cfg.dt, protocol, certify) for _, protocol, _ in points]
     tasks = [(i, level) for i, point_steps in enumerate(steps) for level in range(len(point_steps))]
-    shared = {spec: _ModelOps.build(spec) for spec, n in Counter(p[0] for p in points).items() if n > 1}
+    if shared is None:
+        shared = {spec: _ModelOps.build(spec) for spec, n in Counter(p[0] for p in points).items() if n > 1}
     run = functools.partial(_run_levels, shared, points, cfg, certify)
     count = min(_usable_cpus() if threads is None else threads, len(tasks))
     runs, dists = {}, [None] * len(points)
@@ -622,7 +601,8 @@ class PertCompareReport:
 
 def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
     """Exact ln chi against the second-order prediction (and the adiabatic
-    third-order correction) over the configured coupling grid."""
+    third-order correction) over the configured coupling grid.  The exact
+    runs are certified scan points, one per coupling, run in this process."""
     lams = sorted(float(v) for v in cfg.grid)
     ops = _ModelOps.build(cfg.model)
     u = default_u_grid(cfg.beta)
@@ -638,14 +618,13 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
     else:
         protocols = [_slow_ramp(cfg, lam) for lam in lams]
     quads = lnchi_second_order_quadrature(m2, list(zip(protocols, lams)), first, u)
+    points = [(cfg.model, protocol, lam) for protocol, lam in zip(protocols, lams)]
+    dists = _run_points(cfg, points, 1, True, None, {cfg.model: ops})[1]
 
     entries = []
     curves: dict = {"u": u.tolist()}
     residuals = []
-    for lam, protocol, quad in zip(lams, protocols, quads):
-        spec_f = eigendecompose(assemble(ops.h0, ops.h1, lam))
-        prop = propagate(ops.h0, ops.h1, protocol, cfg.dt)
-        dist, _ = _gated_distribution(ops.spec0, spec_f, prop, cfg.beta, lam)
+    for lam, protocol, quad, dist in zip(lams, protocols, quads, dists):
         exact = cfw_from_distribution(dist, u)
         pert2 = lnchi_second_order(m2, protocol, first, lam, u)
         residual = float(np.abs(exact.ln_chi - pert2.ln_chi).max())

@@ -56,6 +56,8 @@ QUASI_DEGENERATE_BAND = 1e3
 # bytes per atom in three_point_measure's memory estimate: its tracemalloc peak is
 # 74-75 B per atom at N = 7..9, and the rest is headroom for the process around it
 THREE_POINT_BYTES_PER_ATOM = 128
+# the quadrature oracle's gate: the most halving its time step may move ln chi
+QUADRATURE_DRIFT = 1e-7
 
 
 class DegenerateAtomWarning(UserWarning):
@@ -366,7 +368,7 @@ def lnchi_second_order_quadrature(
     pair; the leg sums at both rule levels and the phase table depend only on
     the measure's frequencies and the u grid, so they are built once for the
     whole sequence.  Raises :class:`QuadratureError` when halving the
-    quadrature step moves any run's result by more than 1e-7.
+    quadrature step moves any run's result by more than QUADRATURE_DRIFT.
     """
     u = np.asarray(u_grid, dtype=float)
     # atoms (omega, a) of c(s) = <H1^I(s) H1^I(0)>_0 - <H1>_0^2 = sum a exp(i omega s):
@@ -381,7 +383,7 @@ def lnchi_second_order_quadrature(
             for refine in (1, 2)
         )
         drift = float(np.abs(coarse - second).max())
-        if drift > 1e-7:
+        if drift > QUADRATURE_DRIFT:
             raise QuadratureError(
                 f"quadrature moved by {drift:.3e} under step halving at lambda1 = {lambda1:g}; "
                 "raise points_per_unit"

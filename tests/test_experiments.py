@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import spinwork.experiments as xp
-from spinwork import drive_dynamics
+from spinwork import drive_dynamics, perturbative_cfw
 from spinwork.spin_model import DimensionError
 from spinwork import (
     OperatorMatrix,
@@ -147,7 +147,7 @@ class TestEmission:
         path = tmp_path / "r.csv"
         emit_csv(self.records(), path)
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == ",".join(CSV_COLUMNS)
+        assert lines[0] == "scan_value,infidelity,avg_work,jarzynski_deviation,delta_variance,runtime_seconds"
         assert lines[2].startswith("inf,")
 
     def test_csv_full_precision(self, tmp_path):
@@ -362,10 +362,9 @@ class TestScans:
         # the v = 0.5 ramp runs over t_total = 0.2: 10 steps at dt = 0.02, 5 at 2dt
         cfg = config_from_dict(tiny_config(grid=[0.5]))
         protocol = xp._protocol_for("ramp_hold", 0.5, cfg.lambda1, abs(cfg.lambda1) / 0.5)
-        ops = _ModelOps.build(cfg.model)
-        spec_f = eigendecompose(assemble(ops.h0, ops.h1, protocol.lambda_final))
+        point, shared = (cfg.model, protocol, 0.5), {cfg.model: _ModelOps.build(cfg.model)}
         infid = {
-            dt: xp._point_infidelity(ops, spec_f, protocol, cfg.beta, dt, cfg.fidelity_convention)[0]
+            dt: xp._run_levels(shared, [point], replace(cfg, dt=dt), False, 0, (0,))[0][0][0].infidelity
             for dt in (0.01, 0.02, 0.04)
         }
         shift = abs(infid[0.02] - infid[0.04])
@@ -665,13 +664,19 @@ class TestCli:
         assert self.run_cli("single", "--config", str(path)) == 0
         assert (tmp_path / "env_out" / "single_records.csv").exists()
 
-    CERTIFIED_RUNS = [("scan-velocity", "1"), ("scan-velocity", "2"), ("scan-size", "1"), ("scan-size", "2"), ("single", "1")]
+    CERTIFIED_RUNS = [
+        ("scan-velocity", "1"), ("scan-velocity", "2"), ("scan-size", "1"), ("scan-size", "2"),
+        ("scan-lambda", "1"), ("scan-lambda", "2"), ("pert-compare", "1"), ("single", "1"),
+    ]
 
     def failed_certification(self, tmp_path, monkeypatch, capsys, command, threads, velocity):
         """stderr of ``command`` on ramps at ``velocity`` (a velocity scan adds one
-        10x faster) with the gate lowered to 1e-30: it exits 3, no worker left."""
-        scan = {"scan-velocity": "velocity", "scan-size": "size", "single": "single"}[command]
-        grid = {"velocity": [velocity, 10 * velocity], "size": [2, 3], "single": []}[scan]
+        10x faster; the coupling scans ramp to 0.05 and 0.1) with the gate lowered
+        to 1e-30: it exits 3, no worker left."""
+        scan = cli._SUBCOMMAND_SCAN[command]
+        couplings = [0.05, 0.1]
+        grid = {"velocity": [velocity, 10 * velocity], "size": [2, 3], "lambda_scaling": couplings,
+                "pert_compare": couplings, "single": []}[scan]
         path = tmp_path / "c.json"
         path.write_text(json.dumps(tiny_config(
             scan=scan, grid=grid, output_dir=str(tmp_path / "out"),
@@ -695,6 +700,18 @@ class TestCli:
         # a ramp over dt = 0.02 is one step at dt and at 2dt, the same run, so its gate joins the dt/2 run
         err = self.failed_certification(tmp_path, monkeypatch, capsys, command, threads, 5.0)
         assert "against dt=0.01:" in err
+
+    def test_pert_compare_quadrature_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config(
+            scan="pert_compare", grid=[0.05, 0.1], output_dir=str(tmp_path / "out"),
+            protocol={"kind": "quench", "t_total": 1.0},
+        )))
+        monkeypatch.setattr(perturbative_cfw, "QUADRATURE_DRIFT", -1.0)
+        assert self.run_cli("pert-compare", "--config", str(path)) == 3
+        err = capsys.readouterr().err
+        assert "numerical certification failure: quadrature moved by" in err
+        assert "Traceback" not in err
 
     def test_pert_compare_identity_monitor_exit_code(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "c.json"
@@ -727,15 +744,14 @@ class TestCli:
         assert not multiprocessing.active_children()
 
     def test_first_failure_stops_running_tasks(self, tmp_path, monkeypatch, capsys):
-        # the 2dt check task runs long and marks its end; the dt task fails once it has started
+        # the 2dt check task runs long and marks its end; the dt tasks fail once it has started
         started, finished = tmp_path / "started", tmp_path / "finished"
 
-        def long_task(*args, **kwargs):
-            started.touch()
-            time.sleep(20.0)
-            finished.touch()
-
-        def failing_task(*args, **kwargs):
+        def stepping(h0, h1, protocol, dt):
+            if dt == 0.04:
+                started.touch()
+                time.sleep(20.0)
+                finished.touch()
             for _ in range(1000):
                 if started.exists():
                     break
@@ -744,8 +760,7 @@ class TestCli:
 
         path = tmp_path / "c.json"
         path.write_text(json.dumps(tiny_config(grid=[0.05, "inf"])))
-        monkeypatch.setattr(xp, "_point_infidelity", long_task)
-        monkeypatch.setattr(xp, "_point_main", failing_task)
+        monkeypatch.setattr(xp, "propagate", stepping)
         assert self.run_cli("scan-velocity", "--config", str(path), "--threads", "2") == 3
         assert "numerical certification failure: failing task" in capsys.readouterr().err
         assert not multiprocessing.active_children()
