@@ -8,6 +8,8 @@ minutes on two cores.
 import math
 import time
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,11 +42,14 @@ from spinwork import (
     two_point_measure,
     uhlmann_fidelity,
 )
-from spinwork.experiments import config_from_dict, run_lambda_scaling, run_velocity_scan
+from spinwork.experiments import config_from_dict, emit_csv, load_config, run_lambda_scaling, run_velocity_scan
 
 from conftest import two_site_operators
 from test_perturbative_cfw import brute_force_measure2, brute_force_measure3, without_first_order
+from test_reference import LAMBDA_SCALING_TOL, REFERENCE, VELOCITY_SCAN_DESK_TOL, file_mismatches
 from test_work_statistics import brute_force_quench_atoms
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def report(line: str) -> None:
@@ -414,3 +419,26 @@ class TestCriterion8TimeStepCertification:
         report(f"criterion 8b: scaling-scan max relative infidelity shift = {rel:.2e} (<1e-6)"
                + (" PASS" if ok else " FAIL"))
         assert rel < 1e-6
+
+
+class TestReferenceRecords:
+    """The fixtures' dt = 0.01 records are the shipped desk and scaling configs'
+    records (certification leaves a record unchanged), so they are compared
+    with the committed reference at no extra run."""
+
+    @pytest.mark.parametrize("stem, config", [("velocity_scan_desk", velocity_config),
+                                              ("lambda_scaling", scaling_config)])
+    def test_fixture_runs_the_shipped_config(self, stem, config):
+        shipped = load_config(REPO / "configs" / f"{stem}.json")
+        assert replace(config_from_dict(config(0.01)), output_dir=shipped.output_dir) == shipped
+
+    def test_velocity_records_match_reference(self, velocity_records, tmp_path):
+        emit_csv(velocity_records[0.01], tmp_path / "velocity_records.csv")
+        want = REFERENCE / "velocity_scan_desk" / "velocity_records.csv"
+        assert file_mismatches(tmp_path / "velocity_records.csv", want, VELOCITY_SCAN_DESK_TOL) == []
+
+    def test_scaling_records_match_reference(self, scaling_reports, tmp_path):
+        rep = scaling_reports[0.01]
+        emit_csv(rep.records_adiabatic + rep.records_quench, tmp_path / "lambda_scaling_records.csv")
+        want = REFERENCE / "lambda_scaling" / "lambda_scaling_records.csv"
+        assert file_mismatches(tmp_path / "lambda_scaling_records.csv", want, LAMBDA_SCALING_TOL) == []
