@@ -64,13 +64,17 @@ from .work_statistics import (
     write_csv,
 )
 
-DEFAULT_VELOCITY_GRID = list(np.geomspace(1e-3, 10.0, 12))
-DEFAULT_SIZE_GRID = [4, 5, 6, 7, 8, 9]
-DEFAULT_LAMBDA_GRID = [0.05, 0.1, 0.2]
+# the scan kinds, each with the grid it runs when the config gives none
+_DEFAULT_GRIDS = {
+    "velocity": [*np.geomspace(1e-3, 10.0, 12), math.inf],
+    "size": [4, 5, 6, 7, 8, 9],
+    "lambda_scaling": [0.05, 0.1, 0.2],
+    "pert_compare": [0.05, 0.1, 0.2],
+    "single": [],
+}
 CERTIFICATION_SHIFT = 1e-6
 IDENTITY_MONITOR = 1e-8
 SLOW_VELOCITY = 1e-3  # the slow ramp's velocity when the config gives none
-SCAN_KINDS = ("velocity", "size", "lambda_scaling", "pert_compare", "single")
 
 
 class ConfigError(ValueError):
@@ -81,14 +85,21 @@ class CertificationError(RuntimeError):
     """A numerical certification gate failed (time step or exact identity)."""
 
 
+@dataclass(frozen=True)
+class ProtocolConfig:
+    kind: str
+    velocity: Optional[float]
+    t_total: float
+
+
 @dataclass
 class RunConfig:
+    """A run's config; its fields and their order are those of the config JSON."""
+
     model: SpinChainSpec
     beta: float
     lambda1: float
-    protocol_kind: str
-    velocity: Optional[float]
-    t_total: float
+    protocol: ProtocolConfig
     scan: str
     grid: list
     dt: float
@@ -97,18 +108,19 @@ class RunConfig:
     output_dir: str
 
     def validate(self) -> None:
+        kind, velocity, t_total = self.protocol.kind, self.protocol.velocity, self.protocol.t_total
         if self.beta <= 0 or not math.isfinite(self.beta):
             raise ConfigError("beta: must be positive and finite")
         if self.dt <= 0 or not math.isfinite(self.dt):
             raise ConfigError("dt: must be positive and finite")
         if not math.isfinite(self.lambda1):
             raise ConfigError("lambda1: must be finite")
-        if not 0 < self.t_total < math.inf:
+        if not 0 < t_total < math.inf:
             raise ConfigError("protocol.t_total: must be positive and finite")
-        if self.scan not in SCAN_KINDS:
+        if self.scan not in _DEFAULT_GRIDS:
             raise ConfigError(f"scan: unknown kind {self.scan!r}")
-        if self.protocol_kind not in ("ramp_hold", "quench"):
-            raise ConfigError(f"protocol.kind: unknown kind {self.protocol_kind!r}")
+        if kind not in ("ramp_hold", "quench"):
+            raise ConfigError(f"protocol.kind: unknown kind {kind!r}")
         if self.scan != "single" and not self.grid:
             raise ConfigError("grid: must be nonempty for scan kinds")
         repeated = [v for k, v in enumerate(self.grid) if v in self.grid[:k]]
@@ -116,9 +128,9 @@ class RunConfig:
             raise ConfigError(f"grid: repeated entry {repeated[0]:g}")
         if self.fidelity_convention not in ("one_minus_F", "one_minus_sqrtF"):
             raise ConfigError(f"fidelity_convention: unknown value {self.fidelity_convention!r}")
-        if self.protocol_kind == "ramp_hold":
-            if self.velocity is not None and not self.velocity > 0:
-                raise ConfigError(f"protocol.velocity: {self.velocity:g} must be positive")
+        if kind == "ramp_hold":
+            if velocity is not None and not velocity > 0:
+                raise ConfigError(f"protocol.velocity: {velocity:g} must be positive")
         if self.model.n_sites > MAX_SITES:
             raise ConfigError(f"model.n_sites: {self.model.n_sites} exceeds the maximum {MAX_SITES}")
         if self.scan == "size":
@@ -137,12 +149,12 @@ class RunConfig:
             for lam in self.grid:
                 if not 0 < lam < math.inf:
                     raise ConfigError(f"grid: coupling {lam:g} must be positive and finite")
-            slow_ramp = self.scan == "lambda_scaling" or self.protocol_kind == "ramp_hold"
-            if slow_ramp and self.velocity is not None and not 0 < self.velocity < math.inf:
-                raise ConfigError(f"protocol.velocity: {self.velocity:g} must be positive and finite for the slow ramp")
+            slow_ramp = self.scan == "lambda_scaling" or kind == "ramp_hold"
+            if slow_ramp and velocity is not None and not 0 < velocity < math.inf:
+                raise ConfigError(f"protocol.velocity: {velocity:g} must be positive and finite for the slow ramp")
         if self.scan in ("size", "single"):
             try:
-                _protocol_for(self.protocol_kind, self.velocity, self.lambda1, self.t_total)
+                _protocol_for(kind, velocity, self.lambda1, t_total)
             except ProtocolError as exc:
                 raise ConfigError(f"protocol: {exc}") from exc
 
@@ -160,93 +172,71 @@ class ScanRecord:
 CSV_COLUMNS = [f.name for f in fields(ScanRecord)]
 
 
-_SCHEMA = {
-    "model": {"n_sites": int, "coupling": (int, float), "boundary": str},
-    "beta": (int, float),
-    "lambda1": (int, float),
-    "protocol": {"kind": str, "velocity": (int, float, type(None)), "t_total": (int, float)},
-    "scan": str,
-    "grid": list,
-    "dt": (int, float),
-    "fidelity_convention": str,
-    "seed": int,
-    "output_dir": str,
+_REQUIRED = object()
+_NUMBER = (int, float)
+# Each config key's accepted types and its default (_REQUIRED if it has none);
+# a nested table stands for a table of keys of its own.
+_KEYS = {
+    "model": {"n_sites": (int, _REQUIRED), "coupling": (_NUMBER, _REQUIRED), "boundary": (str, "open")},
+    "beta": (_NUMBER, _REQUIRED),
+    "lambda1": (_NUMBER, _REQUIRED),
+    "protocol": {
+        "kind": (str, _REQUIRED), "velocity": ((*_NUMBER, type(None)), None), "t_total": (_NUMBER, _REQUIRED),
+    },
+    "scan": (str, _REQUIRED),
+    "grid": (list, []),
+    "dt": (_NUMBER, 0.01),
+    "fidelity_convention": (str, "one_minus_F"),
+    "seed": (int, 0),
+    "output_dir": (str, "out"),
 }
-_OPTIONAL = {"grid", "fidelity_convention", "seed", "output_dir", "dt"}
-_OPTIONAL_NESTED = {"model": {"boundary"}, "protocol": {"velocity"}}
-_DEFAULTS = {"grid": [], "fidelity_convention": "one_minus_F", "seed": 0, "output_dir": "out", "dt": 0.01}
 
 
-def _check_section(data: dict, schema: dict, section: str, optional: set) -> None:
+def _read(data: dict, keys: dict, section: str = "") -> dict:
+    """``data`` checked against ``keys``, with its numbers as floats where a
+    float is accepted and the defaults of its missing optional keys."""
+    where = f"{section}." if section else ""
     for key in data:
-        if key not in schema:
-            where = f"{section}.{key}" if section else key
-            raise ConfigError(f"{where}: unknown key")
-    for key, expected in schema.items():
+        if key not in keys:
+            raise ConfigError(f"{where}{key}: unknown key")
+    values = {}
+    for key, spec in keys.items():
+        nested = isinstance(spec, dict)
         if key not in data:
-            if key in optional:
-                continue
-            where = f"{section}.{key}" if section else key
-            raise ConfigError(f"{where}: missing required key")
-        if isinstance(expected, dict):
-            if not isinstance(data[key], dict):
-                raise ConfigError(f"{key}: must be a table of keys")
-            _check_section(data[key], expected, key, _OPTIONAL_NESTED.get(key, set()))
-        elif not isinstance(data[key], expected) or isinstance(data[key], bool):
-            raise ConfigError(f"{section + '.' if section else ''}{key}: wrong type")
+            if nested or spec[1] is _REQUIRED:
+                raise ConfigError(f"{where}{key}: missing required key")
+            values[key] = spec[1]
+            continue
+        value = data[key]
+        if nested:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where}{key}: must be a table of keys")
+            value = _read(value, spec, key)
+        elif not isinstance(value, spec[0]) or isinstance(value, bool):
+            raise ConfigError(f"{where}{key}: wrong type")
+        elif isinstance(value, int) and spec[0] is not int:  # an int where a float is accepted
+            value = float(value)
+        values[key] = value
+    return values
 
 
 def _parse_grid_value(v):
-    if isinstance(v, str):
-        if v.lower() in ("inf", "quench"):
-            return math.inf
-        raise ConfigError(f"grid: unrecognized entry {v!r}")
+    if isinstance(v, str) and v.lower() in ("inf", "quench"):
+        return math.inf
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return float(v)
     raise ConfigError(f"grid: unrecognized entry {v!r}")
 
 
-def _default_grid(scan: str) -> list:
-    if scan == "velocity":
-        return list(DEFAULT_VELOCITY_GRID) + [math.inf]
-    if scan == "size":
-        return list(DEFAULT_SIZE_GRID)
-    if scan in ("lambda_scaling", "pert_compare"):
-        return list(DEFAULT_LAMBDA_GRID)
-    return []
-
-
 def config_from_dict(data: dict) -> RunConfig:
-    _check_section(data, _SCHEMA, "", _OPTIONAL)
-    merged = dict(_DEFAULTS)
-    merged.update({k: v for k, v in data.items() if k not in ("model", "protocol")})
-    model = data["model"]
-    proto = data["protocol"]
+    values = _read(data, _KEYS)
     try:
-        spec = SpinChainSpec(
-            n_sites=model["n_sites"],
-            coupling=float(model["coupling"]),
-            boundary=model.get("boundary", "open"),
-        )
+        values["model"] = SpinChainSpec(**values["model"])
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
-    grid = [_parse_grid_value(v) for v in merged["grid"]]
-    if not grid:
-        grid = _default_grid(merged["scan"])
-    cfg = RunConfig(
-        model=spec,
-        beta=float(merged["beta"]),
-        lambda1=float(merged["lambda1"]),
-        protocol_kind=proto["kind"],
-        velocity=None if proto.get("velocity") is None else float(proto["velocity"]),
-        t_total=float(proto["t_total"]),
-        scan=merged["scan"],
-        grid=grid,
-        dt=float(merged["dt"]),
-        fidelity_convention=merged["fidelity_convention"],
-        seed=int(merged["seed"]),
-        output_dir=str(merged["output_dir"]),
-    )
+    values["protocol"] = ProtocolConfig(**values["protocol"])
+    values["grid"] = [_parse_grid_value(v) for v in values["grid"]] or list(_DEFAULT_GRIDS.get(values["scan"], []))
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
@@ -264,22 +254,7 @@ def load_config(path) -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    return {
-        "model": {
-            "n_sites": cfg.model.n_sites,
-            "coupling": cfg.model.coupling,
-            "boundary": cfg.model.boundary,
-        },
-        "beta": cfg.beta,
-        "lambda1": cfg.lambda1,
-        "protocol": {"kind": cfg.protocol_kind, "velocity": cfg.velocity, "t_total": cfg.t_total},
-        "scan": cfg.scan,
-        "grid": ["inf" if math.isinf(v) else v for v in cfg.grid],
-        "dt": cfg.dt,
-        "fidelity_convention": cfg.fidelity_convention,
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-    }
+    return asdict(replace(cfg, grid=["inf" if math.isinf(v) else v for v in cfg.grid]))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +282,7 @@ def _protocol_for(kind: str, velocity, lambda1: float, t_total: float) -> DriveP
 
 def _slow_ramp(cfg: RunConfig, lam: float) -> DriveProtocol:
     """A full ramp to ``lam`` at the config's velocity (SLOW_VELOCITY if none), ending at t_r = lam / v."""
-    v = cfg.velocity or SLOW_VELOCITY
+    v = cfg.protocol.velocity or SLOW_VELOCITY
     return _protocol_for("ramp_hold", v, lam, lam / v)
 
 
@@ -505,7 +480,7 @@ def run_velocity_scan(
     finite = [v for v in grid if math.isfinite(v)]
     if not any(math.isinf(v) for v in grid):
         grid.append(math.inf)
-    t_total = abs(cfg.lambda1) / min(finite) if cfg.lambda1 != 0.0 else cfg.t_total
+    t_total = abs(cfg.lambda1) / min(finite) if cfg.lambda1 != 0.0 else cfg.protocol.t_total
     points = [
         (cfg.model, _protocol_for("quench" if math.isinf(v) else "ramp_hold", v, cfg.lambda1, t_total), v)
         for v in grid
@@ -520,7 +495,7 @@ def run_size_scan(
     """Infidelity versus chain length at the configured ramp velocity and total
     time.  Each point builds its own model, in the worker that runs it;
     ``threads`` and ``workers`` are as in ``_run_points``."""
-    protocol = _protocol_for(cfg.protocol_kind, cfg.velocity, cfg.lambda1, cfg.t_total)
+    protocol = _protocol_for(cfg.protocol.kind, cfg.protocol.velocity, cfg.lambda1, cfg.protocol.t_total)
     points = [
         (SpinChainSpec(n, cfg.model.coupling, cfg.model.boundary), protocol, float(n))
         for n in sorted(int(v) for v in cfg.grid)
@@ -562,7 +537,7 @@ def run_lambda_scaling(
     """
     lams = sorted(float(v) for v in cfg.grid)
     points = [(cfg.model, _slow_ramp(cfg, lam), lam) for lam in lams]
-    points += [(cfg.model, _protocol_for("quench", None, lam, cfg.t_total), lam) for lam in lams]
+    points += [(cfg.model, _protocol_for("quench", None, lam, cfg.protocol.t_total), lam) for lam in lams]
     results = _run_points(cfg, points, threads, certify, workers)[0]
     ramp_records, quench_records = results[: len(lams)], results[len(lams) :]
 
@@ -613,8 +588,8 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
         m3 = three_point_measure(ops.spec0, ops.h1, cfg.beta)
         s = third_order_adiabatic_coefficient(m3)
 
-    if cfg.protocol_kind == "quench":
-        protocols = [_protocol_for("quench", None, lam, cfg.t_total) for lam in lams]
+    if cfg.protocol.kind == "quench":
+        protocols = [_protocol_for("quench", None, lam, cfg.protocol.t_total) for lam in lams]
     else:
         protocols = [_slow_ramp(cfg, lam) for lam in lams]
     quads = lnchi_second_order_quadrature(m2, list(zip(protocols, lams)), first, u)
@@ -659,8 +634,8 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
 
 def run_single(cfg: RunConfig):
     """One protocol run, in this process: its record, work distribution and CFW samples."""
-    protocol = _protocol_for(cfg.protocol_kind, cfg.velocity, cfg.lambda1, cfg.t_total)
-    value = math.inf if cfg.protocol_kind == "quench" else (cfg.velocity or 0.0)
+    protocol = _protocol_for(cfg.protocol.kind, cfg.protocol.velocity, cfg.lambda1, cfg.protocol.t_total)
+    value = math.inf if cfg.protocol.kind == "quench" else (cfg.protocol.velocity or 0.0)
     (record,), (dist,) = _run_points(cfg, [(cfg.model, protocol, value)], 1, True, None)
     cfw = cfw_from_distribution(dist, default_u_grid(cfg.beta))
     return record, dist, cfw

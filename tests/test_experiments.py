@@ -104,6 +104,11 @@ class TestConfigLoading:
         again = load_config(path)
         assert config_to_dict(again) == config_to_dict(cfg)
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "configs").glob("*.json")))
+    def test_shipped_config_round_trips(self, name):
+        cfg = load_config(REPO / "configs" / name)
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+
     def test_quench_sentinel_strings(self):
         for sentinel in ("inf", "quench", "Quench"):
             assert math.isinf(config_from_dict(tiny_config(grid=[0.1, sentinel])).grid[-1])
