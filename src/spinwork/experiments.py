@@ -42,6 +42,7 @@ from .perturbative_cfw import (
     lnchi_second_order_quadrature,
     lnchi_third_order_adiabatic,
     third_order_adiabatic_coefficient,
+    three_point_atom_counts,
     three_point_measure,
     two_point_measure,
 )
@@ -51,7 +52,7 @@ from .spectral_core import (
     infidelity,
     log_partition_function,
 )
-from .spin_model import MAX_SITES, OperatorMatrix, SpinChainSpec, assemble, build_hopping, build_zz
+from .spin_model import MAX_SITES, DimensionError, OperatorMatrix, SpinChainSpec, assemble, build_hopping, build_zz
 from .work_statistics import (
     WorkDistribution,
     average_work,
@@ -157,6 +158,12 @@ class RunConfig:
                 _protocol_for(kind, velocity, self.lambda1, t_total)
             except ProtocolError as exc:
                 raise ConfigError(f"protocol: {exc}") from exc
+        if self.scan == "pert_compare":  # the chain's blocks are its magnetization sectors
+            n = self.model.n_sites
+            try:
+                three_point_atom_counts([math.comb(n, k) for k in range(n + 1)])
+            except DimensionError as exc:
+                raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -292,11 +299,12 @@ def _steps(dt: float, protocol: DriveProtocol, certify: bool) -> tuple:
     realized step is then at least 1.5x the record's, so for a fourth-order
     method its shift is at least ~4x the record's own error, at half the
     record's cost.  A ramp of one step at dt is the same single step at 2dt,
-    so it is checked at dt/2."""
+    so it is checked in two steps, at min(dt, ramp time) / 2: dt/2 unless the
+    ramp is shorter than dt, where dt/2 could be that one step again."""
     steps = _step_count(protocol, dt)
     if not certify or steps == 0:
         return (dt,)
-    return (dt, 2.0 * dt) if _step_count(protocol, 2.0 * dt) < steps else (dt, dt / 2.0)
+    return (dt, 2.0 * dt) if _step_count(protocol, 2.0 * dt) < steps else (dt, min(dt, protocol.ramp_time) / 2.0)
 
 
 def _run_levels(shared: dict, points: list, cfg: RunConfig, certify: bool, i: int,

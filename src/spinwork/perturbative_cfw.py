@@ -142,6 +142,22 @@ def _memory_limit() -> int:
     return limit
 
 
+def three_point_atom_counts(sizes) -> tuple[int, int]:
+    """The raw and pair atom counts, sum b^3 and sum b^2, of a three-point
+    measure over blocks of ``sizes``.  Raises :class:`DimensionError` when its
+    sum_b (b^3 + 3 b^2) + 1 atoms at THREE_POINT_BYTES_PER_ATOM exceed
+    :func:`_memory_limit`."""
+    n_raw, n_pair = sum(b**3 for b in sizes), sum(b**2 for b in sizes)
+    n_atoms = n_raw + 3 * n_pair + 1
+    estimate, limit = n_atoms * THREE_POINT_BYTES_PER_ATOM, _memory_limit()
+    if estimate > limit:
+        raise DimensionError(
+            f"three-point measure needs {n_atoms} atoms, an estimated {estimate / 1e9:.2f} GB, "
+            f"over the {limit / 1e9:.2f} GB memory limit"
+        )
+    return n_raw, n_pair
+
+
 def three_point_measure(
     h0_spec: SpectralDecomposition, h1: OperatorMatrix, beta: float
 ) -> SpectralMeasure3:
@@ -158,21 +174,14 @@ def three_point_measure(
     block, so raw atoms and pair subtractions are built per block:
     sum_b (b^3 + 3 b^2) + 1 atoms instead of d^3 + 3 d^2 + 1.  Raises
     :class:`DimensionError` before allocating when their estimated memory
-    exceeds :func:`_memory_limit`.
+    exceeds :func:`_memory_limit` (:func:`three_point_atom_counts`).
     """
     p = boltzmann_weights(h0_spec, beta)
     blocks, mean = _interaction_blocks(h0_spec, h1, p)
     e = h0_spec.eigenvalues
 
-    n_raw = sum(cols.size**3 for cols, _ in blocks)
-    n_pair = sum(cols.size**2 for cols, _ in blocks)
+    n_raw, n_pair = three_point_atom_counts([cols.size for cols, _ in blocks])
     n_atoms = n_raw + 3 * n_pair + 1
-    estimate, limit = n_atoms * THREE_POINT_BYTES_PER_ATOM, _memory_limit()
-    if estimate > limit:
-        raise DimensionError(
-            f"three-point measure needs {n_atoms} atoms, an estimated {estimate / 1e9:.2f} GB, "
-            f"over the {limit / 1e9:.2f} GB memory limit"
-        )
 
     # rows: the raw atoms (n, m, k), then the three pair subtractions
     # <AB><C>, <AC><B>, <BC><A> over (n, m), then the 2<A><B><C> atom at the origin

@@ -353,7 +353,10 @@ class TestScans:
             (xp._protocol_for("ramp_hold", 1.0, 0.75, 4.0), True, (0.25, 0.5)),
             (xp._protocol_for("ramp_hold", 1.0, 0.5, 4.0), True, (0.25, 0.5)),
             (xp._protocol_for("ramp_hold", 1.0, 0.25, 4.0), True, (0.25, 0.125)),
-            (xp._protocol_for("ramp_hold", 1.0, 0.1, 4.0), True, (0.25, 0.125)),
+            # a ramp over 0.1 is one step at dt/2 too, so it is checked at half its length
+            (xp._protocol_for("ramp_hold", 1.0, 0.1, 4.0), True, (0.25, 0.05)),
+            # over 0.2, dt/2 and half its length are the same two steps
+            (xp._protocol_for("ramp_hold", 1.0, 0.2, 4.0), True, (0.25, 0.1)),
             (xp._protocol_for("ramp_hold", 1.0, 0.75, 4.0), False, (0.25,)),
             (xp._protocol_for("quench", None, 0.75, 4.0), True, (0.25,)),
             (xp._protocol_for("ramp_hold", 1.0, 0.0, 4.0), True, (0.25,)),
@@ -361,6 +364,8 @@ class TestScans:
     )
     def test_steps_check_at_twice_dt_unless_one_step(self, protocol, certify, steps):
         assert xp._steps(0.25, protocol, certify) == steps
+        if len(steps) == 2:  # a check that repeats the record's schedule would shift by exactly 0
+            assert drive_dynamics._step_count(protocol, steps[1]) != drive_dynamics._step_count(protocol, steps[0])
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_gate_shift_is_the_twice_dt_shift(self, monkeypatch, threads):
@@ -702,9 +707,10 @@ class TestCli:
 
     @pytest.mark.parametrize("command, threads", CERTIFIED_RUNS)
     def test_one_step_ramp_certification_failure_exit_code(self, tmp_path, monkeypatch, capsys, command, threads):
-        # a ramp over dt = 0.02 is one step at dt and at 2dt, the same run, so its gate joins the dt/2 run
+        # a ramp over dt = 0.02 is one step at dt and at 2dt, the same run, so its gate joins the dt/2 run;
+        # the coupling scans' first ramp, over 0.01, is one step at dt/2 too, so its gate joins a run at 0.005
         err = self.failed_certification(tmp_path, monkeypatch, capsys, command, threads, 5.0)
-        assert "against dt=0.01:" in err
+        assert ("against dt=0.005:" if command in ("scan-lambda", "pert-compare") else "against dt=0.01:") in err
 
     def test_pert_compare_quadrature_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "c.json"
@@ -797,7 +803,9 @@ class TestCli:
         assert (out / "velocity_records.csv").read_text().split("\n")[0] == ",".join(CSV_COLUMNS)
 
     def test_unpinned_pool_matches_pinned_serial_run(self, tmp_path):
-        # records apart from runtime_seconds do not depend on the worker count or the BLAS setting
+        # pool workers pin BLAS to one thread, so a pool with BLAS unpinned gives the records (runtime_seconds
+        # aside) of an in-process run with BLAS pinned; an in-process run follows the process's BLAS setting,
+        # and with BLAS unpinned its records can move in the last bits
         path = tmp_path / "c.json"
         path.write_text(json.dumps(tiny_config(model={"n_sites": 6, "coupling": 2.0}, grid=[0.05, 0.2, "inf"])))
         env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -893,11 +901,13 @@ class TestCli:
         assert "numerical certification failure: u grid spacing 0.05 under-resolves" in run.stderr
         assert "Traceback" not in run.stderr
 
+    @pytest.mark.parametrize("command", ["pert-compare", "validate-config"])
     @pytest.mark.parametrize("n_sites, exit_code", [(9, 0), (10, 2)])
-    def test_pert_compare_under_address_space_limit(self, tmp_path, n_sites, exit_code):
+    def test_pert_compare_under_address_space_limit(self, tmp_path, n_sites, exit_code, command):
         # The child lowers its own soft RLIMIT_AS to 3,000,000 KiB before numpy loads.
         # N = 9 fits; at N = 10 the three-point measure's estimate (~4.9 GB) does not,
-        # and the run must stop with a named config error instead of an allocation failure.
+        # and the run must stop with a named config error instead of an allocation failure,
+        # which validate-config reports as the run would.
         path = tmp_path / "c.json"
         cfg = tiny_config(
             model={"n_sites": n_sites, "coupling": 2.0}, scan="pert_compare", grid=[0.05, 0.1, 0.2],
@@ -909,7 +919,7 @@ class TestCli:
             "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
             "soft = 3_000_000 * 1024\n"
             "resource.setrlimit(resource.RLIMIT_AS, (soft if hard == resource.RLIM_INFINITY else min(soft, hard), hard))\n"
-            "sys.argv = ['spinwork', 'pert-compare', '--config', sys.argv[1], '--threads', '1']\n"
+            "sys.argv = ['spinwork', sys.argv[2], '--config', sys.argv[1], '--threads', '1']\n"
             "runpy.run_module('spinwork.cli', run_name='__main__')\n"
         )
         env = dict(
@@ -919,11 +929,11 @@ class TestCli:
             PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]),
         )
         run = subprocess.run(
-            [sys.executable, "-c", child, str(path)], env=env, capture_output=True, text=True, timeout=300
+            [sys.executable, "-c", child, str(path), command], env=env, capture_output=True, text=True, timeout=300
         )
         assert run.returncode == exit_code, run.stderr
         if exit_code == 0:
-            assert (tmp_path / "out" / "three_point_measure.csv").exists()
+            assert (tmp_path / "out" / "three_point_measure.csv").exists() == (command == "pert-compare")
         else:
             assert re.search(r"config error: three-point measure needs \d+ atoms, an estimated [\d.]+ GB", run.stderr)
             assert "Traceback" not in run.stderr
