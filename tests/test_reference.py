@@ -76,7 +76,7 @@ def _cells_match(got, want, tol: float) -> bool:
 def _json_mismatches(got, want, tol: float, where: str) -> list[str]:
     if isinstance(want, dict):
         if not isinstance(got, dict) or list(got) != list(want):
-            return [f"{where}: keys {list(got) if isinstance(got, dict) else got!r} != {list(want)}"]
+            return [f"{where}: keys differ"]
         return [m for key in want if key not in EXCLUDED
                 for m in _json_mismatches(got[key], want[key], tol, f"{where}.{key}")]
     if isinstance(want, list):
