@@ -52,7 +52,7 @@ from .spectral_core import (
     infidelity,
     log_partition_function,
 )
-from .spin_model import MAX_SITES, DimensionError, OperatorMatrix, SpinChainSpec, assemble, build_hopping, build_zz
+from .spin_model import DimensionError, OperatorMatrix, SpinChainSpec, assemble, build_hopping, build_zz, chain_points
 from .work_statistics import (
     WorkDistribution,
     average_work,
@@ -132,12 +132,10 @@ class RunConfig:
         if kind == "ramp_hold":
             if velocity is not None and not velocity > 0:
                 raise ConfigError(f"protocol.velocity: {velocity:g} must be positive")
-        if self.model.n_sites > MAX_SITES:
-            raise ConfigError(f"model.n_sites: {self.model.n_sites} exceeds the maximum {MAX_SITES}")
         if self.scan == "size":
             for n in self.grid:
-                if not (float(n).is_integer() and 2 <= n <= MAX_SITES):
-                    raise ConfigError(f"grid: chain size {n:g} is not a whole number in [2, {MAX_SITES}]")
+                if not (float(n).is_integer() and n >= 2):
+                    raise ConfigError(f"grid: chain size {n:g} is not a whole number of at least 2")
         if self.scan == "velocity":
             for v in self.grid:
                 if not v > 0:
@@ -153,17 +151,17 @@ class RunConfig:
             slow_ramp = self.scan == "lambda_scaling" or kind == "ramp_hold"
             if slow_ramp and velocity is not None and not 0 < velocity < math.inf:
                 raise ConfigError(f"protocol.velocity: {velocity:g} must be positive and finite for the slow ramp")
-        if self.scan in ("size", "single"):
-            try:
+        n = int(max(self.grid)) if self.scan == "size" else self.model.n_sites
+        try:
+            if self.scan in ("size", "single"):
                 _protocol_for(kind, velocity, self.lambda1, t_total)
-            except ProtocolError as exc:
-                raise ConfigError(f"protocol: {exc}") from exc
-        if self.scan == "pert_compare":  # the chain's blocks are its magnetization sectors
-            n = self.model.n_sites
-            try:
+            chain_points(n)  # one point at the scan's largest chain fits in memory
+            if self.scan == "pert_compare":  # and so does the three-point measure over the chain's sectors
                 three_point_atom_counts([math.comb(n, k) for k in range(n + 1)])
-            except DimensionError as exc:
-                raise ConfigError(str(exc)) from exc
+        except ProtocolError as exc:
+            raise ConfigError(f"protocol: {exc}") from exc
+        except DimensionError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -222,17 +220,21 @@ def _read(data: dict, keys: dict, section: str = "") -> dict:
         elif not isinstance(value, spec[0]) or isinstance(value, bool):
             raise ConfigError(f"{where}{key}: wrong type")
         elif isinstance(value, int) and spec[0] is not int:  # an int where a float is accepted
-            value = float(value)
+            value = _parse_number(value, f"{where}{key}")
         values[key] = value
     return values
 
 
-def _parse_grid_value(v):
+def _parse_number(v, key: str) -> float:
+    """A config number, or a grid's inf or quench, as a float; else a config error naming ``key``."""
     if isinstance(v, str) and v.lower() in ("inf", "quench"):
         return math.inf
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ConfigError(f"{key}: unrecognized entry {v!r}")
+    try:
         return float(v)
-    raise ConfigError(f"grid: unrecognized entry {v!r}")
+    except OverflowError:
+        raise ConfigError(f"{key}: integer too large for a float") from None
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -242,7 +244,7 @@ def config_from_dict(data: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
     values["protocol"] = ProtocolConfig(**values["protocol"])
-    values["grid"] = [_parse_grid_value(v) for v in values["grid"]] or list(_DEFAULT_GRIDS.get(values["scan"], []))
+    values["grid"] = [_parse_number(v, "grid") for v in values["grid"]] or list(_DEFAULT_GRIDS.get(values["scan"], []))
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
@@ -407,19 +409,20 @@ def _run_points(cfg: RunConfig, points: list, threads: Optional[int], certify: b
     unless the caller passes them in ``shared`` ({spec: _ModelOps}).
     With one worker each point's runs (its ``_steps``) are one ``_run_levels``
     call in this process; otherwise each run is a task on a pool of
-    min(threads, tasks) forked processes, longest first, with BLAS pinned to
-    one thread in each.  The first error cancels the pending tasks, stops the
-    workers (running tasks included) and is raised once the pool has shut
-    down.  The join gates a point's check run against its record to
-    CERTIFICATION_SHIFT and sums their wall times.  ``workers``, when given,
-    receives the worker count, the start method and the workers' BLAS threads.
+    min(threads, tasks, points the memory limit holds at the largest chain) forked
+    processes, longest first, with BLAS pinned to one thread in each.  The first error
+    cancels the pending tasks, stops the workers (running tasks included) and is raised
+    once the pool has shut down.  The join gates a point's check run against its record
+    to CERTIFICATION_SHIFT and sums their wall times.  ``workers``, when given, receives
+    the worker count, the start method and the workers' BLAS threads.
     """
     steps = [_steps(cfg.dt, protocol, certify) for _, protocol, _ in points]
     tasks = [(i, level) for i, point_steps in enumerate(steps) for level in range(len(point_steps))]
     if shared is None:
         shared = {spec: _ModelOps.build(spec) for spec, n in Counter(p[0] for p in points).items() if n > 1}
     run = functools.partial(_run_levels, shared, points, cfg, certify)
-    count = min(_usable_cpus() if threads is None else threads, len(tasks))
+    held = chain_points(max((spec.n_sites for spec, _, _ in points), default=2))
+    count = min(_usable_cpus() if threads is None else threads, len(tasks), held)
     runs, dists = {}, [None] * len(points)
     if count <= 1 or "fork" not in mp.get_all_start_methods():
         setup = in_process_workers()

@@ -36,8 +36,6 @@ each run's terms are then products over the atoms for the whole u grid.
 """
 from __future__ import annotations
 
-import os
-import resource
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -46,7 +44,7 @@ import numpy as np
 
 from .drive_dynamics import DriveProtocol, lambda_at, spectral_response
 from .spectral_core import SpectralDecomposition, boltzmann_weights, thermal_expectation
-from .spin_model import DimensionError, OperatorMatrix, common_blocks
+from .spin_model import OperatorMatrix, check_memory, common_blocks
 from .work_statistics import CfwSamples, merge_atoms, write_csv
 
 WEIGHT_FLOOR = 1e-12
@@ -133,29 +131,14 @@ def two_point_measure(
     return SpectralMeasure2(omegas, weights)
 
 
-def _memory_limit() -> int:
-    """Bytes one computation may allocate: physical memory, or a lower soft RLIMIT_AS."""
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-    if soft != resource.RLIM_INFINITY:
-        limit = min(limit, soft)
-    return limit
-
-
-def three_point_atom_counts(sizes) -> tuple[int, int]:
-    """The raw and pair atom counts, sum b^3 and sum b^2, of a three-point
-    measure over blocks of ``sizes``.  Raises :class:`DimensionError` when its
-    sum_b (b^3 + 3 b^2) + 1 atoms at THREE_POINT_BYTES_PER_ATOM exceed
-    :func:`_memory_limit`."""
+def three_point_atom_counts(sizes) -> tuple[int, int, int]:
+    """The raw, pair and total atom counts, sum b^3, sum b^2 and sum_b (b^3 + 3 b^2) + 1, of a
+    three-point measure over blocks of ``sizes``; raises ``DimensionError`` when the total at
+    THREE_POINT_BYTES_PER_ATOM exceeds the memory limit (``spin_model.check_memory``)."""
     n_raw, n_pair = sum(b**3 for b in sizes), sum(b**2 for b in sizes)
     n_atoms = n_raw + 3 * n_pair + 1
-    estimate, limit = n_atoms * THREE_POINT_BYTES_PER_ATOM, _memory_limit()
-    if estimate > limit:
-        raise DimensionError(
-            f"three-point measure needs {n_atoms} atoms, an estimated {estimate / 1e9:.2f} GB, "
-            f"over the {limit / 1e9:.2f} GB memory limit"
-        )
-    return n_raw, n_pair
+    check_memory(f"three-point measure needs {n_atoms} atoms", n_atoms * THREE_POINT_BYTES_PER_ATOM)
+    return n_raw, n_pair, n_atoms
 
 
 def three_point_measure(
@@ -172,16 +155,14 @@ def three_point_measure(
     (the magnetization sectors for the XXZ chain, one block for an H1 that
     couples them), and a raw weight vanishes exactly unless n, m and k share a
     block, so raw atoms and pair subtractions are built per block:
-    sum_b (b^3 + 3 b^2) + 1 atoms instead of d^3 + 3 d^2 + 1.  Raises
-    :class:`DimensionError` before allocating when their estimated memory
-    exceeds :func:`_memory_limit` (:func:`three_point_atom_counts`).
+    sum_b (b^3 + 3 b^2) + 1 atoms instead of d^3 + 3 d^2 + 1, checked against
+    the memory limit before allocating (:func:`three_point_atom_counts`).
     """
     p = boltzmann_weights(h0_spec, beta)
     blocks, mean = _interaction_blocks(h0_spec, h1, p)
     e = h0_spec.eigenvalues
 
-    n_raw, n_pair = three_point_atom_counts([cols.size for cols, _ in blocks])
-    n_atoms = n_raw + 3 * n_pair + 1
+    n_raw, n_pair, n_atoms = three_point_atom_counts([cols.size for cols, _ in blocks])
 
     # rows: the raw atoms (n, m, k), then the three pair subtractions
     # <AB><C>, <AC><B>, <BC><A> over (n, m), then the 2<A><B><C> atom at the origin

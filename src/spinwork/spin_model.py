@@ -21,18 +21,49 @@ operator in real arithmetic (real ``eigh``, real eigenvectors) without a
 second code path.
 Eigenvectors and state factors are (rows, cols, array) triples too, and
 ``common_blocks`` lines several up: blocks they share, or the whole space.
+``check_memory`` is the one memory guard: it raises :class:`DimensionError` when an estimate
+(a scan point's by ``chain_points``, from its C(2N, N) sector-block entries) exceeds the limit.
 """
 from __future__ import annotations
 
+import math
+import os
+import resource
 from dataclasses import dataclass
 
 import numpy as np
 
-MAX_SITES = 14
+# a scan point's peak bytes per sector-block entry and the interpreter's, fit to measured peaks (README)
+POINT_BYTES_PER_ENTRY = 160
+POINT_BYTES_FIXED = 200_000_000
 
 
 class DimensionError(ValueError):
-    """Operator dimensions incompatible, not a power of two, or beyond the configured maximum."""
+    """Operator dimensions incompatible, not a power of two, or an estimated memory over the limit."""
+
+
+def _memory_limit() -> int:
+    """Bytes one computation may allocate: physical memory, or a lower soft RLIMIT_AS."""
+    physical, soft = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), resource.getrlimit(resource.RLIMIT_AS)[0]
+    return physical if soft == resource.RLIM_INFINITY else min(physical, soft)
+
+
+def check_memory(what: str, estimate: int) -> int:
+    """How many computations of ``estimate`` bytes the memory limit holds; if none, a DimensionError naming ``what``."""
+    limit = _memory_limit()
+    if estimate <= limit:
+        return limit // estimate
+    raise DimensionError(f"{what}, an estimated {estimate / 1e9:.2f} GB, over the {limit / 1e9:.2f} GB memory limit")
+
+
+def chain_points(n_sites: int) -> int:
+    """How many scan points on ``n_sites`` the memory limit holds at once (:func:`check_memory`), at
+    POINT_BYTES_PER_ENTRY per sector-block entry, C(2N, N) >= 2^N, plus POINT_BYTES_FIXED; a chain past the
+    limit's bit length cannot fit, and gets the bound at one site past it (``math.comb`` would stall)."""
+    n = min(n_sites, _memory_limit().bit_length() + 1)
+    entries, least = math.comb(2 * n, n), "at least " * (n < n_sites)
+    return check_memory(f"a scan point on {least}{n} sites needs {least}{entries} sector-block entries",
+                        POINT_BYTES_PER_ENTRY * entries + POINT_BYTES_FIXED)
 
 
 @dataclass(frozen=True)
@@ -133,14 +164,9 @@ class OperatorMatrix:
         return dense_view(self.dimension, self.blocks)
 
 
-def _check_sites(n_sites: int) -> None:
-    if n_sites > MAX_SITES:
-        raise DimensionError(f"n_sites={n_sites} exceeds the dense-storage maximum {MAX_SITES}")
-
-
 def _spins(n_sites: int) -> np.ndarray:
     """(2^N, N) integer table of sigma^z eigenvalues (+1 up, -1 down) per basis state and site."""
-    _check_sites(n_sites)
+    chain_points(n_sites)
     b = np.arange(2**n_sites)
     return 1 - 2 * ((b[:, None] >> (n_sites - 1 - np.arange(n_sites))[None, :]) & 1)
 
@@ -197,7 +223,7 @@ def magnetization_sectors(n_sites: int) -> list[np.ndarray]:
     """
     if n_sites < 2:
         raise ValueError(f"n_sites must be >= 2, got {n_sites}")
-    _check_sites(n_sites)
+    chain_points(n_sites)
     return _sectors(2**n_sites)
 
 

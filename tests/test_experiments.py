@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import spinwork.experiments as xp
-from spinwork import drive_dynamics, perturbative_cfw
+from spinwork import drive_dynamics, perturbative_cfw, spin_model
 from spinwork.spin_model import DimensionError
 from spinwork import (
     OperatorMatrix,
@@ -336,6 +336,17 @@ class TestScans:
         run_velocity_scan(config_from_dict(tiny_config()), workers=workers)
         assert workers["count"] == 1 and workers["start_method"] is None
 
+    def test_pool_holds_no_more_points_than_the_memory_limit(self, monkeypatch):
+        """A memory limit that holds one point of the chain runs the scan in this
+        process, with the records of a pool of two."""
+        cfg, pooled, capped = config_from_dict(tiny_config()), {}, {}
+        expected = run_velocity_scan(cfg, threads=2, workers=pooled)
+        one_point = spin_model.POINT_BYTES_PER_ENTRY * math.comb(6, 3) + spin_model.POINT_BYTES_FIXED
+        monkeypatch.setattr(spin_model, "_memory_limit", lambda: 2 * one_point - 1)
+        records = run_velocity_scan(cfg, threads=2, workers=capped)
+        assert pooled["count"] == 2 and capped["count"] == 1 and capped["start_method"] is None
+        assert [replace(r, runtime_seconds=0.0) for r in records] == [replace(r, runtime_seconds=0.0) for r in expected]
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pool_record_runtime_sums_its_tasks(self, monkeypatch, threads):
         # each clock reading advances one second, so every run measures 1 s,
@@ -484,7 +495,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["validate-config", "scan-size"])
     @pytest.mark.parametrize("size", [1, "inf", 15, 4.5])
-    def test_bad_size_grid_exit_code(self, tmp_path, command, size):
+    def test_bad_size_grid_exit_code(self, tmp_path, monkeypatch, command, size):
+        monkeypatch.setattr(spin_model, "_memory_limit", lambda: 8 * 10**9)  # holds a point on 14 sites, not 15
         path = tmp_path / "c.json"
         path.write_text(json.dumps(tiny_config(scan="size", grid=[size], output_dir=str(tmp_path / "out"))))
         assert self.run_cli(command, "--config", str(path), "--threads", "1") == 2
@@ -535,7 +547,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "key, value",
         [("lambda1", math.nan), ("lambda1", math.inf), ("lambda1", -math.inf)]
-        + [("t_total", t) for t in (-1.0, math.nan, math.inf)],
+        + [("t_total", t) for t in (-1.0, math.nan, math.inf)]
+        # JSON integers too large for a float
+        + [pytest.param("beta", 10**400, id="beta-10**400"), pytest.param("grid", [10**400], id="grid-10**400")],
     )
     @pytest.mark.parametrize(
         "scan, command",
@@ -577,34 +591,42 @@ class TestCli:
         assert self.run_cli(command, "--config", str(path), "--threads", "1") == 2
 
     @pytest.mark.parametrize(
-        "scan, command, grid, protocol",
+        "scan, command, grid, protocol, n_sites",
         [
-            ("single", "single", [], {"kind": "ramp_hold", "velocity": 0.001, "t_total": 10.0}),
-            ("size", "scan-size", [2, 3], {"kind": "ramp_hold", "velocity": 0.001, "t_total": 10.0}),
-            ("velocity", "scan-velocity", ["inf"], {"kind": "ramp_hold", "velocity": 0.05, "t_total": 4.0}),
-            ("lambda_scaling", "scan-lambda", [0.1], {"kind": "ramp_hold", "velocity": 0.05, "t_total": 4.0}),
-            ("size", "scan-size", [2, 3], {"kind": "ramp_hold", "t_total": 10.0}),
-            ("pert_compare", "pert-compare", [0.1, 0.1], {"kind": "quench", "t_total": 2.0}),
-            ("lambda_scaling", "scan-lambda", [0.1, 0.1], {"kind": "ramp_hold", "velocity": 0.05, "t_total": 4.0}),
+            ("single", "single", [], {"kind": "ramp_hold", "velocity": 0.001, "t_total": 10.0}, 3),
+            ("size", "scan-size", [2, 3], {"kind": "ramp_hold", "velocity": 0.001, "t_total": 10.0}, 3),
+            ("velocity", "scan-velocity", ["inf"], {"kind": "ramp_hold", "velocity": 0.05, "t_total": 4.0}, 3),
+            ("lambda_scaling", "scan-lambda", [0.1], {"kind": "ramp_hold", "velocity": 0.05, "t_total": 4.0}, 3),
+            ("size", "scan-size", [2, 3], {"kind": "ramp_hold", "t_total": 10.0}, 3),
+            ("pert_compare", "pert-compare", [0.1, 0.1], {"kind": "quench", "t_total": 2.0}, 3),
+            ("lambda_scaling", "scan-lambda", [0.1, 0.1], {"kind": "ramp_hold", "velocity": 0.05, "t_total": 4.0}, 3),
+            ("single", "single", [], {"kind": "quench", "t_total": 2.0}, 1000000),
+            ("size", "scan-size", [3, 1e300], {"kind": "ramp_hold", "velocity": 0.05, "t_total": 4.0}, 3),
         ],
         ids=["single-short-ramp", "size-short-ramp", "velocity-quench-only", "scaling-one-coupling", "size-no-velocity",
-             "pert-compare-repeated-coupling", "scaling-repeated-coupling"],
+             "pert-compare-repeated-coupling", "scaling-repeated-coupling", "single-million-sites", "size-grid-1e300"],
     )
-    def test_validate_config_rejects_what_the_run_rejects(self, tmp_path, capsys, scan, command, grid, protocol):
+    def test_validate_config_rejects_what_the_run_rejects(self, tmp_path, capsys, scan, command, grid, protocol,
+                                                          n_sites):
         # a ramp that cannot reach lambda1 = 0.1 within t_total, a velocity grid
         # of the quench alone, a scaling fit over one coupling, a ramp without a
-        # velocity, a coupling grid that repeats an entry
+        # velocity, a coupling grid that repeats an entry, a chain no memory holds
+        # (estimated without math.comb of the huge N, so rejected at once)
+        cfg = tiny_config(model={"n_sites": n_sites, "coupling": 2.0}, scan=scan, grid=grid, protocol=protocol,
+                          output_dir=str(tmp_path / "out"))
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(tiny_config(scan=scan, grid=grid, protocol=protocol,
-                                               output_dir=str(tmp_path / "out"))))
+        path.write_text(json.dumps(cfg))
         errors = []
         for argv in (["validate-config"], [command, "--threads", "1"]):
+            started = time.perf_counter()
             assert self.run_cli(*argv, "--config", str(path)) == 2
+            assert time.perf_counter() - started < 1.0
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] and errors[0].startswith("config error: ")
 
     @pytest.mark.parametrize("command", ["validate-config", "single"])
-    def test_too_many_sites_exit_code(self, tmp_path, command):
+    def test_too_many_sites_exit_code(self, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(spin_model, "_memory_limit", lambda: 8 * 10**9)  # holds a point on 14 sites, not 15
         path = tmp_path / "c.json"
         cfg = tiny_config(
             model={"n_sites": 15, "coupling": 2.0}, scan="single", grid=[],
@@ -901,18 +923,9 @@ class TestCli:
         assert "numerical certification failure: u grid spacing 0.05 under-resolves" in run.stderr
         assert "Traceback" not in run.stderr
 
-    @pytest.mark.parametrize("command", ["pert-compare", "validate-config"])
-    @pytest.mark.parametrize("n_sites, exit_code", [(9, 0), (10, 2)])
-    def test_pert_compare_under_address_space_limit(self, tmp_path, n_sites, exit_code, command):
-        # The child lowers its own soft RLIMIT_AS to 3,000,000 KiB before numpy loads.
-        # N = 9 fits; at N = 10 the three-point measure's estimate (~4.9 GB) does not,
-        # and the run must stop with a named config error instead of an allocation failure,
-        # which validate-config reports as the run would.
-        path = tmp_path / "c.json"
-        cfg = tiny_config(
-            model={"n_sites": n_sites, "coupling": 2.0}, scan="pert_compare", grid=[0.05, 0.1, 0.2],
-            protocol={"kind": "quench", "t_total": 2.0}, output_dir=str(tmp_path / "out"),
-        )
+    @staticmethod
+    def run_in_3gb_address_space(cfg: dict, path: Path, command: str):
+        """The CLI on ``cfg`` in a child that lowers its own soft RLIMIT_AS to 3,000,000 KiB before numpy loads."""
         path.write_text(json.dumps(cfg))
         child = (
             "import resource, runpy, sys\n"
@@ -928,15 +941,41 @@ class TestCli:
             OMP_NUM_THREADS="1",
             PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]),
         )
-        run = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", child, str(path), command], env=env, capture_output=True, text=True, timeout=300
         )
+
+    @pytest.mark.parametrize("command", ["pert-compare", "validate-config"])
+    @pytest.mark.parametrize("n_sites, exit_code", [(9, 0), (10, 2)])
+    def test_pert_compare_under_address_space_limit(self, tmp_path, n_sites, exit_code, command):
+        # N = 9 fits in 3 GB; at N = 10 the three-point measure's estimate (~4.9 GB) does not,
+        # and the run must stop with a named config error instead of an allocation failure,
+        # which validate-config reports as the run would.
+        cfg = tiny_config(
+            model={"n_sites": n_sites, "coupling": 2.0}, scan="pert_compare", grid=[0.05, 0.1, 0.2],
+            protocol={"kind": "quench", "t_total": 2.0}, output_dir=str(tmp_path / "out"),
+        )
+        run = self.run_in_3gb_address_space(cfg, tmp_path / "c.json", command)
         assert run.returncode == exit_code, run.stderr
         if exit_code == 0:
             assert (tmp_path / "out" / "three_point_measure.csv").exists() == (command == "pert-compare")
         else:
             assert re.search(r"config error: three-point measure needs \d+ atoms, an estimated [\d.]+ GB", run.stderr)
             assert "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize("command", ["single", "validate-config"])
+    def test_chain_over_address_space_limit_exits_2(self, tmp_path, command):
+        # a point at N = 14 is estimated at ~6.6 GB, over a 3 GB address space on any machine,
+        # so the run stops with a named config error before it builds an operator
+        cfg = tiny_config(
+            model={"n_sites": 14, "coupling": 2.0}, scan="single", grid=[],
+            protocol={"kind": "quench", "t_total": 2.0}, output_dir=str(tmp_path / "out"),
+        )
+        run = self.run_in_3gb_address_space(cfg, tmp_path / "c.json", command)
+        assert run.returncode == 2, run.stderr
+        assert re.search(r"^config error: a scan point on 14 sites needs 40116600 sector-block entries, "
+                         r"an estimated [\d.]+ GB, over the [\d.]+ GB memory limit$", run.stderr, re.M)
+        assert "Traceback" not in run.stderr and not (tmp_path / "out").exists()
 
     def test_fidelity_convention_flag(self, tmp_path):
         path = tmp_path / "c.json"

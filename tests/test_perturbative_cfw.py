@@ -35,6 +35,7 @@ from spinwork.perturbative_cfw import (
     third_order_adiabatic_coefficient,
 )
 
+from spinwork import spin_model
 from spinwork.spin_model import DimensionError
 from spinwork.work_statistics import merge_atoms
 
@@ -309,10 +310,10 @@ class TestThreePointMeasure:
         _, _, h1, spec0 = chain4
         # the chain's sectors have sizes 1, 4, 6, 4, 1
         atoms = (1 + 64 + 216 + 64 + 1) + 3 * (1 + 16 + 36 + 16 + 1) + 1
-        monkeypatch.setattr(pcfw, "_memory_limit", lambda: atoms * pcfw.THREE_POINT_BYTES_PER_ATOM - 1)
+        monkeypatch.setattr(spin_model, "_memory_limit", lambda: atoms * pcfw.THREE_POINT_BYTES_PER_ATOM - 1)
         with pytest.raises(DimensionError, match=f"needs {atoms} atoms, an estimated"):
             three_point_measure(spec0, h1, BETA)
-        monkeypatch.setattr(pcfw, "_memory_limit", lambda: atoms * pcfw.THREE_POINT_BYTES_PER_ATOM)
+        monkeypatch.setattr(spin_model, "_memory_limit", lambda: atoms * pcfw.THREE_POINT_BYTES_PER_ATOM)
         three_point_measure(spec0, h1, BETA)
 
     def test_identity_interaction_has_no_connected_weight(self, chain4):

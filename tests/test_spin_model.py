@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from spinwork import (
     build_zz,
     magnetization_sectors,
 )
+from spinwork import spin_model
 from spinwork.spin_model import DimensionError, spin_symmetries, zz_diagonal
 
 from conftest import kron_chain_operators, total_magnetization, two_site_operators
@@ -49,9 +52,14 @@ class TestBuildHopping:
         sz = total_magnetization(3).matrix
         assert comm_norm(h, sz) < 1e-12 * max(np.abs(h).max(), 1.0)
 
-    def test_dimension_guard(self):
-        with pytest.raises(DimensionError):
-            build_hopping(SpinChainSpec(15, 1.0))
+    def test_dimension_guard(self, monkeypatch):
+        # a memory limit that holds one scan point on 4 sites (C(8, 4) = 70 entries) holds none on 5
+        limit = spin_model.POINT_BYTES_PER_ENTRY * math.comb(8, 4) + spin_model.POINT_BYTES_FIXED
+        monkeypatch.setattr(spin_model, "_memory_limit", lambda: limit)
+        assert spin_model.chain_points(4) == 1
+        build_hopping(SpinChainSpec(4, 1.0))
+        with pytest.raises(DimensionError, match="scan point on 5 sites needs 252 sector-block entries, an estimated"):
+            build_hopping(SpinChainSpec(5, 1.0))
 
     @pytest.mark.parametrize("J", [2.0, -1.3])
     @pytest.mark.parametrize("n", range(2, 9))
