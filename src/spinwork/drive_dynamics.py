@@ -10,39 +10,27 @@ Propagation conventions (hbar = 1, time in inverse energy units):
     segment end; the realized step (within rounding of the requested dt) is
     reported as ``dt_used``.
   * Coupling is sampled at substep midpoints.
-  * Each block common to H0 and H1 (the blocks they were built on: the
-    magnetization sectors for the XXZ chain) is propagated on its own with one
-    substep schedule shared by all.  U is an operator on the same blocks, and
-    ``evolve_density`` works on them.
-  * Of the spin flip and the site reflection (``spin_model.spin_symmetries``),
-    those under which H0 and H1 are exactly invariant, checked block by block,
-    reduce the stepping.
-    A block that a symmetry maps onto another block is stepped once and the
-    image is its permuted copy (the flip pairs sector k with sector N - k).
-    A block stepped is split by the real isometries onto the joint +-1
-    eigenspaces of the symmetries that map it onto itself (the reflection,
-    and the flip on the middle sector at even N); H1 stays diagonal in them,
-    since each orbit of basis states shares one diagonal value.  For the XXZ
-    chain this cuts the counted flops per substep 7.9x at N = 9.  Without
-    such symmetries a block is stepped as it is.
-  * For a real H0 and H1 (the chain's float64 blocks) the projections and
-    the ``eigh`` of each stepped block and of its hold Hamiltonian are real;
-    U, the kicks and the H0 factors are complex.
+  * Each block common to H0 and H1 is propagated on its own with one substep
+    schedule shared by all, once per distinct (bit-identical) block pair, and U
+    is an operator on the same blocks.  On the chain's symmetry-adapted blocks
+    (``spin_model.symmetry_adapted``) a spin-flip pair of sectors is one pair of
+    arrays, stepped once in reflection parity blocks: 7.9x fewer counted flops
+    per substep at N = 9 than stepping every sector.  For real H0 and H1 the
+    ``eigh`` are real; U, the kicks and the H0 factors are complex.
 
 Stepping is fourth-order Suzuki: each step is the triple-jump composition of
 three Strang substeps (half H0, diagonal H1 kick, half H0), which keeps
 dt = 0.01 results converged at the 1e-8 level.  The kick needs the interaction
-part diagonal in the computational basis.
+part diagonal on its blocks.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .spin_model import OperatorMatrix, common_blocks, spin_symmetries
+from .spin_model import OperatorMatrix, common_blocks, once_per_copy
 from .spectral_core import DensityMatrix
 
 #: Triple-jump composition coefficients of a Suzuki-4 step.
@@ -242,86 +230,21 @@ def _propagate_block(h0: np.ndarray, h1: np.ndarray, p: DriveProtocol, schedule:
     return u
 
 
-def _symmetries(blocks: list) -> list[np.ndarray]:
-    """Those of the spin flip and the site reflection under which operators given on
-    common blocks (``common_blocks``) are exactly invariant: each block maps onto
-    a block, and each of its arrays onto that block's."""
-    first = {rows[0]: k for k, (rows, _) in enumerate(blocks)}
-
-    def invariant(g, rows, arrays):
-        if g[rows].min() not in first:
-            return False
-        target, images = blocks[first[g[rows].min()]]
-        at = np.ix_(*[np.searchsorted(target, g[rows])] * 2)
-        return np.array_equal(np.sort(g[rows]), target) and all(
-            np.array_equal(b[at], a) for (_, a), (_, b) in zip(arrays, images)
-        )
-
-    n_sites = sum(rows.size for rows, _ in blocks).bit_length() - 1
-    return [g for g in spin_symmetries(n_sites) if all(invariant(g, *block) for block in blocks)]
-
-
-def _parity_isometries(rows: np.ndarray, symmetries: list[np.ndarray]) -> list[np.ndarray]:
-    """Real orthonormal isometries of the block ``rows`` onto the joint +-1
-    eigenspaces of those commuting involutions that map it onto itself.
-
-    Each column is the signed, normalized sum over one orbit of basis states;
-    without such a symmetry the block is one identity isometry.
-    """
-    n = rows.size
-    local = [
-        np.searchsorted(rows, g[rows]) for g in symmetries if np.array_equal(np.sort(g[rows]), rows)
-    ]
-    # the group they generate: each element's permutation with the generators it uses
-    elements = [(np.arange(n), ())]
-    for k, q in enumerate(local):
-        elements += [(q[perm], used + (k,)) for perm, used in elements]
-    orbit_first = np.flatnonzero(np.min([perm for perm, _ in elements], axis=0) == np.arange(n))
-    columns = np.arange(orbit_first.size)
-    isometries = []
-    for signs in itertools.product((1.0, -1.0), repeat=len(local)):
-        s = np.zeros((n, orbit_first.size))
-        for perm, used in elements:
-            np.add.at(s, (perm[orbit_first], columns), np.prod([signs[k] for k in used]))
-        norms = np.linalg.norm(s, axis=0)
-        live = norms > 0.5
-        if live.any():
-            isometries.append(s[:, live] / norms[live])
-    return isometries
-
-
 def propagate(h0: OperatorMatrix, h1: OperatorMatrix, p: DriveProtocol, dt: float) -> PropagatorResult:
     """Time-ordered propagator U(t_total) for H(t) = H0 + lambda(t) H1, in Suzuki-4 steps of ~dt.
 
-    Each block common to H0 and H1 is stepped on its own, reduced by the
-    spin-flip and reflection symmetries the two share (see the module notes).
-    H1 must be diagonal in the computational basis.
-    """
+    Each block common to H0 and H1 is stepped on its own, once per distinct (H0 block,
+    H1 block) pair (see the module notes); H1 must be diagonal on its blocks."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     blocks = common_blocks(h0.blocks, h1.blocks)
-    h1_blocks = [h1b for _, (_, (_, h1b)) in blocks]
-    scale = max(max(np.abs(np.diag(b)).max() for b in h1_blocks), 1.0)
-    if any(np.abs(b - np.diag(np.diag(b))).max() > 1e-12 * scale for b in h1_blocks):
-        raise ValueError("propagate requires the interaction part diagonal in the computational basis")
+    pairs = [(h0b, h1b) for _, ((_, h0b), (_, h1b)) in blocks]
+    scale = max(max(np.abs(np.diag(b)).max() for _, b in pairs), 1.0)
+    if any(np.abs(b - np.diag(np.diag(b))).max() > 1e-12 * scale for _, b in pairs):
+        raise ValueError("propagate requires the interaction part diagonal on its blocks")
 
     schedule = _substep_schedule(p, dt) if p.ramp_time > 0.0 else None
-    symmetries = _symmetries(blocks)
-    first = {rows[0]: k for k, (rows, _) in enumerate(blocks)}
-    stepped = [None] * len(blocks)
-    for k, (idx, ((_, h0b), (_, h1b))) in enumerate(blocks):
-        if stepped[k] is not None:
-            continue
-        ub = np.zeros((idx.size, idx.size), dtype=complex)
-        for s in _parity_isometries(idx, symmetries):
-            ub += s @ _propagate_block(s.T @ h0b @ s, s.T @ h1b @ s, p, schedule) @ s.T
-        stepped[k] = ub
-        # U commutes with each symmetry, so the block it maps this one onto is a copy
-        for g in symmetries:
-            image = first[g[idx].min()]
-            if stepped[image] is None:
-                order = np.argsort(g[idx])
-                stepped[image] = ub[np.ix_(order, order)]
+    stepped = once_per_copy(lambda a0, a1: _propagate_block(a0, a1, p, schedule), *zip(*pairs))
 
     # U^dag U - 1 vanishes between blocks, so the blocks' Frobenius defects add up
     defect = float(np.sqrt(sum(np.linalg.norm(ub.conj().T @ ub - np.eye(ub.shape[0])) ** 2 for ub in stepped)))

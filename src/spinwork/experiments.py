@@ -3,16 +3,13 @@ perturbative-vs-exact comparisons, with CSV/JSON emission.
 
 A scan point is a dt run and, when certified, a check run at 2dt, or at dt/2
 for a ramp of one step (``_steps``).  Every subcommand's stepped runs are scan
-points, pert-compare's exact run per coupling included, and one runner,
-``_run_levels``, runs them.  With one worker it runs all of a point's runs in
-one call in this process (``single`` and ``pert-compare`` always run so, in
-the CLI process); otherwise each run is a task on a pool of forked processes,
-longest first, each with BLAS pinned to one thread, and a worker sends back
-the record only.  On either path ``_run_points`` joins a point's runs for the
-certification gate, and records are sorted by scan value before emission, so
-output is deterministic for a fixed config whatever the worker count.  The
-``runtime_seconds`` column is the wall time of a point's runs, summed, and is
-excluded from the bit-for-bit reproducibility guarantee.
+points, pert-compare's exact run per coupling included: one runner,
+``_run_levels``, runs them on the chain's symmetry-adapted operators
+(``_ModelOps``), in this process or as tasks on a fork pool, and one join,
+``_run_points``, gates them.  Records are sorted by scan value before
+emission, so output is deterministic for a fixed config whatever the worker
+count; the ``runtime_seconds`` column, the wall time of a point's runs summed,
+is excluded from that guarantee.
 """
 from __future__ import annotations
 
@@ -52,7 +49,8 @@ from .spectral_core import (
     infidelity,
     log_partition_function,
 )
-from .spin_model import DimensionError, OperatorMatrix, SpinChainSpec, assemble, build_hopping, build_zz, chain_points
+from .spin_model import (DimensionError, OperatorMatrix, SpinChainSpec, assemble, build_hopping, build_zz,
+                         chain_points, symmetry_adapted)
 from .work_statistics import (
     WorkDistribution,
     average_work,
@@ -279,8 +277,8 @@ class _ModelOps:
 
     @classmethod
     def build(cls, spec: SpinChainSpec):
-        h0 = build_hopping(spec)
-        return cls(h0, build_zz(spec), eigendecompose(h0))
+        h0, h1, _ = symmetry_adapted(build_hopping(spec), build_zz(spec))
+        return cls(h0, h1, eigendecompose(h0))
 
 
 def _protocol_for(kind: str, velocity, lambda1: float, t_total: float) -> DriveProtocol:
@@ -609,27 +607,16 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
 
     entries = []
     curves: dict = {"u": u.tolist()}
-    residuals = []
     for lam, protocol, quad, dist in zip(lams, protocols, quads, dists):
         exact = cfw_from_distribution(dist, u)
         pert2 = lnchi_second_order(m2, protocol, first, lam, u)
         residual = float(np.abs(exact.ln_chi - pert2.ln_chi).max())
-        residuals.append(residual)
         lin = phase_linearity(pert2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             pert3 = lnchi_third_order_adiabatic(m3, lam, u)
-        entries.append(
-            PertCompareEntry(
-                lambda1=lam,
-                max_abs_residual_2nd=residual,
-                linearity_rel_residual_2nd=lin.rel_residual,
-                w0_fit=lin.w0_fit,
-                third_order_coefficient_re=s.real,
-                third_order_coefficient_im=s.imag,
-                quadrature_max_gap=float(np.abs(pert2.ln_chi - quad.ln_chi).max()),
-            )
-        )
+        quad_gap = float(np.abs(pert2.ln_chi - quad.ln_chi).max())
+        entries.append(PertCompareEntry(lam, residual, lin.rel_residual, lin.w0_fit, s.real, s.imag, quad_gap))
         curves[f"lam_{lam}"] = {
             "exact_re": np.real(exact.ln_chi).tolist(),
             "exact_im": np.imag(exact.ln_chi).tolist(),
@@ -637,10 +624,9 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
             "pert2_im": np.imag(pert2.ln_chi).tolist(),
             "pert3_im": np.imag(pert3.ln_chi).tolist(),
         }
-    slope = _loglog_fit(np.array(lams), np.array(residuals))[0] if len(lams) >= 2 else math.nan
-    return PertCompareReport(
-        entries=entries, residual_slope=slope, curves=curves, measure2=m2, measure3=m3
-    )
+    residuals = np.array([e.max_abs_residual_2nd for e in entries])
+    slope = _loglog_fit(np.array(lams), residuals)[0] if len(lams) >= 2 else math.nan
+    return PertCompareReport(entries=entries, residual_slope=slope, curves=curves, measure2=m2, measure3=m3)
 
 
 def run_single(cfg: RunConfig):

@@ -26,9 +26,9 @@ at all).  Quasi-degenerate atoms just above the floor are reported via
 :class:`DegenerateAtomWarning`.
 
 Cost: H1 in the H0 eigenbasis is block diagonal over the blocks common to
-both (the magnetization sectors for the XXZ chain), so both measures build
-their atoms per block: the three-point measure sum_b b^3 raw atoms instead
-of d^3, after checking their estimated memory against the machine's limit.
+both (the chain's symmetry-adapted blocks in the pipeline), so both measures
+build their atoms per block: the three-point measure sum_b b^3 raw atoms
+instead of d^3, after a memory check.
 The quadrature oracle sums each leg over factored panels and derives u < 0 from
 |u| by conjugation; the legs and the e^{-i omega u} phase table do not depend on
 the coupling, so one oracle call builds them once for a whole coupling grid, and
@@ -116,7 +116,7 @@ def two_point_measure(
     Atom at omega = E_m - E_n with weight -p_n |<n|H1|m>|^2 (the (-i)^2
     prefactor); the connected subtraction adds +<H1>_0^2 to the omega = 0
     atom.  Chains of frequencies with gaps within ``MERGE_TOLERANCE`` are one
-    atom (:func:`merge_atoms`), so every atom at omega has one at -omega.
+    atom (:func:`merge_atoms`), and every atom at omega has one at exactly -omega.
     """
     p = boltzmann_weights(h0_spec, beta)
     blocks, mean = _interaction_blocks(h0_spec, h1, p)
@@ -125,7 +125,9 @@ def two_point_measure(
     omegas = np.concatenate([np.subtract.outer(e[cols], e[cols]).T.ravel() for cols, _ in blocks])
     weights = np.concatenate([-(p[cols, None] * np.abs(ab) ** 2).ravel() for cols, ab in blocks])
     omegas, weights = merge_atoms(omegas[:, None], weights, MERGE_TOLERANCE)
-    omegas = omegas[:, 0]
+    # the raw frequencies come in exact +-pairs, so chain k mirrors chain -1-k: their
+    # means' half-difference places each atom at the exact negation of its mirror's
+    omegas = (omegas[:, 0] - omegas[::-1, 0]) / 2.0
     # the n = m terms sit at omega = 0 exactly, so an atom at omega ~ 0 always exists
     weights[np.argmin(np.abs(omegas))] += mean**2
     return SpectralMeasure2(omegas, weights)
@@ -151,12 +153,11 @@ def three_point_measure(
     (<ABC> - <AB><C> - <AC><B> - <BC><A> + 2<A><B><C>) is applied atom by
     atom, and the overall (-i)^3 prefactor is folded into the weights.
 
-    a = V_0^dag H1 V_0 is block diagonal over the blocks common to V_0 and H1
-    (the magnetization sectors for the XXZ chain, one block for an H1 that
-    couples them), and a raw weight vanishes exactly unless n, m and k share a
-    block, so raw atoms and pair subtractions are built per block:
-    sum_b (b^3 + 3 b^2) + 1 atoms instead of d^3 + 3 d^2 + 1, checked against
-    the memory limit before allocating (:func:`three_point_atom_counts`).
+    a = V_0^dag H1 V_0 is block diagonal over the blocks common to V_0 and H1,
+    and a raw weight vanishes exactly unless n, m and k share a block, so raw
+    atoms and pair subtractions are built per block: sum_b (b^3 + 3 b^2) + 1
+    atoms instead of d^3 + 3 d^2 + 1, checked against the memory limit before
+    allocating (:func:`three_point_atom_counts`).
     """
     p = boltzmann_weights(h0_spec, beta)
     blocks, mean = _interaction_blocks(h0_spec, h1, p)

@@ -1,32 +1,29 @@
 """Eigendecompositions, Gibbs states, partition functions and mixed-state fidelity.
 
 Every object here is held block by block, on the blocks its operator came
-with (``spin_model``: the magnetization sectors, or one whole-space block
-for a dense input that couples them).
-``eigendecompose`` runs ``eigh`` on each block and merges the eigenvalues in
-ascending order, keeping each block's eigenvectors as one (rows, cols, array)
-triple.  A real operator (the chain's H0 and H_f) gives real eigenvectors, so
-its Gibbs factors are float64 too; they turn complex only under evolution
-(X -> U X).  A state (``DensityMatrix``) is its exact factors
-rho = X diag(p) X^dag: the weights p and the blocks of X.  A Gibbs state is
-the eigenvector blocks and the Boltzmann weights, and evolution maps
-X -> U X, so no d x d array of a state or an operator is formed in the
-pipeline.  A state given as a matrix is factorized by
-``DensityMatrix.from_matrix`` (it accepts only a finite, Hermitian,
-unit-trace PSD matrix).  Where two inputs are blocked differently, the work
-runs on one whole-space block (``common_blocks``).
+with: in the pipeline the chain's symmetry-adapted blocks
+(``spin_model.symmetry_adapted``), else the magnetization sectors, or one
+whole-space block for a dense input that couples them.  ``eigendecompose``
+runs ``eigh`` once per distinct block and merges the eigenvalues in ascending
+order, keeping each block's eigenvectors as one (rows, cols, array) triple;
+a real operator gives real eigenvectors and Gibbs factors, which turn complex
+only under evolution.  A state (``DensityMatrix``) is its exact factors
+rho = X diag(p) X^dag: a Gibbs state is the eigenvector blocks and the
+Boltzmann weights, evolution maps X -> U X, and no d x d array of a state or
+an operator is formed in the pipeline.  ``DensityMatrix.from_matrix``
+factorizes a finite, Hermitian, unit-trace PSD matrix.  Where two inputs are
+blocked differently, the work runs on one whole-space block (``common_blocks``).
 
-Boltzmann weights are always computed with the minimum-eigenvalue shift
-(log-sum-exp convention), so large beta never overflows.  ln Z is a
-log-sum-exp in numpy with the same shift and tie count as scipy's
-``logsumexp`` (bit-identical to scipy 1.17's), and the package imports no
-scipy at run time.  Fidelity is the
-squared-trace Uhlmann convention F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2,
-evaluated as F = ||sqrt(sigma) sqrt(rho)||_1^2 (Jozsa 1994) from the factors:
-with sigma = Y diag(q) Y^dag, F is the squared sum over blocks of the
-singular values of diag(sqrt q) Y^dag X diag(sqrt p).  No matrix square root
-of roundoff-level eigenvalues enters.  The ``one_minus_sqrtF`` infidelity
-convention is exposed by callers as a flag.
+Boltzmann weights take the minimum-eigenvalue shift, so large beta never
+overflows, and ln Z is a numpy log-sum-exp with the shift and tie count of
+scipy's ``logsumexp`` (bit-identical to scipy 1.17's); no scipy is imported at
+run time.  Fidelity is the squared-trace Uhlmann convention
+F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, evaluated as
+F = ||sqrt(sigma) sqrt(rho)||_1^2 (Jozsa 1994) from the factors: with
+sigma = Y diag(q) Y^dag, F is the squared sum over blocks of the singular
+values of diag(sqrt q) Y^dag X diag(sqrt p), so no matrix square root of
+roundoff-level eigenvalues enters.  Callers expose the ``one_minus_sqrtF``
+infidelity convention as a flag.
 """
 from __future__ import annotations
 
@@ -34,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import OperatorMatrix, common_blocks, dense_view
+from .spin_model import OperatorMatrix, common_blocks, dense_view, once_per_copy
 
 PSD_TOLERANCE = 1e-12
 TRACE_TOLERANCE = 1e-10
@@ -101,10 +98,12 @@ class DensityMatrix:
 
 def eigendecompose(h: OperatorMatrix) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian operator, block by block, eigenvalues
-    ascending (a stable merge of the blocks' eigenvalues)."""
+    ascending (a stable merge of the blocks' eigenvalues); a block bit-identical
+    to an earlier one reuses that one's ``eigh``."""
     if not h.hermitian:
         raise ValueError("eigendecompose requires an operator built with hermitian=True")
-    parts = [(rows, *np.linalg.eigh(a)) for rows, _, a in h.blocks]
+    eighs = once_per_copy(np.linalg.eigh, [a for _, _, a in h.blocks])
+    parts = [(rows, *eig) for (rows, _, _), eig in zip(h.blocks, eighs)]
     evals = np.concatenate([e for _, e, _ in parts])
     order = np.argsort(evals, kind="stable")
     rank = np.empty(evals.size, dtype=np.intp)

@@ -152,8 +152,9 @@ def _unwrapped_log(u_grid: np.ndarray, chi: np.ndarray, max_rate: float) -> np.n
 
 
 def default_u_grid(beta: float) -> np.ndarray:
-    """201-point symmetric grid on [-5 beta, 5 beta]; the odd count places a node at u = 0."""
-    return np.linspace(-5.0 * beta, 5.0 * beta, 201)
+    """201-point grid on [-5 beta, 5 beta] with a node at u = 0 and each node u < 0 the
+    exact negation of one u > 0, so a chi(u) sum runs over 101 distinct |u|."""
+    return 5.0 * beta / 100 * np.arange(-100, 101)
 
 
 def cfw_from_distribution(d: WorkDistribution, u_grid: np.ndarray) -> CfwSamples:

@@ -22,12 +22,10 @@ from spinwork.drive_dynamics import (
     KICK_CHUNK,
     ProtocolError,
     _expi,
-    _parity_isometries,
     _propagate_block,
     _substep_schedule,
-    _symmetries,
 )
-from spinwork.spin_model import common_blocks
+from spinwork.spin_model import _symmetries, common_blocks, dense_view, symmetry_adapted
 
 from conftest import matrix_function, total_magnetization
 
@@ -252,23 +250,47 @@ class TestSteppingLoop:
 
 
 class TestSymmetryReduction:
-    """Stepping one sector per spin-flip pair, in site-reflection parity blocks."""
+    """The chain on its symmetry-adapted blocks (``spin_model.symmetry_adapted``):
+    one sector per spin-flip pair, in site-reflection parity blocks."""
+
+    @staticmethod
+    def flip_partners(isometries, n):
+        """{block: its flip partner}: a block of sector k > N/2 is written in the flip
+        image of sector N - k's basis, so its isometry is that block's array."""
+        partners = {a: b for a, (_, _, s) in enumerate(isometries) for b in range(a) if isometries[b][2] is s}
+        assert sorted(partners) == [a for a, (rows, _, _) in enumerate(isometries) if 2 * bin(rows[0]).count("1") > n]
+        return partners
+
+    @staticmethod
+    def adapted_propagator(h0, h1, p, dt):
+        """U stepped on the adapted blocks, those blocks' propagators and their isometries,
+        and U mapped back to the computational basis, S U_adapted S^T."""
+        h0a, h1a, isometries = symmetry_adapted(h0, h1)
+        ua = propagate(h0a, h1a, p, dt).unitary
+        s = dense_view(h0.dimension, isometries)
+        return ua, isometries, s @ ua.matrix @ s.T
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_parity_isometries_split_each_sector(self, n):
         h0, h1 = chain(n)
-        symmetries = _symmetries(common_blocks(h0.blocks, h1.blocks))
-        assert len(symmetries) == 2
+        assert len(_symmetries(common_blocks(h0.blocks, h1.blocks))) == 2
+        h0a, h1a, isometries = symmetry_adapted(h0, h1)
+        for a, b in self.flip_partners(isometries, n).items():
+            assert h0a.blocks[a][2] is h0a.blocks[b][2] and h1a.blocks[a][2] is h1a.blocks[b][2]
         for idx in magnetization_sectors(n):
-            isometries = _parity_isometries(idx, symmetries)
-            stacked = np.hstack(isometries)
+            parts = []  # the sector's isometries, their rows in the sector's order
+            for rows, cols, s in isometries:
+                if np.isin(rows, idx).all():
+                    parts.append(np.zeros((idx.size, cols.size)))
+                    parts[-1][np.searchsorted(idx, rows)] = s
+            stacked = np.hstack(parts)
             assert np.abs(stacked.T @ stacked - np.eye(idx.size)).max() < 1e-14
-            assert np.abs(sum(s @ s.T for s in isometries) - np.eye(idx.size)).max() < 1e-14
+            assert np.abs(sum(s @ s.T for s in parts) - np.eye(idx.size)).max() < 1e-14
             h0b, h1b = h0.matrix[np.ix_(idx, idx)], h1.matrix[np.ix_(idx, idx)]
-            for a, s in enumerate(isometries):
+            for a, s in enumerate(parts):
                 kick = s.T @ h1b @ s
                 assert np.array_equal(kick, np.diag(np.diag(kick)))
-                for b, r in enumerate(isometries):
+                for b, r in enumerate(parts):
                     if a != b:
                         assert np.abs(s.T @ h0b @ r).max() < 1e-13
 
@@ -277,7 +299,7 @@ class TestSymmetryReduction:
     def test_matches_per_sector_reference(self, n, shape):
         h0, h1 = chain(n)
         p = SHAPES[shape]
-        u = propagate(h0, h1, p, 0.1).unitary.matrix
+        ua, isometries, u = self.adapted_propagator(h0, h1, p, 0.1)
         sectors = magnetization_sectors(n)
         ref = stepped_reference(h0.matrix, h1.matrix, p, 0.1, sectors)
         assert np.abs(u - ref).max() < 1e-12
@@ -285,7 +307,8 @@ class TestSymmetryReduction:
         for idx in sectors:
             inside[np.ix_(idx, idx)] = True
         assert np.all(u[~inside] == 0)
-        assert np.array_equal(u, u[::-1, ::-1])
+        # the propagator of a flip partner is its partner's array
+        assert all(ua.blocks[a][2] is ua.blocks[b][2] for a, b in self.flip_partners(isometries, n).items())
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("breaking, kept", [("bond", 1), ("field", 1), ("random", 0)])
@@ -301,7 +324,7 @@ class TestSymmetryReduction:
             h1 = OperatorMatrix.from_dense(np.diag(np.random.default_rng(3).normal(size=2**n)).astype(complex))
         assert len(_symmetries(common_blocks(h0.blocks, h1.blocks))) == kept
         p = SHAPES[shape]
-        u = propagate(h0, h1, p, 0.1).unitary.matrix
+        _, _, u = self.adapted_propagator(h0, h1, p, 0.1)
         ref = stepped_reference(h0.matrix, h1.matrix, p, 0.1, [np.arange(2**n)])
         assert np.abs(u - ref).max() < 1e-12
 

@@ -17,7 +17,7 @@ import pytest
 
 import spinwork.experiments as xp
 from spinwork import drive_dynamics, perturbative_cfw, spin_model
-from spinwork.spin_model import DimensionError
+from spinwork.spin_model import DimensionError, symmetry_adapted
 from spinwork import (
     OperatorMatrix,
     SpinChainSpec,
@@ -414,11 +414,42 @@ class TestScans:
 
 
 class TestBlockedOperators:
+    def test_each_distinct_adapted_block_is_diagonalized_and_stepped_once(self, monkeypatch):
+        """A velocity scan at N = 9 builds its shared model on 18 adapted blocks, of
+        which 9 are distinct (a spin-flip pair of sectors shares its arrays): the
+        build runs 9 eigh, and each propagate call 9 _propagate_block."""
+        eighs, stepped, builds, propagates = [], [], [], []
+        eigh, propagate_block, build, propagate = (
+            np.linalg.eigh, drive_dynamics._propagate_block, xp._ModelOps.build, xp.propagate)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or eigh(a))
+        monkeypatch.setattr(drive_dynamics, "_propagate_block", lambda *args: stepped.append(args) or propagate_block(*args))
+
+        def counted_build(spec):
+            before = len(eighs)
+            builds.append((build(spec), len(eighs) - before))
+            return builds[-1][0]
+
+        def counted_propagate(*args):
+            before = len(stepped)
+            result = propagate(*args)
+            propagates.append(len(stepped) - before)
+            return result
+
+        monkeypatch.setattr(xp._ModelOps, "build", staticmethod(counted_build))
+        monkeypatch.setattr(xp, "propagate", counted_propagate)
+        # a one-step ramp (its record and its dt/2 check) and the quench
+        cfg = config_from_dict(tiny_config(model={"n_sites": 9, "coupling": 2.0}, grid=[10.0, "inf"], dt=0.01))
+        run_velocity_scan(cfg, threads=1)
+        ((ops, build_eighs),) = builds
+        assert len(ops.h0.blocks) == 18
+        assert build_eighs == 9
+        assert propagates == [9, 9, 9]
+
     def test_dense_input_gives_identical_records_and_atoms(self):
         """The spin-table build and from_dense of its dense view run the same pipeline."""
         spec = SpinChainSpec(6, 2.0)
         built = _ModelOps.build(spec)
-        h0, h1 = OperatorMatrix.from_dense(built.h0.matrix), OperatorMatrix.from_dense(built.h1.matrix)
+        h0, h1, _ = symmetry_adapted(*(OperatorMatrix.from_dense(op(spec).matrix) for op in (build_hopping, build_zz)))
         dense = _ModelOps(h0, h1, eigendecompose(h0))
         cfg = config_from_dict(tiny_config(dt=0.01))
         for protocol in (xp._protocol_for("ramp_hold", 0.2, 0.1, 3.0), xp._protocol_for("quench", None, 0.1, 3.0)):
@@ -433,12 +464,12 @@ class TestBlockedOperators:
 
     def test_complex_blocks_give_the_same_records_and_atoms(self):
         """The chain's blocks cast to complex128 run the complex path of every stage
-        (complex eigh, Gibbs factors and parity projections), which no CLI run
+        (parity projections, complex eigh and Gibbs factors), which no CLI run
         reaches since the chain is built in float64; records and atoms match."""
         spec = SpinChainSpec(6, 2.0)
         built = _ModelOps.build(spec)
-        h0, h1 = (OperatorMatrix(tuple((r, c, a.astype(complex)) for r, c, a in op.blocks))
-                  for op in (built.h0, built.h1))
+        h0, h1, _ = symmetry_adapted(*(OperatorMatrix(tuple((r, c, a.astype(complex)) for r, c, a in op(spec).blocks))
+                                       for op in (build_hopping, build_zz)))
         cast = _ModelOps(h0, h1, eigendecompose(h0))
         assert all(v.dtype == np.complex128 for _, _, v in cast.spec0.blocks)
         cfg = config_from_dict(tiny_config(dt=0.01))
@@ -458,8 +489,8 @@ class TestBlockedOperators:
 
     def test_no_dense_array_at_ten_sites(self):
         """tracemalloc peaks in units of one d x d complex array (16 d^2 bytes) at N = 10:
-        0.27 for the model build and 1.5 for a size-fast scan point, now that the chain's
-        operators and eigenvectors are float64 (0.53 and 1.6-1.9 when they were
+        0.29 for the model build and 0.54 for a size-fast scan point on the symmetry-adapted
+        blocks (0.27 and 1.5 on the sector blocks; 0.53 and 1.6-1.9 when those were
         complex), against 4.0 and 9.0 when every operator was a dense array."""
         spec = SpinChainSpec(10, 2.0)
         dense_bytes = 16 * spec.dimension**2

@@ -9,6 +9,7 @@ from spinwork import (
     DriveProtocol,
     OperatorMatrix,
     SpinChainSpec,
+    assemble,
     build_hopping,
     build_zz,
     cfw_from_distribution,
@@ -36,10 +37,11 @@ from spinwork.perturbative_cfw import (
 )
 
 from spinwork import spin_model
-from spinwork.spin_model import DimensionError
+from spinwork.spin_model import DimensionError, symmetry_adapted
 from spinwork.work_statistics import merge_atoms
 
 from conftest import measure2_inverse_transform, measure3_inverse_transform, two_site_operators
+from test_reference import PERT_COMPARE_TOL
 
 BETA = 1.0
 
@@ -141,21 +143,48 @@ class TestMeasureAtomSets:
     """At these couplings (the N = 7 quench benchmark's seed 10) degenerate
     frequencies straddle multiples of 1e-12, where a rounding merge splits them."""
 
+    SPEC, BETA = SpinChainSpec(7, 2.005712207575193), 0.9971555621870046
+
     @pytest.fixture(scope="class")
     def seed10(self):
-        spec = SpinChainSpec(7, 2.005712207575193)
-        return eigendecompose(build_hopping(spec)), build_zz(spec), 0.9971555621870046
+        return eigendecompose(build_hopping(self.SPEC)), build_zz(self.SPEC), self.BETA
 
     def test_two_point_atoms_are_whole_and_mirror_symmetric(self, seed10):
         m = two_point_measure(*seed10)
         assert m.omegas.size == 125
         assert close_pairs(m.omegas[:, None]) == 0
-        assert np.abs(np.sort(-m.omegas) - m.omegas).max() < 1e-12
+        assert np.array_equal(np.sort(-m.omegas), m.omegas)
 
     def test_three_point_atoms_are_whole(self, seed10):
         m = three_point_measure(*seed10)
         assert m.weights.size == 6859
         assert close_pairs(np.stack([m.omega1, m.omega2], axis=1)) == 0
+
+    def test_adapted_blocks_drop_only_symmetry_forbidden_atoms(self):
+        """On the symmetry-adapted blocks the two measures and a quench's TPM distribution
+        have fewer atoms than on the sector blocks, and the two are equal once the atoms
+        of |weight| < 1e-25 are taken out of both: atoms that vanish by symmetry, which
+        the sector blocks compute as roundoff, and on the adapted blocks fewer of them."""
+        quench = DriveProtocol(kind="quench", lambda_final=0.1, t_total=2.0)
+
+        def cells(h0, h1):
+            spec0, spec_f = eigendecompose(h0), eigendecompose(assemble(h0, h1, 0.1))
+            m2, m3 = two_point_measure(spec0, h1, self.BETA), three_point_measure(spec0, h1, self.BETA)
+            dist = tpm_distribution(spec0, spec_f, propagate(h0, h1, quench, 0.01), self.BETA)
+            return [
+                (np.column_stack([m2.omegas, m2.weights.real, m2.weights.imag]), np.abs(m2.weights)),
+                (np.column_stack([m3.omega1, m3.omega2, m3.weights.real, m3.weights.imag]), np.abs(m3.weights)),
+                (np.column_stack([dist.works, dist.probabilities]), np.abs(dist.probabilities)),
+            ]
+
+        h0, h1 = build_hopping(self.SPEC), build_zz(self.SPEC)
+        for (got, got_weight), (want, want_weight) in zip(cells(*symmetry_adapted(h0, h1)[:2]), cells(h0, h1)):
+            assert got.shape[0] < want.shape[0]
+            assert 0 < want_weight[want_weight < 1e-25].max() < 1e-28
+            assert got_weight[got_weight < 1e-25].max(initial=0.0) < 1e-28
+            got, want = got[got_weight >= 1e-25], want[want_weight >= 1e-25]
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= PERT_COMPARE_TOL * np.maximum(1.0, np.abs(want)))
 
 
 class TestTwoPointMeasure:

@@ -282,6 +282,15 @@ class TestCfwFromDistribution:
         direct = np.array([np.sum(probs * np.exp(1j * x * works)) for x in u])
         assert np.abs(c.chi - direct).max() < 1e-14
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.0139, 2.0])
+    def test_default_grid_mirrors_each_node_exactly(self, beta):
+        u = default_u_grid(beta)
+        assert u.size == 201 and u[100] == 0.0
+        assert all(u[k] == -u[-1 - k] for k in range(201))
+        assert np.unique(np.abs(u)).size == 101
+        # within an ulp of 5 beta of the evenly spaced grid on [-5 beta, 5 beta]
+        assert np.abs(u - np.linspace(-5.0 * beta, 5.0 * beta, 201)).max() <= np.spacing(5.0 * beta)
+
     def test_negative_u_is_exact_conjugate_on_default_grid(self, chain4):
         _, h0, h1, spec0 = chain4
         spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + 0.1 * h1.matrix))
