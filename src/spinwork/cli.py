@@ -1,7 +1,8 @@
 """Command-line front end for config-driven scans.
 
 Exit codes: 0 success, 2 config or argument error (including a run that would
-exceed the memory limit, and ``--threads`` below 1), 3 numerical-certification
+exceed the memory limit, a step count or energy scale that overflows, and
+``--threads`` below 1), 3 numerical-certification
 failure (including a u grid too coarse for the work support and a quadrature
 oracle that fails its step-halving check).
 The output directory comes from the config, the ``--output`` flag, or the
@@ -67,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> xp.RunConfig:
+def _load(args) -> tuple[xp.RunConfig, int]:
+    """The config with the command line's overrides, and its largest scan point's step count."""
     cfg = xp.load_config(args.config)
     if args.command != "validate-config":
         expected = _SUBCOMMAND_SCAN[args.command]
@@ -85,20 +87,19 @@ def _load(args) -> xp.RunConfig:
         cfg.model = xp.SpinChainSpec(11, cfg.model.coupling, cfg.model.boundary)
         if cfg.scan == "size":
             cfg.grid = sorted(set(int(v) for v in cfg.grid) | {10, 11})
-    cfg.validate()
-    return cfg
+    return cfg, cfg.validate()
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load(args)
+        cfg, steps = _load(args)
     except xp.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     if args.command == "validate-config":
-        print(f"config ok: scan={cfg.scan} N={cfg.model.n_sites} beta={cfg.beta}")
+        print(f"config ok: scan={cfg.scan} N={cfg.model.n_sites} beta={cfg.beta} steps={steps}")
         return EXIT_OK
 
     out_dir = Path(cfg.output_dir)

@@ -9,7 +9,9 @@ Propagation conventions (hbar = 1, time in inverse energy units):
   * The varying segment is divided uniformly so the step lands exactly on the
     segment end; the realized step (within rounding of the requested dt) is
     reported as ``dt_used``.
-  * Coupling is sampled at substep midpoints.
+  * Coupling is sampled at substep midpoints.  Substep k is substep k % 3 of step
+    k // 3, so the schedule is closed-form (``_WIDTHS``, ``_MIDS``, ``_GAPS``) and is
+    built ``KICK_CHUNK`` substeps at a time: no allocation grows with the step count.
   * Each block common to H0 and H1 is propagated on its own with one substep
     schedule shared by all, once per distinct (bit-identical) block pair, and U
     is an operator on the same blocks.  On the chain's symmetry-adapted blocks
@@ -36,6 +38,11 @@ from .spectral_core import DensityMatrix
 #: Triple-jump composition coefficients of a Suzuki-4 step.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
+#: A step's substep widths and midpoints in units of the step h, and its merged H0 factor
+#: widths: W1/2 at either end of the ramp, (W1 + W0)/2 inside a step and W1 between steps.
+_WIDTHS = np.array([_W1, _W0, _W1])
+_MIDS = np.array([_W1 / 2.0, _W1 + _W0 / 2.0, 1.0 - _W1 / 2.0])
+_GAPS = (_W1 / 2.0, (_W1 + _W0) / 2.0, _W1)
 
 UNITARITY_ABORT = 1e-6
 #: Substeps whose diagonal kicks are exponentiated together (bounds that table's memory).
@@ -114,20 +121,23 @@ class DriveProtocol:
         )
 
 
-def lambda_at(p: DriveProtocol, t: float) -> float:
-    """Schedule value at time t; quench evaluates the post-jump value only for t > 0."""
-    if t < -1e-12 or t > p.t_total * (1 + 1e-12):
-        raise ProtocolError(f"t={t} outside [0, {p.t_total}]")
-    t = min(max(t, 0.0), p.t_total)
-    if t == 0.0:
-        return 0.0
-    if p.kind == "quench":
-        return p.lambda_final
-    if p.kind == "ramp_hold":
-        if p.lambda_final >= 0:
-            return min(p.velocity * t, p.lambda_final)
-        return max(-p.velocity * t, p.lambda_final)
-    return float(np.interp(t, p.samples[:, 0], p.samples[:, 1]))
+def lambda_at(p: DriveProtocol, t):
+    """Schedule value at time t, or at each of an array of times; a quench is post-jump only for t > 0."""
+    ts = np.asarray(t, dtype=float)
+    outside = (ts < -1e-12) | (ts > p.t_total * (1 + 1e-12))
+    if outside.any():
+        raise ProtocolError(f"t={ts[outside].flat[0]} outside [0, {p.t_total}]")
+    ts = np.minimum(np.maximum(ts, 0.0), p.t_total)
+    if p.kind == "ramp_hold" and p.lambda_final >= 0:
+        lam = np.minimum(p.velocity * ts, p.lambda_final)
+    elif p.kind == "ramp_hold":
+        lam = np.maximum(-p.velocity * ts, p.lambda_final)
+    elif p.kind == "sampled":
+        lam = np.interp(ts, p.samples[:, 0], p.samples[:, 1])
+    else:
+        lam = p.lambda_final
+    lam = np.where(ts == 0.0, 0.0, lam)
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def spectral_response(p: DriveProtocol, omega) -> np.ndarray | float:
@@ -189,37 +199,26 @@ def _step_count(p: DriveProtocol, dt: float) -> int:
     return max(1, int(round(p.ramp_time / dt))) if p.ramp_time > 0.0 else 0
 
 
-def _substep_schedule(p: DriveProtocol, dt: float):
-    """Step h, substep widths and midpoint couplings over [0, ramp_time], with
-    the distinct merged H0 gaps between diagonal kicks and each gap's index."""
-    nsteps = _step_count(p, dt)
-    h = p.ramp_time / nsteps
-    widths = np.tile(np.array([_W1, _W0, _W1]) * h, nsteps)
-    starts = np.concatenate(([0.0], np.cumsum(widths)[:-1]))
-    lam_mid = np.array([lambda_at(p, t) for t in starts + widths / 2.0])
-    # Adjacent H0 half-factors between diagonal kicks merge into one factor;
-    # only a few distinct widths occur, so each exponential is built once.
-    merged = np.concatenate(([widths[0] / 2.0], (widths[:-1] + widths[1:]) / 2.0, [widths[-1] / 2.0]))
-    gaps, gap_index = np.unique(np.round(merged, 15), return_inverse=True)
-    return h, widths, lam_mid, gaps, gap_index
-
-
-def _propagate_block(h0: np.ndarray, h1: np.ndarray, p: DriveProtocol, schedule: Optional[tuple]) -> np.ndarray:
-    """Propagator of one invariant block: the stepped varying segment, then the hold."""
+def _propagate_block(h0: np.ndarray, h1: np.ndarray, p: DriveProtocol, nsteps: int) -> np.ndarray:
+    """Propagator of one invariant block: ``nsteps`` Suzuki-4 steps of the varying segment, then the hold."""
     u = None
-    if schedule is not None:
-        _, widths, lam_mid, gaps, gap_index = schedule
+    if nsteps:
+        h = p.ramp_time / nsteps
         eig0 = np.linalg.eigh(h0)
         h1_diag = np.real(np.diag(h1))
-        factors = [_expi(eig0, g) for g in gaps]
-        u = factors[gap_index[0]].copy()
+        factors = [_expi(eig0, g * h) for g in _GAPS]
+        u = factors[0].copy()
         kicked = np.empty_like(u)
-        # the diagonal kicks of a chunk of substeps in one exp, each applied
+        # the diagonal kicks of a chunk of substeps k in one exp, each applied
         # and followed by its H0 factor in place in two buffers
-        for start in range(0, widths.size, KICK_CHUNK):
-            part = slice(start, start + KICK_CHUNK)
-            kicks = np.exp((-1j * lam_mid[part])[:, None] * h1_diag * widths[part][:, None])
-            for kick, g in zip(kicks, gap_index[1:][part]):
+        for start in range(0, 3 * nsteps, KICK_CHUNK):
+            step, sub = np.divmod(np.arange(start, min(start + KICK_CHUNK, 3 * nsteps)), 3)
+            lam = lambda_at(p, (step + _MIDS[sub]) * h)
+            kicks = np.exp((-1j * lam)[:, None] * h1_diag * (_WIDTHS[sub] * h)[:, None])
+            gaps = np.where(sub == 2, 2, 1)  # the H0 factor after each kick: 0 after the ramp's last
+            if start + KICK_CHUNK >= 3 * nsteps:
+                gaps[-1] = 0
+            for kick, g in zip(kicks, gaps):
                 np.multiply(kick[:, None], u, out=kicked)
                 np.matmul(factors[g], kicked, out=u)
 
@@ -243,8 +242,8 @@ def propagate(h0: OperatorMatrix, h1: OperatorMatrix, p: DriveProtocol, dt: floa
     if any(np.abs(b - np.diag(np.diag(b))).max() > 1e-12 * scale for _, b in pairs):
         raise ValueError("propagate requires the interaction part diagonal on its blocks")
 
-    schedule = _substep_schedule(p, dt) if p.ramp_time > 0.0 else None
-    stepped = once_per_copy(lambda a0, a1: _propagate_block(a0, a1, p, schedule), *zip(*pairs))
+    nsteps = _step_count(p, dt)
+    stepped = once_per_copy(lambda a0, a1: _propagate_block(a0, a1, p, nsteps), *zip(*pairs))
 
     # U^dag U - 1 vanishes between blocks, so the blocks' Frobenius defects add up
     defect = float(np.sqrt(sum(np.linalg.norm(ub.conj().T @ ub - np.eye(ub.shape[0])) ** 2 for ub in stepped)))
@@ -252,7 +251,7 @@ def propagate(h0: OperatorMatrix, h1: OperatorMatrix, p: DriveProtocol, dt: floa
         raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {UNITARITY_ABORT}")
     return PropagatorResult(
         unitary=OperatorMatrix(tuple((idx, idx, ub) for (idx, _), ub in zip(blocks, stepped)), hermitian=False),
-        dt_used=p.t_total if schedule is None else schedule[0],
+        dt_used=p.ramp_time / nsteps if nsteps else p.t_total,
         unitarity_defect=defect,
     )
 

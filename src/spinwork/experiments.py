@@ -19,6 +19,7 @@ import json
 import math
 import multiprocessing as mp
 import os
+import sys
 import time
 import warnings
 from collections import Counter
@@ -34,6 +35,7 @@ from .drive_dynamics import DriveProtocol, ProtocolError, _step_count, evolve_de
 from .perturbative_cfw import (
     SpectralMeasure2,
     SpectralMeasure3,
+    check_quadrature,
     first_cumulant,
     lnchi_second_order,
     lnchi_second_order_quadrature,
@@ -74,6 +76,10 @@ _DEFAULT_GRIDS = {
 CERTIFICATION_SHIFT = 1e-6
 IDENTITY_MONITOR = 1e-8
 SLOW_VELOCITY = 1e-3  # the slow ramp's velocity when the config gives none
+MAX_STEPS = np.iinfo(np.int64).max // 3  # a ramp's steps whose substep index (3 a step) fits in int64
+# bound on the energy scale |coupling| (N - 1) (1 + |lambda|) times the longest time (1, beta or a t_total),
+# which keeps the energies, their sums and differences, and the Boltzmann exponents and phases finite
+ENERGY_LIMIT = sys.float_info.max / 100
 
 
 class ConfigError(ValueError):
@@ -106,7 +112,8 @@ class RunConfig:
     seed: int
     output_dir: str
 
-    def validate(self) -> None:
+    def validate(self) -> int:
+        """Check the config; returns the largest step count of its scan points' records."""
         kind, velocity, t_total = self.protocol.kind, self.protocol.velocity, self.protocol.t_total
         if self.beta <= 0 or not math.isfinite(self.beta):
             raise ConfigError("beta: must be positive and finite")
@@ -149,17 +156,32 @@ class RunConfig:
             slow_ramp = self.scan == "lambda_scaling" or kind == "ramp_hold"
             if slow_ramp and velocity is not None and not 0 < velocity < math.inf:
                 raise ConfigError(f"protocol.velocity: {velocity:g} must be positive and finite for the slow ramp")
-        n = int(max(self.grid)) if self.scan == "size" else self.model.n_sites
+        points, keys = _POINTS[self.scan]
         try:
-            if self.scan in ("size", "single"):
-                _protocol_for(kind, velocity, self.lambda1, t_total)
-            chain_points(n)  # one point at the scan's largest chain fits in memory
-            if self.scan == "pert_compare":  # and so does the three-point measure over the chain's sectors
-                three_point_atom_counts([math.comb(n, k) for k in range(n + 1)])
+            protocols = [protocol for _, protocol, _ in points(self)]
+            steps = max(_step_count(protocol, self.dt) for protocol in protocols)
         except ProtocolError as exc:
-            raise ConfigError(f"protocol: {exc}") from exc
+            raise ConfigError(f"{keys}: {exc}") from exc
+        except OverflowError:  # the ramp time over dt rounds to infinity
+            steps = math.inf
+        if steps > MAX_STEPS:
+            raise ConfigError(f"{keys}, dt: a scan point takes {steps:.3g} steps, more than the {MAX_STEPS:.3g} "
+                              "whose substep index fits in int64")
+        n = int(max(self.grid)) if self.scan == "size" else self.model.n_sites
+        t_max = max(p.t_total for p in protocols)
+        try:
+            chain_points(n)  # one point at the scan's largest chain fits in memory
+            if self.scan == "pert_compare":  # and so do the three-point measure and the quadrature oracle
+                pairs = three_point_atom_counts([math.comb(n, k) for k in range(n + 1)])[1]
+                check_quadrature(pairs, t_max, np.abs(default_u_grid(self.beta)).max())
         except DimensionError as exc:
             raise ConfigError(str(exc)) from exc
+        scale = abs(self.model.coupling) * (n - 1) * (1.0 + max(abs(p.lambda_final) for p in protocols))
+        if not scale * max(1.0, self.beta, t_max) <= ENERGY_LIMIT:
+            lam_key = "grid" if self.scan in ("lambda_scaling", "pert_compare") else "lambda1"
+            raise ConfigError(f"model.coupling, {lam_key}: energy scale {scale:.3g} times the longest time "
+                              f"{max(1.0, self.beta, t_max):.3g} (1, beta or a t_total) is over {ENERGY_LIMIT:.3g}")
+        return steps
 
 
 @dataclass(frozen=True)
@@ -291,6 +313,48 @@ def _slow_ramp(cfg: RunConfig, lam: float) -> DriveProtocol:
     """A full ramp to ``lam`` at the config's velocity (SLOW_VELOCITY if none), ending at t_r = lam / v."""
     v = cfg.protocol.velocity or SLOW_VELOCITY
     return _protocol_for("ramp_hold", v, lam, lam / v)
+
+
+def _velocity_points(cfg: RunConfig) -> list:
+    """Ramps at the grid's velocities and the quench sentinel (v = inf), all for
+    t_total = |lambda1| / min(finite grid velocities)."""
+    grid = sorted(cfg.grid) + [math.inf] * (not any(math.isinf(v) for v in cfg.grid))
+    t_total = (abs(cfg.lambda1) / min(v for v in grid if math.isfinite(v)) if cfg.lambda1 != 0.0
+               else cfg.protocol.t_total)
+    return [(cfg.model, _protocol_for("ramp_hold", v, cfg.lambda1, t_total), v) for v in grid]
+
+
+def _size_points(cfg: RunConfig) -> list:
+    protocol = _protocol_for(cfg.protocol.kind, cfg.protocol.velocity, cfg.lambda1, cfg.protocol.t_total)
+    return [(replace(cfg.model, n_sites=n), protocol, float(n)) for n in sorted(int(v) for v in cfg.grid)]
+
+
+def _single_points(cfg: RunConfig) -> list:
+    protocol = _protocol_for(cfg.protocol.kind, cfg.protocol.velocity, cfg.lambda1, cfg.protocol.t_total)
+    return [(cfg.model, protocol, math.inf if cfg.protocol.kind == "quench" else (cfg.protocol.velocity or 0.0))]
+
+
+def _coupling_points(cfg: RunConfig, ramps: bool = True, quenches: bool = True) -> list:
+    """The slow ramp at each coupling of the grid, then the quench at each, those asked for."""
+    lams = sorted(float(v) for v in cfg.grid)
+    return ([(cfg.model, _slow_ramp(cfg, lam), lam) for lam in lams if ramps]
+            + [(cfg.model, _protocol_for("quench", None, lam, cfg.protocol.t_total), lam) for lam in lams if quenches])
+
+
+def _pert_points(cfg: RunConfig) -> list:
+    """The exact run at each coupling: the configured quench, else the slow ramp."""
+    return _coupling_points(cfg, cfg.protocol.kind != "quench", cfg.protocol.kind == "quench")
+
+
+# Each scan kind's scan points, (spec, protocol, scan value) triples, and the
+# config keys their protocols come from.
+_POINTS = {
+    "velocity": (_velocity_points, "lambda1, grid"),
+    "size": (_size_points, "lambda1, protocol"),
+    "lambda_scaling": (_coupling_points, "grid, protocol"),
+    "pert_compare": (_pert_points, "grid, protocol"),
+    "single": (_single_points, "lambda1, protocol"),
+}
 
 
 def _steps(dt: float, protocol: DriveProtocol, certify: bool) -> tuple:
@@ -485,16 +549,7 @@ def run_velocity_scan(
     faster ramps hold at full coupling for the remaining time.  ``threads`` and
     ``workers`` are as in ``_run_points``.
     """
-    grid = sorted(cfg.grid)
-    finite = [v for v in grid if math.isfinite(v)]
-    if not any(math.isinf(v) for v in grid):
-        grid.append(math.inf)
-    t_total = abs(cfg.lambda1) / min(finite) if cfg.lambda1 != 0.0 else cfg.protocol.t_total
-    points = [
-        (cfg.model, _protocol_for("quench" if math.isinf(v) else "ramp_hold", v, cfg.lambda1, t_total), v)
-        for v in grid
-    ]
-    records = _run_points(cfg, points, threads, certify, workers)[0]
+    records = _run_points(cfg, _velocity_points(cfg), threads, certify, workers)[0]
     return sorted(records, key=lambda r: r.scan_value)
 
 
@@ -504,12 +559,7 @@ def run_size_scan(
     """Infidelity versus chain length at the configured ramp velocity and total
     time.  Each point builds its own model, in the worker that runs it;
     ``threads`` and ``workers`` are as in ``_run_points``."""
-    protocol = _protocol_for(cfg.protocol.kind, cfg.protocol.velocity, cfg.lambda1, cfg.protocol.t_total)
-    points = [
-        (SpinChainSpec(n, cfg.model.coupling, cfg.model.boundary), protocol, float(n))
-        for n in sorted(int(v) for v in cfg.grid)
-    ]
-    return _run_points(cfg, points, threads, certify, workers)[0]
+    return _run_points(cfg, _size_points(cfg), threads, certify, workers)[0]
 
 
 @dataclass(frozen=True)
@@ -544,11 +594,8 @@ def run_lambda_scaling(
     the quench evolves for the configured t_total (its infidelity is
     hold-time independent).  ``threads`` and ``workers`` are as in ``_run_points``.
     """
-    lams = sorted(float(v) for v in cfg.grid)
-    points = [(cfg.model, _slow_ramp(cfg, lam), lam) for lam in lams]
-    points += [(cfg.model, _protocol_for("quench", None, lam, cfg.protocol.t_total), lam) for lam in lams]
-    results = _run_points(cfg, points, threads, certify, workers)[0]
-    ramp_records, quench_records = results[: len(lams)], results[len(lams) :]
+    results = _run_points(cfg, _coupling_points(cfg), threads, certify, workers)[0]
+    ramp_records, quench_records = results[: len(cfg.grid)], results[len(cfg.grid) :]
 
     def usable(records):
         kept = [(r.scan_value, r.infidelity) for r in records if r.infidelity > 1e-14]
@@ -587,7 +634,9 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
     """Exact ln chi against the second-order prediction (and the adiabatic
     third-order correction) over the configured coupling grid.  The exact
     runs are certified scan points, one per coupling, run in this process."""
-    lams = sorted(float(v) for v in cfg.grid)
+    points = _pert_points(cfg)
+    lams = [lam for _, _, lam in points]
+    protocols = [protocol for _, protocol, _ in points]
     ops = _ModelOps.build(cfg.model)
     u = default_u_grid(cfg.beta)
     m2 = two_point_measure(ops.spec0, ops.h1, cfg.beta)
@@ -597,12 +646,7 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
         m3 = three_point_measure(ops.spec0, ops.h1, cfg.beta)
         s = third_order_adiabatic_coefficient(m3)
 
-    if cfg.protocol.kind == "quench":
-        protocols = [_protocol_for("quench", None, lam, cfg.protocol.t_total) for lam in lams]
-    else:
-        protocols = [_slow_ramp(cfg, lam) for lam in lams]
     quads = lnchi_second_order_quadrature(m2, list(zip(protocols, lams)), first, u)
-    points = [(cfg.model, protocol, lam) for protocol, lam in zip(protocols, lams)]
     dists = _run_points(cfg, points, 1, True, None, {cfg.model: ops})[1]
 
     entries = []
@@ -631,9 +675,7 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
 
 def run_single(cfg: RunConfig):
     """One protocol run, in this process: its record, work distribution and CFW samples."""
-    protocol = _protocol_for(cfg.protocol.kind, cfg.protocol.velocity, cfg.lambda1, cfg.protocol.t_total)
-    value = math.inf if cfg.protocol.kind == "quench" else (cfg.protocol.velocity or 0.0)
-    (record,), (dist,) = _run_points(cfg, [(cfg.model, protocol, value)], 1, True, None)
+    (record,), (dist,) = _run_points(cfg, _single_points(cfg), 1, True, None)
     cfw = cfw_from_distribution(dist, default_u_grid(cfg.beta))
     return record, dist, cfw
 

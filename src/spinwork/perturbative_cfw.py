@@ -56,6 +56,10 @@ QUASI_DEGENERATE_BAND = 1e3
 THREE_POINT_BYTES_PER_ATOM = 128
 # the quadrature oracle's gate: the most halving its time step may move ln chi
 QUADRATURE_DRIFT = 1e-7
+QUADRATURE_POINTS_PER_UNIT = 8.0
+# bytes per entry of a quadrature table, a frequency by a node: the outer product,
+# its complex multiple and their exponential
+QUADRATURE_BYTES_PER_ENTRY = 40
 
 
 class DegenerateAtomWarning(UserWarning):
@@ -88,7 +92,7 @@ class SpectralMeasure3:
 
     @property
     def frequency_scale(self) -> float:
-        return float(max(np.abs(self.omega1).max(), np.abs(self.omega2).max()))
+        return float(max(np.abs(self.omega1).max(initial=0.0), np.abs(self.omega2).max(initial=0.0)))
 
 
 def default_omega_floor(frequency_scale: float) -> float:
@@ -129,7 +133,7 @@ def two_point_measure(
     # means' half-difference places each atom at the exact negation of its mirror's
     omegas = (omegas[:, 0] - omegas[::-1, 0]) / 2.0
     # the n = m terms sit at omega = 0 exactly, so an atom at omega ~ 0 always exists
-    weights[np.argmin(np.abs(omegas))] += mean**2
+    weights[np.argmin(np.abs(omegas))] += mean * mean
     return SpectralMeasure2(omegas, weights)
 
 
@@ -187,7 +191,7 @@ def three_point_measure(
         sub_w[:, pairs] = -mean * (p[cols, None] * np.abs(ab) ** 2).ravel()
         raw_at += b**3
         pair_at += b * b
-    weights[-1] = 2 * mean**3
+    weights[-1] = 2 * (mean * mean * mean)
 
     coords, merged_w = merge_atoms(coords, weights, MERGE_TOLERANCE)
     keep = np.abs(merged_w) > 0.0
@@ -236,12 +240,12 @@ def lnchi_second_order(
     a_of_o = np.asarray(spectral_response(protocol, o), dtype=float)
     ln = (
         1j * u * lambda1 * first_cum
-        + 1j * u * lambda1**2 * float(np.sum(g / o))
+        + 1j * u * (lambda1 * lambda1) * float(np.sum(g / o))
         + np.sum(
             (1.0 - np.exp(1j * np.outer(u, o))) / o[None, :] ** 2 * (a_of_o * g)[None, :],
             axis=1,
         )
-        + 0.5 * u**2 * lambda1**2 * g0
+        + 0.5 * u**2 * (lambda1 * lambda1) * g0
     )
     samples = CfwSamples(u, np.exp(ln), ln)
     if return_report:
@@ -270,6 +274,15 @@ def _gl_leg(a: float, b: float, points_per_unit: float, refine: int = 1):
     nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return nodes, weights
+
+
+def check_quadrature(n_freqs: int, t_max: float, u_max: float) -> None:
+    """Raise ``DimensionError`` when the oracle's largest table at its refined rule, ``n_freqs``
+    frequencies by the nodes of a protocol leg [0, t_max] or by the panels of a u leg [0, u_max],
+    exceeds the memory limit at QUADRATURE_BYTES_PER_ENTRY (``spin_model.check_memory``)."""
+    panels = 2 * np.maximum(2.0, np.ceil(QUADRATURE_POINTS_PER_UNIT * np.array([t_max, u_max])))
+    entries = n_freqs * max(_GL_NODES.size * panels[0], panels[1])
+    check_memory(f"the quadrature oracle needs {entries:.3g} table entries", entries * QUADRATURE_BYTES_PER_ENTRY)
 
 
 def _legs(omegas: np.ndarray, u_grid: np.ndarray, points_per_unit: float, refine: int = 1):
@@ -329,7 +342,7 @@ def _second_order_time_domain(
     """
     t = protocol.t_total
     s_nodes, s_w = _gl_leg(0.0, t, points_per_unit, refine=refine)
-    lam_s = np.array([lambda_at(protocol, s) for s in s_nodes]) * s_w
+    lam_s = lambda_at(protocol, s_nodes) * s_w
     # F(omega) = sum_s lam(s) ds e^{i omega s}
     f = np.exp(1j * np.outer(omegas, s_nodes)) @ lam_s
     t_ab = -np.sum(coeffs * np.abs(f) ** 2)
@@ -337,7 +350,7 @@ def _second_order_time_domain(
     g, h = legs
     at_t = np.exp(1j * omegas * t)
     t_e = (coeffs * np.abs(f) ** 2) @ phase
-    t_c = -(lambda1**2) * (coeffs @ h)
+    t_c = -(lambda1 * lambda1) * (coeffs @ h)
     t_d = -lambda1 * ((coeffs * f * np.conj(at_t)) @ np.conj(g))
     t_f = lambda1 * ((coeffs * np.conj(f) * at_t) @ (phase * g))
     return t_ab + t_c + t_d + t_e + t_f
@@ -348,7 +361,7 @@ def lnchi_second_order_quadrature(
     runs: Sequence[tuple[DriveProtocol, float]],
     first_cum: float,
     u_grid: np.ndarray,
-    points_per_unit: float = 8.0,
+    points_per_unit: float = QUADRATURE_POINTS_PER_UNIT,
 ) -> list[CfwSamples]:
     """Oracle route for the second-order ln chi, by time-domain quadrature.
 
@@ -423,7 +436,7 @@ def lnchi_third_order_adiabatic(
     target thermal state at this order)."""
     u = np.asarray(u_grid, dtype=float)
     s = third_order_adiabatic_coefficient(m3)
-    ln = 1j * u * lambda1**3 * s
+    ln = 1j * u * (lambda1 * lambda1 * lambda1) * s
     return CfwSamples(u, np.exp(ln), ln)
 
 

@@ -59,7 +59,7 @@ def check_memory(what: str, estimate: int) -> int:
     limit = _memory_limit()
     if estimate <= limit:
         return limit // estimate
-    raise DimensionError(f"{what}, an estimated {estimate / 1e9:.2f} GB, over the {limit / 1e9:.2f} GB memory limit")
+    raise DimensionError(f"{what}, an estimated {estimate / 1e9:.3g} GB, over the {limit / 1e9:.3g} GB memory limit")
 
 
 def chain_points(n_sites: int) -> int:

@@ -240,7 +240,7 @@ def delta_concentration(d: WorkDistribution, epsilon: float) -> DeltaReport:
     return DeltaReport(
         variance=variance,
         mass_within_epsilon_of_mean=mass,
-        is_delta=bool(variance < epsilon**2 and mass >= 1.0 - 1e-10),
+        is_delta=bool(variance < epsilon * epsilon and mass >= 1.0 - 1e-10),
     )
 
 

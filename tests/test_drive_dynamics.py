@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -19,11 +21,14 @@ from spinwork import (
     spectral_response,
 )
 from spinwork.drive_dynamics import (
+    _GAPS,
+    _MIDS,
+    _WIDTHS,
     KICK_CHUNK,
     ProtocolError,
     _expi,
     _propagate_block,
-    _substep_schedule,
+    _step_count,
 )
 from spinwork.spin_model import _symmetries, common_blocks, dense_view, symmetry_adapted
 
@@ -234,19 +239,38 @@ class TestSteppingLoop:
     def test_chunked_kicks_match_per_substep_loop_bit_for_bit(self, p):
         spec = SpinChainSpec(6, 2.0)
         (rows, _, h0), (_, _, h1) = build_hopping(spec).blocks[3], build_zz(spec).blocks[3]
-        schedule = _substep_schedule(p, 0.01)
-        _, widths, lam_mid, gaps, gap_index = schedule
-        assert widths.size > KICK_CHUNK  # more than one chunk, the last one partial
+        nsteps = _step_count(p, 0.01)
+        substeps = 3 * nsteps
+        assert substeps > KICK_CHUNK and substeps % KICK_CHUNK  # more than one chunk, the last one partial
+        h = p.ramp_time / nsteps
         eig0 = np.linalg.eigh(h0)
-        factors = [_expi(eig0, g) for g in gaps]
+        factors = [_expi(eig0, g * h) for g in _GAPS]
         h1_diag = np.real(np.diag(h1))
-        u = factors[gap_index[0]].copy()
-        for lam, w, g in zip(lam_mid, widths, gap_index[1:]):
-            u = np.exp(-1j * lam * h1_diag * w)[:, None] * u
-            u = factors[g] @ u
+        # substep k is substep k % 3 of step k // 3; W1/2 opens and closes the
+        # ramp, (W1 + W0)/2 follows a step's first two kicks and W1 its last
+        u = factors[0].copy()
+        for k in range(substeps):
+            step, sub = divmod(k, 3)
+            lam = lambda_at(p, (step + _MIDS[sub]) * h)
+            u = np.exp(-1j * lam * h1_diag * (_WIDTHS[sub] * h))[:, None] * u
+            u = factors[0 if k == substeps - 1 else 2 if sub == 2 else 1] @ u
         assert p.ramp_time == pytest.approx(3.1)  # both step 930 substeps, then hold for 0.9
         hold = _expi(np.linalg.eigh(h0 + 0.1 * h1), p.t_total - p.ramp_time)
-        assert np.array_equal(_propagate_block(h0, h1, p, schedule), hold @ u)
+        assert np.array_equal(_propagate_block(h0, h1, p, nsteps), hold @ u)
+
+    def test_propagate_allocates_nothing_per_step(self):
+        # a ramp of 3e4 steps at N = 3: the schedule is built a chunk at a
+        # time, where one array per substep would take several MB
+        h0, h1 = chain(3)
+        p = ramp(lam1=0.3, v=1.0, t_total=0.3)
+        assert _step_count(p, 1e-5) == 30000
+        tracemalloc.start()
+        try:
+            propagate(h0, h1, p, 1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestSymmetryReduction:

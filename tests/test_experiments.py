@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import itertools
 import json
 import math
@@ -6,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -14,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import spinwork.experiments as xp
 from spinwork import drive_dynamics, perturbative_cfw, spin_model
@@ -52,6 +57,7 @@ from spinwork.perturbative_cfw import (
 )
 
 REPO = Path(__file__).resolve().parents[1]
+SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted((REPO / "configs").glob("*.json"))}
 
 
 def tiny_config(**overrides):
@@ -1022,3 +1028,119 @@ class TestCli:
         )
         payload = json.loads((out / "single_summary.json").read_text())
         assert payload["config"]["fidelity_convention"] == "one_minus_sqrtF"
+
+    @pytest.mark.parametrize(
+        "changes, exit_codes",
+        [({"model": {"n_sites": 3, "coupling": 1e300}}, (0, 3)), ({"lambda1": 1e300}, (2,)),
+         ({"lambda1": 1e300, "grid": [1], "dt": 1e-12}, (2,))],
+        ids=["coupling-1e300", "lambda1-1e300", "ramp-over-dt-inf"],
+    )
+    def test_overflowing_config_ends_without_traceback(self, tmp_path, changes, exit_codes):
+        # an energy scale whose square overflows a float ran into an OverflowError in the
+        # delta diagnostic, and a step count past a C long, or infinite, into one in the stepping
+        cfg = {**SHIPPED["velocity_scan_desk"], "model": {"n_sites": 3, "coupling": 2.0}, "grid": [0.05, 1],
+               **changes, "output_dir": str(tmp_path / "out")}
+        run = self.run_in_3gb_address_space(cfg, tmp_path / "c.json", "scan-velocity")
+        assert run.returncode in exit_codes, run.stderr
+        assert "Traceback" not in run.stderr
+        if exit_codes == (2,):
+            assert re.search(r"^config error: lambda1, grid, dt: a scan point takes ([\d.e+]+|inf) steps", run.stderr,
+                             re.M)
+
+    @pytest.mark.parametrize(
+        "name, changes, message",
+        [
+            ("single_quench", {"model": {"n_sites": 3, "coupling": 1e300}, "lambda1": 1e300},
+             r"model.coupling, lambda1: energy scale inf"),
+            ("single_quench", {"model": {"n_sites": 3, "coupling": 1e300}, "protocol": {"kind": "quench", "t_total": 1e300}},
+             r"model.coupling, lambda1: energy scale 2.2e\+300 times the longest time 1e\+300"),
+            ("pert_compare", {"model": {"n_sites": 3, "coupling": 2.0}, "protocol": {"kind": "quench", "t_total": 1e300}},
+             r"the quadrature oracle needs 2.56e\+303 table entries"),
+            ("pert_compare", {"model": {"n_sites": 3, "coupling": 2.0}, "beta": 1e300},
+             r"the quadrature oracle needs 1.6e\+303 table entries"),
+        ],
+        ids=["energy-times-coupling", "phase", "quadrature-t_total", "quadrature-beta"],
+    )
+    def test_validate_config_rejects_overflowing_scales(self, tmp_path, capsys, name, changes, message):
+        # an energy that overflows, a phase E t that does, and quadrature tables no memory holds
+        # used to end in NaN eigensystems and a failed SVD, or in numpy's array size limit
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**SHIPPED[name], **changes, "output_dir": str(tmp_path / "out")}))
+        command = {scan: command for command, scan in cli._SUBCOMMAND_SCAN.items()}[SHIPPED[name]["scan"]]
+        errors = []
+        for argv in (["validate-config"], [command, "--threads", "1"]):
+            assert self.run_cli(*argv, "--config", str(path)) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and re.match(f"config error: {message}", errors[0])
+
+    def test_validate_config_reports_the_largest_step_count(self, tmp_path, capsys):
+        # dt = 1e-12 used to fail in a 5.46 TiB schedule allocation; with the
+        # schedule built a chunk at a time it is a valid run of 2.5e11 steps
+        cfg = dict(SHIPPED["size_scan"], grid=[3], dt=1e-12)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert self.run_cli("validate-config", "--config", str(path)) == 0
+        assert capsys.readouterr().out.endswith(" steps=500000000000\n")
+        assert self.run_cli("validate-config", "--config", str(REPO / "configs" / "velocity_scan_desk.json")) == 0
+        assert capsys.readouterr().out.endswith(" steps=10000\n")
+
+    # each mutable key and the values it takes: extremes, edge cases and ordinary values
+    NUMBERS = [1e300, -1e300, 1e-12, -1e-12, 0, -1, 0.05, 1, 3]
+    MUTATIONS = {
+        ("model", "n_sites"): st.integers(-1, 4),
+        ("model", "coupling"): st.sampled_from(NUMBERS),
+        ("beta",): st.sampled_from(NUMBERS),
+        ("lambda1",): st.sampled_from(NUMBERS),
+        ("protocol", "kind"): st.sampled_from(["quench", "ramp_hold"]),
+        ("protocol", "velocity"): st.sampled_from([*NUMBERS, None]),
+        ("protocol", "t_total"): st.sampled_from(NUMBERS),
+        ("grid",): st.lists(st.sampled_from([*NUMBERS, "inf"]), max_size=3),
+        ("dt",): st.sampled_from(NUMBERS),
+    }
+    RUN_STEP_BOUND = 2000  # an accepted config runs when its largest scan point takes at most this many steps
+
+    @staticmethod
+    @st.composite
+    def mutated_config(draw):
+        """A shipped config at N <= 4, with one to three keys mutated."""
+        cfg = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+        cfg["model"]["n_sites"] = draw(st.integers(2, 4))
+        if cfg["scan"] == "size":
+            cfg["grid"] = [2, 4]
+        for key in draw(st.lists(st.sampled_from(list(TestCli.MUTATIONS)), min_size=1, max_size=3, unique=True)):
+            (cfg[key[0]] if len(key) == 2 else cfg)[key[-1]] = draw(TestCli.MUTATIONS[key])
+        return cfg
+
+    def cli_outcome(self, *argv):
+        """Exit code, stdout and stderr of an in-process CLI run; an uncaught exception fails the test."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = self.run_cli(*argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cfg=mutated_config())
+    @example(cfg={**SHIPPED["velocity_scan_desk"], "model": {"n_sites": 3, "coupling": 1e300}, "grid": [0.05, 1]})
+    @example(cfg={**SHIPPED["velocity_scan_desk"], "model": {"n_sites": 3, "coupling": 2.0}, "lambda1": 1e300})
+    @example(cfg={**SHIPPED["size_scan"], "model": {"n_sites": 3, "coupling": 2.0}, "grid": [3], "dt": 1e-12})
+    @example(cfg={**SHIPPED["pert_compare"], "model": {"n_sites": 2, "coupling": 2.0}, "beta": 1000})
+    def test_mutated_config_runs_or_is_a_config_error(self, cfg):
+        # validate-config exits 0 or 2; where it says 2, so does the subcommand, and an
+        # accepted config that is quick to run runs to exit 0 or 3; none raises
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.json"
+            path.write_text(json.dumps(cfg))
+            code, out, err = self.cli_outcome("validate-config", "--config", str(path))
+            assert code in (0, 2), err
+            command = {scan: command for command, scan in cli._SUBCOMMAND_SCAN.items()}.get(cfg["scan"])
+            if command is None:
+                assert code == 2
+                return
+            argv = [command, "--config", str(path), "--threads", "1", "--output", str(Path(tmp) / "out")]
+            if code == 2:
+                assert err.startswith("config error: ")
+                assert self.cli_outcome(*argv)[::2] == (2, err)
+            elif int(re.search(r" steps=(\d+)$", out).group(1)) <= self.RUN_STEP_BOUND:
+                assert self.cli_outcome(*argv)[0] in (0, 3)
