@@ -172,8 +172,9 @@ class RunConfig:
         try:
             chain_points(n)  # one point at the scan's largest chain fits in memory
             if self.scan == "pert_compare":  # and so do the three-point measure and the quadrature oracle
-                pairs = three_point_atom_counts([math.comb(n, k) for k in range(n + 1)])[1]
-                check_quadrature(pairs, t_max, np.abs(default_u_grid(self.beta)).max())
+                three_point_atom_counts([math.comb(n, k) for k in range(n + 1)])
+                # at one frequency: the run checks again at its merged two-point measure's count
+                check_quadrature(1, t_max, np.abs(default_u_grid(self.beta)).max())
         except DimensionError as exc:
             raise ConfigError(str(exc)) from exc
         scale = abs(self.model.coupling) * (n - 1) * (1.0 + max(abs(p.lambda_final) for p in protocols))
@@ -640,6 +641,7 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
     ops = _ModelOps.build(cfg.model)
     u = default_u_grid(cfg.beta)
     m2 = two_point_measure(ops.spec0, ops.h1, cfg.beta)
+    check_quadrature(m2.omegas.size, max(p.t_total for p in protocols), np.abs(u).max())
     first = first_cumulant(ops.spec0, ops.h1, cfg.beta)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -1055,9 +1055,9 @@ class TestCli:
             ("single_quench", {"model": {"n_sites": 3, "coupling": 1e300}, "protocol": {"kind": "quench", "t_total": 1e300}},
              r"model.coupling, lambda1: energy scale 2.2e\+300 times the longest time 1e\+300"),
             ("pert_compare", {"model": {"n_sites": 3, "coupling": 2.0}, "protocol": {"kind": "quench", "t_total": 1e300}},
-             r"the quadrature oracle needs 2.56e\+303 table entries"),
+             r"the quadrature oracle needs 1.28e\+302 table entries"),
             ("pert_compare", {"model": {"n_sites": 3, "coupling": 2.0}, "beta": 1e300},
-             r"the quadrature oracle needs 1.6e\+303 table entries"),
+             r"the quadrature oracle needs 8e\+301 table entries"),
         ],
         ids=["energy-times-coupling", "phase", "quadrature-t_total", "quadrature-beta"],
     )
@@ -1072,6 +1072,32 @@ class TestCli:
             assert self.run_cli(*argv, "--config", str(path)) == 2
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] and re.match(f"config error: {message}", errors[0])
+
+    def test_slow_ramp_pert_compare_validates_at_eight_sites(self, tmp_path, capsys, monkeypatch):
+        # couplings up to 0.2 at the default velocity 1e-3 ramp for t = 200; the oracle's tables at
+        # the merged measure's 155 frequencies take an estimated 0.16 GB, so a 3 GB limit holds them
+        monkeypatch.setattr(spin_model, "_memory_limit", lambda: 3 * 10**9)
+        cfg = dict(SHIPPED["pert_compare"], model={"n_sites": 8, "coupling": 2.0},
+                   protocol={"kind": "ramp_hold", "t_total": 2.0}, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert self.run_cli("validate-config", "--config", str(path)) == 0
+        assert capsys.readouterr().out.endswith(" steps=20000\n")
+
+    def test_pert_compare_checks_quadrature_tables_at_the_measure_size(self, tmp_path, capsys, monkeypatch):
+        # a table entry so large that one frequency fits and two do not: validate-config passes,
+        # and the run stops at its two-point measure's frequency count with a config error
+        nodes = 8 * 2 * 16  # the refined rule on the protocol leg [0, 2]
+        monkeypatch.setattr(spin_model, "_memory_limit", lambda: 8 * 10**9)
+        monkeypatch.setattr(perturbative_cfw, "QUADRATURE_BYTES_PER_ENTRY", 6 * 10**9 // nodes)
+        cfg = dict(SHIPPED["pert_compare"], model={"n_sites": 3, "coupling": 2.0}, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert self.run_cli("validate-config", "--config", str(path)) == 0
+        capsys.readouterr()
+        assert self.run_cli("pert-compare", "--threads", "1", "--config", str(path)) == 2
+        match = re.match(r"config error: the quadrature oracle needs (\d+) table entries", capsys.readouterr().err)
+        assert match and int(match[1]) > nodes and int(match[1]) % nodes == 0
 
     def test_validate_config_reports_the_largest_step_count(self, tmp_path, capsys):
         # dt = 1e-12 used to fail in a 5.46 TiB schedule allocation; with the
