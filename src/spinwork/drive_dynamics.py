@@ -1,5 +1,8 @@
 """Driving protocols lambda(t), time-ordered propagators, and the protocol response A(omega).
 
+A protocol is its (t, lambda) knots, built once per protocol whatever its kind:
+``lambda_at``, ``ramp_time`` and ``spectral_response`` read lambda(t) from them.
+
 Propagation conventions (hbar = 1, time in inverse energy units):
   * Stepping covers only the interval where lambda(t) actually varies; any
     trailing segment with constant coupling (the hold part of ramp-then-hold,
@@ -59,12 +62,16 @@ class UnitarityError(RuntimeError):
 
 @dataclass(frozen=True)
 class DriveProtocol:
-    """Coupling schedule lambda(t) on [0, t_total].
+    """Coupling schedule lambda(t) on [0, t_total]: the piecewise-linear interpolation of
+    its (t, lambda) knots, with lambda(0) = 0 (so a first knot off zero is a jump at 0+).
 
-    kinds:
-      * ``ramp_hold``: lambda(t) = min(velocity * t, lambda_final), then held.
-      * ``quench``: lambda jumps from 0 to lambda_final at t = 0+.
-      * ``sampled``: piecewise-linear interpolation of (t, lambda) samples.
+    kinds, and the knots ``__post_init__`` builds for them:
+      * ``ramp_hold``: lambda(t) = min(velocity * t, lambda_final), then held; knots (0, 0),
+        (t_r, lambda_final) with t_r = min(|lambda_final| / velocity, t_total), and
+        (t_total, lambda_final) when t_r < t_total.
+      * ``quench``: lambda jumps from 0 to lambda_final at t = 0+; knots (0, lambda_final),
+        (t_total, lambda_final).
+      * ``sampled``: the (t, lambda) samples are the knots.
     """
 
     kind: str
@@ -78,6 +85,8 @@ class DriveProtocol:
             raise ProtocolError(f"unknown protocol kind {self.kind!r}")
         if not np.isfinite(self.t_total) or self.t_total <= 0:
             raise ProtocolError(f"t_total must be positive, got {self.t_total}")
+        if not np.isfinite(self.lambda_final):
+            raise ProtocolError(f"lambda_final must be finite, got {self.lambda_final}")
         if self.kind == "ramp_hold":
             if self.velocity is None or not 0 <= self.velocity < np.inf:
                 raise ProtocolError(f"ramp_hold requires a finite velocity >= 0, got {self.velocity}")
@@ -87,6 +96,8 @@ class DriveProtocol:
             s = np.asarray(self.samples, dtype=float)
             if s.ndim != 2 or s.shape[1] != 2 or s.shape[0] < 2:
                 raise ProtocolError("sampled protocol needs an (M, 2) array of (t, lambda)")
+            if not np.isfinite(s).all():
+                raise ProtocolError("samples must be finite")
             if np.any(np.diff(s[:, 0]) <= 0):
                 raise ProtocolError("sample times must be strictly increasing")
             if abs(s[0, 0]) > 1e-12 or abs(s[-1, 0] - self.t_total) > 1e-9:
@@ -94,24 +105,20 @@ class DriveProtocol:
             if abs(s[0, 1]) > 1e-12:
                 raise ProtocolError("the coupling must start at lambda(0) = 0")
             object.__setattr__(self, "samples", s)
+            knots = s
+        else:
+            lam, t = float(self.lambda_final), float(self.t_total)
+            t_r = float(min(abs(lam) / self.velocity, t)) if self.kind == "ramp_hold" and lam else 0.0
+            knots = np.array([(0.0, 0.0)] * (t_r > 0) + [(t_r, lam)] + [(t, lam)] * (t_r < t))
+        # not a field: protocols compare and hash by their parameters
+        object.__setattr__(self, "_knots", knots)
 
     @property
     def ramp_time(self) -> float:
-        """End of the varying segment (time after which lambda is constant)."""
-        if self.kind == "quench":
-            return 0.0
-        if self.kind == "ramp_hold":
-            if self.lambda_final == 0.0 or self.velocity == 0.0:
-                return 0.0
-            return min(abs(self.lambda_final) / self.velocity, self.t_total)
-        s = self.samples
-        last = s[-1, 1]
-        t_flat = s[-1, 0]
-        for k in range(s.shape[0] - 2, -1, -1):
-            if abs(s[k, 1] - last) > 1e-12:
-                break
-            t_flat = s[k, 0]
-        return float(t_flat)
+        """End of the varying segment: the first of the trailing knots at the final value."""
+        t, lam = self._knots.T
+        varying = np.flatnonzero(lam != lam[-1])
+        return float(t[varying[-1] + 1 if varying.size else 0])
 
     @property
     def completed(self) -> bool:
@@ -122,60 +129,36 @@ class DriveProtocol:
 
 
 def lambda_at(p: DriveProtocol, t):
-    """Schedule value at time t, or at each of an array of times; a quench is post-jump only for t > 0."""
+    """Schedule value at time t, or at each of an array of times; a jump at t = 0 is post-jump only for t > 0."""
     ts = np.asarray(t, dtype=float)
     outside = (ts < -1e-12) | (ts > p.t_total * (1 + 1e-12))
     if outside.any():
         raise ProtocolError(f"t={ts[outside].flat[0]} outside [0, {p.t_total}]")
-    ts = np.minimum(np.maximum(ts, 0.0), p.t_total)
-    if p.kind == "ramp_hold" and p.lambda_final >= 0:
-        lam = np.minimum(p.velocity * ts, p.lambda_final)
-    elif p.kind == "ramp_hold":
-        lam = np.maximum(-p.velocity * ts, p.lambda_final)
-    elif p.kind == "sampled":
-        lam = np.interp(ts, p.samples[:, 0], p.samples[:, 1])
-    else:
-        lam = p.lambda_final
-    lam = np.where(ts == 0.0, 0.0, lam)
+    lam = np.interp(ts, p._knots[:, 0], p._knots[:, 1])
+    lam = np.where(ts <= 0.0, 0.0, lam)
     return float(lam) if lam.ndim == 0 else lam
 
 
 def spectral_response(p: DriveProtocol, omega) -> np.ndarray | float:
     """A(omega) = |int_0^t ds lambda_dot(s) exp(i omega s)|^2 for a completed protocol.
 
-    Closed forms: quench gives lambda_final^2 everywhere; a full ramp gives
-    4 v^2 sin^2(omega t_r / 2) / omega^2 with t_r = lambda_final / v.  Sampled
-    schedules use the exact per-segment transform of the piecewise-constant
-    derivative.  A(0) = lambda_final^2 always.
+    lambda_dot is the jump lambda(0+) at s = 0 plus a constant rate on each knot
+    segment [t0, t1], so the integral is lambda(0+) plus, per segment rising by
+    d lambda, d lambda e^{i omega m} sin(omega h) / (omega h) with m and h its
+    midpoint and half-width.  A(0) = lambda_final^2.
     """
     if not p.completed:
         raise ProtocolError("spectral_response requires a completed protocol")
     w = np.asarray(omega, dtype=float)
     scalar = w.ndim == 0
     w = np.atleast_1d(w)
-    lam1 = p.lambda_final
-    if p.kind == "quench" or p.ramp_time == 0.0:
-        out = np.full_like(w, lam1 * lam1)
-    elif p.kind == "ramp_hold":
-        t_r = p.ramp_time
-        v = p.velocity
-        out = np.empty_like(w)
-        small = np.abs(w) * t_r < 1e-8
-        out[small] = lam1 * lam1
-        ws = w[~small]
-        out[~small] = 4.0 * v * v * np.sin(ws * t_r / 2.0) ** 2 / ws**2
-    else:
-        s = p.samples
-        t0, t1 = s[:-1, 0], s[1:, 0]
-        rates = np.diff(s[:, 1]) / np.diff(s[:, 0])
-        out = np.empty_like(w)
-        small = np.abs(w) * p.t_total < 1e-8
-        out[small] = lam1 * lam1
-        ws = w[~small][:, None]
-        ft = np.sum(rates[None, :] * (np.exp(1j * ws * t1) - np.exp(1j * ws * t0)), axis=1) / (
-            1j * w[~small]
-        )
-        out[~small] = np.abs(ft) ** 2
+    t, lam = p._knots.T
+    out = np.full_like(w, p.lambda_final * p.lambda_final)
+    moving = np.abs(w) * p.t_total >= 1e-8
+    ws = w[moving][:, None]
+    x = ws * (np.diff(t) / 2.0)
+    sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    out[moving] = np.abs(lam[0] + (np.exp(1j * ws * ((t[:-1] + t[1:]) / 2.0)) * sinc) @ np.diff(lam)) ** 2
     return float(out[0]) if scalar else out
 
 
@@ -247,7 +230,7 @@ def propagate(h0: OperatorMatrix, h1: OperatorMatrix, p: DriveProtocol, dt: floa
 
     # U^dag U - 1 vanishes between blocks, so the blocks' Frobenius defects add up
     defect = float(np.sqrt(sum(np.linalg.norm(ub.conj().T @ ub - np.eye(ub.shape[0])) ** 2 for ub in stepped)))
-    if defect > UNITARITY_ABORT:
+    if not defect <= UNITARITY_ABORT:
         raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {UNITARITY_ABORT}")
     return PropagatorResult(
         unitary=OperatorMatrix(tuple((idx, idx, ub) for (idx, _), ub in zip(blocks, stepped)), hermitian=False),

@@ -398,13 +398,13 @@ def _run_levels(shared: dict, points: list, cfg: RunConfig, certify: bool, i: in
             dist = tpm_distribution(ops.spec0, spec_f, prop, cfg.beta)
             jz = jarzynski_check(dist, log_partition_function(ops.spec0, cfg.beta),
                                  log_partition_function(spec_f, cfg.beta), cfg.beta)
-            if jz.abs_deviation > IDENTITY_MONITOR:
+            if not jz.rel_deviation <= IDENTITY_MONITOR:
                 raise CertificationError(
                     f"exact-identity monitor tripped at scan value {scan_value}: "
-                    f"Jarzynski deviation {jz.abs_deviation:.3e}"
+                    f"Jarzynski deviation {jz.rel_deviation:.3e}"
                 )
             delta = delta_concentration(dist, 1e-6 * (ops.spec0.spectral_range + spec_f.spectral_range))
-            result = ScanRecord(scan_value, result, average_work(dist), jz.abs_deviation, delta.variance, 0.0)
+            result = ScanRecord(scan_value, result, average_work(dist), jz.rel_deviation, delta.variance, 0.0)
         del prop  # freed before the next level builds its own
         end = time.perf_counter()
         runs[level] = (result, end - start)
@@ -531,7 +531,7 @@ def _run_points(cfg: RunConfig, points: list, threads: Optional[int], certify: b
         for level in range(1, len(point_steps)):
             check, check_seconds = runs[i, level]
             shift = abs(check - record.infidelity)
-            if shift > CERTIFICATION_SHIFT:
+            if not shift <= CERTIFICATION_SHIFT:
                 raise CertificationError(
                     f"dt={point_steps[0]} not certified at scan value {record.scan_value} "
                     f"against dt={point_steps[level]}: infidelity shift {shift:.3e}"

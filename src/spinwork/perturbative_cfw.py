@@ -387,7 +387,7 @@ def lnchi_second_order_quadrature(
             for refine in (1, 2)
         )
         drift = float(np.abs(coarse - second).max())
-        if drift > QUADRATURE_DRIFT:
+        if not drift <= QUADRATURE_DRIFT:
             raise QuadratureError(
                 f"quadrature moved by {drift:.3e} under step halving at lambda1 = {lambda1:g}; "
                 "raise points_per_unit"

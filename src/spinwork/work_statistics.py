@@ -38,10 +38,10 @@ class WorkDistribution:
         object.__setattr__(self, "probabilities", np.asarray(self.probabilities, dtype=float))
         if self.works.shape != self.probabilities.shape or self.works.ndim != 1:
             raise ValueError("works and probabilities must be matching 1-d arrays")
-        if self.probabilities.min(initial=0.0) < -1e-14:
-            raise ValueError("negative probability atom")
+        if not self.probabilities.min(initial=0.0) >= -1e-14:
+            raise ValueError("negative or NaN probability atom")
         drift = abs(self.probabilities.sum() - 1.0)
-        if drift > NORMALIZATION_TOLERANCE:
+        if not drift <= NORMALIZATION_TOLERANCE:
             raise ValueError(f"normalization drift {drift:.3e}")
 
 
@@ -200,17 +200,24 @@ def cfw_trace(
 
 @dataclass(frozen=True)
 class JarzynskiReport:
-    lhs: float
-    rhs: float
-    abs_deviation: float
+    ln_lhs: float
+    ln_rhs: float
+    rel_deviation: float
 
 
 def jarzynski_check(d: WorkDistribution, ln_z_i: float, ln_z_f: float, beta: float) -> JarzynskiReport:
-    """<exp(-beta w)> against Z_f / Z_i; exact for the measurement scheme, so the
-    deviation bounds numerical error only."""
-    lhs = float(d.probabilities @ np.exp(-beta * d.works))
-    rhs = float(np.exp(ln_z_f - ln_z_i))
-    return JarzynskiReport(lhs=lhs, rhs=rhs, abs_deviation=abs(lhs - rhs))
+    """ln <exp(-beta w)> against ln Z_f - ln Z_i, the former a log-sum-exp over the
+    atoms with p > 0, so neither side overflows at large beta.  The identity is
+    exact for the measurement scheme, so the relative deviation
+    |<exp(-beta w)> Z_i / Z_f - 1| = |expm1(ln_lhs - ln_rhs)| bounds numerical error:
+    roundoff, and at large beta the atoms of initial states whose Boltzmann weight
+    underflowed to 0, which exp(-beta w) would have weighted up."""
+    kept = d.probabilities > 0
+    x = np.log(d.probabilities[kept]) - beta * d.works[kept]
+    top = x.max()
+    ln_lhs = float(top + np.log(np.exp(x - top).sum()))
+    ln_rhs = float(ln_z_f - ln_z_i)
+    return JarzynskiReport(ln_lhs=ln_lhs, ln_rhs=ln_rhs, rel_deviation=abs(float(np.expm1(ln_lhs - ln_rhs))))
 
 
 def average_work(d: WorkDistribution) -> float:
@@ -235,7 +242,8 @@ def delta_concentration(d: WorkDistribution, epsilon: float) -> DeltaReport:
     """Concentration diagnostic: the distribution is a point mass iff the final
     state is the target thermal state (necessary-condition monitor)."""
     mean = average_work(d)
-    variance = float(d.probabilities @ (d.works - mean) ** 2)
+    # an atom of probability 0 adds 0, also where its square overflows (0 * inf is NaN)
+    variance = float(d.probabilities @ np.where(d.probabilities != 0.0, (d.works - mean) ** 2, 0.0))
     mass = float(d.probabilities[np.abs(d.works - mean) <= epsilon].sum())
     return DeltaReport(
         variance=variance,

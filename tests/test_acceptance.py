@@ -167,7 +167,7 @@ class TestCriterion1ExactIdentities:
                     log_partition_function(spec_f, beta),
                     beta,
                 )
-                worst["jarzynski"] = max(worst["jarzynski"], jz.abs_deviation)
+                worst["jarzynski"] = max(worst["jarzynski"], jz.rel_deviation)
                 rho0 = gibbs_state(spec_i, beta)
                 balance_gap = abs(
                     average_work(dist)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from spinwork.drive_dynamics import (
     _WIDTHS,
     KICK_CHUNK,
     ProtocolError,
+    UnitarityError,
     _expi,
     _propagate_block,
     _step_count,
@@ -97,6 +99,28 @@ class TestDriveProtocol:
         partial = short_of_final()
         assert not partial.completed
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: ramp(lam1=np.nan, t_total=4.0), lambda: quench(np.inf), lambda: quench(-np.inf),
+         lambda: sampled([[0.5, np.nan], [1.0, 0.1]], 1.0), lambda: sampled([[np.nan, 0.1], [1.0, 0.1]], 1.0)],
+        ids=["nan-ramp", "inf-quench", "-inf-quench", "nan-value", "nan-time"],
+    )
+    def test_non_finite_coupling_or_sample_rejected(self, make):
+        # the knots are built from them: a NaN ramp used to have a NaN ramp time, an
+        # infinite quench was accepted and a NaN sample stepped to a NaN propagator
+        with pytest.raises(ProtocolError, match="finite"):
+            make()
+
+    def test_ramps_and_quenches_compare_and_hash_by_their_parameters(self):
+        # the knots are no field, so they take no part in ==, hash or the field list
+        assert [f.name for f in fields(DriveProtocol)] == ["kind", "lambda_final", "t_total", "velocity", "samples"]
+        for make in (lambda: ramp(0.1, 0.05, 4.0), lambda: quench(0.1, 4.0)):
+            a, b = make(), make()
+            assert a == b and hash(a) == hash(b)
+            assert hash(a) == hash((a.kind, a.lambda_final, a.t_total, a.velocity, None))
+        assert ramp(0.1, 0.05, 4.0) != ramp(0.1, 0.05, 5.0)
+        assert {ramp(0.1, 0.05, 4.0): 1}[ramp(0.1, 0.05, 4.0)] == 1
+
 
 class TestLambdaAt:
     def test_slow_ramp_reaches_full_coupling_at_total_time(self):
@@ -120,7 +144,24 @@ class TestLambdaAt:
         assert lambda_at(p, 0.0) == 0.0
 
     def test_quench_post_jump(self):
-        assert lambda_at(quench(0.1), 1e-9) == 0.1
+        p = quench(0.1, 10.0)
+        assert lambda_at(p, 1e-9) == lambda_at(p, 5e-324) == lambda_at(p, 10.0) == 0.1
+        assert p.ramp_time == 0.0
+
+    @pytest.mark.parametrize("lam1", [0.3, -0.3])
+    def test_ramp_is_the_capped_line(self, lam1):
+        # the per-sign expressions the knots replaced, on a dense grid through the ramp and hold
+        p = ramp(lam1=lam1, v=0.7, t_total=2.0)
+        t = np.linspace(0.0, 2.0, 200001)
+        oracle = np.minimum(0.7 * t, lam1) if lam1 > 0 else np.maximum(-0.7 * t, lam1)
+        assert np.all(np.abs(lambda_at(p, t) - oracle) <= 2 * np.spacing(np.abs(oracle)))
+
+    @pytest.mark.parametrize("lam1", [1e-13, -1e-13])
+    def test_tiny_ramp_keeps_its_ramp_time(self, lam1):
+        # the final value is compared exactly, so a coupling below 1e-12 still ramps
+        p = ramp(lam1=lam1, v=0.05, t_total=1.0)
+        assert p.ramp_time == 1e-13 / 0.05
+        assert lambda_at(p, p.ramp_time / 2) == pytest.approx(lam1 / 2, rel=1e-15)
 
     def test_out_of_range(self):
         with pytest.raises(ProtocolError):
@@ -192,6 +233,22 @@ class TestPropagate:
         for idx in magnetization_sectors(5):
             inside[np.ix_(idx, idx)] = True
         assert np.all(u[~inside] == 0)
+
+    def test_sampled_schedule_ending_off_its_plateau_is_stepped_to_its_end(self, chain4):
+        # the last sample is 1e-13 above the one before, so nothing of [0, 1] is held
+        _, h0, h1, _ = chain4
+        p = sampled([[0.5, 0.2], [1.0, 0.2 + 1e-13]], 1.0)
+        assert p.ramp_time == 1.0
+        assert _step_count(p, 0.1) == 10
+        assert propagate(h0, h1, p, 0.1).dt_used == 0.1
+
+    def test_nan_defect_fails_the_unitarity_guard(self, chain4):
+        # a NaN block steps to a NaN propagator, whose NaN defect is not within UNITARITY_ABORT
+        _, h0, h1, _ = chain4
+        (rows, cols, first), *rest = h1.blocks
+        broken = OperatorMatrix(((rows, cols, np.full_like(first, np.nan)), *rest))
+        with pytest.raises(UnitarityError, match="unitarity defect nan"):
+            propagate(h0, broken, ramp(), 0.05)
 
     def test_sampled_protocol_propagates(self, chain4):
         _, h0, h1, _ = chain4
@@ -397,8 +454,20 @@ class TestSpectralResponse:
         assert spectral_response(p, 0.0) == pytest.approx(0.01, rel=1e-10)
 
     def test_quench_is_flat(self):
-        w = np.linspace(-20, 20, 41)
-        assert np.allclose(spectral_response(quench(0.1), w), 0.01)
+        w = np.concatenate([[0.0], np.geomspace(1e-12, 1e6, 50)])
+        assert np.all(spectral_response(quench(0.1), np.concatenate([-w, w])) == 0.1 * 0.1)
+
+    @pytest.mark.parametrize(
+        "lam1, v, t_total", [(0.3, 0.7, 2.0), (-0.3, 0.7, 2.0), (0.1, 0.001, 100.0)], ids=["hold", "falling", "full"]
+    )
+    def test_ramp_matches_closed_form(self, lam1, v, t_total):
+        # the closed form the knots replaced, 4 v^2 sin^2(omega t_r / 2) / omega^2
+        p = ramp(lam1=lam1, v=v, t_total=t_total)
+        t_r = p.ramp_time
+        w = np.geomspace(1e-9, 1e3, 400) / t_r
+        w = np.concatenate([-w, w])
+        oracle = 4.0 * v * v * np.sin(w * t_r / 2.0) ** 2 / w**2
+        assert np.abs(spectral_response(p, w) / oracle - 1.0).max() < 1e-14
 
     def test_ramp_zeros_at_harmonics(self):
         p = ramp(lam1=0.1, v=0.2)  # t_r = 0.5

@@ -50,6 +50,7 @@ from spinwork.experiments import (
     run_velocity_scan,
     _ModelOps,
 )
+from spinwork.work_statistics import JarzynskiReport
 from spinwork.perturbative_cfw import (
     lnchi_third_order_adiabatic,
     third_order_adiabatic_coefficient,
@@ -793,6 +794,21 @@ class TestCli:
         assert self.run_cli("pert-compare", "--config", str(path)) == 3
         assert "Jarzynski deviation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("gate", ["identity", "shift"])
+    def test_nan_fails_the_scan_gates(self, tmp_path, monkeypatch, capsys, gate, threads):
+        # a NaN Jarzynski deviation or infidelity shift is not within its bound
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config(output_dir=str(tmp_path / "out"))))
+        if gate == "identity":
+            monkeypatch.setattr(xp, "jarzynski_check", lambda *args: JarzynskiReport(math.nan, 0.0, math.nan))
+        else:
+            monkeypatch.setattr(xp, "infidelity", lambda *args: math.nan)
+        assert self.run_cli("scan-velocity", "--config", str(path), "--threads", threads) == 3
+        err = capsys.readouterr().err
+        assert {"identity": "Jarzynski deviation nan", "shift": "infidelity shift nan"}[gate] in err
+        assert not list((tmp_path / "out").glob("*.csv"))
+
     def test_worker_unitarity_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # the forked workers inherit the lowered guard
         path = tmp_path / "c.json"
@@ -1111,7 +1127,7 @@ class TestCli:
         assert capsys.readouterr().out.endswith(" steps=10000\n")
 
     # each mutable key and the values it takes: extremes, edge cases and ordinary values
-    NUMBERS = [1e300, -1e300, 1e-12, -1e-12, 0, -1, 0.05, 1, 3]
+    NUMBERS = [1e300, -1e300, 1e100, 1e4, 1e3, 1e-12, -1e-12, 0, -1, 0.05, 1, 3]
     MUTATIONS = {
         ("model", "n_sites"): st.integers(-1, 4),
         ("model", "coupling"): st.sampled_from(NUMBERS),
@@ -1152,9 +1168,14 @@ class TestCli:
     @example(cfg={**SHIPPED["velocity_scan_desk"], "model": {"n_sites": 3, "coupling": 2.0}, "lambda1": 1e300})
     @example(cfg={**SHIPPED["size_scan"], "model": {"n_sites": 3, "coupling": 2.0}, "grid": [3], "dt": 1e-12})
     @example(cfg={**SHIPPED["pert_compare"], "model": {"n_sites": 2, "coupling": 2.0}, "beta": 1000})
+    # these two wrote NaN Jarzynski deviations and exited 0: exp(-beta w) overflowed
+    @example(cfg={**SHIPPED["lambda_scaling"], "model": {"n_sites": 3, "coupling": 2.0}, "beta": 1000,
+                  "protocol": {"kind": "ramp_hold", "velocity": 0.01, "t_total": 100.0}})
+    @example(cfg={**SHIPPED["size_scan"], "grid": [2, 3], "beta": 1e4})
     def test_mutated_config_runs_or_is_a_config_error(self, cfg):
         # validate-config exits 0 or 2; where it says 2, so does the subcommand, and an
-        # accepted config that is quick to run runs to exit 0 or 3; none raises
+        # accepted config that is quick to run runs to exit 0, with no NaN in its CSVs, or
+        # to exit 3; none raises
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "c.json"
             path.write_text(json.dumps(cfg))
@@ -1169,4 +1190,8 @@ class TestCli:
                 assert err.startswith("config error: ")
                 assert self.cli_outcome(*argv)[::2] == (2, err)
             elif int(re.search(r" steps=(\d+)$", out).group(1)) <= self.RUN_STEP_BOUND:
-                assert self.cli_outcome(*argv)[0] in (0, 3)
+                code, _, err = self.cli_outcome(*argv)
+                assert code in (0, 3), err
+                cells = [cell for csv in (Path(tmp) / "out").glob("*.csv")
+                         for line in csv.read_text().splitlines()[1:] for cell in line.split(",")]
+                assert code == 3 or not any(math.isnan(float(cell)) for cell in cells)

@@ -592,6 +592,15 @@ class TestQuadratureOracle:
         (benign,) = lnchi_second_order_quadrature(m2, runs[1 - stiff_at : 2 - stiff_at], fc, u, points_per_unit=0.05)
         assert np.abs(benign.ln_chi).max() < 1e-12
 
+    def test_nan_drift_fails_the_step_halving_check(self, chain4):
+        # a NaN drift is not within QUADRATURE_DRIFT
+        _, _, h1, spec0 = chain4
+        m2, fc = two_point_measure(spec0, h1, BETA), first_cumulant(spec0, h1, BETA)
+        m2 = pcfw.SpectralMeasure2(m2.omegas, np.where(np.arange(m2.weights.size) == 0, np.nan, m2.weights))
+        quench = DriveProtocol(kind="quench", lambda_final=0.1, t_total=2.0)
+        with pytest.raises(QuadratureError, match="quadrature moved by nan"):
+            lnchi_second_order_quadrature(m2, [(quench, 0.1)], fc, np.linspace(-5, 5, 11))
+
 
 def rs_pt_third_order_mean(h0_ref, h1_ref, beta, floor=1e-9):
     """Thermal average of the third-order eigenvalue shifts, by explicit loops."""

@@ -335,14 +335,22 @@ class TestCfwTrace:
         assert abs(lhs - ratio) < 1e-12
 
 
+class TestWorkDistribution:
+    @pytest.mark.parametrize("probabilities", [[np.nan, 1.0], [1.0, np.nan]])
+    def test_nan_atom_rejected(self, probabilities):
+        # a NaN passes neither the negative-probability nor the normalization gate
+        with pytest.raises(ValueError, match="negative or NaN probability atom"):
+            WorkDistribution(np.array([0.0, 1.0]), np.array(probabilities), 0.0)
+
+
 class TestJarzynski:
     def test_time_independent_identity(self, chain4):
         _, h0, h1, spec0 = chain4
         p = DriveProtocol(kind="ramp_hold", lambda_final=0.0, t_total=2.0, velocity=0.0)
         dist = tpm_distribution(spec0, spec0, propagate(h0, h1, p, 0.01), BETA)
         rep = jarzynski_check(dist, log_partition_function(spec0, BETA), log_partition_function(spec0, BETA), BETA)
-        assert rep.lhs == pytest.approx(1.0, abs=1e-12)
-        assert rep.rhs == pytest.approx(1.0, abs=1e-12)
+        assert rep.ln_lhs == pytest.approx(0.0, abs=1e-12)
+        assert rep.ln_rhs == pytest.approx(0.0, abs=1e-12)
 
     def test_two_site_quench_deviation(self):
         _, _, spec_i, spec_f, prop = quench_pipeline()
@@ -350,7 +358,26 @@ class TestJarzynski:
         rep = jarzynski_check(
             dist, log_partition_function(spec_i, BETA), log_partition_function(spec_f, BETA), BETA
         )
-        assert rep.abs_deviation < 1e-10
+        assert rep.rel_deviation < 1e-10
+
+    @pytest.mark.parametrize("beta", [100.0, 1000.0])
+    def test_large_beta_deviation_is_relative_and_finite(self, beta):
+        # <exp(-beta w)> and Z_f / Z_i are ~e^{0.2 beta} here (e^{200} at beta = 1000, past
+        # what an absolute difference of the two can resolve); their logs are not
+        _, _, spec_i, spec_f, prop = quench_pipeline(beta=beta)
+        dist = tpm_distribution(spec_i, spec_f, prop, beta)
+        rep = jarzynski_check(
+            dist, log_partition_function(spec_i, beta), log_partition_function(spec_f, beta), beta
+        )
+        assert rep.ln_rhs > 0.1 * beta
+        assert rep.rel_deviation < 1e-10
+
+    def test_atoms_of_zero_probability_are_left_out(self):
+        # w = -1000 at p = 0 would overflow exp(-beta w); the log-sum-exp skips it
+        dist = WorkDistribution(np.array([-1000.0, 0.5]), np.array([0.0, 1.0]), 0.0)
+        rep = jarzynski_check(dist, 0.0, -1.0, 2.0)
+        assert rep.ln_lhs == -1.0
+        assert rep.rel_deviation == 0.0
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -380,7 +407,7 @@ class TestJarzynski:
             log_partition_function(spec_f, beta),
             beta,
         )
-        assert rep.abs_deviation < 1e-8
+        assert rep.rel_deviation < 1e-8
         # first-law bound: mean work dominates the free-energy difference
         delta_f = -(log_partition_function(spec_f, beta) - log_partition_function(spec_i, beta)) / beta
         assert average_work(dist) >= delta_f - 1e-10
@@ -418,6 +445,12 @@ class TestAverageWorkAndEnergyBalance:
 
 
 class TestDeltaConcentration:
+    def test_atom_of_zero_probability_adds_nothing(self):
+        # its squared distance from the mean overflows, and 0 * inf would make the variance NaN
+        d = WorkDistribution(np.array([-1e300, 1e300]), np.array([0.0, 1.0]), 0.0)
+        with np.errstate(over="ignore"):
+            assert delta_concentration(d, 1e-6).variance == 0.0
+
     def test_time_independent_is_delta(self, chain4):
         _, h0, h1, spec0 = chain4
         p = DriveProtocol(kind="ramp_hold", lambda_final=0.0, t_total=3.0, velocity=0.0)
