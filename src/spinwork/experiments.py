@@ -174,7 +174,7 @@ class RunConfig:
             if self.scan == "pert_compare":  # and so do the three-point measure and the quadrature oracle
                 three_point_atom_counts([math.comb(n, k) for k in range(n + 1)])
                 # at one frequency: the run checks again at its merged two-point measure's count
-                check_quadrature(1, t_max, np.abs(default_u_grid(self.beta)).max())
+                check_quadrature(1, default_u_grid(self.beta), [p.t_total for p in protocols])
         except DimensionError as exc:
             raise ConfigError(str(exc)) from exc
         scale = abs(self.model.coupling) * (n - 1) * (1.0 + max(abs(p.lambda_final) for p in protocols))
@@ -383,9 +383,15 @@ def _run_levels(shared: dict, points: list, cfg: RunConfig, certify: bool, i: in
     level's step against the final Gibbs state.  The record adds the TPM work
     distribution of the level-0 propagator, whose Jarzynski deviation must be
     within IDENTITY_MONITOR (else :class:`CertificationError`).  The final
-    Hamiltonian is diagonalized once, within the first run's time."""
+    Hamiltonian is diagonalized once, within the first run's time.
+
+    A ramp is propagated to its ramp end only: the hold exp(-i H_f t) after it
+    commutes with the final Gibbs state and the eigenprojectors of H_f, so no
+    record depends on it.  A quench keeps its hold, one exact exponential."""
     spec, protocol, scan_value = points[i]
     steps = _steps(cfg.dt, protocol, certify)
+    if protocol.kind == "ramp_hold" and 0.0 < protocol.ramp_time < protocol.t_total:
+        protocol = replace(protocol, t_total=protocol.ramp_time)
     start = time.perf_counter()
     ops = shared.get(spec) or _ModelOps.build(spec)
     spec_f = eigendecompose(assemble(ops.h0, ops.h1, protocol.lambda_final))
@@ -641,7 +647,7 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
     ops = _ModelOps.build(cfg.model)
     u = default_u_grid(cfg.beta)
     m2 = two_point_measure(ops.spec0, ops.h1, cfg.beta)
-    check_quadrature(m2.omegas.size, max(p.t_total for p in protocols), np.abs(u).max())
+    check_quadrature(m2.omegas.size, u, [p.t_total for p in protocols])
     first = first_cumulant(ops.spec0, ops.h1, cfg.beta)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -29,9 +29,12 @@ Cost: H1 in the H0 eigenbasis is block diagonal over the blocks common to
 both (the chain's symmetry-adapted blocks in the pipeline), so both measures
 build their atoms per block: the three-point measure sum_b b^3 raw atoms
 instead of d^3, after a memory check.
-The quadrature oracle sums each leg over factored panels and derives u < 0 from
-|u| by conjugation; the legs and the e^{-i omega u} phase table do not depend on
-the coupling, so one oracle call builds them once for a whole coupling grid, and
+The quadrature oracle lays one grid of panels from 0 per rule level and shares it
+across every leg of a call: a leg [0, s] is a prefix sum over its whole panels
+plus one partial panel, so a rule level takes one exponential per (frequency,
+panel) and 8 per (frequency, partial panel), and u < 0 follows from |u| by
+conjugation.  The u legs and the e^{-i omega u} phase table do not depend on the
+coupling, so one oracle call builds them once for a whole coupling grid, and
 each run's terms are then products over the atoms for the whole u grid.
 """
 from __future__ import annotations
@@ -57,8 +60,9 @@ THREE_POINT_BYTES_PER_ATOM = 128
 # the quadrature oracle's gate: the most halving its time step may move ln chi
 QUADRATURE_DRIFT = 1e-7
 QUADRATURE_POINTS_PER_UNIT = 8.0
-# bytes per entry of a quadrature table, a frequency by a node: the outer product,
-# its complex multiple and their exponential
+# bytes per entry of the oracle's tables, a frequency by a shared panel or a partial panel's
+# node: 16 for the exponential, written in place, and the rest for the leg sums, the phase
+# table and the products beside it (one call at N = 7 peaks at 0.70 of the estimate)
 QUADRATURE_BYTES_PER_ENTRY = 40
 
 
@@ -219,7 +223,9 @@ def lnchi_second_order(
     + sum' (1 - e^{i omega u}) / omega^2 * A(omega) * g, with atoms below
     the frequency floor excluded from the primed sums and restored through their
     exact shape-independent limit (u^2/2) lam^2 g0 (real, since the
-    zero-frequency weight is real).
+    zero-frequency weight is real).  A(omega) and g are real, so the oscillating
+    sum is summed in real arithmetic at the distinct |u| only and u < 0 is filled
+    by conjugation.
     """
     u = np.asarray(u_grid, dtype=float)
     omega_floor = default_omega_floor(measure.frequency_scale)
@@ -238,13 +244,14 @@ def lnchi_second_order(
         )
 
     a_of_o = np.asarray(spectral_response(protocol, o), dtype=float)
+    spans, where = np.unique(np.abs(u), return_inverse=True)
+    theta, c = np.outer(spans, o), a_of_o * g / o**2
+    oscillating = ((1.0 - np.cos(theta)) @ c - 1j * (np.sin(theta) @ c))[where]
+    oscillating[u < 0] = np.conj(oscillating[u < 0])
     ln = (
         1j * u * lambda1 * first_cum
         + 1j * u * (lambda1 * lambda1) * float(np.sum(g / o))
-        + np.sum(
-            (1.0 - np.exp(1j * np.outer(u, o))) / o[None, :] ** 2 * (a_of_o * g)[None, :],
-            axis=1,
-        )
+        + oscillating
         + 0.5 * u**2 * (lambda1 * lambda1) * g0
     )
     samples = CfwSamples(u, np.exp(ln), ln)
@@ -261,60 +268,98 @@ def lnchi_second_order(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _gl_panels(a: float, b: float, points_per_unit: float, refine: int = 1):
-    """Midpoints and half-widths of the composite rule's panels on the oriented interval [a, b]."""
-    n_panels = refine * max(2, int(np.ceil(points_per_unit * abs(b - a))))
-    edges = np.linspace(a, b, n_panels + 1)
-    return (edges[:-1] + edges[1:]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+@dataclass(frozen=True)
+class _Panels:
+    """One rule level's shared panels [k width, (k + 1) width] on [0, length]: ``at_mid[:, k]`` is
+    e^{i omega mid_k} and ``in_panel[:, j]`` is e^{i omega (width / 2) x_j} for the Gauss nodes x_j."""
+
+    width: float
+    at_mid: np.ndarray
+    in_panel: np.ndarray
 
 
-def _gl_leg(a: float, b: float, points_per_unit: float, refine: int = 1):
-    """Composite 8-point Gauss-Legendre nodes/weights on the oriented interval [a, b]."""
-    mid, half = _gl_panels(a, b, points_per_unit, refine=refine)
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
+def _panel_width(length: float, points_per_unit: float) -> float:
+    """The coarse rule's panel width 1 / max(points_per_unit, 2 / length): at least two panels on the
+    longest leg [0, length]."""
+    return min(1.0 / points_per_unit, length / 2.0) if length > 0 else 1.0 / points_per_unit
 
 
-def check_quadrature(n_freqs: int, t_max: float, u_max: float) -> None:
-    """Raise ``DimensionError`` when the oracle's largest table at its refined rule, ``n_freqs``
-    frequencies by the nodes of a protocol leg [0, t_max] or by the panels of a u leg [0, u_max],
-    exceeds the memory limit at QUADRATURE_BYTES_PER_ENTRY (``spin_model.check_memory``)."""
-    panels = 2 * np.maximum(2.0, np.ceil(QUADRATURE_POINTS_PER_UNIT * np.array([t_max, u_max])))
-    entries = n_freqs * max(_GL_NODES.size * panels[0], panels[1])
-    check_memory(f"the quadrature oracle needs {entries:.3g} table entries", entries * QUADRATURE_BYTES_PER_ENTRY)
+def _partial_panels(spans: np.ndarray, width: float):
+    """The whole panels floor(s / width) of each span s, and the 8-point rule's nodes and weights,
+    one row per span, on its partial panel [floor(s / width) width, s]."""
+    whole = np.floor(spans / width)
+    lo = whole * width
+    mid, half = (lo + spans) / 2.0, (spans - lo) / 2.0
+    return whole.astype(int), mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS
 
 
-def _legs(omegas: np.ndarray, u_grid: np.ndarray, points_per_unit: float, refine: int = 1):
-    """Leg sums of the composite rule on [0, u] (:func:`_gl_leg`) for every u of the grid.
+def _layout(span: float, width: float):
+    """Nodes and weights, one row per panel, of the rule on [0, span]: its whole shared panels and then
+    the partial one (a span shorter than one panel is the partial panel alone)."""
+    (whole,), nodes, weights = _partial_panels(np.array([float(span)]), width)
+    mid = (np.arange(whole) + 0.5) * width
+    return (np.vstack([mid[:, None] + (width / 2.0) * _GL_NODES, nodes]),
+            np.vstack([np.tile((width / 2.0) * _GL_WEIGHTS, (whole, 1)), weights]))
 
-    Returns g[:, j] = sum_k e^{i omega tau_k} w_k and the tent-kernel sum
-    h[:, j] = sum_k e^{-i omega tau_k} (u_j - tau_k) w_k, one row per omega.
-    The rule on [0, -u] is the exact negation of the rule on [0, u], so only
-    the distinct |u| are summed and u < 0 follows by conjugation.  Each panel
-    factors as e^{i omega (mid_j + half x_k)} = e^{i omega mid_j} e^{i omega half x_k},
-    so a leg takes one exponential per panel and per Gauss node, not per node
-    of every panel; the panel sums themselves are summed term by term.
+
+def check_quadrature(n_freqs: int, u_grid: np.ndarray, t_totals: Sequence[float]) -> None:
+    """Raise ``DimensionError`` when the oracle's tables at its refined rule exceed the memory limit
+    at QUADRATURE_BYTES_PER_ENTRY (``spin_model.check_memory``): per frequency, one entry per shared
+    panel on the longest leg and one per node of each partial panel, one per distinct |u| and one per
+    run of ``t_totals``."""
+    spans = np.abs(np.asarray(u_grid, dtype=float))
+    length = max(spans.max(initial=0.0), *t_totals)
+    panels = np.floor(2.0 * length / _panel_width(length, QUADRATURE_POINTS_PER_UNIT))
+    entries = n_freqs * (panels + _GL_NODES.size * (np.unique(spans).size + len(t_totals)))
+    check_memory(f"the quadrature oracle needs {entries:.6g} table entries", entries * QUADRATURE_BYTES_PER_ENTRY)
+
+
+def _legs(omegas: np.ndarray, u_grid: np.ndarray, length: float, points_per_unit: float, refine: int = 1):
+    """Leg sums on [0, u] for every u of the grid, and the shared panels they are summed over.
+
+    One rule level lays panels of width w = :func:`_panel_width` / ``refine`` from 0 over
+    [0, length]; the rule on [0, s] is 8-point Gauss-Legendre on each whole panel below s and on the
+    partial panel [floor(s / w) w, s], so a span shorter than the refined width is one partial panel
+    at both levels.  Returns g[:, j] = sum_k e^{i omega tau_k} w_k, the tent-kernel sum
+    h[:, j] = sum_k e^{-i omega tau_k} (u_j - tau_k) w_k, one row per omega, and the
+    :class:`_Panels`.  A whole panel's node factors as e^{i omega mid} e^{i omega (w/2) x_k}, so
+    the whole panels of every span are prefix sums of one exponential per (omega, panel) and the 8
+    in-panel ones; each partial panel takes 8 exponentials per omega.  The rule on [0, -u] is the
+    exact negation of the rule on [0, u], so only the distinct |u| are summed and u < 0 follows by
+    conjugation.
     """
     u = np.asarray(u_grid, dtype=float)
     spans, where = np.unique(np.abs(u), return_inverse=True)
-    g = np.zeros((omegas.size, spans.size), dtype=complex)
-    h = np.zeros_like(g)
-    for j, span in enumerate(spans):
-        if span <= 1e-14:
-            continue
-        mid, half = _gl_panels(0.0, span, points_per_unit, refine=refine)
-        # the panels have one width up to roundoff, so one row of in-panel factors serves all
-        rule = np.exp(1j * np.outer(omegas, half[0] * _GL_NODES))
-        e_w, e_xw = rule @ _GL_WEIGHTS, rule @ (_GL_NODES * _GL_WEIGHTS)
-        panels = np.exp(1j * np.outer(omegas, mid))
-        g[:, j] = e_w * (panels @ half)
-        h[:, j] = np.conj(e_w * (panels @ (half * (span - mid))) - half[0] * e_xw * (panels @ half))
+    width = _panel_width(length, points_per_unit) / refine
+    mid = (np.arange(int(np.floor(length / width))) + 0.5) * width
+    half = width / 2.0
+    panels = _Panels(width, np.exp(1j * np.outer(omegas, mid)), np.exp(1j * np.outer(omegas, half * _GL_NODES)))
+    whole, nodes, weights = _partial_panels(spans, width)
+
+    # e^{i omega tau} at the partial panels' nodes, written in place: one (omega, span, node) table,
+    # freed before the whole panels' terms
+    part = np.zeros((omegas.size,) + nodes.shape, dtype=complex)
+    np.multiply.outer(omegas, nodes, out=part.imag)
+    np.exp(part, out=part)
+    g = np.einsum("fsj,sj->fs", part, weights)
+    h = np.einsum("fsj,sj->fs", part, (spans[:, None] - nodes) * weights)
+    del part
+
+    # prefix sums over the whole panels: sum_{k < n} e^{i omega mid_k} and the same weighted by mid_k
+    prefix = np.zeros((2, omegas.size, mid.size + 1), dtype=complex)
+    np.cumsum(panels.at_mid, axis=1, out=prefix[0, :, 1:])
+    np.cumsum(panels.at_mid * mid, axis=1, out=prefix[1, :, 1:])
+    p, m = prefix[:, :, whole]
+    del prefix
+    e_w = (panels.in_panel @ (half * _GL_WEIGHTS))[:, None]
+    e_xw = (panels.in_panel @ (half * _GL_NODES * _GL_WEIGHTS))[:, None]
+    g += e_w * p
+    h = np.conj(h + e_w * (spans * p - m) - half * e_xw * p)
     g, h = g[:, where], h[:, where]
     mirror = u < 0
     g[:, mirror] = -np.conj(g[:, mirror])
     h[:, mirror] = np.conj(h[:, mirror])
-    return g, h
+    return g, h, panels
 
 
 def _second_order_time_domain(
@@ -323,9 +368,7 @@ def _second_order_time_domain(
     protocol: DriveProtocol,
     lambda1: float,
     phase: np.ndarray,
-    legs: tuple[np.ndarray, np.ndarray],
-    points_per_unit: float,
-    refine: int = 1,
+    legs: tuple[np.ndarray, np.ndarray, _Panels],
 ) -> np.ndarray:
     """Second-order double time integrals of the exact expansion of ln chi.
 
@@ -336,18 +379,22 @@ def _second_order_time_domain(
     correlator (finite-sum algebra only; no frequency denominators appear).
     The leg on [t, t+u] is e^{i omega t} times the leg on [0, u], and the
     ordered double integral over [t, t+u]^2 reduces to the tent kernel on
-    [0, u]: ``legs`` is :func:`_legs` at the same ``refine`` and ``phase`` is
+    [0, u]: ``legs`` is :func:`_legs` at one rule level and ``phase`` is
     e^{-i omega u}, neither of which depends on the protocol, so each term is
-    one product over the atoms for the whole u grid.
+    one product over the atoms for the whole u grid.  The protocol leg
+    F(omega) = sum_s lambda(s) w_s e^{i omega s} on [0, t] reads the same panels: its
+    lambda(s) w_s on the whole panels form a real (panels, 8) table, and only its
+    partial panel takes exponentials of its own.
     """
     t = protocol.t_total
-    s_nodes, s_w = _gl_leg(0.0, t, points_per_unit, refine=refine)
-    lam_s = lambda_at(protocol, s_nodes) * s_w
-    # F(omega) = sum_s lam(s) ds e^{i omega s}
-    f = np.exp(1j * np.outer(omegas, s_nodes)) @ lam_s
+    g, h, panels = legs
+    nodes, w = _layout(t, panels.width)
+    lam_w = lambda_at(protocol, nodes) * w
+    n = lam_w.shape[0] - 1
+    f = (np.sum((panels.at_mid[:, :n] @ lam_w[:n]) * panels.in_panel, axis=1)
+         + np.exp(1j * np.outer(omegas, nodes[n])) @ lam_w[n])
     t_ab = -np.sum(coeffs * np.abs(f) ** 2)
 
-    g, h = legs
     at_t = np.exp(1j * omegas * t)
     t_e = (coeffs * np.abs(f) ** 2) @ phase
     t_c = -(lambda1 * lambda1) * (coeffs @ h)
@@ -369,22 +416,24 @@ def lnchi_second_order_quadrature(
     :func:`lnchi_second_order` and serves as the arbiter for its
     frequency-floor conventions.  ``runs`` is a sequence of
     ``(protocol, lambda1)`` pairs and one :class:`CfwSamples` is returned per
-    pair; the leg sums at both rule levels and the phase table depend only on
-    the measure's frequencies and the u grid, so they are built once for the
-    whole sequence.  Raises :class:`QuadratureError` when halving the
-    quadrature step moves any run's result by more than QUADRATURE_DRIFT.
+    pair.  Each rule level's panels are laid once over the longest leg L (the
+    largest |u| and every run's t_total) and shared by the u legs and every
+    run's protocol leg; the u leg sums at both rule levels and the phase table
+    do not depend on the protocol, so they are built once for the whole
+    sequence.  Raises :class:`QuadratureError` when halving the quadrature
+    step moves any run's result by more than QUADRATURE_DRIFT.
     """
     u = np.asarray(u_grid, dtype=float)
     # atoms (omega, a) of c(s) = <H1^I(s) H1^I(0)>_0 - <H1>_0^2 = sum a exp(i omega s):
     # the two-point measure with frequency and sign flipped
     omegas, coeffs = -measure.omegas[::-1], -measure.weights[::-1]
-    legs = {refine: _legs(omegas, u, points_per_unit, refine=refine) for refine in (1, 2)}
+    length = max(np.abs(u).max(initial=0.0), *(protocol.t_total for protocol, _ in runs))
+    legs = {refine: _legs(omegas, u, length, points_per_unit, refine=refine) for refine in (1, 2)}
     phase = np.exp(-1j * np.outer(omegas, u))
     out = []
     for protocol, lambda1 in runs:
         coarse, second = (
-            _second_order_time_domain(omegas, coeffs, protocol, lambda1, phase, legs[refine], points_per_unit, refine)
-            for refine in (1, 2)
+            _second_order_time_domain(omegas, coeffs, protocol, lambda1, phase, legs[refine]) for refine in (1, 2)
         )
         drift = float(np.abs(coarse - second).max())
         if not drift <= QUADRATURE_DRIFT:

@@ -162,13 +162,15 @@ def cfw_from_distribution(d: WorkDistribution, u_grid: np.ndarray) -> CfwSamples
 
     The weights are real, so chi(-u) = conj(chi(u)): the sum runs only at the
     distinct |u| of the grid and u < 0 is filled by conjugation.  It runs over
-    CHI_CHUNK atoms at a time, so no (u x atoms) array is formed."""
+    CHI_CHUNK atoms at a time, so no (u x atoms) array is formed, in real arithmetic:
+    cos(u w) @ p + i sin(u w) @ p."""
     u = np.asarray(u_grid, dtype=float)
     spans, where = np.unique(np.abs(u), return_inverse=True)
     chi_at = np.zeros(spans.shape, dtype=complex)
     for start in range(0, d.works.size, CHI_CHUNK):
         atoms = slice(start, start + CHI_CHUNK)
-        chi_at += np.exp(1j * np.outer(spans, d.works[atoms])) @ d.probabilities[atoms].astype(complex)
+        theta, p = np.outer(spans, d.works[atoms]), d.probabilities[atoms]
+        chi_at += np.cos(theta) @ p + 1j * (np.sin(theta) @ p)
     chi = chi_at[where]
     mirror = u < 0
     chi[mirror] = np.conj(chi[mirror])
@@ -285,9 +287,9 @@ def phase_linearity(c: CfwSamples) -> LinearityReport:
 def write_csv(path, header, columns) -> None:
     """UTF-8 CSV with LF line ends, one column per entry of ``columns``; every cell is
     written as the repr of the Python float its column's ``.tolist()`` gives."""
-    cells = [np.asarray(c, dtype=float).tolist() for c in columns]
+    cells = [list(map(repr, np.asarray(c, dtype=float).tolist())) for c in columns]
     lines = [",".join(header)]
-    lines.extend(",".join(map(repr, row)) for row in zip(*cells))
+    lines.extend(map(",".join, zip(*cells)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

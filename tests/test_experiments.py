@@ -419,6 +419,26 @@ class TestScans:
             records.append(run_single(cfg)[0])
         assert abs(records[0].infidelity - records[1].infidelity) < 1e-9
 
+    def test_ramp_points_propagate_to_their_ramp_end(self, monkeypatch):
+        # the v = 0.5 ramp ends at t = 0.2 of the scan's t_total = 2; its point stops there, while the
+        # quench keeps its hold, and the records are those of the held runs to roundoff
+        seen = []
+        monkeypatch.setattr(xp, "propagate", lambda h0, h1, p, dt: seen.append(p) or drive_dynamics.propagate(h0, h1, p, dt))
+        cfg = config_from_dict(tiny_config())
+        records = run_velocity_scan(cfg, threads=1)
+        points = {v: protocol for _, protocol, v in xp._velocity_points(cfg)}
+        assert points[0.5].t_total == 2.0 and points[0.5].ramp_time < 2.0
+        ramps = [p for p in seen if p.kind == "ramp_hold"]
+        assert all(p.t_total == p.ramp_time for p in ramps)
+        assert {p.t_total for p in ramps} == {points[0.05].ramp_time, points[0.5].ramp_time}
+        assert [p for p in seen if p.kind == "quench"] == [points[math.inf]]
+
+        monkeypatch.setattr(xp, "propagate", drive_dynamics.propagate)
+        held = xp._run_levels({}, [(cfg.model, replace(points[0.5], t_total=4.0), 0.5)], cfg, False, 0, (0,))[0][0][0]
+        (stopped,) = [r for r in records if r.scan_value == 0.5]
+        for name in ("infidelity", "avg_work", "jarzynski_deviation", "delta_variance"):
+            assert abs(getattr(held, name) - getattr(stopped, name)) <= 1e-14
+
 
 class TestBlockedOperators:
     def test_each_distinct_adapted_block_is_diagonalized_and_stepped_once(self, monkeypatch):
@@ -1071,7 +1091,7 @@ class TestCli:
             ("single_quench", {"model": {"n_sites": 3, "coupling": 1e300}, "protocol": {"kind": "quench", "t_total": 1e300}},
              r"model.coupling, lambda1: energy scale 2.2e\+300 times the longest time 1e\+300"),
             ("pert_compare", {"model": {"n_sites": 3, "coupling": 2.0}, "protocol": {"kind": "quench", "t_total": 1e300}},
-             r"the quadrature oracle needs 1.28e\+302 table entries"),
+             r"the quadrature oracle needs 1.6e\+301 table entries"),
             ("pert_compare", {"model": {"n_sites": 3, "coupling": 2.0}, "beta": 1e300},
              r"the quadrature oracle needs 8e\+301 table entries"),
         ],
@@ -1091,7 +1111,7 @@ class TestCli:
 
     def test_slow_ramp_pert_compare_validates_at_eight_sites(self, tmp_path, capsys, monkeypatch):
         # couplings up to 0.2 at the default velocity 1e-3 ramp for t = 200; the oracle's tables at
-        # the merged measure's 155 frequencies take an estimated 0.16 GB, so a 3 GB limit holds them
+        # the merged measure's 155 frequencies take an estimated 0.025 GB, so a 3 GB limit holds them
         monkeypatch.setattr(spin_model, "_memory_limit", lambda: 3 * 10**9)
         cfg = dict(SHIPPED["pert_compare"], model={"n_sites": 8, "coupling": 2.0},
                    protocol={"kind": "ramp_hold", "t_total": 2.0}, output_dir=str(tmp_path / "out"))
@@ -1103,7 +1123,9 @@ class TestCli:
     def test_pert_compare_checks_quadrature_tables_at_the_measure_size(self, tmp_path, capsys, monkeypatch):
         # a table entry so large that one frequency fits and two do not: validate-config passes,
         # and the run stops at its two-point measure's frequency count with a config error
-        nodes = 8 * 2 * 16  # the refined rule on the protocol leg [0, 2]
+        # per frequency at the refined rule: 80 shared panels on [0, 5], 8 nodes on each of the partial
+        # panels of the 101 distinct |u| and the 3 runs
+        nodes = 16 * 5 + 8 * (101 + 3)
         monkeypatch.setattr(spin_model, "_memory_limit", lambda: 8 * 10**9)
         monkeypatch.setattr(perturbative_cfw, "QUADRATURE_BYTES_PER_ENTRY", 6 * 10**9 // nodes)
         cfg = dict(SHIPPED["pert_compare"], model={"n_sites": 3, "coupling": 2.0}, output_dir=str(tmp_path / "out"))

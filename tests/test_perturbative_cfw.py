@@ -29,16 +29,17 @@ from spinwork import (
 from spinwork.perturbative_cfw import (
     DegenerateAtomWarning,
     QuadratureError,
-    _gl_leg,
     MERGE_TOLERANCE,
+    _layout,
     _legs,
+    _panel_width,
     default_omega_floor,
     third_order_adiabatic_coefficient,
 )
 
 from spinwork import spin_model
 from spinwork.spin_model import DimensionError, symmetry_adapted
-from spinwork.work_statistics import merge_atoms
+from spinwork.work_statistics import default_u_grid, merge_atoms
 
 from conftest import measure2_inverse_transform, measure3_inverse_transform, two_site_operators
 from test_reference import PERT_COMPARE_TOL
@@ -471,28 +472,34 @@ class TestSecondOrder:
 
 class TestQuadratureOracle:
     @pytest.mark.parametrize(
-        "a, b, points_per_unit, refine",
-        [(0.0, 1.0, 4.0, 1), (0.0, 3.7, 2.5, 2), (2.0, -1.5, 3.0, 1), (-0.3, 0.05, 10.0, 3)],
+        "span, width", [(0.03, 0.0625), (0.125, 0.125), (1.0, 0.125), (2.55, 0.0625), (5.0, 0.125)]
     )
-    def test_gl_leg_matches_leggauss(self, a, b, points_per_unit, refine):
+    def test_layout_panels_match_leggauss(self, span, width):
+        # leggauss(8) on each whole panel [k w, (k + 1) w] below the span and on the partial panel up to it
         x, w = np.polynomial.legendre.leggauss(8)
-        n_panels = refine * max(2, int(np.ceil(points_per_unit * abs(b - a))))
-        edges = np.linspace(a, b, n_panels + 1)
-        mid, half = (edges[:-1] + edges[1:]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
-        nodes, weights = _gl_leg(a, b, points_per_unit, refine=refine)
-        assert np.array_equal(nodes, (mid[:, None] + half[:, None] * x).ravel())
-        assert np.array_equal(weights, (half[:, None] * w).ravel())
-        assert abs(weights @ np.cos(nodes) - (np.sin(b) - np.sin(a))) < 1e-14
+        nodes, weights = _layout(span, width)
+        whole = int(np.floor(span / width))
+        assert nodes.shape == weights.shape == (whole + 1, 8)
+        edges = np.append(np.arange(whole + 1) * width, span)
+        lo, hi = edges[:-1, None], edges[1:, None]
+        assert np.abs(nodes - ((lo + hi) / 2.0 + (hi - lo) / 2.0 * x)).max() <= 1e-15 * span
+        assert np.abs(weights - (hi - lo) / 2.0 * w).max() <= 1e-16 * span
+        assert abs(weights.sum() - span) <= 1e-15 * span
+        assert abs(np.sum(weights * np.cos(nodes)) - np.sin(span)) < 1e-14
 
     @pytest.mark.parametrize("refine", [1, 2])
     def test_factored_legs_match_direct_sums(self, refine):
+        # u = 0, a span under the refined width, exact multiples of the coarse width, and |u| = L
         rng = np.random.default_rng(refine)
         omegas = rng.uniform(-30.0, 30.0, size=40)
-        spans = np.array([0.05, 0.3, 1.0, 2.55, 5.0])
-        u = np.concatenate([spans, -spans])
-        g, h = _legs(omegas, u, 8.0, refine=refine)
+        spans = np.array([0.0, 0.05, 0.3, 1.0, 1.25, 2.55, 5.0])
+        u = np.concatenate([spans, -spans[1:]])
+        g, h, panels = _legs(omegas, u, 5.0, 8.0, refine=refine)
+        assert panels.width == 0.125 / refine
         for j, uj in enumerate(u):
-            nodes, w = _gl_leg(0.0, uj, 8.0, refine=refine)
+            nodes, w = _layout(abs(uj), panels.width)
+            # the rule on [0, -s] is the negation of the rule on [0, s]
+            nodes, w = np.sign(uj) * nodes.ravel(), np.sign(uj) * w.ravel()
             direct_g = np.exp(1j * np.outer(omegas, nodes)) @ w
             direct_h = np.exp(-1j * np.outer(omegas, nodes)) @ ((uj - nodes) * w)
             assert np.abs(g[:, j] - direct_g).max() < 1e-13 * (1 + uj**2)
@@ -501,13 +508,43 @@ class TestQuadratureOracle:
     def test_negative_u_legs_mirror_exactly(self):
         omegas = np.random.default_rng(5).uniform(-30.0, 30.0, size=40)
         u = np.array([0.0, 0.3, 2.55, 5.0])
-        g, h = _legs(omegas, u, 8.0)
-        g_neg, h_neg = _legs(omegas, -u, 8.0)
+        g, h, _ = _legs(omegas, u, 5.0, 8.0)
+        g_neg, h_neg, _ = _legs(omegas, -u, 5.0, 8.0)
         assert np.array_equal(g_neg, -np.conj(g))
         assert np.array_equal(h_neg, np.conj(h))
-        nodes, w = _gl_leg(0.0, 2.55, 8.0)
-        mirrored, mirrored_w = _gl_leg(0.0, -2.55, 8.0)
-        assert np.array_equal(mirrored, -nodes) and np.array_equal(mirrored_w, -w)
+
+    @pytest.mark.parametrize("length", [0.2, 5.0, 200.0])
+    def test_coarse_and_refined_rules_differ_past_one_refined_panel(self, length):
+        # below the refined width both levels are the one partial panel [0, s]; past it they differ
+        coarse = _panel_width(length, 8.0)
+        fine = coarse / 2.0
+        assert length / coarse >= 2.0
+        for span in [0.5 * fine, 0.999 * fine, 1.001 * fine, coarse, 1.5 * coarse, 0.7 * length, length]:
+            (a, wa), (b, wb) = _layout(span, coarse), _layout(span, fine)
+            if span < fine:
+                assert np.array_equal(a, b) and np.array_equal(wa, wb)
+            else:
+                assert not np.array_equal(np.unique(a[wa != 0]), np.unique(b[wb != 0]))
+
+    def test_oracle_peak_is_within_its_table_estimate(self, monkeypatch):
+        # the benchmark's pert-quench: N = 7, J = 2, beta = 1, quenches to t = 2 at three couplings
+        spec = SpinChainSpec(7, 2.0)
+        h0, h1, _ = symmetry_adapted(build_hopping(spec), build_zz(spec))
+        spec0 = eigendecompose(h0)
+        m2, fc = two_point_measure(spec0, h1, BETA), first_cumulant(spec0, h1, BETA)
+        u = default_u_grid(BETA)
+        runs = [(DriveProtocol(kind="quench", lambda_final=lam, t_total=2.0), lam) for lam in (0.05, 0.1, 0.2)]
+        estimates = []
+        monkeypatch.setattr(pcfw, "check_memory", lambda what, estimate: estimates.append(estimate))
+        pcfw.check_quadrature(m2.omegas.size, u, [protocol.t_total for protocol, _ in runs])
+        tracemalloc.start()
+        try:
+            lnchi_second_order_quadrature(m2, runs, fc, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m2.omegas.size == 65
+        assert peak <= estimates[0]
 
     @pytest.mark.parametrize(
         "protocol",

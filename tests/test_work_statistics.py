@@ -539,6 +539,17 @@ class TestWriteCsv:
         assert lines[1].split(",")[:2] == ["-0.0", "0.1"]
         assert lines[6].split(",")[0] == "5e-324"
 
+    def test_column_formatting_matches_the_per_row_formulation(self, tmp_path):
+        # the writer reprs column by column; joining repr of every cell row by row gives the same bytes
+        rng = np.random.default_rng(3)
+        values = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1.0, -2.0, 3.0, 1e16, 1843.0])
+        columns = [rng.permutation(values), values, np.arange(values.size), rng.normal(size=values.size) * 1e-13]
+        path = tmp_path / "c.csv"
+        work_statistics.write_csv(path, ["a", "b", "c", "d"], columns)
+        cells = [np.asarray(c, dtype=float).tolist() for c in columns]
+        per_row = "\n".join(["a,b,c,d"] + [",".join(map(repr, row)) for row in zip(*cells)]) + "\n"
+        assert path.read_bytes() == per_row.encode("utf-8")
+
     def test_no_rows_writes_header_only(self, tmp_path):
         path = tmp_path / "c.csv"
         work_statistics.write_csv(path, ["a", "b"], [np.array([]), []])
