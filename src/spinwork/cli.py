@@ -46,25 +46,24 @@ def _worker_count(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser: the command and the options that every command shares."""
     parser = argparse.ArgumentParser(
         prog="spinwork",
         description="Work-statistics scans for driven XXZ chains",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in [*_SUBCOMMAND_SCAN, "validate-config"]:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--output", default=None, help="output directory override")
-        p.add_argument("--dt", type=float, default=None, help="time step override")
-        p.add_argument("--threads", type=_worker_count, default=None,
-                       help="worker pool size (default: the CPUs this process may run on)")
-        p.add_argument("--full-scale", action="store_true", help="run the long N=11 variant")
-        p.add_argument(
-            "--fidelity-convention",
-            choices=["f", "sqrtf"],
-            default=None,
-            help="infidelity as 1-F (f) or 1-sqrt(F) (sqrtf)",
-        )
+    parser.add_argument("command", choices=[*_SUBCOMMAND_SCAN, "validate-config"])
+    parser.add_argument("--config", required=True, help="path to the JSON run config")
+    parser.add_argument("--output", default=None, help="output directory override")
+    parser.add_argument("--dt", type=float, default=None, help="time step override")
+    parser.add_argument("--threads", type=_worker_count, default=None,
+                        help="worker pool size (default: the CPUs this process may run on)")
+    parser.add_argument("--full-scale", action="store_true", help="run the long N=11 variant")
+    parser.add_argument(
+        "--fidelity-convention",
+        choices=["f", "sqrtf"],
+        default=None,
+        help="infidelity as 1-F (f) or 1-sqrt(F) (sqrtf)",
+    )
     return parser
 
 
@@ -83,7 +82,7 @@ def _load(args) -> tuple[xp.RunConfig, int]:
         cfg.output_dir = args.output
     elif os.environ.get("SPINWORK_OUTPUT_DIR"):
         cfg.output_dir = os.environ["SPINWORK_OUTPUT_DIR"]
-    if getattr(args, "full_scale", False):
+    if args.full_scale:
         cfg.model = xp.SpinChainSpec(11, cfg.model.coupling, cfg.model.boundary)
         if cfg.scan == "size":
             cfg.grid = sorted(set(int(v) for v in cfg.grid) | {10, 11})

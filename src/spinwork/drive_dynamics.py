@@ -16,12 +16,13 @@ Propagation conventions (hbar = 1, time in inverse energy units):
     k // 3, so the schedule is closed-form (``_WIDTHS``, ``_MIDS``, ``_GAPS``) and is
     built ``KICK_CHUNK`` substeps at a time: no allocation grows with the step count.
   * Each block common to H0 and H1 is propagated on its own with one substep
-    schedule shared by all, once per distinct (bit-identical) block pair, and U
-    is an operator on the same blocks.  On the chain's symmetry-adapted blocks
-    (``spin_model.symmetry_adapted``) a spin-flip pair of sectors is one pair of
-    arrays, stepped once in reflection parity blocks: 7.9x fewer counted flops
-    per substep at N = 9 than stepping every sector.  For real H0 and H1 the
-    ``eigh`` are real; U, the kicks and the H0 factors are complex.
+    schedule shared by all, and U is an operator on the same blocks.  On the
+    chain's symmetry-adapted blocks (``spin_model.symmetry_adapted``) a spin-flip
+    pair of sectors is one pair of arrays, stepped once in reflection parity
+    blocks (7.9x fewer counted flops per substep at N = 9 than stepping every
+    sector); the copy's U block is its partner's array, its unitarity defect is
+    counted twice, and ``evolve_density`` evolves the pair once.  For real H0 and
+    H1 the ``eigh`` are real; U, the kicks and the H0 factors are complex.
 
 Stepping is fourth-order Suzuki: each step is the triple-jump composition of
 three Strang substeps (half H0, diagonal H1 kick, half H0), which keeps
@@ -30,12 +31,13 @@ part diagonal on its blocks.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .spin_model import OperatorMatrix, common_blocks, once_per_copy
+from .spin_model import OperatorMatrix, common_blocks, copies, once_per_copy
 from .spectral_core import DensityMatrix
 
 #: Triple-jump composition coefficients of a Suzuki-4 step.
@@ -215,31 +217,37 @@ def _propagate_block(h0: np.ndarray, h1: np.ndarray, p: DriveProtocol, nsteps: i
 def propagate(h0: OperatorMatrix, h1: OperatorMatrix, p: DriveProtocol, dt: float) -> PropagatorResult:
     """Time-ordered propagator U(t_total) for H(t) = H0 + lambda(t) H1, in Suzuki-4 steps of ~dt.
 
-    Each block common to H0 and H1 is stepped on its own, once per distinct (H0 block,
-    H1 block) pair (see the module notes); H1 must be diagonal on its blocks."""
+    Each block common to H0 and H1 is stepped on its own, once per group of
+    ``spin_model.copies`` (see the module notes); H1 must be diagonal on its blocks."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     blocks = common_blocks(h0.blocks, h1.blocks)
     pairs = [(h0b, h1b) for _, ((_, h0b), (_, h1b)) in blocks]
-    scale = max(max(np.abs(np.diag(b)).max() for _, b in pairs), 1.0)
-    if any(np.abs(b - np.diag(np.diag(b))).max() > 1e-12 * scale for _, b in pairs):
+    first = copies(*zip(*pairs))
+    distinct = Counter(first)  # {position: multiplicity}
+    h1_blocks = [pairs[i][1] for i in distinct]
+    scale = max(max(np.abs(np.diag(b)).max() for b in h1_blocks), 1.0)
+    if any(np.abs(b - np.diag(np.diag(b))).max() > 1e-12 * scale for b in h1_blocks):
         raise ValueError("propagate requires the interaction part diagonal on its blocks")
 
     nsteps = _step_count(p, dt)
-    stepped = once_per_copy(lambda a0, a1: _propagate_block(a0, a1, p, nsteps), *zip(*pairs))
+    stepped = {i: _propagate_block(*pairs[i], p, nsteps) for i in distinct}
 
     # U^dag U - 1 vanishes between blocks, so the blocks' Frobenius defects add up
-    defect = float(np.sqrt(sum(np.linalg.norm(ub.conj().T @ ub - np.eye(ub.shape[0])) ** 2 for ub in stepped)))
+    defect = float(np.sqrt(sum(distinct[i] * np.linalg.norm(ub.conj().T @ ub - np.eye(ub.shape[0])) ** 2
+                               for i, ub in stepped.items())))
     if not defect <= UNITARITY_ABORT:
         raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {UNITARITY_ABORT}")
     return PropagatorResult(
-        unitary=OperatorMatrix(tuple((idx, idx, ub) for (idx, _), ub in zip(blocks, stepped)), hermitian=False),
+        unitary=OperatorMatrix(tuple((idx, idx, stepped[i]) for (idx, _), i in zip(blocks, first)), hermitian=False),
         dt_used=p.ramp_time / nsteps if nsteps else p.t_total,
         unitarity_defect=defect,
     )
 
 
 def evolve_density(rho0: DensityMatrix, u: PropagatorResult) -> DensityMatrix:
-    """U rho U^dag as factors: X -> U X on each block common to U and rho."""
+    """U rho U^dag as factors: X -> U X on each block common to U and rho, once per group of
+    ``spin_model.copies``: a flip copy's evolved factor is its partner's array."""
     blocks = common_blocks(u.unitary.blocks, rho0.blocks)
-    return DensityMatrix(rho0.weights, tuple((rows, cols, m @ x) for rows, ((_, m), (cols, x)) in blocks))
+    evolved = once_per_copy(np.matmul, *zip(*((m, x) for _, ((_, m), (_, x)) in blocks)))
+    return DensityMatrix(rho0.weights, tuple((rows, cols, ux) for (rows, (_, (cols, _))), ux in zip(blocks, evolved)))

@@ -28,7 +28,9 @@ at all).  Quasi-degenerate atoms just above the floor are reported via
 Cost: H1 in the H0 eigenbasis is block diagonal over the blocks common to
 both (the chain's symmetry-adapted blocks in the pipeline), so both measures
 build their atoms per block: the three-point measure sum_b b^3 raw atoms
-instead of d^3, after a memory check.
+instead of d^3, after a memory check.  A spin-flip copy's atoms are its
+partner's bit for bit (``spin_model.copies``), so each pair's atoms are built
+once at doubled weight and the sums run over the distinct blocks only.
 The quadrature oracle lays one grid of panels from 0 per rule level and shares it
 across every leg of a call: a leg [0, s] is a prefix sum over its whole panels
 plus one partial panel, so a rule level takes one exponential per (frequency,
@@ -40,6 +42,7 @@ each run's terms are then products over the atoms for the whole u grid.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -47,8 +50,8 @@ import numpy as np
 
 from .drive_dynamics import DriveProtocol, lambda_at, spectral_response
 from .spectral_core import SpectralDecomposition, boltzmann_weights, thermal_expectation
-from .spin_model import OperatorMatrix, check_memory, common_blocks
-from .work_statistics import CfwSamples, merge_atoms, write_csv
+from .spin_model import OperatorMatrix, check_memory, common_blocks, copies
+from .work_statistics import CfwSamples, distinct_spans, merge_atoms, write_csv
 
 WEIGHT_FLOOR = 1e-12
 # frequencies of the measures that chain together within this are one atom
@@ -109,11 +112,17 @@ def first_cumulant(h0_spec: SpectralDecomposition, h1: OperatorMatrix, beta: flo
 
 
 def _interaction_blocks(h0_spec: SpectralDecomposition, h1: OperatorMatrix, p: np.ndarray):
-    """a = V_0^dag H1 V_0 as (eigen-columns, block) pairs, one per block common to
-    V_0 and H1, and <H1>_0 = sum_n p_n a_nn for the weights p."""
-    common = common_blocks(h0_spec.blocks, h1.blocks)
-    blocks = [(cols, v.conj().T @ h @ v) for _, ((cols, v), (_, h)) in common]
-    return blocks, float(sum(np.real(p[cols] @ np.diag(ab)) for cols, ab in blocks))
+    """a = V_0^dag H1 V_0 as (eigen-columns, block, multiplicity) triples, one per group of
+    ``spin_model.copies`` among the blocks common to V_0 and H1 (a flip copy, whose
+    eigenvalues and weights p are its partner's, counts as its partner), and
+    <H1>_0 = sum_n p_n a_nn."""
+    e = h0_spec.eigenvalues
+    common = [(cols, v, h) for _, ((cols, v), (_, h)) in common_blocks(h0_spec.blocks, h1.blocks)]
+    blocks = []
+    for i, count in Counter(copies(*zip(*((v, h, e[cols], p[cols]) for cols, v, h in common)))).items():
+        cols, v, h = common[i]
+        blocks.append((cols, v.conj().T @ h @ v, count))
+    return blocks, float(sum(count * np.real(p[cols] @ np.diag(ab)) for cols, ab, count in blocks))
 
 
 def two_point_measure(
@@ -130,8 +139,8 @@ def two_point_measure(
     blocks, mean = _interaction_blocks(h0_spec, h1, p)
     e = h0_spec.eigenvalues
     # omega[n, m] = E_m - E_n within each block, flattened; a vanishes between blocks
-    omegas = np.concatenate([np.subtract.outer(e[cols], e[cols]).T.ravel() for cols, _ in blocks])
-    weights = np.concatenate([-(p[cols, None] * np.abs(ab) ** 2).ravel() for cols, ab in blocks])
+    omegas = np.concatenate([np.subtract.outer(e[cols], e[cols]).T.ravel() for cols, _, _ in blocks])
+    weights = np.concatenate([-(count * p[cols, None] * np.abs(ab) ** 2).ravel() for cols, ab, count in blocks])
     omegas, weights = merge_atoms(omegas[:, None], weights, MERGE_TOLERANCE)
     # the raw frequencies come in exact +-pairs, so chain k mirrors chain -1-k: their
     # means' half-difference places each atom at the exact negation of its mirror's
@@ -163,15 +172,16 @@ def three_point_measure(
 
     a = V_0^dag H1 V_0 is block diagonal over the blocks common to V_0 and H1,
     and a raw weight vanishes exactly unless n, m and k share a block, so raw
-    atoms and pair subtractions are built per block: sum_b (b^3 + 3 b^2) + 1
-    atoms instead of d^3 + 3 d^2 + 1, checked against the memory limit before
-    allocating (:func:`three_point_atom_counts`).
+    atoms and pair subtractions are built per block, a flip pair's once at doubled
+    weight: sum_b (b^3 + 3 b^2) + 1 atoms over the distinct blocks instead of
+    d^3 + 3 d^2 + 1, checked against the memory limit before allocating
+    (:func:`three_point_atom_counts`).
     """
     p = boltzmann_weights(h0_spec, beta)
     blocks, mean = _interaction_blocks(h0_spec, h1, p)
     e = h0_spec.eigenvalues
 
-    n_raw, n_pair, n_atoms = three_point_atom_counts([cols.size for cols, _ in blocks])
+    n_raw, n_pair, n_atoms = three_point_atom_counts([cols.size for cols, _, _ in blocks])
 
     # rows: the raw atoms (n, m, k), then the three pair subtractions
     # <AB><C>, <AC><B>, <BC><A> over (n, m), then the 2<A><B><C> atom at the origin
@@ -180,19 +190,19 @@ def three_point_measure(
     sub = coords[n_raw:-1].reshape(3, n_pair, 2)
     sub_w = weights[n_raw:-1].reshape(3, n_pair)
     raw_at = pair_at = 0
-    for cols, ab in blocks:
-        b = cols.size
+    for cols, ab, count in blocks:
+        b, pw = cols.size, count * p[cols]
         gap = np.subtract.outer(e[cols], e[cols])  # gap[i, j] = E_i - E_j
         raw = coords[raw_at : raw_at + b**3].reshape(b, b, b, 2)
         raw[..., 0] = -gap[:, :, None]  # E_m - E_n
         raw[..., 1] = gap.T[None, :, :]  # gap.T[m, k] = E_k - E_m
         raw_w = weights[raw_at : raw_at + b**3].reshape(b, b, b)
-        np.einsum("n,nm,mk,kn->nmk", p[cols], ab, ab, ab, out=raw_w)
+        np.einsum("n,nm,mk,kn->nmk", pw, ab, ab, ab, out=raw_w)
         pairs = slice(pair_at, pair_at + b * b)
         sub[0, pairs, 0] = sub[1, pairs, 0] = -gap.ravel()
         sub[0, pairs, 1] = gap.ravel()
         sub[2, pairs, 1] = -gap.ravel()
-        sub_w[:, pairs] = -mean * (p[cols, None] * np.abs(ab) ** 2).ravel()
+        sub_w[:, pairs] = -mean * (pw[:, None] * np.abs(ab) ** 2).ravel()
         raw_at += b**3
         pair_at += b * b
     weights[-1] = 2 * (mean * mean * mean)
@@ -244,7 +254,7 @@ def lnchi_second_order(
         )
 
     a_of_o = np.asarray(spectral_response(protocol, o), dtype=float)
-    spans, where = np.unique(np.abs(u), return_inverse=True)
+    spans, where = distinct_spans(u)
     theta, c = np.outer(spans, o), a_of_o * g / o**2
     oscillating = ((1.0 - np.cos(theta)) @ c - 1j * (np.sin(theta) @ c))[where]
     oscillating[u < 0] = np.conj(oscillating[u < 0])
@@ -310,7 +320,7 @@ def check_quadrature(n_freqs: int, u_grid: np.ndarray, t_totals: Sequence[float]
     spans = np.abs(np.asarray(u_grid, dtype=float))
     length = max(spans.max(initial=0.0), *t_totals)
     panels = np.floor(2.0 * length / _panel_width(length, QUADRATURE_POINTS_PER_UNIT))
-    entries = n_freqs * (panels + _GL_NODES.size * (np.unique(spans).size + len(t_totals)))
+    entries = n_freqs * (panels + _GL_NODES.size * (distinct_spans(spans)[0].size + len(t_totals)))
     check_memory(f"the quadrature oracle needs {entries:.6g} table entries", entries * QUADRATURE_BYTES_PER_ENTRY)
 
 
@@ -329,7 +339,7 @@ def _legs(omegas: np.ndarray, u_grid: np.ndarray, length: float, points_per_unit
     conjugation.
     """
     u = np.asarray(u_grid, dtype=float)
-    spans, where = np.unique(np.abs(u), return_inverse=True)
+    spans, where = distinct_spans(u)
     width = _panel_width(length, points_per_unit) / refine
     mid = (np.arange(int(np.floor(length / width))) + 0.5) * width
     half = width / 2.0

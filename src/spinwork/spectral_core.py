@@ -27,11 +27,12 @@ infidelity convention as a flag.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import OperatorMatrix, common_blocks, dense_view, once_per_copy
+from .spin_model import OperatorMatrix, common_blocks, copies, dense_view, once_per_copy
 
 PSD_TOLERANCE = 1e-12
 TRACE_TOLERANCE = 1e-10
@@ -98,8 +99,8 @@ class DensityMatrix:
 
 def eigendecompose(h: OperatorMatrix) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian operator, block by block, eigenvalues
-    ascending (a stable merge of the blocks' eigenvalues); a block bit-identical
-    to an earlier one reuses that one's ``eigh``."""
+    ascending (a stable merge of the blocks' eigenvalues); a flip copy (``copies``)
+    shares its partner's ``eigh``, so its eigenvectors are the same array."""
     if not h.hermitian:
         raise ValueError("eigendecompose requires an operator built with hermitian=True")
     eighs = once_per_copy(np.linalg.eigh, [a for _, _, a in h.blocks])
@@ -143,11 +144,14 @@ def log_partition_function(spec: SpectralDecomposition, beta: float) -> float:
 
 
 def expectation(rho: DensityMatrix, a: OperatorMatrix) -> float:
-    """tr[rho a] = sum_c p_c (X^dag a X)_cc over the blocks common to the state and a."""
-    return float(sum(
-        np.real(rho.weights[cols] @ np.einsum("in,in->n", x.conj(), ab @ x))
-        for _, ((cols, x), (_, ab)) in common_blocks(rho.blocks, a.blocks)
-    ))
+    """tr[rho a] = sum_c p_c (X^dag a X)_cc over the blocks common to the state and a, a flip
+    copy's term counted at its partner's (``copies``)."""
+    blocks = [(x, ab, rho.weights[cols]) for _, ((cols, x), (_, ab)) in common_blocks(rho.blocks, a.blocks)]
+    total = 0.0
+    for i, count in Counter(copies(*zip(*blocks))).items():
+        x, ab, p = blocks[i]
+        total += count * float(np.real(p @ np.einsum("in,in->n", x.conj(), ab @ x)))
+    return total
 
 
 def thermal_expectation(h_spec: SpectralDecomposition, beta: float, a: OperatorMatrix) -> float:
@@ -160,13 +164,15 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
     Read from the two states' factors rho = X diag(p) X^dag and
     sigma = Y diag(q) Y^dag: F is the square of the summed singular values of
-    diag(sqrt q) Y^dag X diag(sqrt p) over the blocks common to both.
+    diag(sqrt q) Y^dag X diag(sqrt p) over the blocks common to both, a flip copy's
+    sum counted at its partner's (``copies``).
     """
+    blocks = [(x, y, rho.weights[cx], sigma.weights[cy])
+              for _, ((cx, x), (cy, y)) in common_blocks(rho.blocks, sigma.blocks)]
     root = 0.0
-    for _, ((cx, x), (cy, y)) in common_blocks(rho.blocks, sigma.blocks):
-        a = x * np.sqrt(rho.weights[cx])
-        b = y * np.sqrt(sigma.weights[cy])
-        root += float(np.linalg.svd(b.conj().T @ a, compute_uv=False).sum())
+    for i, count in Counter(copies(*zip(*blocks))).items():
+        x, y, p, q = blocks[i]
+        root += count * float(np.linalg.svd((y * np.sqrt(q)).conj().T @ (x * np.sqrt(p)), compute_uv=False).sum())
     return float(min(root * root, 1.0))
 
 

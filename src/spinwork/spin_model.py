@@ -24,8 +24,10 @@ Eigenvectors and state factors are (rows, cols, array) triples too, and
 The pipeline runs on the chain's symmetry-adapted blocks (``symmetry_adapted``):
 each sector split into the +-1 eigenspaces of the site reflection (and of the
 spin flip on the middle sector), sector N - k written in the flip image of
-sector k's basis so that its blocks are sector k's arrays, which
-``eigendecompose`` and ``propagate`` then treat once (``once_per_copy``).
+sector k's basis so that its blocks are sector k's arrays.  After the build a flip
+copy is its partner counted twice: every stage finds it by array identity (``copies``),
+computes its partner's result once and shares it (``once_per_copy``), and counts the
+partner's sums, atoms and defects at multiplicity 2.
 ``check_memory`` is the one memory guard: it raises :class:`DimensionError` when an estimate
 (a scan point's by ``chain_points``, from its C(2N, N) sector-block entries) exceeds the limit.
 """
@@ -260,16 +262,23 @@ def symmetry_adapted(h0: OperatorMatrix, h1: OperatorMatrix) -> tuple[OperatorMa
             OperatorMatrix(tuple(zip(cols, cols, b1)), h1.hermitian), tuple(zip(rows, cols, isometries)))
 
 
+def copies(*columns) -> list[int]:
+    """For each position of equally long sequences of arrays, the first position holding the same
+    arrays: each 2-d array (a block, its eigenvectors, its propagator) the same object, as a flip
+    copy's are its partner's (``symmetry_adapted``) and stay through every stage that computes them
+    once, and each 1-d array (a block's eigenvalues or weights) equal bit for bit.  A position that
+    is its own first stands for its copies: ``Counter`` of the list gives its multiplicity."""
+    entries, first = list(zip(*columns)), {}  # holds every array, so no id is reused meanwhile
+    return [first.setdefault(tuple(id(a) if a.ndim > 1 else (a.dtype.str, a.tobytes()) for a in arrays), i)
+            for i, arrays in enumerate(entries)]
+
+
 def once_per_copy(fn, *columns) -> list:
     """``fn(*arrays)`` at each position of equally long sequences of arrays, run once per
-    distinct tuple of bit-identical arrays: positions holding copies share its result."""
-    results, out = {}, []
-    for arrays in zip(*columns):
-        key = tuple((a.shape, a.dtype.str, a.tobytes()) for a in arrays)
-        if key not in results:
-            results[key] = fn(*arrays)
-        out.append(results[key])
-    return out
+    group of :func:`copies`: a copy shares its first's result object."""
+    first = copies(*columns)
+    done = {i: fn(*(column[i] for column in columns)) for i in dict.fromkeys(first)}
+    return [done[i] for i in first]
 
 
 def build_hopping(spec: SpinChainSpec) -> OperatorMatrix:
@@ -299,9 +308,11 @@ def build_zz(spec: SpinChainSpec) -> OperatorMatrix:
 
 
 def assemble(h0: OperatorMatrix, h1: OperatorMatrix, lam: float) -> OperatorMatrix:
-    """Full Hamiltonian H = H0 + lam * H1, block by block."""
+    """Full Hamiltonian H = H0 + lam * H1, block by block, once per group of :func:`copies`."""
     blocks = common_blocks(h0.blocks, h1.blocks)
-    return OperatorMatrix(tuple((rows, rows, a + lam * b) for rows, ((_, a), (_, b)) in blocks))
+    a, b = zip(*((a, b) for _, ((_, a), (_, b)) in blocks))
+    summed = once_per_copy(lambda a, b: a + lam * b, a, b)
+    return OperatorMatrix(tuple((rows, rows, h) for (rows, _), h in zip(blocks, summed)))
 
 
 def magnetization_sectors(n_sites: int) -> list[np.ndarray]:

@@ -7,13 +7,15 @@ continuous phase unwrapping along the u grid, anchored so ln chi(0) = 0.
 """
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .drive_dynamics import PropagatorResult
 from .spectral_core import DensityMatrix, SpectralDecomposition, boltzmann_weights, expectation
-from .spin_model import OperatorMatrix, common_blocks
+from .spin_model import OperatorMatrix, common_blocks, copies, once_per_copy
 
 NORMALIZATION_TOLERANCE = 1e-8
 # atoms per term of the chi(u) sum: 201 u values x 4096 atoms is a 13 MB array
@@ -98,9 +100,22 @@ def _transition_kernel(
     spec_i: SpectralDecomposition, spec_f: SpectralDecomposition, u: PropagatorResult
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """M = |V_f^dag U V_i|^2 as (final columns, initial columns, block) triples, one
-    per block common to the three inputs; M vanishes between them."""
+    per block common to the three inputs; M vanishes between them.  A flip copy's
+    block is its partner's array (``spin_model.once_per_copy``)."""
     blocks = common_blocks(u.unitary.blocks, spec_i.blocks, spec_f.blocks)
-    return [(cf, ci, np.abs((vf.conj().T @ m) @ vi) ** 2) for _, ((_, m), (ci, vi), (cf, vf)) in blocks]
+    kernel = once_per_copy(lambda m, vi, vf: np.abs((vf.conj().T @ m) @ vi) ** 2,
+                           *zip(*((m, vi, vf) for _, ((_, m), (_, vi), (_, vf)) in blocks)))
+    return [(cf, ci, k) for (_, (_, (ci, _), (cf, _))), k in zip(blocks, kernel)]
+
+
+def _counted_kernel(spec_i: SpectralDecomposition, spec_f: SpectralDecomposition, u: PropagatorResult):
+    """The transition kernel's (final columns, initial columns, block, multiplicity) once per
+    group of ``spin_model.copies``: a flip copy's raw atoms (its block and both blocks'
+    eigenvalues) are its partner's bit for bit, so they count as the partner's at multiplicity 2."""
+    kernel = _transition_kernel(spec_i, spec_f, u)
+    e_i, e_f = spec_i.eigenvalues, spec_f.eigenvalues
+    first = copies([k for _, _, k in kernel], [e_i[ci] for _, ci, _ in kernel], [e_f[cf] for cf, _, _ in kernel])
+    return [(*kernel[i], count) for i, count in Counter(first).items()]
 
 
 def tpm_distribution(
@@ -115,19 +130,20 @@ def tpm_distribution(
     w = E^f_m - E^i_n carries M_mn p_n with p the initial Boltzmann weights.
     Raw atoms are built only inside the blocks common to U and both
     eigenbases (sum_b b_i b_f of them, C(2N, N) for the XXZ chain), since a
-    transition between blocks has probability exactly 0.  Chains of works
+    transition between blocks has probability exactly 0, and a flip copy's
+    atoms enter once, as its partner's at doubled probability.  Chains of works
     with gaps within the merge tolerance are merged (:func:`merge_atoms`) at
     the probability-weighted mean work; with a zero tolerance (both spectra
     flat) exact ties still merge.
     """
-    kernel = _transition_kernel(spec_i, spec_f, u)
+    kernel = _counted_kernel(spec_i, spec_f, u)
     merge_tolerance = default_merge_tolerance(spec_i, spec_f)
     p = boltzmann_weights(spec_i, beta)
     e_i, e_f = spec_i.eigenvalues, spec_f.eigenvalues
-    works = np.concatenate([np.subtract.outer(e_f[cf], e_i[ci]).ravel() for cf, ci, _ in kernel])
-    probs = np.concatenate([(k * p[ci]).ravel() for _, ci, k in kernel])
+    works = np.concatenate([np.subtract.outer(e_f[cf], e_i[ci]).ravel() for cf, ci, _, _ in kernel])
+    probs = np.concatenate([(k * (count * p[ci])).ravel() for _, ci, k, count in kernel])
     # atoms in (final, initial) eigen-index order, so the merged sums do not depend on the blocking
-    order = np.argsort(np.concatenate([np.add.outer(cf * spec_i.dimension, ci).ravel() for cf, ci, _ in kernel]))
+    order = np.argsort(np.concatenate([np.add.outer(cf * spec_i.dimension, ci).ravel() for cf, ci, _, _ in kernel]))
     works, probs = merge_atoms(works[order, None], probs[order], merge_tolerance)
     return WorkDistribution(works[:, 0], probs, merge_tolerance)
 
@@ -153,8 +169,23 @@ def _unwrapped_log(u_grid: np.ndarray, chi: np.ndarray, max_rate: float) -> np.n
 
 def default_u_grid(beta: float) -> np.ndarray:
     """201-point grid on [-5 beta, 5 beta] with a node at u = 0 and each node u < 0 the
-    exact negation of one u > 0, so a chi(u) sum runs over 101 distinct |u|."""
+    exact negation of one u > 0, so a chi(u) sum runs over 101 distinct |u|, each
+    bitwise j s_1 for the first nonzero one s_1 (the lattice of ``cfw_from_distribution``)."""
     return 5.0 * beta / 100 * np.arange(-100, 101)
+
+
+def distinct_spans(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct |u| of a grid, ascending, and each node's index among them: what
+    ``np.unique(np.abs(u), return_inverse=True)`` gives, by one sort and without the
+    ``numpy.ma`` import that the first ``np.unique`` call makes."""
+    a = np.abs(np.ravel(u))
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    new = np.ones(s.size, dtype=bool)
+    new[1:] = s[1:] != s[:-1]
+    where = np.empty(s.size, dtype=np.intp)
+    where[order] = np.cumsum(new) - 1
+    return s[new], where
 
 
 def cfw_from_distribution(d: WorkDistribution, u_grid: np.ndarray) -> CfwSamples:
@@ -162,15 +193,26 @@ def cfw_from_distribution(d: WorkDistribution, u_grid: np.ndarray) -> CfwSamples
 
     The weights are real, so chi(-u) = conj(chi(u)): the sum runs only at the
     distinct |u| of the grid and u < 0 is filled by conjugation.  It runs over
-    CHI_CHUNK atoms at a time, so no (u x atoms) array is formed, in real arithmetic:
-    cos(u w) @ p + i sin(u w) @ p."""
+    CHI_CHUNK atoms at a time, so no (u x atoms) array is formed.  When the distinct
+    |u| are bitwise s_j = j s_1, j < n (``default_u_grid``), e^{i s_j w} is
+    e^{i s_{qa} w} e^{i s_b w} for j = q a + b and q = ceil(sqrt n): 2 sqrt(n)
+    exponentials per atom and one complex GEMM per chunk.  Any other grid is summed
+    in real arithmetic, cos(u w) @ p + i sin(u w) @ p."""
     u = np.asarray(u_grid, dtype=float)
-    spans, where = np.unique(np.abs(u), return_inverse=True)
-    chi_at = np.zeros(spans.shape, dtype=complex)
+    spans, where = distinct_spans(u)
+    n = spans.size
+    lattice = n > 1 and np.array_equal(spans, np.arange(n) * spans[1])
+    q = math.ceil(math.sqrt(n))
+    chi_at = np.zeros(n, dtype=complex)
     for start in range(0, d.works.size, CHI_CHUNK):
         atoms = slice(start, start + CHI_CHUNK)
-        theta, p = np.outer(spans, d.works[atoms]), d.probabilities[atoms]
-        chi_at += np.cos(theta) @ p + 1j * (np.sin(theta) @ p)
+        w, p = d.works[atoms], d.probabilities[atoms]
+        if lattice:
+            outer = np.exp(1j * np.outer(spans[::q], w)) * p  # e^{i s_{qa} w} p, (a, atom)
+            chi_at += (outer @ np.exp(1j * np.outer(spans[:q], w)).T).ravel()[:n]
+        else:
+            theta = np.outer(spans, w)
+            chi_at += np.cos(theta) @ p + 1j * (np.sin(theta) @ p)
     chi = chi_at[where]
     mirror = u < 0
     chi[mirror] = np.conj(chi[mirror])
@@ -191,7 +233,8 @@ def cfw_trace(
     right = p[None, :] * np.exp(-1j * np.outer(u, spec_i.eigenvalues))  # (u, n)
     left = np.exp(1j * np.outer(u, spec_f.eigenvalues))  # (u, m)
     chi = sum(
-        np.einsum("um,mn,un->u", left[:, cf], k, right[:, ci]) for cf, ci, k in _transition_kernel(spec_i, spec_f, u_prop)
+        count * np.einsum("um,mn,un->u", left[:, cf], k, right[:, ci])
+        for cf, ci, k, count in _counted_kernel(spec_i, spec_f, u_prop)
     )
     rate = max(
         spec_f.eigenvalues[-1] - spec_i.eigenvalues[0],

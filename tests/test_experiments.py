@@ -472,6 +472,79 @@ class TestBlockedOperators:
         assert build_eighs == 9
         assert propagates == [9, 9, 9]
 
+    @pytest.mark.parametrize("n_sites, blocks, config", [
+        (7, 14, {"scan": "pert_compare", "grid": [0.05, 0.1, 0.2], "protocol": {"kind": "quench", "t_total": 2.0}}),
+        (9, 18, {"grid": [0.2, "inf"], "dt": 0.05}),
+    ], ids=["pert-quench-n7", "ramp-n9"])
+    def test_each_flip_pair_is_one_block_of_multiplicity_two(self, monkeypatch, n_sites, blocks, config):
+        """After the build a flip copy is its partner counted twice: in every run, the
+        unitarity defect, the evolution and the TPM kernel each take one product with a
+        U block, and the fidelity one SVD, per distinct block (half of them).  The runs:
+        the pert-quench workload's three quenches at N = 7, and at N = 9 a 10-step ramp,
+        its 2dt check and the quench."""
+        products, svds = [], []
+
+        class CountedU(np.ndarray):
+            """A U block that logs each matmul it enters and hands out plain arrays."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    products.append(ufunc)
+                return getattr(ufunc, method)(*(x.view(np.ndarray) if isinstance(x, CountedU) else x
+                                                for x in inputs), **kwargs)
+
+        propagate_block, svd = drive_dynamics._propagate_block, np.linalg.svd
+        monkeypatch.setattr(drive_dynamics, "_propagate_block", lambda *a: propagate_block(*a).view(CountedU))
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: svds.append(a) or svd(a, **kw))
+        counts = {}
+        for name in ("propagate", "evolve_density", "infidelity", "tpm_distribution"):
+            def counted(*args, _fn=getattr(xp, name), _name=name):
+                before = len(products), len(svds)
+                result = _fn(*args)
+                counts.setdefault(_name, []).append((len(products) - before[0], len(svds) - before[1]))
+                return result
+
+            monkeypatch.setattr(xp, name, counted)
+        cfg = config_from_dict(tiny_config(model={"n_sites": n_sites, "coupling": 2.0}, **config))
+        ops = _ModelOps.build(cfg.model)
+        assert len(ops.h0.blocks) == blocks
+        points = xp._POINTS[cfg.scan][0](cfg)
+        xp._run_points(cfg, points, 1, True, None, {cfg.model: ops})
+        assert len(counts["propagate"]) == 3 and len(counts["tpm_distribution"]) == len(points)
+        assert counts["propagate"] == counts["evolve_density"] == [(blocks // 2, 0)] * 3
+        assert counts["infidelity"] == [(0, blocks // 2)] * 3
+        assert counts["tpm_distribution"] == [(blocks // 2, 0)] * len(points)
+
+    def test_flip_copies_counted_twice_match_every_block_computed(self):
+        """The chain at N = 7 with each block an array of its own (no copies) runs every
+        stage on all 14 blocks; records, TPM atoms and both measures match the run on
+        7 blocks of multiplicity 2 up to summation order, with the same atom counts."""
+        spec = SpinChainSpec(7, 2.0)
+        shared = _ModelOps.build(spec)
+        h0, h1 = (OperatorMatrix(tuple((r, c, a.copy()) for r, c, a in op.blocks)) for op in (shared.h0, shared.h1))
+        apart = _ModelOps(h0, h1, eigendecompose(h0))
+        assert len(set(map(id, (a for _, _, a in shared.spec0.blocks)))) == 7
+        assert len(set(map(id, (a for _, _, a in apart.spec0.blocks)))) == 14
+        cfg = config_from_dict(tiny_config(model={"n_sites": 7, "coupling": 2.0}, dt=0.05))
+        for protocol in (xp._protocol_for("ramp_hold", 0.2, 0.1, 0.5), xp._protocol_for("quench", None, 0.1, 2.0)):
+            levels = range(len(xp._steps(cfg.dt, protocol, True)))
+            (runs1, d1), (runs2, d2) = (
+                xp._run_levels({spec: ops}, [(spec, protocol, 0.2)], cfg, True, 0, levels) for ops in (shared, apart)
+            )
+            for column in CSV_COLUMNS[:-1]:
+                assert abs(getattr(runs1[0][0], column) - getattr(runs2[0][0], column)) <= 1e-14, column
+            for level in levels[1:]:
+                assert abs(runs1[level][0] - runs2[level][0]) <= 1e-14
+            assert d1.works.size == d2.works.size
+            assert np.abs(d1.works - d2.works).max() <= 1e-13
+            assert np.abs(d1.probabilities - d2.probabilities).max() <= 1e-15
+        for measure in (perturbative_cfw.two_point_measure, three_point_measure):
+            m1, m2 = (measure(ops.spec0, ops.h1, 1.0) for ops in (shared, apart))
+            assert m1.weights.size == m2.weights.size
+            assert np.abs(m1.weights - m2.weights).max() <= 1e-13 * np.abs(m2.weights).max()
+        assert abs(perturbative_cfw.first_cumulant(shared.spec0, shared.h1, 1.0)
+                   - perturbative_cfw.first_cumulant(apart.spec0, apart.h1, 1.0)) <= 1e-14
+
     def test_dense_input_gives_identical_records_and_atoms(self):
         """The spin-table build and from_dense of its dense view run the same pipeline."""
         spec = SpinChainSpec(6, 2.0)
@@ -692,6 +765,25 @@ class TestCli:
         )
         path.write_text(json.dumps(cfg))
         assert self.run_cli(command, "--config", str(path)) == 2
+
+    def test_unknown_command_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("bogus", "--config", str(REPO / "configs" / "single_quench.json"))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: spinwork ") and "invalid choice: 'bogus'" in err
+
+    def test_shipped_pert_compare_runs_without_numpy_unique(self, tmp_path, monkeypatch):
+        """The distinct |u| come from one sort (``distinct_spans``), not from np.unique,
+        whose first call imports numpy.ma."""
+
+        def unique(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", unique)
+        path = str(REPO / "configs" / "pert_compare.json")
+        assert self.run_cli("validate-config", "--config", path) == 0
+        assert self.run_cli("pert-compare", "--config", path, "--output", str(tmp_path)) == 0
 
     @pytest.mark.parametrize("command", ["validate-config", "scan-velocity"])
     @pytest.mark.parametrize("threads", ["0", "-4"])

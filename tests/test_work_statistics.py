@@ -30,7 +30,7 @@ from spinwork import (
     tpm_distribution,
     uhlmann_fidelity,
 )
-from spinwork.work_statistics import ResolutionError, default_merge_tolerance, merge_atoms
+from spinwork.work_statistics import ResolutionError, default_merge_tolerance, distinct_spans, merge_atoms
 
 from conftest import two_site_operators
 
@@ -271,6 +271,37 @@ class TestCfwFromDistribution:
         d = WorkDistribution(np.array([50.0]), np.array([1.0]), 0.0)
         with pytest.raises(ResolutionError):
             cfw_from_distribution(d, np.linspace(-1, 1, 5))
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_lattice_sum_matches_direct_sum_on_default_grid(self, monkeypatch, beta):
+        """default_u_grid's distinct |u| are bitwise j s_1, so chi is summed by angle
+        addition, with no cos or sin, over more than one CHI_CHUNK of atoms."""
+        u = default_u_grid(beta)
+        spans = distinct_spans(u)[0]
+        assert np.array_equal(spans, np.arange(101) * spans[1])
+        rng = np.random.default_rng(3)
+        works = np.sort(rng.normal(0.3, 0.4, 3 * work_statistics.CHI_CHUNK + 5))
+        probs = rng.random(works.size)
+        probs /= probs.sum()
+        direct = np.array([np.exp(1j * x * works) @ probs for x in u])
+
+        def banned(*args, **kwargs):
+            raise AssertionError("the lattice sum takes no cos or sin")
+
+        monkeypatch.setattr(np, "cos", banned)
+        monkeypatch.setattr(np, "sin", banned)
+        c = cfw_from_distribution(WorkDistribution(works, probs, 0.0), u)
+        assert np.abs(c.chi - direct).max() < 1e-14
+
+    @pytest.mark.parametrize("u", [
+        default_u_grid(1.0139), np.linspace(-3, 1, 41), np.array([0.5, -0.5, 0.0, 2.0, -2.0, 0.5]),
+        np.linspace(-3, -0.5, 26), np.array([-0.0, 0.0]), np.array([]),
+    ], ids=["default", "asymmetric", "repeated", "negative", "signed-zeros", "empty"])
+    def test_distinct_spans_match_numpy_unique(self, u):
+        spans, where = distinct_spans(u)
+        want_spans, want_where = np.unique(np.abs(u), return_inverse=True)
+        assert np.array_equal(spans, want_spans)
+        assert np.array_equal(where, want_where.ravel())
 
     @pytest.mark.parametrize("u", [np.linspace(-3, 1, 41), np.linspace(-3, -0.5, 26)], ids=["asymmetric", "negative"])
     def test_matches_direct_sum_off_symmetric_grids(self, u):
