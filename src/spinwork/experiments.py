@@ -51,8 +51,8 @@ from .spectral_core import (
     infidelity,
     log_partition_function,
 )
-from .spin_model import (DimensionError, OperatorMatrix, SpinChainSpec, assemble, build_hopping, build_zz,
-                         chain_points, symmetry_adapted)
+from .spin_model import (DimensionError, OperatorMatrix, SpinChainSpec, adapted_block_sizes, assemble, build_hopping,
+                         build_zz, chain_points, symmetry_adapted)
 from .work_statistics import (
     WorkDistribution,
     average_work,
@@ -172,7 +172,7 @@ class RunConfig:
         try:
             chain_points(n)  # one point at the scan's largest chain fits in memory
             if self.scan == "pert_compare":  # and so do the three-point measure and the quadrature oracle
-                three_point_atom_counts([math.comb(n, k) for k in range(n + 1)])
+                three_point_atom_counts(adapted_block_sizes(n))
                 # at one frequency: the run checks again at its merged two-point measure's count
                 check_quadrature(1, default_u_grid(self.beta), [p.t_total for p in protocols])
         except DimensionError as exc:
@@ -501,9 +501,9 @@ def _run_points(cfg: RunConfig, points: list, threads: Optional[int], certify: b
     else:
         def cost(task):
             """Steps of the task's run (a hold or quench exponential counts as one)
-            times the matmul flops of the sectors, sum C(N, k)^3."""
+            times the matmul flops of the distinct adapted blocks, sum b^3."""
             (spec, protocol, _), step = points[task[0]], steps[task[0]][task[1]]
-            flops = sum(math.comb(spec.n_sites, k) ** 3 for k in range(spec.n_sites + 1))
+            flops = sum(b**3 for b in adapted_block_sizes(spec.n_sites))
             return (_step_count(protocol, step) + 1) * flops
 
         tasks.sort(key=cost, reverse=True)

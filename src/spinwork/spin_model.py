@@ -28,8 +28,10 @@ sector k's basis so that its blocks are sector k's arrays.  After the build a fl
 copy is its partner counted twice: every stage finds it by array identity (``copies``),
 computes its partner's result once and shares it (``once_per_copy``), and counts the
 partner's sums, atoms and defects at multiplicity 2.
-``check_memory`` is the one memory guard: it raises :class:`DimensionError` when an estimate
-(a scan point's by ``chain_points``, from its C(2N, N) sector-block entries) exceeds the limit.
+``adapted_block_sizes`` gives the distinct blocks' sizes in closed form, with no operator built;
+every cost estimate reads them.  ``check_memory`` is the one memory guard: it raises
+:class:`DimensionError` when an estimate (a scan point's by ``chain_points``, from its distinct
+adapted-block entries, sum b^2) exceeds the limit.
 """
 from __future__ import annotations
 
@@ -41,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# a scan point's peak bytes per sector-block entry and the interpreter's, fit to measured peaks (README)
-POINT_BYTES_PER_ENTRY = 160
-POINT_BYTES_FIXED = 200_000_000
+# a scan point's peak bytes per distinct adapted-block entry and the interpreter's, fit to measured peaks (README)
+POINT_BYTES_PER_ENTRY = 320
+POINT_BYTES_FIXED = 160_000_000
 
 
 class DimensionError(ValueError):
@@ -64,13 +66,34 @@ def check_memory(what: str, estimate: int) -> int:
     raise DimensionError(f"{what}, an estimated {estimate / 1e9:.3g} GB, over the {limit / 1e9:.3g} GB memory limit")
 
 
+def adapted_block_sizes(n_sites: int) -> list[int]:
+    """Sizes of the chain's distinct symmetry-adapted blocks on ``n_sites``, in ``symmetry_adapted``'s
+    order, one per group of :func:`copies` (a flip copy of sector N - k is sector k's).
+
+    Sector k < N/2 of C = C(N, k) states splits by reflection parity into (C +- P)/2, P its palindromes:
+    C(N // 2, k // 2) at odd N, C(N/2, k/2) at even N and k, none at odd k.  The middle sector of even N
+    splits by both parities into (C + r P + r f 2^(N/2))/4 for flip f and reflection r = +-1 (2^(N/2)
+    states are their own flip's mirror image).  Empty blocks are dropped, as ``symmetry_adapted`` drops them.
+    """
+    sizes = []
+    for k in range(n_sites // 2 + 1):
+        c = math.comb(n_sites, k)
+        p = math.comb(n_sites // 2, k // 2) if n_sites % 2 or k % 2 == 0 else 0
+        if 2 * k < n_sites:
+            sizes += [(c + p) // 2, (c - p) // 2]
+        else:
+            sizes += [(c + r * p + r * f * 2 ** (n_sites // 2)) // 4 for f in (1, -1) for r in (1, -1)]
+    return [b for b in sizes if b]
+
+
 def chain_points(n_sites: int) -> int:
     """How many scan points on ``n_sites`` the memory limit holds at once (:func:`check_memory`), at
-    POINT_BYTES_PER_ENTRY per sector-block entry, C(2N, N) >= 2^N, plus POINT_BYTES_FIXED; a chain past the
-    limit's bit length cannot fit, and gets the bound at one site past it (``math.comb`` would stall)."""
+    POINT_BYTES_PER_ENTRY per distinct adapted-block entry, sum b^2 >= C(2N, N)/8 >= 2^N/8, plus
+    POINT_BYTES_FIXED; a chain past the limit's bit length cannot fit, and gets the bound at one site
+    past it (the sizes' binomials would stall)."""
     n = min(n_sites, _memory_limit().bit_length() + 1)
-    entries, least = math.comb(2 * n, n), "at least " * (n < n_sites)
-    return check_memory(f"a scan point on {least}{n} sites needs {least}{entries} sector-block entries",
+    entries, least = sum(b**2 for b in adapted_block_sizes(n)), "at least " * (n < n_sites)
+    return check_memory(f"a scan point on {least}{n} sites needs {least}{entries} adapted-block entries",
                         POINT_BYTES_PER_ENTRY * entries + POINT_BYTES_FIXED)
 
 

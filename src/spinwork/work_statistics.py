@@ -129,9 +129,10 @@ def tpm_distribution(
     Transition kernel M = |V_f^dag U V_i|^2 elementwise; the atom at
     w = E^f_m - E^i_n carries M_mn p_n with p the initial Boltzmann weights.
     Raw atoms are built only inside the blocks common to U and both
-    eigenbases (sum_b b_i b_f of them, C(2N, N) for the XXZ chain), since a
-    transition between blocks has probability exactly 0, and a flip copy's
-    atoms enter once, as its partner's at doubled probability.  Chains of works
+    eigenbases, since a transition between blocks has probability exactly 0,
+    and a flip copy's atoms enter once, as its partner's at doubled
+    probability: sum_b b_i b_f over the distinct blocks, for the XXZ chain
+    sum b^2 of ``spin_model.adapted_block_sizes`` (12190 at N = 9).  Chains of works
     with gaps within the merge tolerance are merged (:func:`merge_atoms`) at
     the probability-weighted mean work; with a zero tolerance (both spectra
     flat) exact ties still merge.

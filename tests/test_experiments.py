@@ -348,7 +348,8 @@ class TestScans:
         process, with the records of a pool of two."""
         cfg, pooled, capped = config_from_dict(tiny_config()), {}, {}
         expected = run_velocity_scan(cfg, threads=2, workers=pooled)
-        one_point = spin_model.POINT_BYTES_PER_ENTRY * math.comb(6, 3) + spin_model.POINT_BYTES_FIXED
+        # the chain of 3 sites has distinct adapted blocks 1, 2, 1: 6 entries
+        one_point = spin_model.POINT_BYTES_PER_ENTRY * 6 + spin_model.POINT_BYTES_FIXED
         monkeypatch.setattr(spin_model, "_memory_limit", lambda: 2 * one_point - 1)
         records = run_velocity_scan(cfg, threads=2, workers=capped)
         assert pooled["count"] == 2 and capped["count"] == 1 and capped["start_method"] is None
@@ -544,6 +545,20 @@ class TestBlockedOperators:
             assert np.abs(m1.weights - m2.weights).max() <= 1e-13 * np.abs(m2.weights).max()
         assert abs(perturbative_cfw.first_cumulant(shared.spec0, shared.h1, 1.0)
                    - perturbative_cfw.first_cumulant(apart.spec0, apart.h1, 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_validate_estimates_the_three_point_measure_the_run_builds(self, monkeypatch, n):
+        """``RunConfig.validate`` asks the memory guard about the atoms that ``three_point_measure``
+        builds on the symmetry-adapted model, not about the magnetization sectors'."""
+        calls = []
+        monkeypatch.setattr(perturbative_cfw, "check_memory", lambda what, estimate: calls.append((what, estimate)))
+        cfg = config_from_dict(dict(SHIPPED["pert_compare"], model={"n_sites": n, "coupling": 2.0}))
+        calls.clear()  # config_from_dict validated once already
+        cfg.validate()
+        ops = _ModelOps.build(cfg.model)
+        three_point_measure(ops.spec0, ops.h1, cfg.beta)
+        validated, built = [call for call in calls if call[0].startswith("three-point measure")]
+        assert validated == built
 
     def test_dense_input_gives_identical_records_and_atoms(self):
         """The spin-table build and from_dense of its dense view run the same pipeline."""
@@ -742,7 +757,7 @@ class TestCli:
         # a ramp that cannot reach lambda1 = 0.1 within t_total, a velocity grid
         # of the quench alone, a scaling fit over one coupling, a ramp without a
         # velocity, a coupling grid that repeats an entry, a chain no memory holds
-        # (estimated without math.comb of the huge N, so rejected at once)
+        # (estimated without the block sizes of the huge N, so rejected at once)
         cfg = tiny_config(model={"n_sites": n_sites, "coupling": 2.0}, scan=scan, grid=grid, protocol=protocol,
                           output_dir=str(tmp_path / "out"))
         path = tmp_path / "c.json"
@@ -1111,11 +1126,12 @@ class TestCli:
         )
 
     @pytest.mark.parametrize("command", ["pert-compare", "validate-config"])
-    @pytest.mark.parametrize("n_sites, exit_code", [(9, 0), (10, 2)])
+    @pytest.mark.parametrize("n_sites, exit_code", [(10, 0), (11, 2)])
     def test_pert_compare_under_address_space_limit(self, tmp_path, n_sites, exit_code, command):
-        # N = 9 fits in 3 GB; at N = 10 the three-point measure's estimate (~4.9 GB) does not,
-        # and the run must stop with a named config error instead of an allocation failure,
-        # which validate-config reports as the run would.
+        # N = 10 fits in 3 GB (3974973 three-point atoms, ~0.51 GB); at N = 11 the three-point
+        # measure's estimate (35394977 atoms, ~4.53 GB) does not, and the run must stop with a
+        # named config error instead of an allocation failure, which validate-config reports as
+        # the run would.
         cfg = tiny_config(
             model={"n_sites": n_sites, "coupling": 2.0}, scan="pert_compare", grid=[0.05, 0.1, 0.2],
             protocol={"kind": "quench", "t_total": 2.0}, output_dir=str(tmp_path / "out"),
@@ -1130,7 +1146,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["single", "validate-config"])
     def test_chain_over_address_space_limit_exits_2(self, tmp_path, command):
-        # a point at N = 14 is estimated at ~6.6 GB, over a 3 GB address space on any machine,
+        # a point at N = 14 is estimated at ~3.37 GB, over a 3 GB address space on any machine,
         # so the run stops with a named config error before it builds an operator
         cfg = tiny_config(
             model={"n_sites": 14, "coupling": 2.0}, scan="single", grid=[],
@@ -1138,7 +1154,7 @@ class TestCli:
         )
         run = self.run_in_3gb_address_space(cfg, tmp_path / "c.json", command)
         assert run.returncode == 2, run.stderr
-        assert re.search(r"^config error: a scan point on 14 sites needs 40116600 sector-block entries, "
+        assert re.search(r"^config error: a scan point on 14 sites needs 10034104 adapted-block entries, "
                          r"an estimated [\d.]+ GB, over the [\d.]+ GB memory limit$", run.stderr, re.M)
         assert "Traceback" not in run.stderr and not (tmp_path / "out").exists()
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from spinwork import (
     magnetization_sectors,
 )
 from spinwork import spin_model
-from spinwork.spin_model import DimensionError, spin_symmetries, zz_diagonal
+from spinwork.spin_model import DimensionError, copies, spin_symmetries, symmetry_adapted, zz_diagonal
 
 from conftest import kron_chain_operators, total_magnetization, two_site_operators
 
@@ -53,12 +51,13 @@ class TestBuildHopping:
         assert comm_norm(h, sz) < 1e-12 * max(np.abs(h).max(), 1.0)
 
     def test_dimension_guard(self, monkeypatch):
-        # a memory limit that holds one scan point on 4 sites (C(8, 4) = 70 entries) holds none on 5
-        limit = spin_model.POINT_BYTES_PER_ENTRY * math.comb(8, 4) + spin_model.POINT_BYTES_FIXED
+        # a memory limit that holds one scan point on 4 sites (distinct adapted blocks 1, 2, 2, 3, 1, 2:
+        # 23 entries) holds none on 5
+        limit = spin_model.POINT_BYTES_PER_ENTRY * 23 + spin_model.POINT_BYTES_FIXED
         monkeypatch.setattr(spin_model, "_memory_limit", lambda: limit)
         assert spin_model.chain_points(4) == 1
         build_hopping(SpinChainSpec(4, 1.0))
-        with pytest.raises(DimensionError, match="scan point on 5 sites needs 252 sector-block entries, an estimated"):
+        with pytest.raises(DimensionError, match="scan point on 5 sites needs 66 adapted-block entries, an estimated"):
             build_hopping(SpinChainSpec(5, 1.0))
 
     @pytest.mark.parametrize("J", [2.0, -1.3])
@@ -144,6 +143,15 @@ class TestMagnetizationSectors:
         groups = magnetization_sectors(n)
         merged = np.sort(np.concatenate(groups))
         assert np.array_equal(merged, np.arange(2**n))
+
+
+class TestAdaptedBlockSizes:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_equal_the_built_distinct_blocks(self, n):
+        spec = SpinChainSpec(n, 1.0)
+        h0, h1, _ = symmetry_adapted(build_hopping(spec), build_zz(spec))
+        first = copies([a for _, _, a in h0.blocks], [a for _, _, a in h1.blocks])
+        assert spin_model.adapted_block_sizes(n) == [h0.blocks[i][0].size for i in dict.fromkeys(first)]
 
 
 class TestHermiticityAndSymmetry:
