@@ -4,25 +4,26 @@ A protocol is its (t, lambda) knots, built once per protocol whatever its kind:
 ``lambda_at``, ``ramp_time`` and ``spectral_response`` read lambda(t) from them.
 
 Propagation conventions (hbar = 1, time in inverse energy units):
-  * Stepping covers only the interval where lambda(t) actually varies; any
-    trailing segment with constant coupling (the hold part of ramp-then-hold,
-    or the whole quench) is applied as a single exact exponential of the
-    constant Hamiltonian.  The cap lambda = lambda_final is therefore honored
-    exactly without splitting a straddling step.
+  * ``propagate`` returns U over the varying segment [0, ramp_time] only.  The
+    constant tail after it, exp(-i H_f (t_total - ramp_time)), commutes with the
+    final Gibbs state and with the eigenprojectors of H_f, so neither a fidelity
+    nor a TPM probability sees it: it is never applied, and a quench (all tail)
+    has the identity U.
   * The varying segment is divided uniformly so the step lands exactly on the
     segment end; the realized step (within rounding of the requested dt) is
-    reported as ``dt_used``.
+    reported as ``dt_used``, 0.0 when nothing is stepped.
   * Coupling is sampled at substep midpoints.  Substep k is substep k % 3 of step
     k // 3, so the schedule is closed-form (``_WIDTHS``, ``_MIDS``, ``_GAPS``) and is
     built ``KICK_CHUNK`` substeps at a time: no allocation grows with the step count.
-  * Each block common to H0 and H1 is propagated on its own with one substep
-    schedule shared by all, and U is an operator on the same blocks.  On the
-    chain's symmetry-adapted blocks (``spin_model.symmetry_adapted``) a spin-flip
-    pair of sectors is one pair of arrays, stepped once in reflection parity
-    blocks (7.9x fewer counted flops per substep at N = 9 than stepping every
-    sector); the copy's U block is its partner's array, its unitarity defect is
-    counted twice, and ``evolve_density`` evolves the pair once.  For real H0 and
-    H1 the ``eigh`` are real; U, the kicks and the H0 factors are complex.
+  * Each block common to H1 and the caller's eigendecomposition of H0 (not
+    recomputed here) is propagated on its own with one substep schedule shared
+    by all, and U is an operator on the same blocks.  On the chain's
+    symmetry-adapted blocks (``spin_model.symmetry_adapted``) a spin-flip pair of
+    sectors is one pair of arrays, stepped once in reflection parity blocks (7.9x
+    fewer counted flops per substep at N = 9 than stepping every sector); the
+    copy's U block is its partner's array, its unitarity defect is counted twice,
+    and ``evolve_density`` evolves the pair once.  A stepped U, its kicks and its
+    H0 factors are complex; the identity U of a quench is real.
 
 Stepping is fourth-order Suzuki: each step is the triple-jump composition of
 three Strang substeps (half H0, diagonal H1 kick, half H0), which keeps
@@ -32,13 +33,13 @@ part diagonal on its blocks.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .spin_model import OperatorMatrix, common_blocks, copies, once_per_copy
-from .spectral_core import DensityMatrix
+from .spectral_core import DensityMatrix, SpectralDecomposition
 
 #: Triple-jump composition coefficients of a Suzuki-4 step.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -166,16 +167,15 @@ def spectral_response(p: DriveProtocol, omega) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class PropagatorResult:
-    """U(t_total), an operator on the blocks it was stepped on."""
+    """U of the varying segment [0, ramp_time], an operator on the blocks it was stepped on."""
 
     unitary: OperatorMatrix
     dt_used: float
     unitarity_defect: float
 
 
-def _expi(eig: tuple[np.ndarray, np.ndarray], tau: float) -> np.ndarray:
-    """exp(-i tau H) from ``np.linalg.eigh(H)``."""
-    evals, v = eig
+def _expi(evals: np.ndarray, v: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-i tau H) from the eigenpairs of H."""
     return (v * np.exp(-1j * evals * tau)) @ v.conj().T
 
 
@@ -184,54 +184,50 @@ def _step_count(p: DriveProtocol, dt: float) -> int:
     return max(1, int(round(p.ramp_time / dt))) if p.ramp_time > 0.0 else 0
 
 
-def _propagate_block(h0: np.ndarray, h1: np.ndarray, p: DriveProtocol, nsteps: int) -> np.ndarray:
-    """Propagator of one invariant block: ``nsteps`` Suzuki-4 steps of the varying segment, then the hold."""
-    u = None
-    if nsteps:
-        h = p.ramp_time / nsteps
-        eig0 = np.linalg.eigh(h0)
-        h1_diag = np.real(np.diag(h1))
-        factors = [_expi(eig0, g * h) for g in _GAPS]
-        u = factors[0].copy()
-        kicked = np.empty_like(u)
-        # the diagonal kicks of a chunk of substeps k in one exp, each applied
-        # and followed by its H0 factor in place in two buffers
-        for start in range(0, 3 * nsteps, KICK_CHUNK):
-            step, sub = np.divmod(np.arange(start, min(start + KICK_CHUNK, 3 * nsteps)), 3)
-            lam = lambda_at(p, (step + _MIDS[sub]) * h)
-            kicks = np.exp((-1j * lam)[:, None] * h1_diag * (_WIDTHS[sub] * h)[:, None])
-            gaps = np.where(sub == 2, 2, 1)  # the H0 factor after each kick: 0 after the ramp's last
-            if start + KICK_CHUNK >= 3 * nsteps:
-                gaps[-1] = 0
-            for kick, g in zip(kicks, gaps):
-                np.multiply(kick[:, None], u, out=kicked)
-                np.matmul(factors[g], kicked, out=u)
-
-    t_hold = p.t_total - p.ramp_time
-    if t_hold > 1e-15 * p.t_total:
-        hold = _expi(np.linalg.eigh(h0 + lambda_at(p, p.t_total) * h1), t_hold)
-        u = hold if u is None else hold @ u
+def _propagate_block(evals: np.ndarray, v: np.ndarray, h1: np.ndarray, p: DriveProtocol, nsteps: int) -> np.ndarray:
+    """Propagator of one invariant block over the varying segment, ``nsteps`` Suzuki-4 steps
+    from the eigenpairs (evals, v) of its H0: the identity when ``nsteps`` is 0."""
+    if not nsteps:
+        return np.eye(v.shape[0])
+    h = p.ramp_time / nsteps
+    h1_diag = np.real(np.diag(h1))
+    factors = [_expi(evals, v, g * h) for g in _GAPS]
+    u = factors[0].copy()
+    kicked = np.empty_like(u)
+    # the diagonal kicks of a chunk of substeps k in one exp, each applied
+    # and followed by its H0 factor in place in two buffers
+    for start in range(0, 3 * nsteps, KICK_CHUNK):
+        step, sub = np.divmod(np.arange(start, min(start + KICK_CHUNK, 3 * nsteps)), 3)
+        lam = lambda_at(p, (step + _MIDS[sub]) * h)
+        kicks = np.exp((-1j * lam)[:, None] * h1_diag * (_WIDTHS[sub] * h)[:, None])
+        gaps = np.where(sub == 2, 2, 1)  # the H0 factor after each kick: 0 after the ramp's last
+        if start + KICK_CHUNK >= 3 * nsteps:
+            gaps[-1] = 0
+        for kick, g in zip(kicks, gaps):
+            np.multiply(kick[:, None], u, out=kicked)
+            np.matmul(factors[g], kicked, out=u)
     return u
 
 
-def propagate(h0: OperatorMatrix, h1: OperatorMatrix, p: DriveProtocol, dt: float) -> PropagatorResult:
-    """Time-ordered propagator U(t_total) for H(t) = H0 + lambda(t) H1, in Suzuki-4 steps of ~dt.
+def propagate(spec0: SpectralDecomposition, h1: OperatorMatrix, p: DriveProtocol, dt: float) -> PropagatorResult:
+    """Time-ordered propagator over [0, ramp_time] for H(t) = H0 + lambda(t) H1, in Suzuki-4
+    steps of ~dt from ``spec0``, the eigendecomposition of H0.
 
-    Each block common to H0 and H1 is stepped on its own, once per group of
+    Each block common to ``spec0`` and H1 is stepped on its own, once per group of
     ``spin_model.copies`` (see the module notes); H1 must be diagonal on its blocks."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    blocks = common_blocks(h0.blocks, h1.blocks)
-    pairs = [(h0b, h1b) for _, ((_, h0b), (_, h1b)) in blocks]
-    first = copies(*zip(*pairs))
+    blocks = common_blocks(spec0.blocks, h1.blocks)
+    parts = [(spec0.eigenvalues[cols], v, h1b) for _, ((cols, v), (_, h1b)) in blocks]
+    first = copies(*zip(*parts))
     distinct = Counter(first)  # {position: multiplicity}
-    h1_blocks = [pairs[i][1] for i in distinct]
+    h1_blocks = [parts[i][2] for i in distinct]
     scale = max(max(np.abs(np.diag(b)).max() for b in h1_blocks), 1.0)
     if any(np.abs(b - np.diag(np.diag(b))).max() > 1e-12 * scale for b in h1_blocks):
         raise ValueError("propagate requires the interaction part diagonal on its blocks")
 
     nsteps = _step_count(p, dt)
-    stepped = {i: _propagate_block(*pairs[i], p, nsteps) for i in distinct}
+    stepped = {i: _propagate_block(*parts[i], p, nsteps) for i in distinct}
 
     # U^dag U - 1 vanishes between blocks, so the blocks' Frobenius defects add up
     defect = float(np.sqrt(sum(distinct[i] * np.linalg.norm(ub.conj().T @ ub - np.eye(ub.shape[0])) ** 2
@@ -240,7 +236,7 @@ def propagate(h0: OperatorMatrix, h1: OperatorMatrix, p: DriveProtocol, dt: floa
         raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {UNITARITY_ABORT}")
     return PropagatorResult(
         unitary=OperatorMatrix(tuple((idx, idx, stepped[i]) for (idx, _), i in zip(blocks, first)), hermitian=False),
-        dt_used=p.ramp_time / nsteps if nsteps else p.t_total,
+        dt_used=p.ramp_time / nsteps if nsteps else 0.0,
         unitarity_defect=defect,
     )
 
@@ -250,4 +246,4 @@ def evolve_density(rho0: DensityMatrix, u: PropagatorResult) -> DensityMatrix:
     ``spin_model.copies``: a flip copy's evolved factor is its partner's array."""
     blocks = common_blocks(u.unitary.blocks, rho0.blocks)
     evolved = once_per_copy(np.matmul, *zip(*((m, x) for _, ((_, m), (_, x)) in blocks)))
-    return DensityMatrix(rho0.weights, tuple((rows, cols, ux) for (rows, (_, (cols, _))), ux in zip(blocks, evolved)))
+    return replace(rho0, blocks=tuple((rows, cols, ux) for (rows, (_, (cols, _))), ux in zip(blocks, evolved)))

@@ -383,21 +383,15 @@ def _run_levels(shared: dict, points: list, cfg: RunConfig, certify: bool, i: in
     level's step against the final Gibbs state.  The record adds the TPM work
     distribution of the level-0 propagator, whose Jarzynski deviation must be
     within IDENTITY_MONITOR (else :class:`CertificationError`).  The final
-    Hamiltonian is diagonalized once, within the first run's time.
-
-    A ramp is propagated to its ramp end only: the hold exp(-i H_f t) after it
-    commutes with the final Gibbs state and the eigenprojectors of H_f, so no
-    record depends on it.  A quench keeps its hold, one exact exponential."""
+    Hamiltonian is diagonalized once, within the first run's time."""
     spec, protocol, scan_value = points[i]
     steps = _steps(cfg.dt, protocol, certify)
-    if protocol.kind == "ramp_hold" and 0.0 < protocol.ramp_time < protocol.t_total:
-        protocol = replace(protocol, t_total=protocol.ramp_time)
     start = time.perf_counter()
     ops = shared.get(spec) or _ModelOps.build(spec)
     spec_f = eigendecompose(assemble(ops.h0, ops.h1, protocol.lambda_final))
     runs, dist = {}, None
     for level in levels:
-        prop = propagate(ops.h0, ops.h1, protocol, steps[level])
+        prop = propagate(ops.spec0, ops.h1, protocol, steps[level])
         result = infidelity(evolve_density(gibbs_state(ops.spec0, cfg.beta), prop),
                             gibbs_state(spec_f, cfg.beta), cfg.fidelity_convention)
         if level == 0:
@@ -500,7 +494,7 @@ def _run_points(cfg: RunConfig, points: list, threads: Optional[int], certify: b
             runs.update(((i, level), result) for level, result in point_runs.items())
     else:
         def cost(task):
-            """Steps of the task's run (a hold or quench exponential counts as one)
+            """Steps of the task's run plus one (a quench steps nothing)
             times the matmul flops of the distinct adapted blocks, sum b^3."""
             (spec, protocol, _), step = points[task[0]], steps[task[0]][task[1]]
             flops = sum(b**3 for b in adapted_block_sizes(spec.n_sites))
@@ -597,9 +591,9 @@ def run_lambda_scaling(
     """Log-log fit of infidelity versus coupling for a slow full ramp and a quench.
 
     The slow ramp runs at the config's protocol.velocity v (SLOW_VELOCITY if
-    none) and ends exactly at t_r = lambda1 / v per coupling;
-    the quench evolves for the configured t_total (its infidelity is
-    hold-time independent).  ``threads`` and ``workers`` are as in ``_run_points``.
+    none) and ends exactly at t_r = lambda1 / v per coupling; the quench has
+    the identity U, whatever the configured t_total.  ``threads`` and
+    ``workers`` are as in ``_run_points``.
     """
     results = _run_points(cfg, _coupling_points(cfg), threads, certify, workers)[0]
     ramp_records, quench_records = results[: len(cfg.grid)], results[len(cfg.grid) :]

@@ -157,7 +157,7 @@ class TestCriterion1ExactIdentities:
                         kind="sampled", lambda_final=lam1, t_total=t_total,
                         samples=np.column_stack([ts, lam1 * shape]),
                     )
-                prop = propagate(h0, h1, protocol, 0.05)
+                prop = propagate(spec_i, h1, protocol, 0.05)
                 worst["unitarity"] = max(worst["unitarity"], prop.unitarity_defect)
                 spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + lam1 * h1.matrix))
                 dist = tpm_distribution(spec_i, spec_f, prop, beta)
@@ -214,7 +214,7 @@ class TestCriterion2TrivialDelta:
         h0, h1 = build_hopping(spec), build_zz(spec)
         spec0 = eigendecompose(h0)
         protocol = DriveProtocol(kind="ramp_hold", lambda_final=0.0, t_total=5.0, velocity=0.0)
-        prop = propagate(h0, h1, protocol, 0.01)
+        prop = propagate(spec0, h1, protocol, 0.01)
         dist = tpm_distribution(spec0, spec0, prop, 1.0)
         rep = delta_concentration(dist, 1e-6 * 2 * spec0.spectral_range)
         rho_f = evolve_density(gibbs_state(spec0, 1.0), prop)
@@ -237,7 +237,7 @@ class TestCriterion3BruteForceOracles:
         h0, h1 = build_hopping(spec), build_zz(spec)
         spec_i = eigendecompose(h0)
         spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + lam1 * h1.matrix))
-        prop = propagate(h0, h1, DriveProtocol(kind="quench", lambda_final=lam1, t_total=t), 0.01)
+        prop = propagate(spec_i, h1, DriveProtocol(kind="quench", lambda_final=lam1, t_total=t), 0.01)
         dist = tpm_distribution(spec_i, spec_f, prop, beta)
         works_ref, probs_ref = brute_force_quench_atoms(J=2.0, lam1=lam1, beta=beta, t=t)
         got = {}
@@ -352,7 +352,7 @@ class TestCriterion6PerturbativeAccuracy:
         quads = lnchi_second_order_quadrature(m2, list(zip(protocols, lams)), fc, u)
         for lam, protocol, quad in zip(lams, protocols, quads):
             spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + lam * h1.matrix))
-            prop = propagate(h0, h1, protocol, 0.01)
+            prop = propagate(spec0, h1, protocol, 0.01)
             exact = cfw_from_distribution(tpm_distribution(spec0, spec_f, prop, beta), u)
             pert2 = lnchi_second_order(m2, protocol, fc, lam, u)
             residuals.append(float(np.abs(exact.ln_chi - pert2.ln_chi).max()))

@@ -80,7 +80,7 @@ class TestDriveProtocol:
         spec = SpinChainSpec(3, 2.0)
         with pytest.raises(ProtocolError, match="finite velocity"):
             propagate(
-                build_hopping(spec), build_zz(spec),
+                eigendecompose(build_hopping(spec)), build_zz(spec),
                 DriveProtocol(kind="ramp_hold", lambda_final=0.1, t_total=4.0, velocity=velocity), 0.02,
             )
 
@@ -177,20 +177,23 @@ class TestLambdaAt:
 
 
 class TestPropagate:
-    def test_zero_coupling_matches_exact_exponential(self, chain4):
+    def test_zero_interaction_matches_exact_exponential_over_the_ramp(self, chain4):
+        # with H1 = 0 every kick is 1, so the steps' H0 factors compose to exp(-i H0 t_r):
+        # t_r = 2 of the ramp, not the t_total = 3 of its hold
         _, h0, h1, spec0 = chain4
-        p = ramp(lam1=0.0, v=0.0, t_total=3.0)
-        u = propagate(h0, h1, p, 0.01).unitary.matrix
-        exact = matrix_function(spec0, lambda x: np.exp(-1j * x * 3.0)).matrix
-        assert np.abs(u - exact).max() < 1e-9
+        zero = OperatorMatrix(tuple((rows, cols, np.zeros_like(a)) for rows, cols, a in h1.blocks))
+        res = propagate(spec0, zero, ramp(lam1=0.2, v=0.1, t_total=3.0), 0.01)
+        exact = matrix_function(spec0, lambda x: np.exp(-1j * x * 2.0)).matrix
+        assert res.dt_used == pytest.approx(0.01)
+        assert np.abs(res.unitary.matrix - exact).max() < 1e-10  # measured 4.1e-13
 
-    def test_quench_is_single_exact_exponential(self, chain4):
-        _, h0, h1, _ = chain4
-        res = propagate(h0, h1, quench(0.1, 7.0), 0.01)
-        spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + 0.1 * h1.matrix))
-        exact = matrix_function(spec_f, lambda x: np.exp(-1j * x * 7.0)).matrix
-        assert np.abs(res.unitary.matrix - exact).max() < 1e-12
-        assert res.dt_used == 7.0
+    @pytest.mark.parametrize("p", [quench(0.1, 7.0), ramp(lam1=0.0, v=0.0, t_total=3.0)], ids=["quench", "zero"])
+    def test_constant_coupling_gives_the_identity(self, chain4, p):
+        # nothing varies, so nothing is stepped: U is exactly 1 and the realized step 0
+        _, _, h1, spec0 = chain4
+        res = propagate(spec0, h1, p, 0.01)
+        assert np.array_equal(res.unitary.matrix, np.eye(h1.dimension))
+        assert res.dt_used == 0.0 and res.unitarity_defect == 0.0
 
     @pytest.mark.parametrize(
         "p",
@@ -198,8 +201,8 @@ class TestPropagate:
         ids=["ramp", "falling", "sampled"],
     )
     def test_unitarity(self, chain4, p):
-        _, h0, h1, _ = chain4
-        res = propagate(h0, h1, p, 0.02)
+        _, _, h1, spec0 = chain4
+        res = propagate(spec0, h1, p, 0.02)
         assert res.unitarity_defect < 1e-8
 
     @pytest.mark.parametrize("p", [ramp(), quench(0.3, 2.0)], ids=["ramp", "quench"])
@@ -207,16 +210,16 @@ class TestPropagate:
         # the hopping passed as the interaction; a quench, which steps nothing, is checked too
         _, h0, h1, _ = chain4
         with pytest.raises(ValueError, match="diagonal"):
-            propagate(h1, h0, p, 0.01)
+            propagate(eigendecompose(h1), h0, p, 0.01)
 
     def test_blocked_ramp_matches_dense_suzuki4_product(self):
         spec = SpinChainSpec(5, 2.0)
         h0, h1 = build_hopping(spec), build_zz(spec)
         p = ramp(lam1=0.1, v=0.05, t_total=4.0)
-        u = propagate(h0, h1, p, 0.01).unitary.matrix
+        u = propagate(eigendecompose(h0), h1, p, 0.01).unitary.matrix
 
         # Dense reference on the full 32x32 matrices: 200 triple-jump steps of
-        # Strang substeps over the ramp, then the exact hold at lambda = 0.1.
+        # Strang substeps over the ramp, which ends at t = 2 of t_total = 4.
         w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
         h, t = 0.01, 0.0
         ref = np.eye(32, dtype=complex)
@@ -226,7 +229,6 @@ class TestPropagate:
                 kick = expm(-1j * lambda_at(p, t + w * h / 2.0) * w * h * h1.matrix)
                 ref = half @ kick @ half @ ref
                 t += w * h
-        ref = expm(-1j * (h0.matrix + 0.1 * h1.matrix) * 2.0) @ ref
         assert np.abs(u - ref).max() < 1e-10
 
         inside = np.zeros((32, 32), dtype=bool)
@@ -236,27 +238,27 @@ class TestPropagate:
 
     def test_sampled_schedule_ending_off_its_plateau_is_stepped_to_its_end(self, chain4):
         # the last sample is 1e-13 above the one before, so nothing of [0, 1] is held
-        _, h0, h1, _ = chain4
+        _, _, h1, spec0 = chain4
         p = sampled([[0.5, 0.2], [1.0, 0.2 + 1e-13]], 1.0)
         assert p.ramp_time == 1.0
         assert _step_count(p, 0.1) == 10
-        assert propagate(h0, h1, p, 0.1).dt_used == 0.1
+        assert propagate(spec0, h1, p, 0.1).dt_used == 0.1
 
     def test_nan_defect_fails_the_unitarity_guard(self, chain4):
         # a NaN block steps to a NaN propagator, whose NaN defect is not within UNITARITY_ABORT
-        _, h0, h1, _ = chain4
+        _, _, h1, spec0 = chain4
         (rows, cols, first), *rest = h1.blocks
         broken = OperatorMatrix(((rows, cols, np.full_like(first, np.nan)), *rest))
         with pytest.raises(UnitarityError, match="unitarity defect nan"):
-            propagate(h0, broken, ramp(), 0.05)
+            propagate(spec0, broken, ramp(), 0.05)
 
     def test_sampled_protocol_propagates(self, chain4):
-        _, h0, h1, _ = chain4
+        _, _, h1, spec0 = chain4
         samples = np.array([[0.0, 0.0], [1.0, 0.05], [2.0, 0.1], [3.0, 0.1]])
         p = DriveProtocol(kind="sampled", lambda_final=0.1, t_total=3.0, samples=samples)
         equivalent = ramp(lam1=0.1, v=0.05, t_total=3.0)
-        u1 = propagate(h0, h1, p, 0.01).unitary.matrix
-        u2 = propagate(h0, h1, equivalent, 0.01).unitary.matrix
+        u1 = propagate(spec0, h1, p, 0.01).unitary.matrix
+        u2 = propagate(spec0, h1, equivalent, 0.01).unitary.matrix
         assert np.abs(u1 - u2).max() < 1e-12
 
 
@@ -267,7 +269,8 @@ def chain(n, coupling=1.3):
 
 def stepped_reference(h0, h1, p, dt, blocks):
     """Product of exponentials per block, built with ``expm`` on the given
-    blocks and no symmetry: the Suzuki-4 schedule of ``propagate`` step by step."""
+    blocks and no symmetry: the Suzuki-4 schedule of ``propagate`` step by step,
+    over the varying segment [0, ramp_time] only."""
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
     unit = (w1, 1.0 - 2.0 * w1, w1)
     nsteps = max(1, int(round(p.ramp_time / dt)))
@@ -282,8 +285,7 @@ def stepped_reference(h0, h1, p, dt, blocks):
                 lam = lambda_at(p, t + w * h / 2.0)
                 ub = halves[w] @ expm(-1j * lam * w * h * a1) @ halves[w] @ ub
                 t += w * h
-        hold = expm(-1j * (p.t_total - p.ramp_time) * (a0 + p.lambda_final * a1))
-        ref[np.ix_(idx, idx)] = hold @ ub
+        ref[np.ix_(idx, idx)] = ub
     return ref
 
 
@@ -301,7 +303,7 @@ class TestSteppingLoop:
         assert substeps > KICK_CHUNK and substeps % KICK_CHUNK  # more than one chunk, the last one partial
         h = p.ramp_time / nsteps
         eig0 = np.linalg.eigh(h0)
-        factors = [_expi(eig0, g * h) for g in _GAPS]
+        factors = [_expi(*eig0, g * h) for g in _GAPS]
         h1_diag = np.real(np.diag(h1))
         # substep k is substep k % 3 of step k // 3; W1/2 opens and closes the
         # ramp, (W1 + W0)/2 follows a step's first two kicks and W1 its last
@@ -311,9 +313,8 @@ class TestSteppingLoop:
             lam = lambda_at(p, (step + _MIDS[sub]) * h)
             u = np.exp(-1j * lam * h1_diag * (_WIDTHS[sub] * h))[:, None] * u
             u = factors[0 if k == substeps - 1 else 2 if sub == 2 else 1] @ u
-        assert p.ramp_time == pytest.approx(3.1)  # both step 930 substeps, then hold for 0.9
-        hold = _expi(np.linalg.eigh(h0 + 0.1 * h1), p.t_total - p.ramp_time)
-        assert np.array_equal(_propagate_block(h0, h1, p, nsteps), hold @ u)
+        assert p.ramp_time == pytest.approx(3.1)  # both step 930 substeps, and the 0.9 after is not applied
+        assert np.array_equal(_propagate_block(*eig0, h1, p, nsteps), u)
 
     def test_propagate_allocates_nothing_per_step(self):
         # a ramp of 3e4 steps at N = 3: the schedule is built a chunk at a
@@ -321,9 +322,10 @@ class TestSteppingLoop:
         h0, h1 = chain(3)
         p = ramp(lam1=0.3, v=1.0, t_total=0.3)
         assert _step_count(p, 1e-5) == 30000
+        spec0 = eigendecompose(h0)
         tracemalloc.start()
         try:
-            propagate(h0, h1, p, 1e-5)
+            propagate(spec0, h1, p, 1e-5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -347,7 +349,7 @@ class TestSymmetryReduction:
         """U stepped on the adapted blocks, those blocks' propagators and their isometries,
         and U mapped back to the computational basis, S U_adapted S^T."""
         h0a, h1a, isometries = symmetry_adapted(h0, h1)
-        ua = propagate(h0a, h1a, p, dt).unitary
+        ua = propagate(eigendecompose(h0a), h1a, p, dt).unitary
         s = dense_view(h0.dimension, isometries)
         return ua, isometries, s @ ua.matrix @ s.T
 
@@ -412,24 +414,24 @@ class TestSymmetryReduction:
 
 class TestEvolveDensity:
     def test_identity_propagator(self, chain4):
-        _, h0, h1, spec0 = chain4
+        _, _, h1, spec0 = chain4
         rho = gibbs_state(spec0, 1.0)
         p = ramp(lam1=0.0, v=0.0, t_total=1e-12)
-        res = propagate(h0, h1, p, 0.01)
+        res = propagate(spec0, h1, p, 0.01)
         out = evolve_density(rho, res)
         assert np.abs(out.matrix - rho.matrix).max() < 1e-10
 
     def test_gibbs_invariant_under_own_evolution(self, chain4):
-        _, h0, h1, spec0 = chain4
+        _, _, h1, spec0 = chain4
         rho = gibbs_state(spec0, 1.0)
-        res = propagate(h0, h1, ramp(lam1=0.0, v=0.0, t_total=5.0), 0.01)
+        res = propagate(spec0, h1, ramp(lam1=0.0, v=0.0, t_total=5.0), 0.01)
         out = evolve_density(rho, res)
         assert np.abs(out.matrix - rho.matrix).max() < 1e-10
 
     def test_trace_and_purity_preserved(self, chain4):
-        _, h0, h1, spec0 = chain4
+        _, _, h1, spec0 = chain4
         rho = gibbs_state(spec0, 0.7)
-        res = propagate(h0, h1, ramp(lam1=0.3, v=0.1), 0.02)
+        res = propagate(spec0, h1, ramp(lam1=0.3, v=0.1), 0.02)
         out = evolve_density(rho, res)
         assert abs(np.trace(out.matrix) - 1.0) < 1e-12
         assert abs(np.trace(out.matrix @ out.matrix) - np.trace(rho.matrix @ rho.matrix)) < 1e-10
@@ -504,25 +506,25 @@ class TestConvergenceProbe:
     that lets a scan point be certified against a run at twice its step."""
 
     @staticmethod
-    def halving_delta(h0, h1, p, dt):
-        full = propagate(h0, h1, p, dt).unitary.matrix
-        half = propagate(h0, h1, p, dt / 2.0).unitary.matrix
+    def halving_delta(spec0, h1, p, dt):
+        full = propagate(spec0, h1, p, dt).unitary.matrix
+        half = propagate(spec0, h1, p, dt / 2.0).unitary.matrix
         return float(np.linalg.norm(full - half))
 
     def test_zero_coupling_has_zero_defect(self, chain4):
-        _, h0, h1, _ = chain4
-        assert self.halving_delta(h0, h1, ramp(lam1=0.0, v=0.0, t_total=3.0), 0.01) < 1e-12
+        _, _, h1, spec0 = chain4
+        assert self.halving_delta(spec0, h1, ramp(lam1=0.0, v=0.0, t_total=3.0), 0.01) < 1e-12
 
     def test_quench_has_zero_defect(self, chain4):
-        _, h0, h1, _ = chain4
-        assert self.halving_delta(h0, h1, quench(0.1, 5.0), 0.01) < 1e-12
+        _, _, h1, spec0 = chain4
+        assert self.halving_delta(spec0, h1, quench(0.1, 5.0), 0.01) < 1e-12
 
     def test_defect_shrinks_sixteenfold(self, chain4):
         # fourth order: halving the step divides the defect by 2^4 (measured
         # 15.90 and 15.98); a check against a 2dt run rests on this order
-        _, h0, h1, _ = chain4
+        _, _, h1, spec0 = chain4
         p = ramp(lam1=0.2, v=0.1, t_total=2.0)
-        a, b, c = (self.halving_delta(h0, h1, p, dt) for dt in (0.08, 0.04, 0.02))
+        a, b, c = (self.halving_delta(spec0, h1, p, dt) for dt in (0.08, 0.04, 0.02))
         assert 14.0 <= a / b <= 18.0
         assert 14.0 <= b / c <= 18.0
 
@@ -532,7 +534,7 @@ class TestConvergenceProbe:
         rho0 = gibbs_state(spec0, 1.0)
         target = gibbs_state(eigendecompose(assemble(h0, h1, 0.1)), 1.0)
         a, b = (
-            infidelity(evolve_density(rho0, propagate(h0, h1, p, dt)), target)
+            infidelity(evolve_density(rho0, propagate(spec0, h1, p, dt)), target)
             for dt in (0.01, 0.005)
         )
         assert abs(a - b) < 1e-6
@@ -547,6 +549,6 @@ class TestHoldPlateau:
         values = []
         for t_total in (4.0, 2.0):  # ramp ends at t = 1
             p = ramp(lam1=lam1, v=0.1, t_total=t_total)
-            res = propagate(h0, h1, p, 0.01)
+            res = propagate(spec0, h1, p, 0.01)
             values.append(infidelity(evolve_density(rho0, res), target))
         assert abs(values[0] - values[1]) < 1e-9

@@ -420,32 +420,34 @@ class TestScans:
             records.append(run_single(cfg)[0])
         assert abs(records[0].infidelity - records[1].infidelity) < 1e-9
 
-    def test_ramp_points_propagate_to_their_ramp_end(self, monkeypatch):
-        # the v = 0.5 ramp ends at t = 0.2 of the scan's t_total = 2; its point stops there, while the
-        # quench keeps its hold, and the records are those of the held runs to roundoff
-        seen = []
-        monkeypatch.setattr(xp, "propagate", lambda h0, h1, p, dt: seen.append(p) or drive_dynamics.propagate(h0, h1, p, dt))
+    def test_held_and_trimmed_ramps_give_the_same_u_bit_for_bit(self):
+        # the v = 0.5 ramp ends at t = 0.2 of the scan's t_total = 2; propagate stops there, so
+        # the same ramp trimmed to its ramp end, or held to t = 4, has the same U
         cfg = config_from_dict(tiny_config())
-        records = run_velocity_scan(cfg, threads=1)
-        points = {v: protocol for _, protocol, v in xp._velocity_points(cfg)}
-        assert points[0.5].t_total == 2.0 and points[0.5].ramp_time < 2.0
-        ramps = [p for p in seen if p.kind == "ramp_hold"]
-        assert all(p.t_total == p.ramp_time for p in ramps)
-        assert {p.t_total for p in ramps} == {points[0.05].ramp_time, points[0.5].ramp_time}
-        assert [p for p in seen if p.kind == "quench"] == [points[math.inf]]
+        ops = _ModelOps.build(cfg.model)
+        held = {v: protocol for _, protocol, v in xp._velocity_points(cfg)}[0.5]
+        assert held.t_total == 2.0 and held.ramp_time < 2.0
+        u, *others = (drive_dynamics.propagate(ops.spec0, ops.h1, p, cfg.dt).unitary
+                      for p in (held, replace(held, t_total=held.ramp_time), replace(held, t_total=4.0)))
+        for other in others:
+            assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(u.blocks, other.blocks))
 
-        monkeypatch.setattr(xp, "propagate", drive_dynamics.propagate)
-        held = xp._run_levels({}, [(cfg.model, replace(points[0.5], t_total=4.0), 0.5)], cfg, False, 0, (0,))[0][0][0]
-        (stopped,) = [r for r in records if r.scan_value == 0.5]
-        for name in ("infidelity", "avg_work", "jarzynski_deviation", "delta_variance"):
-            assert abs(getattr(held, name) - getattr(stopped, name)) <= 1e-14
+    def test_quench_record_is_the_gibbs_to_gibbs_infidelity(self):
+        # a quench's U is the identity: its record compares the initial and final Gibbs states as they are
+        cfg = load_config(REPO / "configs" / "single_quench.json")
+        record = run_single(cfg)[0]
+        ops = _ModelOps.build(cfg.model)
+        spec_f = eigendecompose(assemble(ops.h0, ops.h1, cfg.lambda1))
+        assert record.infidelity == infidelity(gibbs_state(ops.spec0, cfg.beta), gibbs_state(spec_f, cfg.beta),
+                                               cfg.fidelity_convention)
 
 
 class TestBlockedOperators:
     def test_each_distinct_adapted_block_is_diagonalized_and_stepped_once(self, monkeypatch):
         """A velocity scan at N = 9 builds its shared model on 18 adapted blocks, of
         which 9 are distinct (a spin-flip pair of sectors shares its arrays): the
-        build runs 9 eigh, and each propagate call 9 _propagate_block."""
+        build runs 9 eigh, and each propagate call 9 _propagate_block and no eigh: it
+        steps from the build's eigendecomposition of H0."""
         eighs, stepped, builds, propagates = [], [], [], []
         eigh, propagate_block, build, propagate = (
             np.linalg.eigh, drive_dynamics._propagate_block, xp._ModelOps.build, xp.propagate)
@@ -458,9 +460,9 @@ class TestBlockedOperators:
             return builds[-1][0]
 
         def counted_propagate(*args):
-            before = len(stepped)
+            before = len(stepped), len(eighs)
             result = propagate(*args)
-            propagates.append(len(stepped) - before)
+            propagates.append((len(stepped) - before[0], len(eighs) - before[1]))
             return result
 
         monkeypatch.setattr(xp._ModelOps, "build", staticmethod(counted_build))
@@ -471,7 +473,7 @@ class TestBlockedOperators:
         ((ops, build_eighs),) = builds
         assert len(ops.h0.blocks) == 18
         assert build_eighs == 9
-        assert propagates == [9, 9, 9]
+        assert propagates == [(9, 0)] * 3
 
     @pytest.mark.parametrize("n_sites, blocks, config", [
         (7, 14, {"scan": "pert_compare", "grid": [0.05, 0.1, 0.2], "protocol": {"kind": "quench", "t_total": 2.0}}),

@@ -86,7 +86,7 @@ def exact_lnchi(h0, h1, lam1, beta, u, protocol=None, dt=0.005):
     spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + lam1 * h1.matrix))
     if protocol is None:
         protocol = DriveProtocol(kind="quench", lambda_final=lam1, t_total=1.0)
-    prop = propagate(h0, h1, protocol, dt)
+    prop = propagate(spec_i, h1, protocol, dt)
     dist = tpm_distribution(spec_i, spec_f, prop, beta)
     return cfw_from_distribution(dist, u)
 
@@ -171,7 +171,7 @@ class TestMeasureAtomSets:
         def cells(h0, h1):
             spec0, spec_f = eigendecompose(h0), eigendecompose(assemble(h0, h1, 0.1))
             m2, m3 = two_point_measure(spec0, h1, self.BETA), three_point_measure(spec0, h1, self.BETA)
-            dist = tpm_distribution(spec0, spec_f, propagate(h0, h1, quench, 0.01), self.BETA)
+            dist = tpm_distribution(spec0, spec_f, propagate(spec0, h1, quench, 0.01), self.BETA)
             return [
                 (np.column_stack([m2.omegas, m2.weights.real, m2.weights.imag]), np.abs(m2.weights)),
                 (np.column_stack([m3.omega1, m3.omega2, m3.weights.real, m3.weights.imag]), np.abs(m3.weights)),

@@ -221,7 +221,7 @@ class TestStateStorage:
         spec = SpinChainSpec(9, 2.0)
         h0, h1 = build_hopping(spec), build_zz(spec)
         spec0 = eigendecompose(h0)
-        prop = propagate(h0, h1, DriveProtocol(kind="quench", lambda_final=0.1, t_total=2.0), 0.01)
+        prop = propagate(spec0, h1, DriveProtocol(kind="quench", lambda_final=0.1, t_total=2.0), 0.01)
         dense = 16 * spec0.dimension**2
         tracemalloc.start()
         try:
@@ -487,8 +487,8 @@ class TestFidelityOracle:
         h0, h1 = build_hopping(spec), build_zz(spec)
         h_f = assemble(h0, h1, 0.1)
         protocol = DriveProtocol(kind="ramp_hold", lambda_final=0.1, t_total=3.0, velocity=0.05)
-        prop = propagate(h0, h1, protocol, 0.01)
         spec0, spec_f = eigendecompose(h0), eigendecompose(h_f)
+        prop = propagate(spec0, h1, protocol, 0.01)
         rho, sigma = evolve_density(gibbs_state(spec0, beta), prop), gibbs_state(spec_f, beta)
         got = uhlmann_fidelity(rho, sigma)
         old = sqrt_fidelity(rho.matrix, sigma.matrix)

@@ -64,7 +64,7 @@ def quench_pipeline(n=2, J=2.0, lam1=0.1, beta=BETA, t=5.0):
     spec_i = eigendecompose(h0)
     spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + lam1 * h1.matrix))
     protocol = DriveProtocol(kind="quench", lambda_final=lam1, t_total=t)
-    prop = propagate(h0, h1, protocol, 0.01)
+    prop = propagate(spec_i, h1, protocol, 0.01)
     return h0, h1, spec_i, spec_f, prop
 
 
@@ -72,7 +72,7 @@ class TestTpmDistribution:
     def test_time_independent_is_single_atom(self, chain4):
         _, h0, h1, spec0 = chain4
         p = DriveProtocol(kind="ramp_hold", lambda_final=0.0, t_total=3.0, velocity=0.0)
-        prop = propagate(h0, h1, p, 0.01)
+        prop = propagate(spec0, h1, p, 0.01)
         dist = tpm_distribution(spec0, spec0, prop, BETA)
         mean = average_work(dist)
         assert abs(mean) < 1e-12
@@ -96,13 +96,13 @@ class TestTpmDistribution:
         lam1 = 0.2
         spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + lam1 * h1.matrix))
         p = DriveProtocol(kind="ramp_hold", lambda_final=lam1, t_total=4.0, velocity=0.1)
-        dist = tpm_distribution(spec0, spec_f, propagate(h0, h1, p, 0.02), BETA)
+        dist = tpm_distribution(spec0, spec_f, propagate(spec0, h1, p, 0.02), BETA)
         assert abs(dist.probabilities.sum() - 1.0) < 1e-10
 
     def test_atom_separation_respects_tolerance(self, chain4):
         _, h0, h1, spec0 = chain4
         spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + 0.1 * h1.matrix))
-        prop = propagate(h0, h1, DriveProtocol(kind="quench", lambda_final=0.1, t_total=2.0), 0.01)
+        prop = propagate(spec0, h1, DriveProtocol(kind="quench", lambda_final=0.1, t_total=2.0), 0.01)
         dist = tpm_distribution(spec0, spec_f, prop, BETA)
         assert np.all(np.diff(dist.works) > dist.merge_tolerance)
         assert dist.merge_tolerance == pytest.approx(
@@ -227,7 +227,7 @@ class TestCfwFromDistribution:
     def test_value_at_zero(self, chain4):
         _, h0, h1, spec0 = chain4
         spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + 0.1 * h1.matrix))
-        prop = propagate(h0, h1, DriveProtocol(kind="quench", lambda_final=0.1, t_total=1.0), 0.01)
+        prop = propagate(spec0, h1, DriveProtocol(kind="quench", lambda_final=0.1, t_total=1.0), 0.01)
         dist = tpm_distribution(spec0, spec_f, prop, BETA)
         c = cfw_from_distribution(dist, np.linspace(-2, 2, 41))
         i0 = np.argmin(np.abs(c.u_grid))
@@ -244,7 +244,7 @@ class TestCfwFromDistribution:
     def test_magnitude_bounded_by_one(self, chain4):
         _, h0, h1, spec0 = chain4
         spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + 0.3 * h1.matrix))
-        prop = propagate(h0, h1, DriveProtocol(kind="quench", lambda_final=0.3, t_total=1.0), 0.01)
+        prop = propagate(spec0, h1, DriveProtocol(kind="quench", lambda_final=0.3, t_total=1.0), 0.01)
         dist = tpm_distribution(spec0, spec_f, prop, BETA)
         c = cfw_from_distribution(dist, default_u_grid(BETA))
         assert np.abs(c.chi).max() <= 1 + 1e-10
@@ -325,7 +325,7 @@ class TestCfwFromDistribution:
     def test_negative_u_is_exact_conjugate_on_default_grid(self, chain4):
         _, h0, h1, spec0 = chain4
         spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + 0.1 * h1.matrix))
-        prop = propagate(h0, h1, DriveProtocol(kind="quench", lambda_final=0.1, t_total=1.0), 0.01)
+        prop = propagate(spec0, h1, DriveProtocol(kind="quench", lambda_final=0.1, t_total=1.0), 0.01)
         dist = tpm_distribution(spec0, spec_f, prop, BETA)
         u = default_u_grid(BETA)
         c = cfw_from_distribution(dist, u)
@@ -342,7 +342,7 @@ class TestCfwTrace:
     def test_trivial_propagator_gives_unity(self, chain4):
         _, h0, h1, spec0 = chain4
         p = DriveProtocol(kind="ramp_hold", lambda_final=0.0, t_total=2.0, velocity=0.0)
-        prop = propagate(h0, h1, p, 0.01)
+        prop = propagate(spec0, h1, p, 0.01)
         c = cfw_trace(prop, spec0, spec0, BETA, np.linspace(-4, 4, 81))
         assert np.abs(c.chi - 1.0).max() < 1e-10
 
@@ -378,7 +378,7 @@ class TestJarzynski:
     def test_time_independent_identity(self, chain4):
         _, h0, h1, spec0 = chain4
         p = DriveProtocol(kind="ramp_hold", lambda_final=0.0, t_total=2.0, velocity=0.0)
-        dist = tpm_distribution(spec0, spec0, propagate(h0, h1, p, 0.01), BETA)
+        dist = tpm_distribution(spec0, spec0, propagate(spec0, h1, p, 0.01), BETA)
         rep = jarzynski_check(dist, log_partition_function(spec0, BETA), log_partition_function(spec0, BETA), BETA)
         assert rep.ln_lhs == pytest.approx(0.0, abs=1e-12)
         assert rep.ln_rhs == pytest.approx(0.0, abs=1e-12)
@@ -430,7 +430,7 @@ class TestJarzynski:
             protocol = DriveProtocol(
                 kind="ramp_hold", lambda_final=lam1, t_total=max(t_r, 2.0), velocity=velocity
             )
-        prop = propagate(h0, h1, protocol, 0.1)
+        prop = propagate(spec_i, h1, protocol, 0.1)
         dist = tpm_distribution(spec_i, spec_f, prop, beta)
         rep = jarzynski_check(
             dist,
@@ -485,7 +485,7 @@ class TestDeltaConcentration:
     def test_time_independent_is_delta(self, chain4):
         _, h0, h1, spec0 = chain4
         p = DriveProtocol(kind="ramp_hold", lambda_final=0.0, t_total=3.0, velocity=0.0)
-        dist = tpm_distribution(spec0, spec0, propagate(h0, h1, p, 0.01), BETA)
+        dist = tpm_distribution(spec0, spec0, propagate(spec0, h1, p, 0.01), BETA)
         rep = delta_concentration(dist, 1e-6 * 2 * spec0.spectral_range)
         assert rep.is_delta
         assert rep.variance < 1e-20
@@ -518,7 +518,7 @@ class TestDeltaImpliesTargetReached:
         h1 = OperatorMatrix.from_dense(np.eye(d, dtype=complex) * 1.3)
         lam1 = 0.2
         spec_f = eigendecompose(OperatorMatrix.from_dense(h0.matrix + lam1 * h1.matrix))
-        prop = propagate(h0, h1, DriveProtocol(kind="quench", lambda_final=lam1, t_total=3.0), 0.01)
+        prop = propagate(spec0, h1, DriveProtocol(kind="quench", lambda_final=lam1, t_total=3.0), 0.01)
         dist = tpm_distribution(spec0, spec_f, prop, BETA)
         rep = delta_concentration(dist, 1e-6 * (spec0.spectral_range + spec_f.spectral_range + 1.0))
         assert rep.is_delta
