@@ -18,7 +18,7 @@ Propagation conventions (hbar = 1, time in inverse energy units):
   * Each block common to H1 and the caller's eigendecomposition of H0 (not
     recomputed here) is propagated on its own with one substep schedule shared
     by all, and U is an operator on the same blocks.  On the chain's
-    symmetry-adapted blocks (``spin_model.symmetry_adapted``) a spin-flip pair of
+    symmetry-adapted blocks (``spin_model.adapted_chain``) a spin-flip pair of
     sectors is one pair of arrays, stepped once in reflection parity blocks (7.9x
     fewer counted flops per substep at N = 9 than stepping every sector); the
     copy's U block is its partner's array, its unitarity defect is counted twice,

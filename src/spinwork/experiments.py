@@ -51,8 +51,8 @@ from .spectral_core import (
     infidelity,
     log_partition_function,
 )
-from .spin_model import (DimensionError, OperatorMatrix, SpinChainSpec, adapted_block_sizes, assemble, build_hopping,
-                         build_zz, chain_points, symmetry_adapted)
+from .spin_model import (DimensionError, OperatorMatrix, SpinChainSpec, adapted_block_sizes, adapted_chain, assemble,
+                         chain_points)
 from .work_statistics import (
     WorkDistribution,
     average_work,
@@ -300,7 +300,7 @@ class _ModelOps:
 
     @classmethod
     def build(cls, spec: SpinChainSpec):
-        h0, h1, _ = symmetry_adapted(build_hopping(spec), build_zz(spec))
+        h0, h1 = adapted_chain(spec)
         return cls(h0, h1, eigendecompose(h0))
 
 

@@ -2,7 +2,7 @@
 
 Every object here is held block by block, on the blocks its operator came
 with: in the pipeline the chain's symmetry-adapted blocks
-(``spin_model.symmetry_adapted``), else the magnetization sectors, or one
+(``spin_model.adapted_chain``), else the magnetization sectors, or one
 whole-space block for a dense input that couples them.  ``eigendecompose``
 runs ``eigh`` once per distinct block and merges the eigenvalues in ascending
 order, keeping each block's eigenvectors as one (rows, cols, array) triple;

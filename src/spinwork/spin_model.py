@@ -21,10 +21,11 @@ operator in real arithmetic (real ``eigh``, real eigenvectors) without a
 second code path.
 Eigenvectors and state factors are (rows, cols, array) triples too, and
 ``common_blocks`` lines several up: blocks they share, or the whole space.
-The pipeline runs on the chain's symmetry-adapted blocks (``symmetry_adapted``):
+The pipeline runs on the chain's symmetry-adapted blocks (``adapted_chain``):
 each sector split into the +-1 eigenspaces of the site reflection (and of the
-spin flip on the middle sector), sector N - k written in the flip image of
-sector k's basis so that its blocks are sector k's arrays.  After the build a flip
+spin flip on the middle sector), built orbit by orbit from the basis permutations
+of the two (``spin_symmetries``) with no isometry formed, and sector N - k written
+in the flip image of sector k's basis so that its blocks are sector k's arrays.  After the build a flip
 copy is its partner counted twice: every stage finds it by array identity (``copies``),
 computes its partner's result once and shares it (``once_per_copy``), and counts the
 partner's sums, atoms and defects at multiplicity 2.
@@ -67,13 +68,14 @@ def check_memory(what: str, estimate: int) -> int:
 
 
 def adapted_block_sizes(n_sites: int) -> list[int]:
-    """Sizes of the chain's distinct symmetry-adapted blocks on ``n_sites``, in ``symmetry_adapted``'s
+    """Sizes of the chain's distinct symmetry-adapted blocks on ``n_sites``, in ``adapted_chain``'s
     order, one per group of :func:`copies` (a flip copy of sector N - k is sector k's).
 
     Sector k < N/2 of C = C(N, k) states splits by reflection parity into (C +- P)/2, P its palindromes:
     C(N // 2, k // 2) at odd N, C(N/2, k/2) at even N and k, none at odd k.  The middle sector of even N
     splits by both parities into (C + r P + r f 2^(N/2))/4 for flip f and reflection r = +-1 (2^(N/2)
-    states are their own flip's mirror image).  Empty blocks are dropped, as ``symmetry_adapted`` drops them.
+    states are their own flip's mirror image).  A block is one orbit sum per orbit that its parities do not
+    cancel, so empty blocks are dropped, as ``adapted_chain`` drops them.
     """
     sizes = []
     for k in range(n_sites // 2 + 1):
@@ -213,82 +215,60 @@ def spin_symmetries(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     return ((1 + z) // 2) @ place, ((1 - z[:, ::-1]) // 2) @ place
 
 
-def _symmetries(blocks: list) -> list[np.ndarray]:
-    """Those of the spin flip and the site reflection under which operators given on
-    common blocks (``common_blocks``) are exactly invariant: each block maps onto
-    a block, and each of its arrays onto that block's."""
-    first = {rows[0]: k for k, (rows, _) in enumerate(blocks)}
+def adapted_chain(spec: SpinChainSpec) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """(H0, H1) of the chain on its symmetry-adapted blocks (see the module notes), built orbit by orbit.
 
-    def invariant(g, rows, arrays):
-        if g[rows].min() not in first:
-            return False
-        target, images = blocks[first[g[rows].min()]]
-        at = np.searchsorted(target, g[rows])
-        return np.array_equal(np.sort(g[rows]), target) and all(
-            np.array_equal(b[at][:, at], a) for (_, a), (_, b) in zip(arrays, images)
-        )
-
-    n_sites = sum(rows.size for rows, _ in blocks).bit_length() - 1
-    return [g for g in spin_symmetries(n_sites) if all(invariant(g, *block) for block in blocks)]
-
-
-def _parity_isometries(rows: np.ndarray, symmetries: list[np.ndarray]) -> list[np.ndarray]:
-    """Real orthonormal isometries of the block ``rows`` onto the joint +-1
-    eigenspaces of those commuting involutions that map it onto itself.
-
-    Each column is the signed, normalized sum over one orbit of basis states;
-    without such a symmetry the block is one identity isometry.
+    Sector k <= N/2 splits into the +-1 eigenspaces of the site reflection (flip, then reflection, on
+    the middle sector), each spanned by the signed, normalized sums over the orbits of basis states
+    that the parities do not cancel, in the order of the orbits' first states.  H0's entries are
+    gathered from the nonzeros of ``build_hopping``'s sector block A (at most N - 1 hops per state),
+    summed first over each orbit's states (the nonzeros of s^T A) and then over the neighbours' orbits,
+    the order in which the dense projection s^T A s sums them; H1 is diagonal there, ``zz_diagonal`` at
+    each orbit's first state.  Sector N - k takes sector k's arrays (its blocks are in the flip image
+    of sector k's basis), so its blocks are flip copies (``copies``).
     """
-    n = rows.size
-    local = [np.searchsorted(rows, g[rows]) for g in symmetries if np.array_equal(np.sort(g[rows]), rows)]
-    # the group they generate: each element's permutation with the generators it uses
-    elements = [(np.arange(n), ())]
-    for k, q in enumerate(local):
-        elements += [(q[perm], used + (k,)) for perm, used in elements]
-    orbit_first = np.flatnonzero(np.min([perm for perm, _ in elements], axis=0) == np.arange(n))
-    columns = np.arange(orbit_first.size)
-    isometries = []
-    for signs in itertools.product((1.0, -1.0), repeat=len(local)):
-        s = np.zeros((n, orbit_first.size))
-        for perm, used in elements:
-            s[perm[orbit_first], columns] += np.prod([signs[k] for k in used])  # one entry per column
-        norms = np.linalg.norm(s, axis=0)
-        live = norms > 0.5
-        if live.any():
-            isometries.append(s[:, live] / norms[live])
-    return isometries
-
-
-def symmetry_adapted(h0: OperatorMatrix, h1: OperatorMatrix) -> tuple[OperatorMatrix, OperatorMatrix, tuple]:
-    """(H0, H1) on their symmetry-adapted blocks (see the module notes), and the isometries onto them.
-
-    Of the flip and the reflection, those that leave both exactly invariant (``_symmetries``) are
-    kept.  A common block that a kept g maps onto an earlier one takes the g-image of that one's
-    basis, and so its arrays; any other is split by ``_parity_isometries`` s into the blocks s^T H s
-    (a diagonal H1 stays diagonal).  The isometries are (rows, adapted columns, s) triples, the
-    adapted columns consecutive: ``dense_view(d, isometries)`` is the orthogonal S with H = S H_adapted S^T.
-    """
-    blocks = common_blocks(h0.blocks, h1.blocks)
-    symmetries = _symmetries(blocks)
-    first = {rows[0]: k for k, (rows, _) in enumerate(blocks)}
-    parts = []  # per common block, (rows, s, s^T H0 s, s^T H1 s) of each of its adapted blocks
-    for k, (rows, ((_, a0), (_, a1))) in enumerate(blocks):
-        image = [(first[g[rows].min()], g) for g in symmetries if first[g[rows].min()] < k]
-        if image:
-            j, g = image[0]
-            parts.append([(g[r], s, b0, b1) for r, s, b0, b1 in parts[j]])
-        else:
-            parts.append([(rows, s, s.T @ a0 @ s, s.T @ a1 @ s) for s in _parity_isometries(rows, symmetries)])
-    rows, isometries, b0, b1 = zip(*(part for block in parts for part in block))
-    cols = np.split(np.arange(h0.dimension), np.cumsum([s.shape[1] for s in isometries])[:-1])
-    return (OperatorMatrix(tuple(zip(cols, cols, b0)), h0.hermitian),
-            OperatorMatrix(tuple(zip(cols, cols, b1)), h1.hermitian), tuple(zip(rows, cols, isometries)))
+    n = spec.n_sites
+    flip, reflection = spin_symmetries(n)
+    zz = zz_diagonal(spec)
+    parts = []  # per sector k <= N/2, (H0, H1) of each of its adapted blocks
+    for k, (rows, _, a) in enumerate(build_hopping(spec).blocks[: n // 2 + 1]):
+        gens = [np.searchsorted(rows, g[rows]) for g in (flip, reflection)[2 * k != n:]]
+        states = np.arange(rows.size)
+        elements = [(states, ())]  # the group they generate: each permutation, the generators it uses
+        for g, q in enumerate(gens):
+            elements += [(q[perm], used + (g,)) for perm, used in elements]
+        first = np.min([perm for perm, _ in elements], axis=0)  # each state's orbit's first state
+        firsts = np.flatnonzero(first == states)
+        orbit, hop_i, hop_j = np.searchsorted(firsts, first), *np.nonzero(a)
+        parts.append([])
+        for signs in itertools.product((1.0, -1.0), repeat=len(gens)):
+            # the state's coefficient in its orbit's column: the signs of the elements taking the first state to it
+            w = sum(np.prod([signs[g] for g in used]) * (perm[first] == states) for perm, used in elements)
+            norms = np.sqrt(np.bincount(orbit, w * w))
+            live = norms > 0.5  # the orbits that the signs do not cancel
+            if not live.any():
+                continue
+            s, col = w / np.maximum(norms, 1.0)[orbit], (np.cumsum(live) - 1)[orbit]
+            hops = (s[hop_i] != 0) & (s[hop_j] != 0)
+            pair = col[hop_i[hops]] * rows.size + hop_j[hops]
+            order = np.argsort(pair, kind="stable")
+            i, j = hop_i[hops][order], hop_j[hops][order]  # by (orbit of i, j), each pair's i ascending
+            new = np.diff(pair[order], prepend=-1) != 0
+            sa = np.zeros(new.sum())  # the nonzeros of s^T A, at (col[i], j) of each pair's first hop
+            np.add.at(sa, np.cumsum(new) - 1, s[i] * a[i, j])
+            h0 = np.zeros((live.sum(),) * 2)
+            np.add.at(h0, (col[i][new], col[j][new]), sa * s[j][new])
+            parts[-1].append((h0, np.diag(zz[rows[firsts[live]]])))
+    parts += parts[(n - 1) // 2::-1]
+    b0, b1 = zip(*(part for sector in parts for part in sector))
+    cols = np.split(np.arange(spec.dimension), np.cumsum([b.shape[0] for b in b0])[:-1])
+    return OperatorMatrix(tuple(zip(cols, cols, b0))), OperatorMatrix(tuple(zip(cols, cols, b1)))
 
 
 def copies(*columns) -> list[int]:
     """For each position of equally long sequences of arrays, the first position holding the same
     arrays: each 2-d array (a block, its eigenvectors, its propagator) the same object, as a flip
-    copy's are its partner's (``symmetry_adapted``) and stay through every stage that computes them
+    copy's are its partner's (``adapted_chain``) and stay through every stage that computes them
     once, and each 1-d array (a block's eigenvalues or weights) equal bit for bit.  A position that
     is its own first stands for its copies: ``Counter`` of the list gives its multiplicity."""
     entries, first = list(zip(*columns)), {}  # holds every array, so no id is reused meanwhile
@@ -343,7 +323,7 @@ def magnetization_sectors(n_sites: int) -> list[np.ndarray]:
 
     Both chain parts commute with total magnetization, so every H(t) is block
     diagonal over these index groups: the blocks of ``build_hopping`` and
-    ``build_zz``, which everything downstream keeps.
+    ``build_zz``, which ``adapted_chain`` splits further.
     """
     if n_sites < 2:
         raise ValueError(f"n_sites must be >= 2, got {n_sites}")

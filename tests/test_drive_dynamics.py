@@ -32,9 +32,9 @@ from spinwork.drive_dynamics import (
     _propagate_block,
     _step_count,
 )
-from spinwork.spin_model import _symmetries, common_blocks, dense_view, symmetry_adapted
+from spinwork.spin_model import common_blocks, dense_view
 
-from conftest import matrix_function, total_magnetization
+from conftest import _symmetries, matrix_function, symmetry_adapted, total_magnetization
 
 
 def ramp(lam1=0.1, v=0.05, t_total=None):
@@ -333,8 +333,9 @@ class TestSteppingLoop:
 
 
 class TestSymmetryReduction:
-    """The chain on its symmetry-adapted blocks (``spin_model.symmetry_adapted``):
-    one sector per spin-flip pair, in site-reflection parity blocks."""
+    """The chain on its symmetry-adapted blocks, by the reference adapter (``conftest.symmetry_adapted``,
+    whose isometries map a result back to the computational basis): one sector per spin-flip pair, in
+    site-reflection parity blocks."""
 
     @staticmethod
     def flip_partners(isometries, n):

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import spinwork.experiments as xp
 from spinwork import drive_dynamics, perturbative_cfw, spin_model
-from spinwork.spin_model import DimensionError, symmetry_adapted
+from spinwork.spin_model import DimensionError, once_per_copy, zz_diagonal
 from spinwork import (
     OperatorMatrix,
     SpinChainSpec,
@@ -56,6 +56,8 @@ from spinwork.perturbative_cfw import (
     third_order_adiabatic_coefficient,
     three_point_measure,
 )
+
+from conftest import symmetry_adapted
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted((REPO / "configs").glob("*.json"))}
@@ -562,12 +564,21 @@ class TestBlockedOperators:
         validated, built = [call for call in calls if call[0].startswith("three-point measure")]
         assert validated == built
 
-    def test_dense_input_gives_identical_records_and_atoms(self):
-        """The spin-table build and from_dense of its dense view run the same pipeline."""
+    def test_dense_input_gives_the_same_records_and_atoms(self):
+        """The orbit build, and the reference adapter on from_dense of the sector blocks' dense views,
+        run the same pipeline: H0 bit for bit, H1 exactly ``zz_diagonal`` at each orbit where the
+        reference's projection rounds it, and records and atoms within 1e-14."""
         spec = SpinChainSpec(6, 2.0)
         built = _ModelOps.build(spec)
-        h0, h1, _ = symmetry_adapted(*(OperatorMatrix.from_dense(op(spec).matrix) for op in (build_hopping, build_zz)))
+        h0, h1, isometries = symmetry_adapted(*(OperatorMatrix.from_dense(op(spec).matrix)
+                                                for op in (build_hopping, build_zz)))
         dense = _ModelOps(h0, h1, eigendecompose(h0))
+        zz = zz_diagonal(spec)
+        for (_, _, a0), (_, _, a1), (_, _, b0), (_, _, b1), (rows, _, s) in zip(
+                built.h0.blocks, built.h1.blocks, h0.blocks, h1.blocks, isometries, strict=True):
+            assert np.array_equal(a0, b0)
+            assert np.array_equal(a1, np.diag(zz[rows[np.abs(s).argmax(axis=0)]]))
+            assert np.abs(a1 - b1).max() <= 4 * np.finfo(float).eps * np.abs(zz).max()
         cfg = config_from_dict(tiny_config(dt=0.01))
         for protocol in (xp._protocol_for("ramp_hold", 0.2, 0.1, 3.0), xp._protocol_for("quench", None, 0.1, 3.0)):
             levels = range(len(xp._steps(cfg.dt, protocol, True)))
@@ -575,18 +586,23 @@ class TestBlockedOperators:
                 xp._run_levels({spec: ops}, [(spec, protocol, 0.2)], cfg, True, 0, levels) for ops in (built, dense)
             )
             (r1, _), (r2, _) = runs1[0], runs2[0]
-            assert replace(r1, runtime_seconds=0.0) == replace(r2, runtime_seconds=0.0)
-            assert np.array_equal(d1.works, d2.works)
-            assert np.array_equal(d1.probabilities, d2.probabilities)
+            for column in CSV_COLUMNS[:-1]:
+                assert abs(getattr(r1, column) - getattr(r2, column)) <= 1e-14, column
+            for level in levels[1:]:
+                assert abs(runs1[level][0] - runs2[level][0]) <= 1e-14
+            assert d1.works.shape == d2.works.shape
+            assert np.abs(d1.works - d2.works).max() <= 1e-14
+            assert np.abs(d1.probabilities - d2.probabilities).max() <= 1e-14
 
     def test_complex_blocks_give_the_same_records_and_atoms(self):
-        """The chain's blocks cast to complex128 run the complex path of every stage
-        (parity projections, complex eigh and Gibbs factors), which no CLI run
-        reaches since the chain is built in float64; records and atoms match."""
+        """The built adapted blocks cast to complex128 (a flip copy still its partner's array) run the
+        complex path of every stage (complex eigh and Gibbs factors), which no CLI run reaches since the
+        chain is built in float64; records and atoms match."""
         spec = SpinChainSpec(6, 2.0)
         built = _ModelOps.build(spec)
-        h0, h1, _ = symmetry_adapted(*(OperatorMatrix(tuple((r, c, a.astype(complex)) for r, c, a in op(spec).blocks))
-                                       for op in (build_hopping, build_zz)))
+        h0, h1 = (OperatorMatrix(tuple((r, c, a) for (r, c, _), a in zip(
+            op.blocks, once_per_copy(lambda a: a.astype(complex), [a for _, _, a in op.blocks]))))
+            for op in (built.h0, built.h1))
         cast = _ModelOps(h0, h1, eigendecompose(h0))
         assert all(v.dtype == np.complex128 for _, _, v in cast.spec0.blocks)
         cfg = config_from_dict(tiny_config(dt=0.01))
@@ -606,9 +622,9 @@ class TestBlockedOperators:
 
     def test_no_dense_array_at_ten_sites(self):
         """tracemalloc peaks in units of one d x d complex array (16 d^2 bytes) at N = 10:
-        0.29 for the model build and 0.54 for a size-fast scan point on the symmetry-adapted
-        blocks (0.27 and 1.5 on the sector blocks; 0.53 and 1.6-1.9 when those were
-        complex), against 4.0 and 9.0 when every operator was a dense array."""
+        0.12 for the model build (0.29 with dense parity projections) and 0.39-0.54 for a size-fast
+        scan point on the symmetry-adapted blocks (0.27 and 1.5 on the sector blocks; 0.53 and 1.6-1.9
+        when those were complex), against 4.0 and 9.0 when every operator was a dense array."""
         spec = SpinChainSpec(10, 2.0)
         dense_bytes = 16 * spec.dimension**2
         protocol = xp._protocol_for("ramp_hold", 0.2, 0.1, 100.0)

@@ -38,10 +38,10 @@ from spinwork.perturbative_cfw import (
 )
 
 from spinwork import spin_model
-from spinwork.spin_model import DimensionError, symmetry_adapted
+from spinwork.spin_model import DimensionError
 from spinwork.work_statistics import default_u_grid, merge_atoms
 
-from conftest import measure2_inverse_transform, measure3_inverse_transform, two_site_operators
+from conftest import measure2_inverse_transform, measure3_inverse_transform, symmetry_adapted, two_site_operators
 from test_reference import PERT_COMPARE_TOL
 
 BETA = 1.0
