@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import OperatorMatrix, common_blocks, copies, dense_view, once_per_copy
+from .spin_model import OperatorMatrix, common_blocks, copies, dense_view, once_per_copy, sublattice_parities
 
 PSD_TOLERANCE = 1e-12
 TRACE_TOLERANCE = 1e-10
@@ -44,10 +44,13 @@ class SpectralDecomposition:
 
     ``blocks`` holds one (rows, eigen-columns, vectors) triple per invariant
     block; each eigenvector is exactly zero outside its block's rows.
+    ``parities`` holds each block's 2-colouring (``spin_model.sublattice_parities``, None where
+    it has none), the gauge in which ``drive_dynamics.propagate`` steps the block in real arithmetic.
     """
 
     eigenvalues: np.ndarray
     blocks: tuple
+    parities: tuple
 
     @property
     def dimension(self) -> int:
@@ -99,18 +102,31 @@ class DensityMatrix:
 
 def eigendecompose(h: OperatorMatrix) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian operator, block by block, eigenvalues
-    ascending (a stable merge of the blocks' eigenvalues); a flip copy (``copies``)
-    shares its partner's ``eigh``, so its eigenvectors are the same array."""
+    ascending (a stable merge of the blocks' eigenvalues), with each block's sublattice
+    parity; a flip copy (``copies``) shares its partner's ``eigh``, so its eigenvectors
+    are the same array."""
     if not h.hermitian:
         raise ValueError("eigendecompose requires an operator built with hermitian=True")
-    eighs = once_per_copy(np.linalg.eigh, [a for _, _, a in h.blocks])
+    arrays = [a for _, _, a in h.blocks]
+    eighs, first = once_per_copy(np.linalg.eigh, arrays), copies(arrays)
+    distinct = list(dict.fromkeys(first))
+    odds = dict(zip(distinct, sublattice_parities([arrays[i] for i in distinct])))
     parts = [(rows, *eig) for (rows, _, _), eig in zip(h.blocks, eighs)]
     evals = np.concatenate([e for _, e, _ in parts])
     order = np.argsort(evals, kind="stable")
     rank = np.empty(evals.size, dtype=np.intp)
     rank[order] = np.arange(evals.size)
     cols = np.split(rank, np.cumsum([e.size for _, e, _ in parts])[:-1])
-    return SpectralDecomposition(evals[order], tuple((rows, c, v) for (rows, _, v), c in zip(parts, cols)))
+    return SpectralDecomposition(evals[order], tuple((rows, c, v) for (rows, _, v), c in zip(parts, cols)),
+                                 tuple(odds[i] for i in first))
+
+
+def real_left(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z, where a real ``a`` times a complex ``z`` runs as one real GEMM on z's float view
+    (numpy would cast ``a`` to complex, for twice the multiply-adds)."""
+    if a.dtype != np.float64 or z.dtype != np.complex128:
+        return a @ z
+    return (a @ (z if z.flags.c_contiguous else z.copy()).view(np.float64)).view(np.complex128)
 
 
 def boltzmann_weights(spec: SpectralDecomposition, beta: float) -> np.ndarray:
@@ -172,7 +188,8 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     root = 0.0
     for i, count in Counter(copies(*zip(*blocks))).items():
         x, y, p, q = blocks[i]
-        root += count * float(np.linalg.svd((y * np.sqrt(q)).conj().T @ (x * np.sqrt(p)), compute_uv=False).sum())
+        overlap = real_left((y * np.sqrt(q)).conj().T, x * np.sqrt(p))
+        root += count * float(np.linalg.svd(overlap, compute_uv=False).sum())
     return float(min(root * root, 1.0))
 
 

@@ -284,6 +284,41 @@ def once_per_copy(fn, *columns) -> list:
     return [done[i] for i in first]
 
 
+def sublattice_parities(blocks: list) -> list:
+    """For each block, a 2-colouring of its exact nonzeros: True on its odd basis vectors, so that
+    every nonzero entry joins an even vector to an odd one; None for a complex block or one with
+    no such colouring (a nonzero diagonal entry or an odd cycle).  On the chain's hopping the
+    colour is the sublattice parity (-1)^(up spins on odd sites) wherever the block's vectors have
+    a definite one.
+
+    One breadth-first search over the nonzeros of all the real, zero-diagonal blocks at once, a
+    whole level at a time, from the first vector of each block (then of each part not yet reached)."""
+    real = [k for k, a in enumerate(blocks) if a.dtype == np.float64 and not np.diagonal(a).any()]
+    starts = np.cumsum([0] + [blocks[k].shape[0] for k in real])
+    edges = [np.nonzero(blocks[k]) for k in real]
+    none = [np.zeros(0, dtype=np.intp)]  # so that no real block concatenates
+    i = np.concatenate(none + [rows + s for (rows, _), s in zip(edges, starts)])
+    j = np.concatenate(none + [cols + s for (_, cols), s in zip(edges, starts)])
+    odd, seen = np.zeros(starts[-1], dtype=bool), np.zeros(starts[-1], dtype=bool)
+    while not seen.all():
+        unseen = np.flatnonzero(~seen)
+        front, level = np.zeros_like(seen), False
+        front[unseen[np.diff(np.searchsorted(starts, unseen, side="right"), prepend=-1) != 0]] = True
+        while front.any():
+            seen |= front
+            odd |= front & level
+            reached = np.zeros_like(seen)
+            reached[j[front[i]]] = True
+            front, level = reached & ~seen, not level
+    # a block with an edge inside one colour has none (numbered from 1 by its end in ``starts``)
+    clash = np.zeros(len(real) + 1, dtype=bool)
+    clash[np.searchsorted(starts, i[odd[i] == odd[j]], side="right")] = True
+    parities = [None] * len(blocks)
+    for m, k in enumerate(real):
+        parities[k] = None if clash[m + 1] else odd[starts[m]:starts[m + 1]]
+    return parities
+
+
 def build_hopping(spec: SpinChainSpec) -> OperatorMatrix:
     """Hopping part H0 = J sum_i (sigma+_i sigma-_{i+1} + h.c.), sector by sector."""
     n = spec.n_sites

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive_dynamics import PropagatorResult
-from .spectral_core import DensityMatrix, SpectralDecomposition, boltzmann_weights, expectation
+from .spectral_core import DensityMatrix, SpectralDecomposition, boltzmann_weights, expectation, real_left
 from .spin_model import OperatorMatrix, common_blocks, copies, once_per_copy
 
 NORMALIZATION_TOLERANCE = 1e-8
@@ -101,9 +101,11 @@ def _transition_kernel(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """M = |V_f^dag U V_i|^2 as (final columns, initial columns, block) triples, one
     per block common to the three inputs; M vanishes between them.  A flip copy's
-    block is its partner's array (``spin_model.once_per_copy``)."""
+    block is its partner's array (``spin_model.once_per_copy``).  Real eigenvectors
+    multiply a complex U from the left as one real GEMM each (``real_left``): V_f^T U,
+    then V_i^T (V_f^T U)^T, the transpose of the product."""
     blocks = common_blocks(u.unitary.blocks, spec_i.blocks, spec_f.blocks)
-    kernel = once_per_copy(lambda m, vi, vf: np.abs((vf.conj().T @ m) @ vi) ** 2,
+    kernel = once_per_copy(lambda m, vi, vf: np.abs(real_left(vi.T, real_left(vf.conj().T, m).T).T) ** 2,
                            *zip(*((m, vi, vf) for _, ((_, m), (_, vi), (_, vf)) in blocks)))
     return [(cf, ci, k) for (_, (_, (ci, _), (cf, _))), k in zip(blocks, kernel)]
 

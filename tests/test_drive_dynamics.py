@@ -32,9 +32,14 @@ from spinwork.drive_dynamics import (
     _propagate_block,
     _step_count,
 )
-from spinwork.spin_model import common_blocks, dense_view
+from spinwork.spin_model import adapted_chain, common_blocks, copies, dense_view, sublattice_parities
 
 from conftest import _symmetries, matrix_function, symmetry_adapted, total_magnetization
+
+
+def parity(a):
+    """The 2-colouring of one block (``sublattice_parities`` of it alone)."""
+    return sublattice_parities([a])[0]
 
 
 def ramp(lam1=0.1, v=0.05, t_total=None):
@@ -205,6 +210,13 @@ class TestPropagate:
         res = propagate(spec0, h1, p, 0.02)
         assert res.unitarity_defect < 1e-8
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf, -np.inf])
+    def test_rejects_a_step_that_is_not_positive_and_finite(self, chain4, dt):
+        # NaN would reach the step count's int(round(...)), and inf would run the ramp as one step
+        _, _, h1, spec0 = chain4
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            propagate(spec0, h1, ramp(), dt)
+
     @pytest.mark.parametrize("p", [ramp(), quench(0.3, 2.0)], ids=["ramp", "quench"])
     def test_requires_diagonal_interaction(self, chain4, p):
         # the hopping passed as the interaction; a quench, which steps nothing, is checked too
@@ -302,19 +314,37 @@ class TestSteppingLoop:
         substeps = 3 * nsteps
         assert substeps > KICK_CHUNK and substeps % KICK_CHUNK  # more than one chunk, the last one partial
         h = p.ramp_time / nsteps
-        eig0 = np.linalg.eigh(h0)
-        factors = [_expi(*eig0, g * h) for g in _GAPS]
+        eig0, odd = np.linalg.eigh(h0), parity(h0)
+        assert odd is not None and odd.any() and not odd.all()  # a gauged block
+        # each factor in the gauge D = diag(1, -i on odd vectors): the real part of D^-1 F D,
+        # then one Newton polar step
+        d = np.where(odd, -1j, 1.0)
+        factors = []
+        for g in _GAPS:
+            f = (d.conj()[:, None] * _expi(*eig0, g * h) * d).real
+            factors.append((f + np.linalg.inv(f).T) / 2.0)
         h1_diag = np.real(np.diag(h1))
         # substep k is substep k % 3 of step k // 3; W1/2 opens and closes the
-        # ramp, (W1 + W0)/2 follows a step's first two kicks and W1 its last
-        u = factors[0].copy()
+        # ramp, (W1 + W0)/2 follows a step's first two kicks and W1 its last;
+        # each real factor multiplies the iterate's float view
+        u = factors[0].astype(complex)
         for k in range(substeps):
             step, sub = divmod(k, 3)
             lam = lambda_at(p, (step + _MIDS[sub]) * h)
             u = np.exp(-1j * lam * h1_diag * (_WIDTHS[sub] * h))[:, None] * u
-            u = factors[0 if k == substeps - 1 else 2 if sub == 2 else 1] @ u
+            u = (factors[0 if k == substeps - 1 else 2 if sub == 2 else 1] @ u.view(np.float64)).view(complex)
+        u = d[:, None] * u * d.conj()
         assert p.ramp_time == pytest.approx(3.1)  # both step 930 substeps, and the 0.9 after is not applied
-        assert np.array_equal(_propagate_block(*eig0, h1, p, nsteps), u)
+        assert np.array_equal(_propagate_block(*eig0, odd, h1, p, nsteps), u)
+
+    def test_polar_step_keeps_a_long_ramp_unitary(self):
+        # the loop reuses three H0 factors at every step, so their roundoff off the unitary group adds
+        # up coherently; after one Newton polar step each, 1000 steps at N = 8 end at a defect of
+        # 1.8e-12, where the unpolished factors reached 7.0e-11
+        h0, h1 = adapted_chain(SpinChainSpec(8, 2.0))
+        p = ramp(lam1=0.1, v=0.01)
+        assert _step_count(p, 0.01) == 1000
+        assert propagate(eigendecompose(h0), h1, p, 0.01).unitarity_defect < 1e-11
 
     def test_propagate_allocates_nothing_per_step(self):
         # a ramp of 3e4 steps at N = 3: the schedule is built a chunk at a
@@ -411,6 +441,106 @@ class TestSymmetryReduction:
         _, _, u = self.adapted_propagator(h0, h1, p, 0.1)
         ref = stepped_reference(h0.matrix, h1.matrix, p, 0.1, [np.arange(2**n)])
         assert np.abs(u - ref).max() < 1e-12
+
+
+def gauge(odd):
+    """The diagonal of D = diag(1 on even vectors, -i on odd ones)."""
+    return np.where(odd, -1j, 1.0)
+
+
+def phase_hopping(n, coupling=1.3, phase=0.7):
+    """The chain's hopping with a phase on every bond, J sum_i (e^{i phase} s+_i s-_{i+1} + h.c.): complex
+    Hermitian with the real hopping's zero pattern, so bipartite, but with no real gauge."""
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]])
+    bonds = [np.kron(np.kron(np.eye(2**i), np.kron(sp, sp.T)), np.eye(2 ** (n - 2 - i))) for i in range(n - 1)]
+    hop = coupling * np.exp(1j * phase) * sum(bonds)
+    return OperatorMatrix.from_dense(hop + hop.conj().T)
+
+
+class TestSublatticeGauge:
+    """Every real H0 block with a sublattice parity is stepped in its gauge D: real H0 factors, one
+    real GEMM per substep on the iterate's float view, and U = D U_gauged D^-1."""
+
+    @staticmethod
+    def sectors_and_parities(n):
+        """Each adapted block's magnetization sector (from the reference adapter's isometries, whose
+        block order ``adapted_chain`` keeps), its H0 array and its ``sublattice_parities``."""
+        spec = SpinChainSpec(n, 1.3)
+        h0, _ = adapted_chain(spec)
+        _, _, isometries = symmetry_adapted(build_hopping(spec), build_zz(spec))
+        return [(bin(rows[0]).count("1"), a, parity(a))
+                for (_, _, a), (rows, _, _) in zip(h0.blocks, isometries, strict=True)]
+
+    @pytest.mark.parametrize("n, share", [(4, 0.70), (5, 1.0), (6, 0.54), (7, 1.0), (8, 0.41), (9, 1.0), (10, 0.61)])
+    def test_which_blocks_get_the_gauge(self, n, share):
+        # the reflection keeps the sublattice parity at odd N and maps Q -> k - Q at even N, so
+        # every block is gauged at odd N and, at even N, the blocks of even sectors k only (the flip
+        # on the middle sector maps Q -> N/2 - Q, which keeps the parity at N = 4 and 8)
+        blocks = self.sectors_and_parities(n)
+        assert all((odd is not None) == (n % 2 == 1 or k % 2 == 0) for k, _, odd in blocks)
+        distinct = [(blocks[i][1].shape[0], blocks[i][2] is not None) for i in set(copies([a for _, a, _ in blocks]))]
+        cubes = sum(b**3 for b, _ in distinct)
+        assert sum(b**3 for b, gauged in distinct if gauged) / cubes == pytest.approx(share, abs=0.005)
+
+    def test_eleven_sites_gauge_every_distinct_block(self):
+        h0, _ = adapted_chain(SpinChainSpec(11, 1.3))
+        assert all(parity(a) is not None for _, _, a in h0.blocks)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_gauged_hopping_is_imaginary(self, n):
+        # D^-1 H0 D = i A with A real antisymmetric: its real part is exactly zero, since every
+        # entry between two vectors of one parity is an exact 0.0
+        gauged = [(a, odd) for _, a, odd in self.sectors_and_parities(n) if odd is not None]
+        assert gauged
+        for a, odd in gauged:
+            d = gauge(odd)
+            b = d.conj()[:, None] * a * d
+            assert not b.real.any()
+            assert np.array_equal(b.imag, -b.imag.T)
+
+    def test_eigendecompose_carries_each_blocks_parity(self):
+        h0, _ = adapted_chain(SpinChainSpec(9, 1.3))
+        spec0 = eigendecompose(h0)
+        for (_, _, a), odd in zip(h0.blocks, spec0.parities, strict=True):
+            assert np.array_equal(odd, parity(a))
+        # H_f = H0 + lambda H1 has H1's diagonal, so no colouring
+        assert eigendecompose(assemble(h0, adapted_chain(SpinChainSpec(9, 1.3))[1], 0.1)).parities == (None,) * 18
+
+    def test_nine_sites_step_without_complex_products(self, monkeypatch):
+        # every distinct block at N = 9 is gauged, so each substep is one float64 x float64 matmul
+        h0, h1 = adapted_chain(SpinChainSpec(9, 1.3))
+        spec0 = eigendecompose(h0)
+        calls, matmul = [], np.matmul
+        monkeypatch.setattr(np, "matmul", lambda a, b, **kw: calls.append((a.dtype, b.dtype)) or matmul(a, b, **kw))
+        p = ramp(lam1=0.1, v=0.5)
+        propagate(spec0, h1, p, 0.01)
+        assert len(calls) == 3 * _step_count(p, 0.01) * 9
+        assert set(calls) == {(np.dtype(np.float64), np.dtype(np.float64))}
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("case", ["gauged", "ungauged", "complex"])
+    def test_matches_stepped_reference(self, case, shape):
+        # the largest block at N = 7 (gauged), the largest of sector k = 3 at N = 8 (no gauge), and the
+        # hopping with a phase on its magnetization sectors (bipartite, complex, no gauge)
+        if case == "complex":
+            h0, h1 = phase_hopping(5), chain(5)[1]
+            spec0 = eigendecompose(h0)
+            assert all(a.dtype == np.complex128 for _, _, a in h0.blocks)
+            assert spec0.parities == (None,) * 6
+            blocks = magnetization_sectors(5)
+        else:
+            n = 7 if case == "gauged" else 8
+            h0, h1 = adapted_chain(SpinChainSpec(n, 1.3))
+            spec0 = eigendecompose(h0)
+            sizes = [a.shape[0] * (k == 3) for k, a, _ in self.sectors_and_parities(n)]
+            i = int(np.argmax(sizes))
+            assert (spec0.parities[i] is not None) == (case == "gauged")
+            blocks = [h0.blocks[i][0]]
+        p = SHAPES[shape]
+        u = propagate(spec0, h1, p, 0.1).unitary.matrix
+        ref = stepped_reference(h0.matrix, h1.matrix, p, 0.1, blocks)
+        for idx in blocks:
+            assert np.abs(u[np.ix_(idx, idx)] - ref[np.ix_(idx, idx)]).max() < 1e-12
 
 
 class TestEvolveDensity:

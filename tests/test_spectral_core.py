@@ -23,7 +23,7 @@ from spinwork import (
     thermal_expectation,
     uhlmann_fidelity,
 )
-from spinwork.spectral_core import SpectralDecomposition
+from spinwork.spectral_core import SpectralDecomposition, real_left
 from spinwork.spin_model import common_blocks
 from spinwork.work_statistics import _transition_kernel
 
@@ -254,7 +254,7 @@ class TestLogPartitionFunction:
 
     @pytest.mark.parametrize("beta", [1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0, 10.0, 1e2, 1e3, 1e4])
     def test_matches_scipy_logsumexp(self, beta):
-        spectra = [SpectralDecomposition(np.array([0.7]), ())]  # one level
+        spectra = [SpectralDecomposition(np.array([0.7]), (), ())]  # one level
         spectra.append(eigendecompose(OperatorMatrix.from_dense(np.diag([-1.5, -1.5, -1.5, 0.25, 0.25, 2.0, 3.0, 3.0]))))
         for n in range(2, 8):
             spec = SpinChainSpec(n, 2.0)
@@ -330,6 +330,24 @@ class TestThermalExpectation:
         spec0 = eigendecompose(build_hopping(SpinChainSpec(2, 2.0)))
         got = thermal_expectation(spec0, beta, build_zz(SpinChainSpec(2, 2.0)))
         assert abs(got - expected) < 1e-12
+
+
+class TestRealLeft:
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_real_times_complex_is_the_product(self, transposed):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(7, 5))
+        z = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
+        z = np.ascontiguousarray(z.T).T if transposed else z  # a view that is not C-contiguous
+        out = real_left(a, z)
+        assert out.dtype == np.complex128
+        assert np.abs(out - a @ z).max() < 1e-14
+
+    @pytest.mark.parametrize("left, right", [(float, float), (complex, float), (complex, complex)])
+    def test_other_dtypes_are_numpys_product(self, left, right):
+        rng = np.random.default_rng(6)
+        a, z = rng.normal(size=(4, 3)).astype(left), rng.normal(size=(3, 2)).astype(right)
+        assert np.array_equal(real_left(a, z), a @ z)
 
 
 class TestUhlmannFidelity:

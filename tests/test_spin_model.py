@@ -13,9 +13,21 @@ from spinwork import (
 )
 from spinwork import spin_model
 from spinwork.experiments import _ModelOps
-from spinwork.spin_model import DimensionError, adapted_chain, copies, spin_symmetries, zz_diagonal
+from spinwork.spin_model import (
+    DimensionError,
+    adapted_chain,
+    copies,
+    spin_symmetries,
+    sublattice_parities,
+    zz_diagonal,
+)
 
 from conftest import kron_chain_operators, symmetry_adapted, total_magnetization, two_site_operators
+
+
+def parity(a):
+    """The 2-colouring of one block (``sublattice_parities`` of it alone)."""
+    return sublattice_parities([a])[0]
 
 
 def comm_norm(a, b):
@@ -122,6 +134,53 @@ class TestRealBlocks:
         h0, h1 = build_hopping(spec), build_zz(spec)
         for op in (h0, h1, assemble(h0, h1, 0.3)):
             assert all(a.dtype == np.float64 for _, _, a in op.blocks)
+
+
+class TestSublatticeParity:
+    def test_sector_blocks_are_coloured_by_up_spins_on_odd_sites(self):
+        # in the computational basis the colouring is the sublattice parity itself, up to a swap
+        # of the two colours (each sector's first state is even)
+        n = 7
+        z = spin_model._spins(n)
+        sublattice = ((z[:, 1::2] == 1).sum(axis=1) % 2).astype(bool)
+        for rows, _, a in build_hopping(SpinChainSpec(n, 1.3)).blocks:
+            assert np.array_equal(parity(a), sublattice[rows] ^ sublattice[rows[0]])
+
+    def test_every_part_of_a_disconnected_block_starts_even(self):
+        path = np.diag(np.ones(2), 1) + np.diag(np.ones(2), -1)
+        a = np.zeros((5, 5))
+        a[np.ix_([0, 2, 4], [0, 2, 4])] = path  # the path 0 - 2 - 4, and 1 and 3 apart
+        assert parity(a).tolist() == [False, False, True, False, False]
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.ones((3, 3)) - np.eye(3),  # a triangle: an odd cycle
+            np.diag([0.0, 1.0]) + np.diag([1.0], 1) + np.diag([1.0], -1),  # a nonzero diagonal entry
+            np.array([[0.0, 1j], [-1j, 0.0]]),  # complex: bipartite, but no real gauge
+        ],
+        ids=["odd-cycle", "diagonal", "complex"],
+    )
+    def test_no_colouring(self, a):
+        assert parity(a) is None
+
+    def test_a_batch_colours_each_block_as_alone(self):
+        # one search runs over the whole batch; each block's colouring is its own
+        triangle, loop = np.ones((3, 3)) - np.eye(3), np.diag([1.0, 0.0])
+        blocks = [loop, *(a for _, _, a in adapted_chain(SpinChainSpec(6, 1.3))[0].blocks), triangle,
+                  np.array([[0.0, 1j], [-1j, 0.0]]), np.zeros((3, 3))]
+        batch = sublattice_parities(blocks)
+        assert len(batch) == len(blocks)
+        for a, odd in zip(blocks, batch):
+            assert (odd is None and parity(a) is None) or np.array_equal(odd, parity(a))
+        assert batch[0] is None and batch[-3] is None and batch[-2] is None and not batch[-1].any()
+        assert sublattice_parities([]) == []
+
+    def test_joins_only_opposite_colours_on_the_adapted_blocks(self):
+        h0, _ = adapted_chain(SpinChainSpec(9, 1.3))
+        for _, _, a in h0.blocks:
+            odd = parity(a)
+            assert not a[np.ix_(odd, odd)].any() and not a[np.ix_(~odd, ~odd)].any()
 
 
 class TestMagnetizationSectors:
