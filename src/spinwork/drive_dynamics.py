@@ -196,14 +196,13 @@ def _expi(evals: np.ndarray, v: np.ndarray, tau: float) -> np.ndarray:
     return (v * np.exp(-1j * evals * tau)) @ v.conj().T
 
 
-def _h0_factor(evals: np.ndarray, v: np.ndarray, odd: Optional[np.ndarray], tau: float) -> np.ndarray:
-    """exp(-i tau H0) from the eigenpairs of H0, in the sublattice gauge D of its parity ``odd`` when
-    it has one: D^-1 exp(-i tau H0) D, real orthogonal, is the real part of the gauged product (its
+def _h0_factor(evals: np.ndarray, v: np.ndarray, d: Optional[np.ndarray], tau: float) -> np.ndarray:
+    """exp(-i tau H0) from the eigenpairs of H0, in the sublattice gauge of diagonal ``d`` when the
+    block has one: D^-1 exp(-i tau H0) D, real orthogonal, is the real part of the gauged product (its
     imaginary part vanishes in exact arithmetic).  Then one Newton polar step, F <- (F + F^-dag) / 2,
     takes the factor's roundoff off the unitary group, since the loop reuses it at every step."""
     f = _expi(evals, v, tau)
-    if odd is not None:
-        d = np.where(odd, -1j, 1.0)
+    if d is not None:
         f = (d.conj()[:, None] * f * d).real
     return (f + np.linalg.inv(f).conj().T) / 2.0
 
@@ -222,11 +221,12 @@ def _propagate_block(evals: np.ndarray, v: np.ndarray, odd: Optional[np.ndarray]
         return np.eye(v.shape[0])
     h = p.ramp_time / nsteps
     h1_diag = np.real(np.diag(h1))
-    factors = [_h0_factor(evals, v, odd, g * h) for g in _GAPS]
+    d = None if odd is None else np.where(odd, -1j, 1.0)  # the gauge D = diag(1, -i on odd vectors)
+    factors = [_h0_factor(evals, v, d, g * h) for g in _GAPS]
     u = factors[0].astype(complex)
     kicked = np.empty_like(u)
     # a real (gauged) factor multiplies the complex iterate as one real GEMM on its float view
-    into, out = (kicked.view(np.float64), u.view(np.float64)) if odd is not None else (kicked, u)
+    into, out = (kicked, u) if d is None else (kicked.view(np.float64), u.view(np.float64))
     # the diagonal kicks of a chunk of substeps k in one exp, each applied
     # and followed by its H0 factor in place in two buffers
     for start in range(0, 3 * nsteps, KICK_CHUNK):
@@ -239,8 +239,7 @@ def _propagate_block(evals: np.ndarray, v: np.ndarray, odd: Optional[np.ndarray]
         for kick, g in zip(kicks, gaps):
             np.multiply(kick[:, None], u, out=kicked)
             np.matmul(factors[g], into, out=out)
-    if odd is not None:  # U = D U_gauged D^-1
-        d = np.where(odd, -1j, 1.0)
+    if d is not None:  # U = D U_gauged D^-1
         u *= d[:, None]
         u *= d.conj()
     return u

@@ -296,9 +296,9 @@ def sublattice_parities(blocks: list) -> list:
     real = [k for k, a in enumerate(blocks) if a.dtype == np.float64 and not np.diagonal(a).any()]
     starts = np.cumsum([0] + [blocks[k].shape[0] for k in real])
     edges = [np.nonzero(blocks[k]) for k in real]
-    none = [np.zeros(0, dtype=np.intp)]  # so that no real block concatenates
-    i = np.concatenate(none + [rows + s for (rows, _), s in zip(edges, starts)])
-    j = np.concatenate(none + [cols + s for (_, cols), s in zip(edges, starts)])
+    empty = [np.zeros(0, dtype=np.intp)]  # the edges of no block at all
+    i = np.concatenate(empty + [rows + s for (rows, _), s in zip(edges, starts)])
+    j = np.concatenate(empty + [cols + s for (_, cols), s in zip(edges, starts)])
     odd, seen = np.zeros(starts[-1], dtype=bool), np.zeros(starts[-1], dtype=bool)
     while not seen.all():
         unseen = np.flatnonzero(~seen)
@@ -310,7 +310,7 @@ def sublattice_parities(blocks: list) -> list:
             reached = np.zeros_like(seen)
             reached[j[front[i]]] = True
             front, level = reached & ~seen, not level
-    # a block with an edge inside one colour has none (numbered from 1 by its end in ``starts``)
+    # an edge joining two vectors of one colour rules out its block (searchsorted numbers block m as m + 1)
     clash = np.zeros(len(real) + 1, dtype=bool)
     clash[np.searchsorted(starts, i[odd[i] == odd[j]], side="right")] = True
     parities = [None] * len(blocks)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinwork import OperatorMatrix, SpinChainSpec, build_hopping, build_zz, eigendecompose
-from spinwork.spin_model import _spins, common_blocks, spin_symmetries
+from spinwork.spin_model import _spins, common_blocks, spin_symmetries, sublattice_parities
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +54,11 @@ def reconstruct(spec):
     """V Lambda V^dag of a spectral decomposition."""
     v = spec.eigenvectors
     return (v * spec.eigenvalues) @ v.conj().T
+
+
+def parity(a):
+    """The 2-colouring of one block (``sublattice_parities`` of it alone)."""
+    return sublattice_parities([a])[0]
 
 
 def total_magnetization(n_sites):

@@ -32,14 +32,9 @@ from spinwork.drive_dynamics import (
     _propagate_block,
     _step_count,
 )
-from spinwork.spin_model import adapted_chain, common_blocks, copies, dense_view, sublattice_parities
+from spinwork.spin_model import adapted_chain, common_blocks, copies, dense_view
 
-from conftest import _symmetries, matrix_function, symmetry_adapted, total_magnetization
-
-
-def parity(a):
-    """The 2-colouring of one block (``sublattice_parities`` of it alone)."""
-    return sublattice_parities([a])[0]
+from conftest import _symmetries, matrix_function, parity, symmetry_adapted, total_magnetization
 
 
 def ramp(lam1=0.1, v=0.05, t_total=None):
@@ -471,7 +466,8 @@ class TestSublatticeGauge:
         return [(bin(rows[0]).count("1"), a, parity(a))
                 for (_, _, a), (rows, _, _) in zip(h0.blocks, isometries, strict=True)]
 
-    @pytest.mark.parametrize("n, share", [(4, 0.70), (5, 1.0), (6, 0.54), (7, 1.0), (8, 0.41), (9, 1.0), (10, 0.61)])
+    @pytest.mark.parametrize("n, share", [(4, 0.70), (5, 1.0), (6, 0.54), (7, 1.0), (8, 0.41), (9, 1.0), (10, 0.61),
+                                          (11, 1.0)])
     def test_which_blocks_get_the_gauge(self, n, share):
         # the reflection keeps the sublattice parity at odd N and maps Q -> k - Q at even N, so
         # every block is gauged at odd N and, at even N, the blocks of even sectors k only (the flip
@@ -481,10 +477,6 @@ class TestSublatticeGauge:
         distinct = [(blocks[i][1].shape[0], blocks[i][2] is not None) for i in set(copies([a for _, a, _ in blocks]))]
         cubes = sum(b**3 for b, _ in distinct)
         assert sum(b**3 for b, gauged in distinct if gauged) / cubes == pytest.approx(share, abs=0.005)
-
-    def test_eleven_sites_gauge_every_distinct_block(self):
-        h0, _ = adapted_chain(SpinChainSpec(11, 1.3))
-        assert all(parity(a) is not None for _, _, a in h0.blocks)
 
     @pytest.mark.parametrize("n", [9, 10])
     def test_gauged_hopping_is_imaginary(self, n):

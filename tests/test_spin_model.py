@@ -22,12 +22,7 @@ from spinwork.spin_model import (
     zz_diagonal,
 )
 
-from conftest import kron_chain_operators, symmetry_adapted, total_magnetization, two_site_operators
-
-
-def parity(a):
-    """The 2-colouring of one block (``sublattice_parities`` of it alone)."""
-    return sublattice_parities([a])[0]
+from conftest import kron_chain_operators, parity, symmetry_adapted, total_magnetization, two_site_operators
 
 
 def comm_norm(a, b):
