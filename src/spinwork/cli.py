@@ -57,7 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dt", type=float, default=None, help="time step override")
     parser.add_argument("--threads", type=_worker_count, default=None,
                         help="worker pool size (default: the CPUs this process may run on)")
-    parser.add_argument("--full-scale", action="store_true", help="run the long N=11 variant")
+    parser.add_argument("--full-scale", action="store_true",
+                        help="set model.n_sites to 11 (a size scan also runs N=10 and 11)")
     parser.add_argument(
         "--fidelity-convention",
         choices=["f", "sqrtf"],
@@ -104,7 +105,7 @@ def main(argv=None) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    workers = xp.in_process_workers()  # single and pert-compare; the scans report their own
+    workers = {}
     try:
         if args.command == "scan-velocity":
             records = xp.run_velocity_scan(cfg, threads=args.threads, workers=workers)
@@ -117,7 +118,7 @@ def main(argv=None) -> int:
             records = report.records_adiabatic + report.records_quench
             fits = {f.name: getattr(report, f.name) for f in fields(report) if not f.name.startswith("records_")}
         elif args.command == "pert-compare":
-            report = xp.run_pert_compare(cfg)
+            report = xp.run_pert_compare(cfg, threads=args.threads, workers=workers)
             records = []
             fits = {
                 "residual_slope": report.residual_slope,
@@ -129,7 +130,7 @@ def main(argv=None) -> int:
             measure2_to_csv(report.measure2, out_dir / "two_point_measure.csv")
             measure3_to_csv(report.measure3, out_dir / "three_point_measure.csv")
         else:  # single
-            record, dist, cfw = xp.run_single(cfg)
+            record, dist, cfw = xp.run_single(cfg, threads=args.threads, workers=workers)
             records = [record]
             fits = {}
             distribution_to_csv(dist, out_dir / "single_distribution.csv")

@@ -5,9 +5,10 @@ A scan point is a dt run and, when certified, a check run at 2dt, or at dt/2
 for a ramp of one step (``_steps``).  Every subcommand's stepped runs are scan
 points, pert-compare's exact run per coupling included: one runner,
 ``_run_levels``, runs them on the chain's symmetry-adapted operators
-(``_ModelOps``), in this process or as tasks on a fork pool, and one join,
-``_run_points``, gates them.  Records are sorted by scan value before
-emission, so output is deterministic for a fixed config whatever the worker
+(``_ModelOps``), and one join, ``_run_points``, places them by one rule for
+every subcommand, on a fork pool or in this process, gates them and returns
+them in point order, with the distributions that single and pert-compare
+write.  So output is deterministic for a fixed config whatever the worker
 count; the ``runtime_seconds`` column, the wall time of a point's runs summed,
 is excluded from that guarantee.
 """
@@ -372,12 +373,12 @@ def _steps(dt: float, protocol: DriveProtocol, certify: bool) -> tuple:
     return (dt, 2.0 * dt) if _step_count(protocol, 2.0 * dt) < steps else (dt, min(dt, protocol.ramp_time) / 2.0)
 
 
-def _run_levels(shared: dict, points: list, cfg: RunConfig, certify: bool, i: int,
-                levels) -> tuple[dict, Optional[WorkDistribution]]:
+def _run_levels(shared: dict, points: list, cfg: RunConfig, certify: bool, i: int, levels,
+                keep: bool = False) -> tuple[dict, Optional[WorkDistribution]]:
     """Point ``i``'s runs at ``levels``, indices into its ``_steps``, with the
     model operators from ``shared`` when its spec is there: {level: (the
-    record at level 0, else the infidelity; wall time)} and the record's work
-    distribution (None unless level 0 ran).
+    record at level 0, else the infidelity; wall time)} and, when ``keep``,
+    the record's work distribution (None unless level 0 ran).
 
     A run's infidelity is that of the initial Gibbs state evolved at the
     level's step against the final Gibbs state.  The record adds the TPM work
@@ -409,10 +410,10 @@ def _run_levels(shared: dict, points: list, cfg: RunConfig, certify: bool, i: in
         end = time.perf_counter()
         runs[level] = (result, end - start)
         start = end
-    return runs, dist
+    return runs, dist if keep else None
 
 
-# A pool worker's runner, ``_run_levels`` bound to the scan, set at the fork.
+# A pool worker's runner, ``_run_levels`` bound to the run's points, set at the fork.
 _worker_run = None
 
 
@@ -436,11 +437,6 @@ def _blas_threads() -> Optional[int]:
     return None if lib is None else lib.scipy_openblas_get_num_threads64_()
 
 
-def in_process_workers() -> dict:
-    """The worker setup of a run in this process, as the summary JSON records it."""
-    return {"count": 1, "start_method": None, "blas_threads": _blas_threads()}
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one
     (taskset and cpusets narrow it), else the machine's CPU count."""
@@ -458,49 +454,46 @@ def _init_worker(run) -> None:
 
 
 def _run_task(i: int, level: int):
-    """One pool task: point ``i``'s run at ``level`` and its wall time.  The
-    work distribution stays in the worker."""
-    return _worker_run(i, (level,))[0][level]
+    """One pool task: point ``i``'s run at ``level``, as ``_run_levels`` returns it."""
+    return _worker_run(i, (level,))
 
 
-def _run_points(cfg: RunConfig, points: list, threads: Optional[int], certify: bool,
-                workers: Optional[dict], shared: Optional[dict] = None) -> tuple[list[ScanRecord], list]:
+def _run_points(cfg: RunConfig, points: list, threads: Optional[int], certify: bool, workers: Optional[dict],
+                shared: Optional[dict] = None, keep: bool = False) -> tuple[list[ScanRecord], list]:
     """Records of ``points``, (spec, protocol, scan value) triples, in their
-    order, and their work distributions (None where a pool worker ran it).
+    order, and, when ``keep``, their work distributions (else Nones).
 
     The operators of a spec that several points share are built once, here,
-    unless the caller passes them in ``shared`` ({spec: _ModelOps}).
-    With one worker each point's runs (its ``_steps``) are one ``_run_levels``
-    call in this process; otherwise each run is a task on a pool of
-    min(threads, tasks, points the memory limit holds at the largest chain) forked
-    processes, longest first, with BLAS pinned to one thread in each.  The first error
-    cancels the pending tasks, stops the workers (running tasks included) and is raised
-    once the pool has shut down.  The join gates a point's check run against its record
-    to CERTIFICATION_SHIFT and sums their wall times.  ``workers``, when given, receives
-    the worker count, the start method and the workers' BLAS threads.
+    unless the caller passes them in ``shared`` ({spec: _ModelOps}).  Each run
+    of a point (its ``_steps``) is a task, which sends its run back whole, and
+    the tasks run longest first on min(threads, tasks that step, points the
+    memory limit holds at the largest chain) forked processes, with BLAS pinned
+    to one thread in each.  Below two workers each point's runs are one
+    ``_run_levels`` call in this process, on one model and one final
+    Hamiltonian, so a run of quenches only never forks.  The first error
+    cancels the pending tasks, stops the workers (running tasks included) and
+    is raised once the pool has shut down.  The join gates a point's check run
+    against its record to CERTIFICATION_SHIFT and sums their wall times.
+    ``workers``, when given, receives the worker count, the start method (None
+    in this process) and the BLAS threads of the processes that ran the tasks.
     """
     steps = [_steps(cfg.dt, protocol, certify) for _, protocol, _ in points]
-    tasks = [(i, level) for i, point_steps in enumerate(steps) for level in range(len(point_steps))]
+    n_steps = {(i, level): _step_count(points[i][1], step)
+               for i, point_steps in enumerate(steps) for level, step in enumerate(point_steps)}
     if shared is None:
         shared = {spec: _ModelOps.build(spec) for spec, n in Counter(p[0] for p in points).items() if n > 1}
-    run = functools.partial(_run_levels, shared, points, cfg, certify)
+    run = functools.partial(_run_levels, shared, points, cfg, certify, keep=keep)
     held = chain_points(max((spec.n_sites for spec, _, _ in points), default=2))
-    count = min(_usable_cpus() if threads is None else threads, len(tasks), held)
-    runs, dists = {}, [None] * len(points)
+    count = min(_usable_cpus() if threads is None else threads, sum(n > 0 for n in n_steps.values()), held)
     if count <= 1 or "fork" not in mp.get_all_start_methods():
-        setup = in_process_workers()
-        for i, point_steps in enumerate(steps):
-            point_runs, dists[i] = run(i, range(len(point_steps)))
-            runs.update(((i, level), result) for level, result in point_runs.items())
+        setup = {"count": 1, "start_method": None, "blas_threads": _blas_threads()}
+        results = [(i, *run(i, range(len(point_steps)))) for i, point_steps in enumerate(steps)]
     else:
         def cost(task):
             """Steps of the task's run plus one (a quench steps nothing)
             times the matmul flops of the distinct adapted blocks, sum b^3."""
-            (spec, protocol, _), step = points[task[0]], steps[task[0]][task[1]]
-            flops = sum(b**3 for b in adapted_block_sizes(spec.n_sites))
-            return (_step_count(protocol, step) + 1) * flops
+            return (n_steps[task] + 1) * sum(b**3 for b in adapted_block_sizes(points[task[0]][0].n_sites))
 
-        tasks.sort(key=cost, reverse=True)
         # fork: the workers inherit the imported modules, the shared model
         # operators and the runner instead of re-importing and rebuilding them
         # (a spawned worker spends ~0.45 s on imports).  Forking is safe while
@@ -511,9 +504,8 @@ def _run_points(cfg: RunConfig, points: list, threads: Optional[int], certify: b
                                    initializer=_init_worker, initargs=(run,))
         try:
             blas = pool.submit(_blas_threads)
-            futures = {pool.submit(_run_task, *task): task for task in tasks}
-            for future in as_completed(futures):
-                runs[futures[future]] = future.result()
+            futures = {pool.submit(_run_task, *task): task[0] for task in sorted(n_steps, key=cost, reverse=True)}
+            results = [(futures[future], *future.result()) for future in as_completed(futures)]
             setup = {"count": count, "start_method": "fork", "blas_threads": blas.result()}
         except BaseException:
             # cancel_futures drops only the queued tasks: stop the running ones too
@@ -525,6 +517,11 @@ def _run_points(cfg: RunConfig, points: list, threads: Optional[int], certify: b
     if workers is not None:
         workers.update(setup)
 
+    runs, dists = {}, [None] * len(points)
+    for i, point_runs, dist in results:
+        runs.update(((i, level), result) for level, result in point_runs.items())
+        if dist is not None:
+            dists[i] = dist
     records = []
     for i, point_steps in enumerate(steps):
         record, seconds = runs[i, 0]
@@ -550,8 +547,7 @@ def run_velocity_scan(
     faster ramps hold at full coupling for the remaining time.  ``threads`` and
     ``workers`` are as in ``_run_points``.
     """
-    records = _run_points(cfg, _velocity_points(cfg), threads, certify, workers)[0]
-    return sorted(records, key=lambda r: r.scan_value)
+    return _run_points(cfg, _velocity_points(cfg), threads, certify, workers)[0]
 
 
 def run_size_scan(
@@ -631,10 +627,12 @@ class PertCompareReport:
     measure3: SpectralMeasure3
 
 
-def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
+def run_pert_compare(cfg: RunConfig, threads: Optional[int] = None,
+                     workers: Optional[dict] = None) -> PertCompareReport:
     """Exact ln chi against the second-order prediction (and the adiabatic
     third-order correction) over the configured coupling grid.  The exact
-    runs are certified scan points, one per coupling, run in this process."""
+    runs are certified scan points, one per coupling, whose distributions
+    the runner returns; ``threads`` and ``workers`` are as in ``_run_points``."""
     points = _pert_points(cfg)
     lams = [lam for _, _, lam in points]
     protocols = [protocol for _, protocol, _ in points]
@@ -643,13 +641,13 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
     m2 = two_point_measure(ops.spec0, ops.h1, cfg.beta)
     check_quadrature(m2.omegas.size, u, [p.t_total for p in protocols])
     first = first_cumulant(ops.spec0, ops.h1, cfg.beta)
+    quads = lnchi_second_order_quadrature(m2, list(zip(protocols, lams)), first, u)
+    # before the three-point measure, so that a pool forks from a process without it
+    dists = _run_points(cfg, points, threads, True, workers, {cfg.model: ops}, keep=True)[1]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         m3 = three_point_measure(ops.spec0, ops.h1, cfg.beta)
         s = third_order_adiabatic_coefficient(m3)
-
-    quads = lnchi_second_order_quadrature(m2, list(zip(protocols, lams)), first, u)
-    dists = _run_points(cfg, points, 1, True, None, {cfg.model: ops})[1]
 
     entries = []
     curves: dict = {"u": u.tolist()}
@@ -675,9 +673,10 @@ def run_pert_compare(cfg: RunConfig) -> PertCompareReport:
     return PertCompareReport(entries=entries, residual_slope=slope, curves=curves, measure2=m2, measure3=m3)
 
 
-def run_single(cfg: RunConfig):
-    """One protocol run, in this process: its record, work distribution and CFW samples."""
-    (record,), (dist,) = _run_points(cfg, _single_points(cfg), 1, True, None)
+def run_single(cfg: RunConfig, threads: Optional[int] = None, workers: Optional[dict] = None):
+    """One protocol run: its record, work distribution and CFW samples.
+    ``threads`` and ``workers`` are as in ``_run_points``."""
+    (record,), (dist,) = _run_points(cfg, _single_points(cfg), threads, True, workers, keep=True)
     cfw = cfw_from_distribution(dist, default_u_grid(cfg.beta))
     return record, dist, cfw
 

@@ -196,6 +196,11 @@ class TestScans:
             assert r.jarzynski_deviation < 1e-8
             assert 0.0 <= r.infidelity <= 1.0
             assert r.delta_variance >= 0.0
+        # the records come back in scan-value order, the quench last, from a grid that lists it first,
+        # in this process and from a pool
+        unsorted = config_from_dict(tiny_config(grid=[0.5, "inf", 0.05]))
+        for threads in (1, 2):
+            assert [r.scan_value for r in run_velocity_scan(unsorted, threads=threads)] == [0.05, 0.5, math.inf]
 
     def test_velocity_scan_zero_coupling_has_zero_infidelity(self):
         cfg = config_from_dict(tiny_config(lambda1=0.0))
@@ -336,6 +341,26 @@ class TestScans:
         # a worker pins its BLAS to one thread whatever the parent runs on
         assert pooled == {"count": 2, "start_method": "fork", "blas_threads": 1}
         assert in_process["count"] == 1 and in_process["start_method"] is None
+        # a scan's runs send back no distribution, in this process or from a pool
+        for threads in (1, 2):
+            assert xp._run_points(cfg, xp._velocity_points(cfg), threads, True, None)[1] == [None] * 3
+        # single's dt run and 2dt check run side by side, and the pool sends the record's distribution back
+        ramp = config_from_dict(tiny_config(scan="single", grid=[]))
+        pooled, in_process = {}, {}
+        (record, dist, cfw), (record1, dist1, cfw1) = (run_single(ramp, threads=2, workers=pooled),
+                                                       run_single(ramp, threads=1, workers=in_process))
+        assert pooled == {"count": 2, "start_method": "fork", "blas_threads": 1} and in_process["count"] == 1
+        assert replace(record, runtime_seconds=0.0) == replace(record1, runtime_seconds=0.0)
+        assert dist.merge_tolerance == dist1.merge_tolerance
+        for a, b in ((dist.works, dist1.works), (dist.probabilities, dist1.probabilities), (cfw.chi, cfw1.chi),
+                     (cfw.ln_chi, cfw1.ln_chi)):
+            assert np.array_equal(a, b)
+        # a quench steps nothing, so pert-compare's quench points run in this process whatever threads says
+        quench = config_from_dict(tiny_config(scan="pert_compare", grid=[0.05, 0.1],
+                                              protocol={"kind": "quench", "t_total": 1.0}))
+        workers = {}
+        run_pert_compare(quench, threads=2, workers=workers)
+        assert workers["count"] == 1 and workers["start_method"] is None
 
     def test_default_pool_size_follows_cpu_affinity(self, monkeypatch):
         """Without ``threads`` the pool has as many workers as CPUs this process may
@@ -534,7 +559,8 @@ class TestBlockedOperators:
         for protocol in (xp._protocol_for("ramp_hold", 0.2, 0.1, 0.5), xp._protocol_for("quench", None, 0.1, 2.0)):
             levels = range(len(xp._steps(cfg.dt, protocol, True)))
             (runs1, d1), (runs2, d2) = (
-                xp._run_levels({spec: ops}, [(spec, protocol, 0.2)], cfg, True, 0, levels) for ops in (shared, apart)
+                xp._run_levels({spec: ops}, [(spec, protocol, 0.2)], cfg, True, 0, levels, keep=True)
+                for ops in (shared, apart)
             )
             for column in CSV_COLUMNS[:-1]:
                 assert abs(getattr(runs1[0][0], column) - getattr(runs2[0][0], column)) <= 1e-14, column
@@ -583,7 +609,8 @@ class TestBlockedOperators:
         for protocol in (xp._protocol_for("ramp_hold", 0.2, 0.1, 3.0), xp._protocol_for("quench", None, 0.1, 3.0)):
             levels = range(len(xp._steps(cfg.dt, protocol, True)))
             (runs1, d1), (runs2, d2) = (
-                xp._run_levels({spec: ops}, [(spec, protocol, 0.2)], cfg, True, 0, levels) for ops in (built, dense)
+                xp._run_levels({spec: ops}, [(spec, protocol, 0.2)], cfg, True, 0, levels, keep=True)
+                for ops in (built, dense)
             )
             (r1, _), (r2, _) = runs1[0], runs2[0]
             for column in CSV_COLUMNS[:-1]:
@@ -609,7 +636,8 @@ class TestBlockedOperators:
         for protocol in (xp._protocol_for("ramp_hold", 0.2, 0.1, 3.0), xp._protocol_for("quench", None, 0.1, 3.0)):
             levels = range(len(xp._steps(cfg.dt, protocol, True)))
             (runs1, d1), (runs2, d2) = (
-                xp._run_levels({spec: ops}, [(spec, protocol, 0.2)], cfg, True, 0, levels) for ops in (built, cast)
+                xp._run_levels({spec: ops}, [(spec, protocol, 0.2)], cfg, True, 0, levels, keep=True)
+                for ops in (built, cast)
             )
             (r1, _), (r2, _) = runs1[0], runs2[0]
             for column in CSV_COLUMNS[:-1]:
