@@ -3,17 +3,16 @@ perturbative-vs-exact comparisons, with CSV/JSON emission.
 
 A scan point is a dt run and, when certified, a check run at 2dt, or at dt/2
 for a ramp of one step (``_steps``).  Every subcommand's stepped runs are scan
-points, pert-compare's exact run per coupling included: one runner,
-``_run_levels``, runs them on the chain's symmetry-adapted operators
-(``_ModelOps``), and one join, ``_run_points``, places them by one rule for
-every subcommand, on a fork pool or in this process, gates them and returns
-them in point order, with the distributions that single and pert-compare
-write.  So output is deterministic for a fixed config whatever the worker
-count; the ``runtime_seconds`` column, the wall time of a point's runs summed,
-is excluded from that guarantee.
+points, pert-compare's exact run per coupling included.  Each run is one task,
+``_run``, on the chain's symmetry-adapted operators (``_ModelOps``), and one
+join, ``_run_points``, runs every subcommand's tasks the same way, BLAS on one
+thread, on a fork pool or in this process, gates them and returns them in
+point order.  So output is bit-identical for a fixed config whatever the
+worker count, but for the ``runtime_seconds`` column, a point's wall time.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import json
@@ -373,47 +372,47 @@ def _steps(dt: float, protocol: DriveProtocol, certify: bool) -> tuple:
     return (dt, 2.0 * dt) if _step_count(protocol, 2.0 * dt) < steps else (dt, min(dt, protocol.ramp_time) / 2.0)
 
 
-def _run_levels(shared: dict, points: list, cfg: RunConfig, certify: bool, i: int, levels,
-                keep: bool = False) -> tuple[dict, Optional[WorkDistribution]]:
-    """Point ``i``'s runs at ``levels``, indices into its ``_steps``, with the
-    model operators from ``shared`` when its spec is there: {level: (the
-    record at level 0, else the infidelity; wall time)} and, when ``keep``,
-    the record's work distribution (None unless level 0 ran).
+@dataclass(frozen=True)
+class Run:
+    """One stepped run: the record at level 0, else the check's infidelity; its
+    wall time; and the record's work distribution when the caller keeps it."""
+
+    value: object
+    seconds: float
+    dist: Optional[WorkDistribution]
+
+
+def _run(shared: dict, points: list, cfg: RunConfig, certify: bool, keep: bool, i: int, level: int) -> Run:
+    """Point ``i``'s run at ``level``, an index into its ``_steps``, with the
+    model operators from ``shared`` when its spec is there.
 
     A run's infidelity is that of the initial Gibbs state evolved at the
     level's step against the final Gibbs state.  The record adds the TPM work
     distribution of the level-0 propagator, whose Jarzynski deviation must be
-    within IDENTITY_MONITOR (else :class:`CertificationError`).  The final
-    Hamiltonian is diagonalized once, within the first run's time."""
+    within IDENTITY_MONITOR (else :class:`CertificationError`)."""
     spec, protocol, scan_value = points[i]
-    steps = _steps(cfg.dt, protocol, certify)
     start = time.perf_counter()
     ops = shared.get(spec) or _ModelOps.build(spec)
     spec_f = eigendecompose(assemble(ops.h0, ops.h1, protocol.lambda_final))
-    runs, dist = {}, None
-    for level in levels:
-        prop = propagate(ops.spec0, ops.h1, protocol, steps[level])
-        result = infidelity(evolve_density(gibbs_state(ops.spec0, cfg.beta), prop),
-                            gibbs_state(spec_f, cfg.beta), cfg.fidelity_convention)
-        if level == 0:
-            dist = tpm_distribution(ops.spec0, spec_f, prop, cfg.beta)
-            jz = jarzynski_check(dist, log_partition_function(ops.spec0, cfg.beta),
-                                 log_partition_function(spec_f, cfg.beta), cfg.beta)
-            if not jz.rel_deviation <= IDENTITY_MONITOR:
-                raise CertificationError(
-                    f"exact-identity monitor tripped at scan value {scan_value}: "
-                    f"Jarzynski deviation {jz.rel_deviation:.3e}"
-                )
-            delta = delta_concentration(dist, 1e-6 * (ops.spec0.spectral_range + spec_f.spectral_range))
-            result = ScanRecord(scan_value, result, average_work(dist), jz.rel_deviation, delta.variance, 0.0)
-        del prop  # freed before the next level builds its own
-        end = time.perf_counter()
-        runs[level] = (result, end - start)
-        start = end
-    return runs, dist if keep else None
+    prop = propagate(ops.spec0, ops.h1, protocol, _steps(cfg.dt, protocol, certify)[level])
+    value = infidelity(evolve_density(gibbs_state(ops.spec0, cfg.beta), prop),
+                       gibbs_state(spec_f, cfg.beta), cfg.fidelity_convention)
+    if level:
+        return Run(value, time.perf_counter() - start, None)
+    dist = tpm_distribution(ops.spec0, spec_f, prop, cfg.beta)
+    jz = jarzynski_check(dist, log_partition_function(ops.spec0, cfg.beta),
+                         log_partition_function(spec_f, cfg.beta), cfg.beta)
+    if not jz.rel_deviation <= IDENTITY_MONITOR:
+        raise CertificationError(
+            f"exact-identity monitor tripped at scan value {scan_value}: "
+            f"Jarzynski deviation {jz.rel_deviation:.3e}"
+        )
+    delta = delta_concentration(dist, 1e-6 * (ops.spec0.spectral_range + spec_f.spectral_range))
+    record = ScanRecord(scan_value, value, average_work(dist), jz.rel_deviation, delta.variance, 0.0)
+    return Run(record, time.perf_counter() - start, dist if keep else None)
 
 
-# A pool worker's runner, ``_run_levels`` bound to the run's points, set at the fork.
+# A pool worker's runner, ``_run`` bound to the run's points, set at the fork.
 _worker_run = None
 
 
@@ -431,10 +430,20 @@ def _openblas():
     return lib
 
 
-def _blas_threads() -> Optional[int]:
-    """This process's BLAS thread count, or None when it cannot be read."""
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's bundled OpenBLAS on one thread for the block, restored after it,
+    on error too; yields the thread count it then reads (None for another BLAS)."""
     lib = _openblas()
-    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
+    if lib is None:
+        yield None
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield lib.scipy_openblas_get_num_threads64_()
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def _usable_cpus() -> int:
@@ -447,15 +456,12 @@ def _usable_cpus() -> int:
 
 def _init_worker(run) -> None:
     global _worker_run
-    lib = _openblas()
-    if lib is not None:
-        lib.scipy_openblas_set_num_threads64_(1)
     _worker_run = run
 
 
-def _run_task(i: int, level: int):
-    """One pool task: point ``i``'s run at ``level``, as ``_run_levels`` returns it."""
-    return _worker_run(i, (level,))
+def _run_task(i: int, level: int) -> Run:
+    """One pool task: point ``i``'s run at ``level``."""
+    return _worker_run(i, level)
 
 
 def _run_points(cfg: RunConfig, points: list, threads: Optional[int], certify: bool, workers: Optional[dict],
@@ -465,77 +471,70 @@ def _run_points(cfg: RunConfig, points: list, threads: Optional[int], certify: b
 
     The operators of a spec that several points share are built once, here,
     unless the caller passes them in ``shared`` ({spec: _ModelOps}).  Each run
-    of a point (its ``_steps``) is a task, which sends its run back whole, and
-    the tasks run longest first on min(threads, tasks that step, points the
-    memory limit holds at the largest chain) forked processes, with BLAS pinned
-    to one thread in each.  Below two workers each point's runs are one
-    ``_run_levels`` call in this process, on one model and one final
-    Hamiltonian, so a run of quenches only never forks.  The first error
-    cancels the pending tasks, stops the workers (running tasks included) and
-    is raised once the pool has shut down.  The join gates a point's check run
-    against its record to CERTIFICATION_SHIFT and sums their wall times.
-    ``workers``, when given, receives the worker count, the start method (None
-    in this process) and the BLAS threads of the processes that ran the tasks.
+    of a point (its ``_steps``) is a task, one ``_run``, and the tasks run
+    longest first, with numpy's OpenBLAS on one thread: on min(threads, tasks
+    that step, points the memory limit holds at the largest chain) forked
+    processes, which inherit that pin, else, below two, in this process, so a
+    run of quenches only never forks.  The first error cancels the pending
+    tasks, stops the workers (running tasks included) and is raised once the
+    pool has shut down.  The join gates a point's check run against its
+    record to CERTIFICATION_SHIFT and sums their wall times.  ``workers``,
+    when given, receives the worker count, the start method (None in this
+    process) and the BLAS thread count.
     """
     steps = [_steps(cfg.dt, protocol, certify) for _, protocol, _ in points]
     n_steps = {(i, level): _step_count(points[i][1], step)
                for i, point_steps in enumerate(steps) for level, step in enumerate(point_steps)}
+
+    def cost(task):
+        """Steps of the task's run plus one (a quench steps nothing)
+        times the matmul flops of the distinct adapted blocks, sum b^3."""
+        return (n_steps[task] + 1) * sum(b**3 for b in adapted_block_sizes(points[task[0]][0].n_sites))
+
+    tasks = sorted(n_steps, key=cost, reverse=True)
     if shared is None:
         shared = {spec: _ModelOps.build(spec) for spec, n in Counter(p[0] for p in points).items() if n > 1}
-    run = functools.partial(_run_levels, shared, points, cfg, certify, keep=keep)
+    run = functools.partial(_run, shared, points, cfg, certify, keep)
     held = chain_points(max((spec.n_sites for spec, _, _ in points), default=2))
     count = min(_usable_cpus() if threads is None else threads, sum(n > 0 for n in n_steps.values()), held)
-    if count <= 1 or "fork" not in mp.get_all_start_methods():
-        setup = {"count": 1, "start_method": None, "blas_threads": _blas_threads()}
-        results = [(i, *run(i, range(len(point_steps)))) for i, point_steps in enumerate(steps)]
-    else:
-        def cost(task):
-            """Steps of the task's run plus one (a quench steps nothing)
-            times the matmul flops of the distinct adapted blocks, sum b^3."""
-            return (n_steps[task] + 1) * sum(b**3 for b in adapted_block_sizes(points[task[0]][0].n_sites))
-
-        # fork: the workers inherit the imported modules, the shared model
-        # operators and the runner instead of re-importing and rebuilding them
-        # (a spawned worker spends ~0.45 s on imports).  Forking is safe while
-        # the caller runs no other thread; OpenBLAS stops its own threads
-        # before a fork.
-        others = set(mp.active_children())
-        pool = ProcessPoolExecutor(count, mp_context=mp.get_context("fork"),
-                                   initializer=_init_worker, initargs=(run,))
-        try:
-            blas = pool.submit(_blas_threads)
-            futures = {pool.submit(_run_task, *task): task[0] for task in sorted(n_steps, key=cost, reverse=True)}
-            results = [(futures[future], *future.result()) for future in as_completed(futures)]
-            setup = {"count": count, "start_method": "fork", "blas_threads": blas.result()}
-        except BaseException:
-            # cancel_futures drops only the queued tasks: stop the running ones too
-            for worker in set(mp.active_children()) - others:
-                worker.terminate()
-            raise
-        finally:
-            pool.shutdown(cancel_futures=True)
+    with _one_blas_thread() as blas:
+        if count <= 1 or "fork" not in mp.get_all_start_methods():
+            count, start_method = 1, None
+            runs = {task: run(*task) for task in tasks}
+        else:
+            # fork: the workers inherit the imported modules, the shared model operators,
+            # the runner and the BLAS pin (a spawned worker spends ~0.45 s on imports).
+            # Forking is safe while the caller runs no other thread; OpenBLAS stops
+            # its own threads before a fork.
+            start_method, others = "fork", set(mp.active_children())
+            pool = ProcessPoolExecutor(count, mp_context=mp.get_context("fork"),
+                                       initializer=_init_worker, initargs=(run,))
+            try:
+                futures = {pool.submit(_run_task, *task): task for task in tasks}
+                runs = {futures[future]: future.result() for future in as_completed(futures)}
+            except BaseException:
+                # cancel_futures drops only the queued tasks: stop the running ones too
+                for worker in set(mp.active_children()) - others:
+                    worker.terminate()
+                raise
+            finally:
+                pool.shutdown(cancel_futures=True)
     if workers is not None:
-        workers.update(setup)
+        workers.update(count=count, start_method=start_method, blas_threads=blas)
 
-    runs, dists = {}, [None] * len(points)
-    for i, point_runs, dist in results:
-        runs.update(((i, level), result) for level, result in point_runs.items())
-        if dist is not None:
-            dists[i] = dist
     records = []
     for i, point_steps in enumerate(steps):
-        record, seconds = runs[i, 0]
+        record = runs[i, 0].value
         for level in range(1, len(point_steps)):
-            check, check_seconds = runs[i, level]
-            shift = abs(check - record.infidelity)
+            shift = abs(runs[i, level].value - record.infidelity)
             if not shift <= CERTIFICATION_SHIFT:
                 raise CertificationError(
                     f"dt={point_steps[0]} not certified at scan value {record.scan_value} "
                     f"against dt={point_steps[level]}: infidelity shift {shift:.3e}"
                 )
-            seconds += check_seconds
+        seconds = sum(runs[i, level].seconds for level in range(len(point_steps)))
         records.append(replace(record, runtime_seconds=seconds))
-    return records, dists
+    return records, [runs[i, 0].dist for i in range(len(points))]
 
 
 def run_velocity_scan(
@@ -554,8 +553,8 @@ def run_size_scan(
     cfg: RunConfig, threads: Optional[int] = None, certify: bool = True, workers: Optional[dict] = None
 ) -> list[ScanRecord]:
     """Infidelity versus chain length at the configured ramp velocity and total
-    time.  Each point builds its own model, in the worker that runs it;
-    ``threads`` and ``workers`` are as in ``_run_points``."""
+    time.  Each run builds its point's model where it runs; ``threads`` and
+    ``workers`` are as in ``_run_points``."""
     return _run_points(cfg, _size_points(cfg), threads, certify, workers)[0]
 
 

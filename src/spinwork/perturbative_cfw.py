@@ -88,6 +88,11 @@ class SpectralMeasure2:
     def frequency_scale(self) -> float:
         return float(np.abs(self.omegas).max())
 
+    @property
+    def zero_frequency_weight(self) -> float:
+        """g0, the weight of the atoms within ``default_omega_floor`` of omega = 0."""
+        return float(self.weights[~(np.abs(self.omegas) > default_omega_floor(self.frequency_scale))].sum())
+
 
 @dataclass(frozen=True)
 class SpectralMeasure3:
@@ -212,21 +217,13 @@ def three_point_measure(
     return SpectralMeasure3(coords[keep, 0], coords[keep, 1], (-1j) ** 3 * merged_w[keep])
 
 
-@dataclass(frozen=True)
-class SecondOrderReport:
-    zero_frequency_weight: float
-    quasi_degenerate_mass: float
-    omega_floor: float
-
-
 def lnchi_second_order(
     measure: SpectralMeasure2,
     protocol: DriveProtocol,
     first_cum: float,
     lambda1: float,
     u_grid: np.ndarray,
-    return_report: bool = False,
-):
+) -> CfwSamples:
     """Second-order cumulant approximation of ln chi(u).
 
     Evaluates i u lam <H1>_c + i u lam^2 sum' g/omega
@@ -240,15 +237,14 @@ def lnchi_second_order(
     u = np.asarray(u_grid, dtype=float)
     omega_floor = default_omega_floor(measure.frequency_scale)
     reg = np.abs(measure.omegas) > omega_floor
-    o, g = measure.omegas[reg], measure.weights[reg]
-    g0 = float(measure.weights[~reg].sum())
+    o, g, g0 = measure.omegas[reg], measure.weights[reg], measure.zero_frequency_weight
 
     hazard = reg & (np.abs(measure.omegas) < QUASI_DEGENERATE_BAND * omega_floor)
     hazard_mass = float(np.abs(measure.weights[hazard]).sum())
     if hazard_mass > WEIGHT_FLOOR:
         warnings.warn(
-            "quasi-degenerate atoms just above the frequency floor enter the "
-            "singular sums; their mass is reported in the evaluation report",
+            f"quasi-degenerate atoms of mass {hazard_mass:.3g} just above the frequency floor "
+            "enter the singular sums",
             DegenerateAtomWarning,
             stacklevel=2,
         )
@@ -264,10 +260,7 @@ def lnchi_second_order(
         + oscillating
         + 0.5 * u**2 * (lambda1 * lambda1) * g0
     )
-    samples = CfwSamples(u, np.exp(ln), ln)
-    if return_report:
-        return samples, SecondOrderReport(g0, hazard_mass, omega_floor)
-    return samples
+    return CfwSamples(u, np.exp(ln), ln)
 
 
 # ---------------------------------------------------------------------------

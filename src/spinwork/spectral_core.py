@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import OperatorMatrix, common_blocks, copies, dense_view, once_per_copy, sublattice_parities
+from .spin_model import OperatorMatrix, common_blocks, copies, dense_view, sublattice_parities
 
 PSD_TOLERANCE = 1e-12
 TRACE_TOLERANCE = 1e-10
@@ -108,10 +108,11 @@ def eigendecompose(h: OperatorMatrix) -> SpectralDecomposition:
     if not h.hermitian:
         raise ValueError("eigendecompose requires an operator built with hermitian=True")
     arrays = [a for _, _, a in h.blocks]
-    eighs, first = once_per_copy(np.linalg.eigh, arrays), copies(arrays)
+    first = copies(arrays)
     distinct = list(dict.fromkeys(first))
+    eighs = {i: np.linalg.eigh(arrays[i]) for i in distinct}
     odds = dict(zip(distinct, sublattice_parities([arrays[i] for i in distinct])))
-    parts = [(rows, *eig) for (rows, _, _), eig in zip(h.blocks, eighs)]
+    parts = [(rows, *eighs[i]) for (rows, _, _), i in zip(h.blocks, first)]
     evals = np.concatenate([e for _, e, _ in parts])
     order = np.argsort(evals, kind="stable")
     rank = np.empty(evals.size, dtype=np.intp)

@@ -362,6 +362,35 @@ class TestScans:
         run_pert_compare(quench, threads=2, workers=workers)
         assert workers["count"] == 1 and workers["start_method"] is None
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blas_runs_on_one_thread_and_is_restored(self, monkeypatch, threads):
+        """A run pins numpy's OpenBLAS to one thread in whichever process runs a task,
+        this one or a forked worker, and gives this process back its own count
+        afterwards, also when a task fails its gate."""
+        lib = xp._openblas()
+        if lib is None:
+            pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
+        propagate = xp.propagate
+
+        def pinned_propagate(*args):
+            assert lib.scipy_openblas_get_num_threads64_() == 1
+            return propagate(*args)
+
+        monkeypatch.setattr(xp, "propagate", pinned_propagate)
+        cfg, before = config_from_dict(tiny_config()), lib.scipy_openblas_get_num_threads64_()
+        try:
+            lib.scipy_openblas_set_num_threads64_(2)
+            workers = {}
+            run_velocity_scan(cfg, threads=threads, workers=workers)
+            assert workers["blas_threads"] == 1 and workers["count"] == threads
+            assert lib.scipy_openblas_get_num_threads64_() == 2
+            monkeypatch.setattr(xp, "IDENTITY_MONITOR", -1.0)
+            with pytest.raises(xp.CertificationError, match="Jarzynski deviation"):
+                run_velocity_scan(cfg, threads=threads)
+            assert lib.scipy_openblas_get_num_threads64_() == 2
+        finally:
+            lib.scipy_openblas_set_num_threads64_(before)
+
     def test_default_pool_size_follows_cpu_affinity(self, monkeypatch):
         """Without ``threads`` the pool has as many workers as CPUs this process may
         run on, not as many as the machine has."""
@@ -420,7 +449,7 @@ class TestScans:
         protocol = xp._protocol_for("ramp_hold", 0.5, cfg.lambda1, abs(cfg.lambda1) / 0.5)
         point, shared = (cfg.model, protocol, 0.5), {cfg.model: _ModelOps.build(cfg.model)}
         infid = {
-            dt: xp._run_levels(shared, [point], replace(cfg, dt=dt), False, 0, (0,))[0][0][0].infidelity
+            dt: xp._run(shared, [point], replace(cfg, dt=dt), False, False, 0, 0).value.infidelity
             for dt in (0.01, 0.02, 0.04)
         }
         shift = abs(infid[0.02] - infid[0.04])
@@ -558,14 +587,13 @@ class TestBlockedOperators:
         cfg = config_from_dict(tiny_config(model={"n_sites": 7, "coupling": 2.0}, dt=0.05))
         for protocol in (xp._protocol_for("ramp_hold", 0.2, 0.1, 0.5), xp._protocol_for("quench", None, 0.1, 2.0)):
             levels = range(len(xp._steps(cfg.dt, protocol, True)))
-            (runs1, d1), (runs2, d2) = (
-                xp._run_levels({spec: ops}, [(spec, protocol, 0.2)], cfg, True, 0, levels, keep=True)
-                for ops in (shared, apart)
-            )
+            runs1, runs2 = ([xp._run({spec: ops}, [(spec, protocol, 0.2)], cfg, True, True, 0, level)
+                             for level in levels] for ops in (shared, apart))
+            d1, d2 = runs1[0].dist, runs2[0].dist
             for column in CSV_COLUMNS[:-1]:
-                assert abs(getattr(runs1[0][0], column) - getattr(runs2[0][0], column)) <= 1e-14, column
+                assert abs(getattr(runs1[0].value, column) - getattr(runs2[0].value, column)) <= 1e-14, column
             for level in levels[1:]:
-                assert abs(runs1[level][0] - runs2[level][0]) <= 1e-14
+                assert abs(runs1[level].value - runs2[level].value) <= 1e-14
             assert d1.works.size == d2.works.size
             assert np.abs(d1.works - d2.works).max() <= 1e-13
             assert np.abs(d1.probabilities - d2.probabilities).max() <= 1e-15
@@ -608,15 +636,13 @@ class TestBlockedOperators:
         cfg = config_from_dict(tiny_config(dt=0.01))
         for protocol in (xp._protocol_for("ramp_hold", 0.2, 0.1, 3.0), xp._protocol_for("quench", None, 0.1, 3.0)):
             levels = range(len(xp._steps(cfg.dt, protocol, True)))
-            (runs1, d1), (runs2, d2) = (
-                xp._run_levels({spec: ops}, [(spec, protocol, 0.2)], cfg, True, 0, levels, keep=True)
-                for ops in (built, dense)
-            )
-            (r1, _), (r2, _) = runs1[0], runs2[0]
+            runs1, runs2 = ([xp._run({spec: ops}, [(spec, protocol, 0.2)], cfg, True, True, 0, level)
+                             for level in levels] for ops in (built, dense))
+            (r1, d1), (r2, d2) = (runs1[0].value, runs1[0].dist), (runs2[0].value, runs2[0].dist)
             for column in CSV_COLUMNS[:-1]:
                 assert abs(getattr(r1, column) - getattr(r2, column)) <= 1e-14, column
             for level in levels[1:]:
-                assert abs(runs1[level][0] - runs2[level][0]) <= 1e-14
+                assert abs(runs1[level].value - runs2[level].value) <= 1e-14
             assert d1.works.shape == d2.works.shape
             assert np.abs(d1.works - d2.works).max() <= 1e-14
             assert np.abs(d1.probabilities - d2.probabilities).max() <= 1e-14
@@ -635,15 +661,13 @@ class TestBlockedOperators:
         cfg = config_from_dict(tiny_config(dt=0.01))
         for protocol in (xp._protocol_for("ramp_hold", 0.2, 0.1, 3.0), xp._protocol_for("quench", None, 0.1, 3.0)):
             levels = range(len(xp._steps(cfg.dt, protocol, True)))
-            (runs1, d1), (runs2, d2) = (
-                xp._run_levels({spec: ops}, [(spec, protocol, 0.2)], cfg, True, 0, levels, keep=True)
-                for ops in (built, cast)
-            )
-            (r1, _), (r2, _) = runs1[0], runs2[0]
+            runs1, runs2 = ([xp._run({spec: ops}, [(spec, protocol, 0.2)], cfg, True, True, 0, level)
+                             for level in levels] for ops in (built, cast))
+            (r1, d1), (r2, d2) = (runs1[0].value, runs1[0].dist), (runs2[0].value, runs2[0].dist)
             for column in CSV_COLUMNS[:-1]:
                 assert abs(getattr(r1, column) - getattr(r2, column)) <= 1e-11, column
             for level in levels[1:]:
-                assert abs(runs1[level][0] - runs2[level][0]) <= 1e-11
+                assert abs(runs1[level].value - runs2[level].value) <= 1e-11
             assert d1.works.shape == d2.works.shape
             assert np.abs(d1.works - d2.works).max() <= 1e-11
             assert np.abs(d1.probabilities - d2.probabilities).max() <= 1e-11
@@ -662,7 +686,8 @@ class TestBlockedOperators:
             ops = _ModelOps.build(spec)
             build_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            xp._run_levels({spec: ops}, [(spec, protocol, 10.0)], cfg, True, 0, (0, 1))
+            for level in (0, 1):
+                xp._run({spec: ops}, [(spec, protocol, 10.0)], cfg, True, False, 0, level)
             point_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1050,17 +1075,18 @@ class TestCli:
         assert payload["workers"] == {"count": 2, "start_method": "fork", "blas_threads": 1}
         assert (out / "velocity_records.csv").read_text().split("\n")[0] == ",".join(CSV_COLUMNS)
 
-    def test_unpinned_pool_matches_pinned_serial_run(self, tmp_path):
-        # pool workers pin BLAS to one thread, so a pool with BLAS unpinned gives the records (runtime_seconds
-        # aside) of an in-process run with BLAS pinned; an in-process run follows the process's BLAS setting,
-        # and with BLAS unpinned its records can move in the last bits
+    def test_unpinned_runs_match_pinned_serial_run(self, tmp_path):
+        # a run pins BLAS to one thread, in the CLI process and so in the pool's workers, so a pool and an
+        # in-process run with BLAS unpinned give the records (runtime_seconds aside) of an in-process run
+        # with BLAS pinned
         path = tmp_path / "c.json"
         path.write_text(json.dumps(tiny_config(model={"n_sites": 6, "coupling": 2.0}, grid=[0.05, 0.2, "inf"])))
         env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
         env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
         pinned = dict(env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
         outputs = {}
-        for name, threads, run_env in (("unpinned", "2", env), ("pinned", "1", pinned)):
+        runs = (("unpinned", "2", env), ("unpinned_serial", "1", env), ("pinned", "1", pinned))
+        for name, threads, run_env in runs:
             out = tmp_path / name
             run = subprocess.run(
                 [sys.executable, "-m", "spinwork.cli", "scan-velocity", "--config", str(path),
@@ -1071,9 +1097,10 @@ class TestCli:
             rows = (out / "velocity_records.csv").read_text().split("\n")
             outputs[name] = [row.rpartition(",")[0] for row in rows]
             outputs[name + "_workers"] = json.loads((out / "velocity_summary.json").read_text())["workers"]
-        assert outputs["unpinned"] == outputs["pinned"]
+        assert outputs["unpinned"] == outputs["unpinned_serial"] == outputs["pinned"]
         assert outputs["unpinned_workers"] == {"count": 2, "start_method": "fork", "blas_threads": 1}
-        assert outputs["pinned_workers"] == {"count": 1, "start_method": None, "blas_threads": 1}
+        assert outputs["unpinned_serial_workers"] == outputs["pinned_workers"] == {
+            "count": 1, "start_method": None, "blas_threads": 1}
 
     def test_single_emits_distribution_and_cfw(self, tmp_path):
         path = tmp_path / "c.json"
