@@ -41,6 +41,18 @@ Propagation conventions (hbar = 1, time in inverse energy units):
   * Each H0 factor takes one Newton polar step, F <- (F + F^-dag) / 2, before the
     loop reuses it at every step: its roundoff would otherwise add up coherently
     in U's unitarity defect.
+  * A GEMM of a few rows costs its call overhead whatever its size, so the distinct
+    blocks of one gauge class (gauged, or not) are stepped smallest first in bundles
+    of at most ``BUNDLE_ROWS`` rows, each bundle one block-diagonal block through the
+    same loop, and U is sliced back into the blocks before the unitarity defect; a
+    larger block steps alone.  Between the bundled blocks every entry of the
+    eigenvectors, the H0 factors and their polar step, the kicks and each iterate is
+    an exact zero, so U moves by BLAS summation order only (at most 2.1e-14 at N = 9
+    over 351 steps).  Measured with BLAS on one thread: a gauged substep (kick and
+    real GEMM) takes 1.6-3.4 us at 1-20 rows, 4.1 us at 26, 5.1 us at 32 and 10 us
+    at 46, so the N = 9 blocks of 1, 4, 5 and 16 rows step as one block of 26 and the
+    one of 20 alone: those five blocks take 27 ms for 1000 steps instead of 42 ms
+    apart, where one bundle of 46 rows takes 35 ms.
 
 Stepping is fourth-order Suzuki: each step is the triple-jump composition of
 three Strang substeps (half H0, diagonal H1 kick, half H0), which keeps
@@ -70,6 +82,8 @@ _GAPS = (_W1 / 2.0, (_W1 + _W0) / 2.0, _W1)
 UNITARITY_ABORT = 1e-6
 #: Substeps whose diagonal kicks are exponentiated together (bounds that table's memory).
 KICK_CHUNK = 256
+#: Largest row count of a bundle of small blocks stepped as one block-diagonal block (module notes).
+BUNDLE_ROWS = 32
 
 
 class ProtocolError(ValueError):
@@ -245,12 +259,46 @@ def _propagate_block(evals: np.ndarray, v: np.ndarray, odd: Optional[np.ndarray]
     return u
 
 
+def _bundles(blocks: dict) -> list:
+    """The keys of ``blocks`` ({key: (evals, v, odd, h1)}) in bundles: one gauge class (``odd``
+    given or None) to a bundle, smallest first, each block joining the last bundle while that keeps
+    it within ``BUNDLE_ROWS`` rows, so that a larger block is a bundle of its own."""
+    bundles, rows, last = [], 0, None
+    for key in sorted(blocks, key=lambda k: (blocks[k][2] is None, blocks[k][1].shape[0])):
+        gauged, size = blocks[key][2] is not None, blocks[key][1].shape[0]
+        if bundles and gauged == last and rows + size <= BUNDLE_ROWS:
+            bundles[-1].append(key)
+            rows += size
+        else:
+            bundles.append([key])
+            rows, last = size, gauged
+    return bundles
+
+
+def _propagate_bundle(blocks: list, p: DriveProtocol, nsteps: int) -> list:
+    """The propagators of blocks (evals, v, odd, h1) of one gauge class, stepped as one block-diagonal
+    block and sliced apart (see the module notes); a bundle of one block steps as it is."""
+    if len(blocks) == 1:
+        return [_propagate_block(*blocks[0], p, nsteps)]
+    starts = np.cumsum([0] + [v.shape[0] for _, v, _, _ in blocks])
+    spans = list(zip(starts, starts[1:]))
+    v = np.zeros((starts[-1],) * 2, np.result_type(*(vb for _, vb, _, _ in blocks)))
+    for (_, vb, _, _), (a, b) in zip(blocks, spans):
+        v[a:b, a:b] = vb
+    evals = np.concatenate([e for e, _, _, _ in blocks])
+    odd = None if blocks[0][2] is None else np.concatenate([o for _, _, o, _ in blocks])
+    h1 = np.diag(np.concatenate([np.diag(h) for _, _, _, h in blocks]))
+    u = _propagate_block(evals, v, odd, h1, p, nsteps)
+    return [u[a:b, a:b].copy() for a, b in spans]
+
+
 def propagate(spec0: SpectralDecomposition, h1: OperatorMatrix, p: DriveProtocol, dt: float) -> PropagatorResult:
     """Time-ordered propagator over [0, ramp_time] for H(t) = H0 + lambda(t) H1, in Suzuki-4
     steps of ~dt from ``spec0``, the eigendecomposition of H0.
 
-    Each block common to ``spec0`` and H1 is stepped on its own, once per group of
-    ``spin_model.copies`` (see the module notes); H1 must be diagonal on its blocks."""
+    Each block common to ``spec0`` and H1 is stepped once per group of
+    ``spin_model.copies``, the small ones in bundles (see the module notes); H1 must
+    be diagonal on its blocks."""
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     blocks = common_blocks(spec0.blocks, h1.blocks)
@@ -266,11 +314,14 @@ def propagate(spec0: SpectralDecomposition, h1: OperatorMatrix, p: DriveProtocol
         raise ValueError("propagate requires the interaction part diagonal on its blocks")
 
     nsteps = _step_count(p, dt)
-    stepped = {i: _propagate_block(*parts[i][:2], odds[i], parts[i][2], p, nsteps) for i in distinct}
+    own = {i: (*parts[i][:2], odds[i], parts[i][2]) for i in distinct}
+    stepped = {}
+    for bundle in _bundles(own):
+        stepped.update(zip(bundle, _propagate_bundle([own[i] for i in bundle], p, nsteps)))
 
     # U^dag U - 1 vanishes between blocks, so the blocks' Frobenius defects add up
     defect = float(np.sqrt(sum(distinct[i] * np.linalg.norm(ub.conj().T @ ub - np.eye(ub.shape[0])) ** 2
-                               for i, ub in stepped.items())))
+                               for i, ub in sorted(stepped.items()))))
     if not defect <= UNITARITY_ABORT:
         raise UnitarityError(f"unitarity defect {defect:.3e} exceeds {UNITARITY_ABORT}")
     return PropagatorResult(

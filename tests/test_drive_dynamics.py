@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from spinwork import drive_dynamics
 from spinwork import (
     DriveProtocol,
     OperatorMatrix,
@@ -25,9 +26,11 @@ from spinwork.drive_dynamics import (
     _GAPS,
     _MIDS,
     _WIDTHS,
+    BUNDLE_ROWS,
     KICK_CHUNK,
     ProtocolError,
     UnitarityError,
+    _bundles,
     _expi,
     _propagate_block,
     _step_count,
@@ -499,15 +502,52 @@ class TestSublatticeGauge:
         assert eigendecompose(assemble(h0, adapted_chain(SpinChainSpec(9, 1.3))[1], 0.1)).parities == (None,) * 18
 
     def test_nine_sites_step_without_complex_products(self, monkeypatch):
-        # every distinct block at N = 9 is gauged, so each substep is one float64 x float64 matmul
+        # every distinct block at N = 9 is gauged, so each substep steps all 256 distinct rows (sectors
+        # k <= 4) in float64 x float64 matmuls, one per bundle
         h0, h1 = adapted_chain(SpinChainSpec(9, 1.3))
         spec0 = eigendecompose(h0)
         calls, matmul = [], np.matmul
-        monkeypatch.setattr(np, "matmul", lambda a, b, **kw: calls.append((a.dtype, b.dtype)) or matmul(a, b, **kw))
+        monkeypatch.setattr(np, "matmul", lambda a, b, **kw: calls.append((a.shape[0], a.dtype, b.dtype))
+                            or matmul(a, b, **kw))
         p = ramp(lam1=0.1, v=0.5)
         propagate(spec0, h1, p, 0.01)
-        assert len(calls) == 3 * _step_count(p, 0.01) * 9
-        assert set(calls) == {(np.dtype(np.float64), np.dtype(np.float64))}
+        assert sum(rows for rows, _, _ in calls) == 3 * _step_count(p, 0.01) * 256
+        assert {(a, b) for _, a, b in calls} == {(np.dtype(np.float64), np.dtype(np.float64))}
+
+    @staticmethod
+    def distinct_blocks(spec0, h1):
+        """{position: (evals, v, odd, h1 block)} of each distinct block, as ``propagate`` steps them."""
+        parts = [(spec0.eigenvalues[cols], v, odd, h) for (_, cols, v), odd, (_, _, h)
+                 in zip(spec0.blocks, spec0.parities, h1.blocks, strict=True)]
+        return {i: parts[i] for i in dict.fromkeys(copies(*zip(*((e, v, h) for e, v, _, h in parts))))}
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_bundles_step_like_blocks_apart(self, monkeypatch, n):
+        # N = 9 has gauged blocks only, N = 10 gauged and complex ones: each class is bundled apart, the
+        # bundle's entries between its blocks stay exact zeros, and each block's U is that of the block
+        # stepped on its own up to BLAS summation order
+        h0, h1 = adapted_chain(SpinChainSpec(n, 1.3))
+        spec0 = eigendecompose(h0)
+        own = self.distinct_blocks(spec0, h1)
+        bundles = _bundles(own)
+        assert sorted(i for bundle in bundles for i in bundle) == sorted(own)
+        for bundle in bundles:
+            assert len({own[i][2] is None for i in bundle}) == 1
+            assert len(bundle) == 1 or sum(own[i][1].shape[0] for i in bundle) <= BUNDLE_ROWS
+        assert {own[bundle[0]][2] is None for bundle in bundles if len(bundle) > 1} == {False, n == 10}
+        p = ramp(lam1=0.1, v=0.05)
+        nsteps = _step_count(p, 0.01)
+        stepped, propagate_block = [], _propagate_block
+        monkeypatch.setattr(drive_dynamics, "_propagate_block", lambda *a: stepped.append(propagate_block(*a))
+                            or stepped[-1])
+        u = propagate(spec0, h1, p, 0.01).unitary
+        for bundle, ub in zip(bundles, stepped, strict=True):
+            starts = np.cumsum([0] + [own[i][1].shape[0] for i in bundle])
+            inside = np.zeros(ub.shape, dtype=bool)
+            for i, a, b in zip(bundle, starts, starts[1:]):
+                inside[a:b, a:b] = True
+                assert np.abs(u.blocks[i][2] - propagate_block(*own[i], p, nsteps)).max() < 1e-13
+            assert not ub[~inside].any()
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("case", ["gauged", "ungauged", "complex"])
@@ -644,7 +684,7 @@ class TestConvergenceProbe:
 
     def test_defect_shrinks_sixteenfold(self, chain4):
         # fourth order: halving the step divides the defect by 2^4 (measured
-        # 15.90 and 15.98); a check against a 2dt run rests on this order
+        # 15.90 and 15.98); a check against a 4dt run rests on this order
         _, _, h1, spec0 = chain4
         p = ramp(lam1=0.2, v=0.1, t_total=2.0)
         a, b, c = (self.halving_delta(spec0, h1, p, dt) for dt in (0.08, 0.04, 0.02))

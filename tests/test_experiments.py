@@ -344,7 +344,7 @@ class TestScans:
         # a scan's runs send back no distribution, in this process or from a pool
         for threads in (1, 2):
             assert xp._run_points(cfg, xp._velocity_points(cfg), threads, True, None)[1] == [None] * 3
-        # single's dt run and 2dt check run side by side, and the pool sends the record's distribution back
+        # single's dt run and 4dt check run side by side, and the pool sends the record's distribution back
         ramp = config_from_dict(tiny_config(scan="single", grid=[]))
         pooled, in_process = {}, {}
         (record, dist, cfw), (record1, dist1, cfw1) = (run_single(ramp, threads=2, workers=pooled),
@@ -415,7 +415,7 @@ class TestScans:
     def test_pool_record_runtime_sums_its_tasks(self, monkeypatch, threads):
         # each clock reading advances one second, so every run measures 1 s,
         # in a pool task or in this process: the two ramps run at dt and at
-        # 2dt, the quench at dt only
+        # 4dt, the quench at dt only
         ticks = itertools.count()
         monkeypatch.setattr(xp.time, "perf_counter", lambda: float(next(ticks)))
         records = run_velocity_scan(config_from_dict(tiny_config()), threads=threads)
@@ -424,9 +424,13 @@ class TestScans:
     @pytest.mark.parametrize(
         "protocol, certify, steps",
         [
-            # ramps over 0.75, 0.5 and 0.25 at dt = 0.25: 3, 2 and 1 steps at dt; 2, 1 and 1 at 2dt
-            (xp._protocol_for("ramp_hold", 1.0, 0.75, 4.0), True, (0.25, 0.5)),
+            # ramps over 3, 1.25 and 0.75 at dt = 0.25: 12, 5 and 3 steps at dt; 3, 1 and 1 at 4dt
+            (xp._protocol_for("ramp_hold", 1.0, 3.0, 4.0), True, (0.25, 1.0)),
+            (xp._protocol_for("ramp_hold", 1.0, 1.25, 4.0), True, (0.25, 1.0)),
+            (xp._protocol_for("ramp_hold", 1.0, 0.75, 4.0), True, (0.25, 1.0)),
+            # over 0.5: 2 steps at dt, and 1 at 4dt would be the 2dt run, so the check runs at 2dt
             (xp._protocol_for("ramp_hold", 1.0, 0.5, 4.0), True, (0.25, 0.5)),
+            # over 0.25: 1 step at dt and at 2dt, the same run, so it is checked at dt/2
             (xp._protocol_for("ramp_hold", 1.0, 0.25, 4.0), True, (0.25, 0.125)),
             # a ramp over 0.1 is one step at dt/2 too, so it is checked at half its length
             (xp._protocol_for("ramp_hold", 1.0, 0.1, 4.0), True, (0.25, 0.05)),
@@ -437,30 +441,57 @@ class TestScans:
             (xp._protocol_for("ramp_hold", 1.0, 0.0, 4.0), True, (0.25,)),
         ],
     )
-    def test_steps_check_at_twice_dt_unless_one_step(self, protocol, certify, steps):
+    def test_steps_check_at_four_dt_unless_under_three_steps(self, protocol, certify, steps):
         assert xp._steps(0.25, protocol, certify) == steps
         if len(steps) == 2:  # a check that repeats the record's schedule would shift by exactly 0
-            assert drive_dynamics._step_count(protocol, steps[1]) != drive_dynamics._step_count(protocol, steps[0])
+            counts = [drive_dynamics._step_count(protocol, step) for step in steps]
+            assert counts[1] != counts[0]
+            if steps[1] == 1.0:  # a 4dt check's realized step is at least 3x the record's
+                assert counts[0] >= 3 * counts[1]
+
+    @staticmethod
+    def infidelities(cfg, velocity, dts):
+        """The uncertified infidelity of ``cfg``'s ramp at ``velocity`` at each dt of ``dts``."""
+        protocol = xp._protocol_for("ramp_hold", velocity, cfg.lambda1, abs(cfg.lambda1) / velocity)
+        point, shared = (cfg.model, protocol, velocity), {cfg.model: _ModelOps.build(cfg.model)}
+        return {dt: xp._run(shared, [point], replace(cfg, dt=dt), False, False, 0, 0).value.infidelity for dt in dts}
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_gate_shift_is_the_twice_dt_shift(self, monkeypatch, threads):
-        # the v = 0.5 ramp runs over t_total = 0.2: 10 steps at dt = 0.02, 5 at 2dt
+    def test_gate_shift_is_the_four_dt_shift(self, monkeypatch, threads):
+        # the v = 0.5 ramp runs over t_total = 0.2: 10 steps at dt = 0.02, 2 at 4dt
         cfg = config_from_dict(tiny_config(grid=[0.5]))
-        protocol = xp._protocol_for("ramp_hold", 0.5, cfg.lambda1, abs(cfg.lambda1) / 0.5)
-        point, shared = (cfg.model, protocol, 0.5), {cfg.model: _ModelOps.build(cfg.model)}
-        infid = {
-            dt: xp._run(shared, [point], replace(cfg, dt=dt), False, False, 0, 0).value.infidelity
-            for dt in (0.01, 0.02, 0.04)
-        }
-        shift = abs(infid[0.02] - infid[0.04])
-        # for a fourth-order error the 2dt shift is ~15x the dt run's error, the dt/2 shift ~15/16 of it
-        assert shift > 4.0 * abs(infid[0.02] - infid[0.01])
+        infid = self.infidelities(cfg, 0.5, (0.01, 0.02, 0.08))
+        shift = abs(infid[0.02] - infid[0.08])
+        # for a fourth-order error a check whose realized step is at least 3x the record's shifts by at
+        # least (3^4 - 1) = 80x the dt run's error (here 5x, ~624x), the dt/2 run by ~15/16 of it
+        assert shift > 80.0 * abs(infid[0.02] - infid[0.01])
         monkeypatch.setattr(xp, "CERTIFICATION_SHIFT", shift)
         assert run_velocity_scan(cfg, threads=threads)[0].infidelity == infid[0.02]
         monkeypatch.setattr(xp, "CERTIFICATION_SHIFT", np.nextafter(shift, 0.0))
-        with pytest.raises(xp.CertificationError, match=f"against dt=0.04: infidelity shift {shift:.3e}$"):
+        with pytest.raises(xp.CertificationError, match=f"against dt=0.08: infidelity shift {shift:.3e}$"):
             run_velocity_scan(cfg, threads=threads)
         assert not multiprocessing.active_children()
+
+    def test_four_dt_shift_is_at_least_15x_the_twice_dt_shift(self):
+        # the size-scan protocol (v = 0.2, lambda1 = 0.1, dt = 0.01): 50 steps at dt, 25 at 2dt and 12 at
+        # 4dt, so for a fourth-order error the shifts are ~(4.17^4 - 1) and (2^4 - 1) times the dt run's
+        cfg = config_from_dict(tiny_config(model={"n_sites": 4, "coupling": 2.0}, grid=[0.2], dt=0.01))
+        infid = self.infidelities(cfg, 0.2, (0.01, 0.02, 0.04))
+        assert xp._steps(cfg.dt, xp._velocity_points(cfg)[0][1], True) == (0.01, 0.04)
+        assert abs(infid[0.04] - infid[0.01]) >= 15.0 * abs(infid[0.02] - infid[0.01])
+
+    @pytest.mark.parametrize("between", [False, True], ids=["under-2dt-shift", "between-shifts"])
+    def test_dt_the_twice_dt_check_rejects_is_still_rejected(self, monkeypatch, between):
+        # a gate just under the 2dt shift rejects the dt at 2dt, and one between the 2dt and 4dt
+        # shifts would pass it there: the 4dt check rejects it at both
+        cfg = config_from_dict(tiny_config(grid=[0.1]))
+        infid = self.infidelities(cfg, 0.1, (0.02, 0.04, 0.08))
+        shift2, shift4 = (abs(infid[dt] - infid[0.02]) for dt in (0.04, 0.08))
+        assert shift4 > shift2 > 0.0
+        gate = np.sqrt(shift2 * shift4) if between else np.nextafter(shift2, 0.0)
+        monkeypatch.setattr(xp, "CERTIFICATION_SHIFT", gate)
+        with pytest.raises(xp.CertificationError, match=f"against dt=0.08: infidelity shift {shift4:.3e}$"):
+            run_velocity_scan(cfg, threads=1)
 
     def test_plateau_under_longer_hold(self):
         # the ramp ends at t = 2; doubling the hold leaves the infidelity fixed
@@ -502,13 +533,15 @@ class TestBlockedOperators:
     def test_each_distinct_adapted_block_is_diagonalized_and_stepped_once(self, monkeypatch):
         """A velocity scan at N = 9 builds its shared model on 18 adapted blocks, of
         which 9 are distinct (a spin-flip pair of sectors shares its arrays): the
-        build runs 9 eigh, and each propagate call 9 _propagate_block and no eigh: it
+        build runs 9 eigh, and each propagate call steps the distinct blocks' 256
+        rows once (no flip copy's), through _propagate_block, and runs no eigh: it
         steps from the build's eigendecomposition of H0."""
         eighs, stepped, builds, propagates = [], [], [], []
         eigh, propagate_block, build, propagate = (
             np.linalg.eigh, drive_dynamics._propagate_block, xp._ModelOps.build, xp.propagate)
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or eigh(a))
-        monkeypatch.setattr(drive_dynamics, "_propagate_block", lambda *args: stepped.append(args) or propagate_block(*args))
+        monkeypatch.setattr(drive_dynamics, "_propagate_block",
+                            lambda *args: stepped.append(args[1].shape[0]) or propagate_block(*args))
 
         def counted_build(spec):
             before = len(eighs)
@@ -516,9 +549,9 @@ class TestBlockedOperators:
             return builds[-1][0]
 
         def counted_propagate(*args):
-            before = len(stepped), len(eighs)
+            before = sum(stepped), len(eighs)
             result = propagate(*args)
-            propagates.append((len(stepped) - before[0], len(eighs) - before[1]))
+            propagates.append((sum(stepped) - before[0], len(eighs) - before[1]))
             return result
 
         monkeypatch.setattr(xp._ModelOps, "build", staticmethod(counted_build))
@@ -529,18 +562,18 @@ class TestBlockedOperators:
         ((ops, build_eighs),) = builds
         assert len(ops.h0.blocks) == 18
         assert build_eighs == 9
-        assert propagates == [(9, 0)] * 3
+        assert propagates == [(256, 0)] * 3
 
     @pytest.mark.parametrize("n_sites, blocks, config", [
         (7, 14, {"scan": "pert_compare", "grid": [0.05, 0.1, 0.2], "protocol": {"kind": "quench", "t_total": 2.0}}),
-        (9, 18, {"grid": [0.2, "inf"], "dt": 0.05}),
+        (9, 18, {"grid": [0.2, "inf"], "dt": 0.02}),
     ], ids=["pert-quench-n7", "ramp-n9"])
     def test_each_flip_pair_is_one_block_of_multiplicity_two(self, monkeypatch, n_sites, blocks, config):
         """After the build a flip copy is its partner counted twice: in every run, the
         unitarity defect, the evolution and the TPM kernel each take one product with a
         U block, and the fidelity one SVD, per distinct block (half of them).  The runs:
-        the pert-quench workload's three quenches at N = 7, and at N = 9 a 10-step ramp,
-        its 2dt check and the quench."""
+        the pert-quench workload's three quenches at N = 7, and at N = 9 a 25-step ramp,
+        its 4dt check and the quench."""
         products, svds = [], []
 
         class CountedU(np.ndarray):
@@ -959,9 +992,9 @@ class TestCli:
 
     @pytest.mark.parametrize("command, threads", CERTIFIED_RUNS)
     def test_certification_failure_exit_code(self, tmp_path, monkeypatch, capsys, command, threads):
-        # one gate, in the parent, joins a point's dt and 2dt runs on every path
+        # one gate, in the parent, joins a point's dt and 4dt runs on every path
         err = self.failed_certification(tmp_path, monkeypatch, capsys, command, threads, 0.05)
-        assert "against dt=0.04:" in err
+        assert "against dt=0.08:" in err
 
     @pytest.mark.parametrize("command, threads", CERTIFIED_RUNS)
     def test_one_step_ramp_certification_failure_exit_code(self, tmp_path, monkeypatch, capsys, command, threads):
@@ -1028,11 +1061,11 @@ class TestCli:
         assert not multiprocessing.active_children()
 
     def test_first_failure_stops_running_tasks(self, tmp_path, monkeypatch, capsys):
-        # the 2dt check task runs long and marks its end; the dt tasks fail once it has started
+        # the 4dt check task runs long and marks its end; the dt tasks fail once it has started
         started, finished = tmp_path / "started", tmp_path / "finished"
 
         def stepping(h0, h1, protocol, dt):
-            if dt == 0.04:
+            if dt == 0.08:
                 started.touch()
                 time.sleep(20.0)
                 finished.touch()
